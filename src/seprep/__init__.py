@@ -28,16 +28,7 @@ from .als import (
     solve_direction,
     sweep,
 )
-from .regularize import (
-    GcvResult,
-    RegularizationState,
-    TikhonovPath,
-    build_B,
-    error_indicator,
-    gcv_select_lambda,
-    sigma_hat,
-    tikhonov_factor,
-)
+from .regularize import GcvResult, RegularizationState, TikhonovPath, gcv_select_lambda
 from .selection import SelectionReport, ei_max_for_rank, select_model
 from . import errors, problems
 

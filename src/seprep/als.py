@@ -18,15 +18,18 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from .basis import BasisSpec, eval_basis_batch
-from .errors import ConditioningError, DegenerateFactorError, DegenerateModelError
+from .errors import (
+    ConditioningError,
+    DegenerateFactorError,
+    DegenerateModelError,
+    InvariantError,
+)
 from .model import SampleSet, SeparatedModel, empirical_norm, term_gram
 from .regularize import (
     DEFAULT_LAMBDA_FLOOR,
     RegularizationState,
     TikhonovPath,
-    error_indicator,
     gcv_select_lambda,
-    scale_identity_factor,
 )
 
 __all__ = [
@@ -46,14 +49,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _MONOTONE_RTOL = 1e-10
-
-
-def _kron_eye(G: np.ndarray, m: int) -> np.ndarray:
-    """np.kron(G, np.eye(m)) without the generic-kron overhead."""
-    r = G.shape[0]
-    out = np.zeros((r * m, r * m))
-    out.reshape(r, m, r, m)[:, np.arange(m), :, np.arange(m)] = G
-    return out
 _NORMAL_EQ_RTOL = 1e-8
 
 
@@ -182,8 +177,9 @@ def assemble_design_matrix(
     return A
 
 
-def _check_normal_equation(Mm, c, Atu):
-    err = np.linalg.norm(Mm @ c - Atu)
+def _check_normal_equation(lhs, Atu):
+    """Fail when the solved coefficients leave the normal equation unsatisfied."""
+    err = np.linalg.norm(lhs - Atu)
     if err > _NORMAL_EQ_RTOL * max(np.linalg.norm(Atu), 1e-300):
         raise ConditioningError(
             f"normal-equation residual {err:.3e} exceeds tolerance; the system is "
@@ -226,22 +222,31 @@ def _gram_cholesky(G: np.ndarray) -> np.ndarray:
             ) from None
 
 
-def _regularized_direction(A, u, G, basis_size, config):
-    """Solve one direction with penalty factor L = chol(G) (x) I.
+def _direction_solve(A, u, G, m, config):
+    """Solve one direction; every direction solve of the package runs here.
 
-    Returns (coefficients, RegularizationState, squared residual norm).
+    With G None the plain normal equation A^T A c = A^T u is solved. Otherwise
+    G is the r x r term Gram matrix and the penalty factor is L = chol(G) (x) I
+    on the m-function basis; lambda is picked by GCV along the path. Returns
+    (coefficients, RegularizationState or None, squared residual norm).
     """
     n_samples = u.shape[0]
-    Rg = _gram_cholesky(G)
-    L = _kron_eye(Rg, basis_size)
-    path = TikhonovPath(A, u, L)
-    sel = gcv_select_lambda(
-        A, u, L, config.lambda_grid_size, floor_rel=config.lambda_floor_rel, path=path
-    )
+    if G is None:
+        AtA = A.T @ A
+        Atu = A.T @ u
+        c = _solve_spd(AtA, Atu)
+        _check_normal_equation(AtA @ c, Atu)
+        res = A @ c - u
+        return c, None, float(res @ res)
+    R = _gram_cholesky(G)
+    path = TikhonovPath(A, u, R, m)
+    sel = gcv_select_lambda(path, config.lambda_grid_size, config.lambda_floor_rel)
     lam = sel.lambda_
-    Mm = path.AtA + (lam * lam) * _kron_eye(G, basis_size)
-    c = _solve_spd(Mm, path.Atu)
-    _check_normal_equation(Mm, c, path.Atu)
+    c = path.solve(lam)
+    # the penalty the path solves is R^T R (x) I: G itself, or G plus the
+    # jitter _gram_cholesky added when G is singular
+    penalty = (lam * lam) * (R.T @ (R @ c.reshape(R.shape[0], m))).ravel()
+    _check_normal_equation(path.AtA @ c + penalty, path.Atu)
     res = A @ c - u
     rn2 = float(res @ res)
     sig = np.sqrt(rn2 / (n_samples - sel.hat_trace)) if n_samples > sel.hat_trace else float("inf")
@@ -259,10 +264,22 @@ def _regularized_direction(A, u, G, basis_size, config):
         )
         ei = float("inf")
     state = RegularizationState(
-        cholesky_L=L, lambda_=lam, sigma_hat=float(sig), error_indicator=ei,
-        hat_trace=sel.hat_trace,
+        lambda_=lam, sigma_hat=float(sig), error_indicator=ei, hat_trace=sel.hat_trace
     )
     return c, state, rn2
+
+
+def _penalty_gram(config: FitConfig, scales: np.ndarray, second_moment_gram):
+    """The kernel's G: None unregularized, diag(s^2) for the comparison penalty.
+
+    second_moment_gram is a zero-argument callable, called only when the
+    second-moment penalty is the one configured.
+    """
+    if not config.regularize:
+        return None
+    if config.l_identity:
+        return np.diag(scales**2)
+    return second_moment_gram()
 
 
 def solve_direction(
@@ -270,40 +287,16 @@ def solve_direction(
 ) -> DirectionSolveResult:
     """Solve the direction-k normal equation, regularized when configured.
 
-    The regularized path solves (A^T A + lambda^2 L^T L) c = A^T u with L the
-    second-moment factor (or the diag-scale comparison factor when
-    config.l_identity is set) and lambda picked by GCV; the plain path sets
-    lambda to zero and solves A^T A c = A^T u.
+    The regularized path solves (A^T A + lambda^2 L^T L) c = A^T u with
+    L = chol(G) (x) I, G the second-moment term Gram matrix (or diag(s^2), the
+    diag-scale comparison penalty, when config.l_identity is set) and lambda
+    picked by GCV; the plain path sets lambda to zero and solves
+    A^T A c = A^T u.
     """
     u = np.asarray(u, dtype=float).ravel()
-    n_samples = u.shape[0]
-    if not config.regularize:
-        AtA = A.T @ A
-        Atu = A.T @ u
-        c = _solve_spd(AtA, Atu)
-        _check_normal_equation(AtA, c, Atu)
-        res = A @ c - u
-        rn2 = float(res @ res)
-        return DirectionSolveResult(c, None, float(np.sqrt(rn2 / n_samples)))
-    if config.l_identity:
-        L = scale_identity_factor(model.scales, model.basis.size)
-        path = TikhonovPath(A, u, L)
-        sel = gcv_select_lambda(
-            A, u, L, config.lambda_grid_size, floor_rel=config.lambda_floor_rel, path=path
-        )
-        lam = sel.lambda_
-        Mm = path.AtA + (lam * lam) * (L.T @ L)
-        c = _solve_spd(Mm, path.Atu)
-        _check_normal_equation(Mm, c, path.Atu)
-        res = A @ c - u
-        rn2 = float(res @ res)
-        sig = np.sqrt(rn2 / (n_samples - sel.hat_trace)) if n_samples > sel.hat_trace else float("inf")
-        ei = error_indicator(lam, L, sig, c, n_samples)
-        state = RegularizationState(L, lam, float(sig), ei, sel.hat_trace)
-        return DirectionSolveResult(c, state, float(np.sqrt(rn2 / n_samples)))
-    G = term_gram(model, skip_dim=k)
-    c, state, rn2 = _regularized_direction(A, u, G, model.basis.size, config)
-    return DirectionSolveResult(c, state, float(np.sqrt(rn2 / n_samples)))
+    G = _penalty_gram(config, model.scales, lambda: term_gram(model, skip_dim=k))
+    c, state, rn2 = _direction_solve(A, u, G, model.basis.size, config)
+    return DirectionSolveResult(c, state, float(np.sqrt(rn2 / u.shape[0])))
 
 
 def normalize_direction(model: SeparatedModel, k: int, data: SampleSet) -> SeparatedModel:
@@ -381,9 +374,9 @@ class _Fitter:
         self.factors = np.einsum("knm,krm->knr", self.psi, self.coeffs)
 
     def _reinit_dead_terms(self, k: int, dead: np.ndarray):
-        """Redraw direction-k coefficients of zero-norm terms from the stream."""
+        """Redraw direction-k coefficients of collapsed terms from the stream."""
         logger.warning(
-            "terms %s collapsed to zero norm in direction %d; reinitializing them",
+            "terms %s collapsed to zero in direction %d; reinitializing them",
             dead.tolist(), k,
         )
         for l in dead:
@@ -418,36 +411,30 @@ class _Fitter:
             excl = left_f * suf_f[k]
             A = (excl * self.scales[None, :])[:, :, None] * self.psi[k][:, None, :]
             A = A.reshape(n, r * self.m1)
-            if cfg.regularize:
-                if cfg.l_identity:
-                    G = np.diag(self.scales**2)
-                else:
-                    G = np.outer(self.scales, self.scales) * left_g * suf_g[k]
-                c, state, rn2 = _regularized_direction(A, self.u, G, self.m1, cfg)
-                states.append(state)
-            else:
-                AtA = A.T @ A
-                Atu = A.T @ self.u
-                c = _solve_spd(AtA, Atu)
-                _check_normal_equation(AtA, c, Atu)
-                res = A @ c - self.u
-                rn2 = float(res @ res)
+            G = _penalty_gram(
+                cfg, self.scales,
+                lambda: np.outer(self.scales, self.scales) * left_g * suf_g[k],
+            )
+            c, state, rn2 = _direction_solve(A, self.u, G, self.m1, cfg)
+            states.append(state)
+            if G is None:
                 resid = np.sqrt(rn2 / n)
                 prev = self._monotone_prev
                 slack = prev * _MONOTONE_RTOL + 1e-12 * self.u_norm if prev is not None else 0.0
                 if prev is not None and resid > prev + slack:
-                    raise AssertionError(
+                    raise InvariantError(
                         f"residual increased across an unregularized direction solve "
                         f"({prev:.6e} -> {resid:.6e})"
                     )
                 self._monotone_prev = resid
-                states.append(None)
             cmat = c.reshape(r, self.m1)
             vals = self.psi[k] @ cmat.T
             norms = np.sqrt(np.mean(vals * vals, axis=0))
-            dead = np.flatnonzero(norms == 0.0)
+            # a term dies when its norm, or its scale times that norm, reaches
+            # zero: decaying terms of over-ranked fits underflow to scale 0
+            alive = self.scales * norms != 0.0
+            dead = np.flatnonzero(~alive)
             if dead.size:
-                alive = norms > 0.0
                 self.scales[alive] = self.scales[alive] * norms[alive]
                 self.coeffs[k][alive] = cmat[alive] / norms[alive, None]
                 self._reinit_dead_terms(k, dead)

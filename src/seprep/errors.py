@@ -21,6 +21,10 @@ class ConditioningError(SeprepError):
     """A linear system is singular or rank-deficient beyond recovery."""
 
 
+class InvariantError(SeprepError):
+    """An internal numerical invariant (such as residual monotonicity) was violated."""
+
+
 class QuadraturePrecisionError(SeprepError):
     """Requested quadrature rule is too coarse for exact moment integration."""
 

@@ -1,38 +1,31 @@
 """Second-moment Tikhonov regularization with GCV-selected strength.
 
-The penalty matrix is built so that ||L c||^2 equals the surrogate's second
-moment as a function of one direction's coefficients. The regularization
-parameter is picked by generalized cross validation on a logarithmic grid
-spanned by the generalized singular values of the (design, penalty) pair,
-and a perturbation-style error indicator summarizes how sensitive the
-solved coefficients are to the unexplained part of the data.
+The penalty factor of one direction solve is L = R (x) I, with R the upper
+Cholesky factor of the r x r term Gram matrix and I the identity on the
+m-function basis, so ||L c||^2 equals the surrogate's second moment as a
+function of that direction's coefficients. L^-1 therefore acts on the term
+axis only: a triangular solve with R on the coefficients reshaped to
+(r, m). This is the standard-form transformation of Tikhonov regularization
+(Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998). The
+regularization parameter is picked by generalized cross validation on a
+logarithmic grid spanned by the generalized singular values of (A, L).
 """
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, LinAlgError
+from scipy.linalg import LinAlgError, solve_triangular
 
-from .errors import DegenerateModelError, SelectionError
-from .model import SeparatedModel, term_gram
+from .errors import ConditioningError, InvariantError, SelectionError
 
 __all__ = [
     "RegularizationState",
-    "build_B",
-    "tikhonov_factor",
-    "scale_identity_factor",
     "TikhonovPath",
     "GcvResult",
     "gcv_select_lambda",
-    "sigma_hat",
-    "error_indicator",
-    "l_inverse_norm",
     "DEFAULT_LAMBDA_FLOOR",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Lower end of the lambda grid, relative to the largest generalized singular
 # value. Calibrated so GCV cannot collapse into the effectively-unregularized
@@ -45,98 +38,75 @@ DEFAULT_LAMBDA_FLOOR = 5e-2
 class RegularizationState:
     """Outcome of regularizing one direction solve."""
 
-    cholesky_L: np.ndarray
     lambda_: float
     sigma_hat: float
     error_indicator: float
     hat_trace: float
 
 
-def build_B(model: SeparatedModel, k: int) -> np.ndarray:
-    """Second-moment quadratic form for direction k.
-
-    Block (l, l') is s_l s_l' prod_{i != k} <u_i^l, u_i^l'> times the identity,
-    so that c^T B c equals the surrogate second moment when c holds direction
-    k's stacked coefficients (term-major, as in the design matrix).
-    """
-    if not 0 <= k < model.dims:
-        raise ValueError(f"direction {k} out of range for {model.dims} dims")
-    G = term_gram(model, skip_dim=k)
-    return np.kron(G, np.eye(model.basis.size))
-
-
-def tikhonov_factor(B: np.ndarray) -> np.ndarray:
-    """Upper-triangular L with L^T L = B; fails loudly when B is not positive definite."""
-    try:
-        return cholesky(B, lower=False)
-    except LinAlgError:
-        w = np.linalg.eigvalsh(B)
-        raise DegenerateModelError(
-            "second-moment matrix is not positive definite "
-            f"(smallest eigenvalue {w[0]:.3e}); the surrogate second moment "
-            "must be strictly positive to regularize"
-        ) from None
-
-
-def scale_identity_factor(scales: np.ndarray, basis_size: int) -> np.ndarray:
-    """Comparison penalty diag(s) (x) I, which weighs each term alone.
-
-    Kept behind a flag: it ignores the factors along the frozen directions,
-    so it penalizes term sizes rather than the surrogate second moment.
-    """
-    return np.kron(np.diag(np.asarray(scales, dtype=float)), np.eye(basis_size))
-
-
 class TikhonovPath:
-    """Shared factorization of (A, L) for cheap evaluation along a lambda grid.
+    """Shared factorization of (A, R (x) I) for cheap evaluation along a lambda grid.
 
-    With L invertible the problem reduces to a ridge path in the transformed
+    R is the r x r upper-triangular factor and m the basis size, so A has
+    r * m columns in term-major order; a generic dense upper-triangular L is
+    the case m = 1. The problem reduces to a ridge path in the transformed
     variable w = L c: one symmetric eigendecomposition of (A L^-1)^T (A L^-1)
     prices every lambda at O(n) for traces and residuals and O(n^2) for
     coefficient vectors.
     """
 
-    def __init__(self, A: np.ndarray, u: np.ndarray, L: np.ndarray):
+    def __init__(self, A: np.ndarray, u: np.ndarray, R: np.ndarray, m: int):
         A = np.asarray(A, dtype=float)
         u = np.asarray(u, dtype=float).ravel()
-        self.A = A
-        self.u = u
-        self.L = L
-        self.n_rows, self.n_cols = A.shape
+        if A.shape[1] != R.shape[0] * m:
+            raise ValueError(
+                f"design matrix has {A.shape[1]} columns, expected {R.shape[0]} x {m}"
+            )
+        self.R = R
+        self.n_rows = A.shape[0]
         AtA = A.T @ A
         Atu = A.T @ u
         self.AtA = AtA
         self.Atu = Atu
-        T = solve_triangular(L, AtA, trans="T", lower=False, check_finite=False)
-        XtX = solve_triangular(L, T.T, trans="T", lower=False, check_finite=False)
-        w, V = np.linalg.eigh(0.5 * (XtX + XtX.T))
+        XtX = self._l_inv_t(self._l_inv_t(AtA).T)
+        try:
+            w, V = np.linalg.eigh(0.5 * (XtX + XtX.T))
+        except LinAlgError:
+            raise ConditioningError(
+                "eigendecomposition of the transformed normal matrix did not converge"
+            ) from None
         self.sv2 = np.clip(w[::-1], 0.0, None)
         self.V = V[:, ::-1]
-        self.z = self.V.T @ solve_triangular(
-            L, Atu, trans="T", lower=False, check_finite=False
-        )
+        self.z = self.V.T @ self._l_inv_t(Atu)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.b2 = np.where(self.sv2 > 0.0, self.z * self.z / self.sv2, 0.0)
         self.perp2 = max(float(u @ u) - float(self.b2.sum()), 0.0)
+
+    def _l_inv_t(self, X: np.ndarray) -> np.ndarray:
+        """L^-T X, as one triangular solve with R on the term axis of X's rows."""
+        r = self.R.shape[0]
+        Y = solve_triangular(
+            self.R, X.reshape(r, -1), trans="T", lower=False, check_finite=False
+        )
+        return Y.reshape(X.shape)
 
     @property
     def gamma_max(self) -> float:
         """Largest generalized singular value of (A, L)."""
         return float(np.sqrt(self.sv2[0]))
 
-    def _filters(self, lam: float) -> np.ndarray:
-        return self.sv2 / (self.sv2 + lam * lam)
+    def _filters(self, lam) -> np.ndarray:
+        lam = np.asarray(lam, dtype=float)[..., None]
+        return self.sv2 / (self.sv2 + lam**2)
 
-    def hat_trace(self, lam: float) -> float:
-        return float(self._filters(lam).sum())
+    def hat_trace(self, lam):
+        """Trace of the hat matrix, elementwise over an array of lambdas."""
+        return self._filters(lam).sum(axis=-1)
 
-    def residual_norm(self, lam: float) -> float:
+    def residual_norm(self, lam):
+        """||A c_lambda - u||, elementwise over an array of lambdas."""
         f = self._filters(lam)
-        return float(np.sqrt(np.sum((1.0 - f) ** 2 * self.b2) + self.perp2))
-
-    def gcv(self, lam: float) -> float:
-        n = self.n_rows
-        return n * self.residual_norm(lam) ** 2 / (n - self.hat_trace(lam)) ** 2
+        return np.sqrt(np.sum((1.0 - f) ** 2 * self.b2, axis=-1) + self.perp2)
 
     def solve(self, lam: float) -> np.ndarray:
         """Coefficients solving (A^T A + lam^2 L^T L) c = A^T u."""
@@ -144,7 +114,9 @@ class TikhonovPath:
             filt = np.where(
                 self.sv2 + lam * lam > 0.0, self.z / (self.sv2 + lam * lam), 0.0
             )
-        return solve_triangular(self.L, self.V @ filt, lower=False, check_finite=False)
+        r = self.R.shape[0]
+        w = (self.V @ filt).reshape(r, -1)
+        return solve_triangular(self.R, w, lower=False, check_finite=False).ravel()
 
 
 @dataclass
@@ -153,17 +125,11 @@ class GcvResult:
     hat_trace: float
     gcv_values: np.ndarray
     grid: np.ndarray
-    residual_norms: np.ndarray = field(default=None)
-    path: TikhonovPath = field(default=None, repr=False)
+    residual_norms: np.ndarray
 
 
 def gcv_select_lambda(
-    A: np.ndarray,
-    u: np.ndarray,
-    L: np.ndarray,
-    grid_size: int = 50,
-    floor_rel: float = DEFAULT_LAMBDA_FLOOR,
-    path: TikhonovPath | None = None,
+    path: TikhonovPath, grid_size: int = 50, floor_rel: float = DEFAULT_LAMBDA_FLOOR
 ) -> GcvResult:
     """Minimize GCV(lambda) = N ||A c - u||^2 / (N - tr H)^2 over a log grid.
 
@@ -174,20 +140,16 @@ def gcv_select_lambda(
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    if path is None:
-        path = TikhonovPath(A, u, L)
     gmax = path.gamma_max
     if gmax <= 0.0:
         raise SelectionError("design matrix is identically zero; nothing to select")
     grid = np.geomspace(floor_rel * gmax, gmax, grid_size)
-    filt = path.sv2[None, :] / (path.sv2[None, :] + grid[:, None] ** 2)
-    resid2 = np.sum((1.0 - filt) ** 2 * path.b2[None, :], axis=1) + path.perp2
-    traces = filt.sum(axis=1)
+    traces = path.hat_trace(grid)
+    residual_norms = path.residual_norm(grid)
     n = path.n_rows
-    gcv_values = n * resid2 / (n - traces) ** 2
-    residual_norms = np.sqrt(resid2)
+    gcv_values = n * residual_norms**2 / (n - traces) ** 2
     if np.any(np.diff(residual_norms) < -1e-9 * residual_norms[:-1] - 1e-300):
-        raise AssertionError("residual norm must be non-decreasing in lambda")
+        raise InvariantError("residual norm must be non-decreasing in lambda")
     if not np.any(np.isfinite(gcv_values)):
         raise SelectionError("GCV is non-finite over the whole lambda grid")
     j = int(np.argmin(gcv_values))
@@ -197,46 +159,4 @@ def gcv_select_lambda(
         gcv_values=gcv_values,
         grid=grid,
         residual_norms=residual_norms,
-        path=path,
     )
-
-
-def sigma_hat(A: np.ndarray, u: np.ndarray, c_lambda: np.ndarray, hat_trace: float) -> float:
-    """Residual-based noise-scale estimate; +inf when the dof count is exhausted."""
-    u = np.asarray(u, dtype=float).ravel()
-    n = u.shape[0]
-    if n <= hat_trace:
-        return float("inf")
-    res = A @ c_lambda - u
-    return float(np.sqrt(float(res @ res) / (n - hat_trace)))
-
-
-def l_inverse_norm(L: np.ndarray) -> float:
-    """Spectral norm of L^{-1}, formed by triangular solves against the identity."""
-    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=False)
-    return float(np.linalg.norm(Linv, 2))
-
-
-def error_indicator(
-    lambda_: float,
-    L: np.ndarray,
-    sigma: float,
-    c_lambda: np.ndarray,
-    n_samples: int,
-) -> float:
-    """Sensitivity proxy sqrt(N) ||L^-1|| sigma / (lambda ||c||).
-
-    Returns +inf (and logs) when lambda or ||c|| vanishes or sigma is not
-    finite; the sentinel propagates through rank selection rather than being
-    dropped.
-    """
-    norm_c = float(np.linalg.norm(c_lambda))
-    if lambda_ <= 0.0 or norm_c == 0.0 or not np.isfinite(sigma):
-        logger.warning(
-            "error indicator undefined (lambda=%.3g, |c|=%.3g, sigma=%.3g); using +inf",
-            lambda_,
-            norm_c,
-            sigma,
-        )
-        return float("inf")
-    return float(np.sqrt(n_samples) / lambda_ * l_inverse_norm(L) * sigma / norm_c)

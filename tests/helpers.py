@@ -4,8 +4,10 @@ Everything here is deliberately naive (loops, brute force, quadrature) so
 the library paths are checked against genuinely different computations.
 """
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from seprep.basis import BasisSpec, eval_basis, gauss_quadrature
+from seprep.errors import DegenerateModelError
 from seprep.model import SeparatedModel
 
 
@@ -118,3 +120,65 @@ def fit_residual_on(data, model):
 
     pred = evaluate_batch(model, data.inputs)
     return float(np.sqrt(np.mean((data.outputs - pred) ** 2)))
+
+
+# -- dense reference path for one regularized direction solve -----------------
+# The library applies the penalty factor chol(G) (x) I on the term axis only;
+# these build the dense matrices and norms explicitly.
+
+
+def build_B(model, k):
+    """Second-moment quadratic form for direction k, expanded term by term.
+
+    Block (l, l') is s_l s_l' prod_{i != k} <u_i^l, u_i^l'> times the identity,
+    so that c^T B c equals the surrogate second moment when c holds direction
+    k's stacked coefficients (term-major, as in the design matrix).
+    """
+    if not 0 <= k < model.dims:
+        raise ValueError(f"direction {k} out of range for {model.dims} dims")
+    r = model.rank
+    G = np.empty((r, r))
+    for l in range(r):
+        for lp in range(r):
+            g = model.scales[l] * model.scales[lp]
+            for i in range(model.dims):
+                if i != k:
+                    g *= float(model.coeffs[i, l] @ model.coeffs[i, lp])
+            G[l, lp] = g
+    return np.kron(G, np.eye(model.basis.size))
+
+
+def tikhonov_factor(B):
+    """Upper-triangular L with L^T L = B; fails loudly when B is not positive definite."""
+    try:
+        return cholesky(B, lower=False)
+    except LinAlgError:
+        w = np.linalg.eigvalsh(B)
+        raise DegenerateModelError(
+            "second-moment matrix is not positive definite "
+            f"(smallest eigenvalue {w[0]:.3e})"
+        ) from None
+
+
+def sigma_hat(A, u, c_lambda, hat_trace):
+    """Residual-based noise-scale estimate; +inf when the dof count is exhausted."""
+    u = np.asarray(u, dtype=float).ravel()
+    n = u.shape[0]
+    if n <= hat_trace:
+        return float("inf")
+    res = A @ c_lambda - u
+    return float(np.sqrt(float(res @ res) / (n - hat_trace)))
+
+
+def l_inverse_norm(L):
+    """Spectral norm of L^{-1}, formed by triangular solves against the identity."""
+    Linv = solve_triangular(L, np.eye(L.shape[0]), lower=False)
+    return float(np.linalg.norm(Linv, 2))
+
+
+def error_indicator(lambda_, L, sigma, c_lambda, n_samples):
+    """Sensitivity proxy sqrt(N) ||L^-1|| sigma / (lambda ||c||); +inf when undefined."""
+    norm_c = float(np.linalg.norm(c_lambda))
+    if lambda_ <= 0.0 or norm_c == 0.0 or not np.isfinite(sigma):
+        return float("inf")
+    return float(np.sqrt(n_samples) / lambda_ * l_inverse_norm(L) * sigma / norm_c)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import fit_residual_on, naive_exclusion, quadrature_l2_distance, random_model
+from helpers import (
+    build_B,
+    error_indicator,
+    fit_residual_on,
+    naive_exclusion,
+    quadrature_l2_distance,
+    random_model,
+    sigma_hat,
+    tikhonov_factor,
+)
 from seprep.als import (
     FitConfig,
     assemble_design_matrix,
@@ -15,6 +24,7 @@ from seprep.als import (
 from seprep.basis import BasisSpec, Family, eval_basis_batch
 from seprep.errors import DegenerateFactorError
 from seprep.model import SampleSet, SeparatedModel, empirical_norm, evaluate_batch, mean
+from seprep.regularize import TikhonovPath, gcv_select_lambda
 
 
 def _gauss_data(rng, n, d):
@@ -85,9 +95,7 @@ def test_solve_direction_large_lambda_shrinks():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((30, 4))
     u = rng.standard_normal(30)
-    from seprep.regularize import TikhonovPath
-
-    path = TikhonovPath(A, u, np.eye(4))
+    path = TikhonovPath(A, u, np.eye(4), 1)
     c0 = path.solve(0.0)
     c_big = path.solve(1e8 * np.linalg.svd(A, compute_uv=False)[0])
     assert np.linalg.norm(c_big) <= 1e-6 * np.linalg.norm(c0)
@@ -98,9 +106,7 @@ def test_solve_direction_small_closed_form():
     u = np.array([1.0, 2.0, 3.0])
     lam = 1.0
     ref = np.linalg.solve(A.T @ A + lam**2 * np.eye(2), A.T @ u)
-    from seprep.regularize import TikhonovPath
-
-    c = TikhonovPath(A, u, np.eye(2)).solve(lam)
+    c = TikhonovPath(A, u, np.eye(2), 1).solve(lam)
     assert np.allclose(c, ref, atol=1e-12)
 
 
@@ -117,10 +123,58 @@ def test_normal_equation_residual_every_solve():
         ):
             res = solve_direction(A, data.outputs, m, k, cfg)
             lam = res.regularization.lambda_ if res.regularization else 0.0
-            L = res.regularization.cholesky_L if res.regularization else np.zeros_like(A.T @ A)
-            Mm = A.T @ A + lam**2 * (L.T @ L)
+            Mm = A.T @ A + lam**2 * build_B(m, k)
             err = np.linalg.norm(Mm @ res.coeffs - A.T @ data.outputs)
             assert err <= 1e-8 * np.linalg.norm(A.T @ data.outputs)
+
+
+def _oracle_direction(A, u, B, cfg):
+    """Dense reference: factor the full (rm)^2 penalty and solve with m = 1."""
+    L = tikhonov_factor(B)
+    path = TikhonovPath(A, u, L, 1)
+    sel = gcv_select_lambda(path, cfg.lambda_grid_size, cfg.lambda_floor_rel)
+    c = path.solve(sel.lambda_)
+    sig = sigma_hat(A, u, c, sel.hat_trace)
+    return c, sel.lambda_, sig, error_indicator(sel.lambda_, L, sig, c, u.shape[0])
+
+
+@pytest.mark.parametrize("l_identity", [False, True])
+def test_structured_kernel_matches_dense_oracle(l_identity):
+    rng = np.random.default_rng(30)
+    n = 60
+    for r in (1, 3, 5):
+        for m in (1, 3, 5):
+            model = random_model(rng, dims=3, rank=r, degree=m - 1)
+            k = int(rng.integers(0, 3))
+            A = rng.standard_normal((n, r * m))
+            u = A @ rng.standard_normal(r * m) + 0.3 * rng.standard_normal(n)
+            cfg = FitConfig(rank_max=r, degree=m - 1, l_identity=l_identity)
+            if l_identity:
+                B = np.kron(np.diag(model.scales**2), np.eye(m))
+            elif m == 1 and r > 1:
+                # constant factors make the second-moment Gram rank one, so the
+                # dense oracle cannot factor it; the model's own design matrix
+                # shares that null space, the solve stays finite and the
+                # error indicator marks the pair as losing
+                data = _sampled_from(model, n, seed=r, noise=0.3)
+                A = assemble_design_matrix(data, model, k, factor_table(data, model))
+                res = solve_direction(A, data.outputs, model, k, cfg)
+                lam = res.regularization.lambda_
+                Atu = A.T @ data.outputs
+                err = A.T @ A @ res.coeffs + lam**2 * build_B(model, k) @ res.coeffs - Atu
+                assert np.all(np.isfinite(res.coeffs))
+                assert np.linalg.norm(err) <= 1e-8 * np.linalg.norm(Atu)
+                assert res.regularization.error_indicator > 1e6
+                continue
+            else:
+                B = build_B(model, k)
+            res = solve_direction(A, u, model, k, cfg)
+            c, lam, sig, ei = _oracle_direction(A, u, B, cfg)
+            state = res.regularization
+            assert np.allclose(res.coeffs, c, rtol=1e-10, atol=1e-10 * np.linalg.norm(c))
+            assert state.lambda_ == pytest.approx(lam, rel=1e-10)
+            assert state.sigma_hat == pytest.approx(sig, rel=1e-10)
+            assert state.error_indicator == pytest.approx(ei, rel=1e-10)
 
 
 def test_normalize_direction_scaling():

@@ -16,7 +16,7 @@ from seprep.cli import (
     read_dataset,
     write_dataset,
 )
-from seprep.errors import DatasetFormatError
+from seprep.errors import DatasetFormatError, InvariantError
 from seprep.problems import manufactured_sample
 
 
@@ -94,6 +94,28 @@ def test_cmd_fit_writes_all_artifacts(tmp_path):
     assert (out / "selection_N200_seed1.json").exists()
     ref = json.loads((out / "reference.json").read_text())
     assert ref["mean"] == 0.55
+
+
+def test_cmd_fit_invariant_failure_is_a_per_row_failure(tmp_path, monkeypatch):
+    import seprep.cli
+
+    real = seprep.cli.select_model
+
+    def failing_for_seed_2(data, r_grid, m_grid, config):
+        if config.rng_seed == 2:
+            raise InvariantError("residual increased across an unregularized direction solve")
+        return real(data, r_grid, m_grid, config)
+
+    monkeypatch.setattr(seprep.cli, "select_model", failing_for_seed_2)
+    config = _small_fit_config(tmp_path, seeds=[1, 2])
+    assert cmd_fit(config) == 2
+    out = Path(config.output_dir)
+    rows = {row["seed"]: row for row in _read_rows(out / "errors.csv")}
+    assert set(rows) == {"1", "2"}
+    assert rows["1"]["r"] and math.isfinite(float(rows["1"]["ei_max"]))
+    assert rows["2"]["r"] == "" and rows["2"]["ei_max"] == ""
+    assert (out / "model_N200_seed1.json").exists()
+    assert not (out / "model_N200_seed2.json").exists()
 
 
 def test_cmd_fit_refuses_overwrite_without_force(tmp_path):

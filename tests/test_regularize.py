@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from helpers import explicit_hat_matrix, naive_second_moment_quadratic_form, random_model
-from seprep.errors import DegenerateModelError
-from seprep.model import second_moment
-from seprep.regularize import (
-    TikhonovPath,
+from helpers import (
     build_B,
     error_indicator,
-    gcv_select_lambda,
+    explicit_hat_matrix,
     l_inverse_norm,
+    naive_second_moment_quadratic_form,
+    random_model,
     sigma_hat,
     tikhonov_factor,
 )
+from seprep.errors import ConditioningError, DegenerateModelError, InvariantError
+from seprep.model import second_moment, term_gram
+from seprep.regularize import TikhonovPath, gcv_select_lambda
 
 
 def test_build_B_rank_one_normalized():
@@ -44,6 +45,10 @@ def test_build_B_matches_direct_expansion():
             )
             val = 0.25 * (qf(ci + cj) - qf(ci - cj))  # polarization identity
             assert B[i, j] == pytest.approx(val, rel=1e-12, abs=1e-12)
+    # the library's term Gram, which the direction solve factors, is the same form
+    assert np.allclose(
+        np.kron(term_gram(m, skip_dim=k), np.eye(m.basis.size)), B, rtol=1e-12, atol=1e-12
+    )
 
 
 def test_quadratic_form_recovers_second_moment():
@@ -90,14 +95,14 @@ def _random_system(rng, n_rows=50, n_cols=6):
 def test_hat_trace_at_zero_is_column_count():
     rng = np.random.default_rng(8)
     A, u, L = _random_system(rng)
-    path = TikhonovPath(A, u, L)
+    path = TikhonovPath(A, u, L, 1)
     assert path.hat_trace(0.0) == pytest.approx(A.shape[1], abs=1e-9)
 
 
 def test_gcv_residual_monotone_and_in_grid():
     rng = np.random.default_rng(9)
     A, u, L = _random_system(rng)
-    sel = gcv_select_lambda(A, u, L, grid_size=50)
+    sel = gcv_select_lambda(TikhonovPath(A, u, L, 1), grid_size=50)
     assert np.all(np.diff(sel.residual_norms) >= -1e-9 * sel.residual_norms[:-1])
     assert sel.grid[0] <= sel.lambda_ <= sel.grid[-1]
     assert any(sel.lambda_ == g for g in sel.grid)
@@ -107,8 +112,9 @@ def test_gcv_matches_fine_grid_scan():
     rng = np.random.default_rng(10)
     A, u, L = _random_system(rng)
     u = u + A @ rng.standard_normal(A.shape[1])  # give the system signal
-    coarse = gcv_select_lambda(A, u, L, grid_size=50)
-    fine = gcv_select_lambda(A, u, L, grid_size=500)
+    path = TikhonovPath(A, u, L, 1)
+    coarse = gcv_select_lambda(path, grid_size=50)
+    fine = gcv_select_lambda(path, grid_size=500)
     # the coarse minimizer must land within one coarse cell of the fine one
     ratio = coarse.grid[1] / coarse.grid[0]
     assert coarse.lambda_ / ratio <= fine.lambda_ <= coarse.lambda_ * ratio
@@ -119,13 +125,37 @@ def test_gcv_trace_matches_explicit_hat_matrix():
     for trial in range(5):
         n_rows = int(rng.integers(20, 61))
         A, u, L = _random_system(rng, n_rows=n_rows, n_cols=5)
-        path = TikhonovPath(A, u, L)
-        for lam in (1e-3, 0.1, 1.0, 10.0):
+        path = TikhonovPath(A, u, L, 1)
+        # the array form is what GCV selection evaluates on its grid
+        grid = np.array([1e-3, 0.1, 1.0, 10.0])
+        for lam, trace, resid in zip(grid, path.hat_trace(grid), path.residual_norm(grid)):
             H = explicit_hat_matrix(A, L, lam)
-            assert path.hat_trace(lam) == pytest.approx(np.trace(H), abs=1e-9)
+            assert trace == pytest.approx(np.trace(H), abs=1e-9)
             c = path.solve(lam)
             resid_direct = np.linalg.norm(A @ c - u)
-            assert path.residual_norm(lam) == pytest.approx(resid_direct, rel=1e-9, abs=1e-11)
+            assert resid == pytest.approx(resid_direct, rel=1e-9, abs=1e-11)
+
+
+def test_gcv_decreasing_residual_is_an_invariant_error():
+    rng = np.random.default_rng(19)
+    A, u, L = _random_system(rng)
+    path = TikhonovPath(A, u, L, 1)
+    # a negative squared coefficient makes the residual shrink as lambda grows
+    path.b2 = -np.ones_like(path.b2)
+    path.perp2 = 1e3
+    with pytest.raises(InvariantError):
+        gcv_select_lambda(path, grid_size=10)
+
+
+def test_path_eigendecomposition_failure_is_a_conditioning_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    rng = np.random.default_rng(20)
+    A, u, L = _random_system(rng)
+    with pytest.raises(ConditioningError):
+        TikhonovPath(A, u, L, 1)
 
 
 def test_sigma_hat_exact_fit_is_zero():
@@ -194,8 +224,8 @@ def test_perturbation_bound_holds():
         L = tikhonov_factor(X @ X.T + 0.5 * np.eye(n_cols))
         lam = float(np.exp(rng.uniform(-3, 2)))
         eps = 0.1 * rng.standard_normal(n_rows)
-        path = TikhonovPath(A, u, L)
-        path2 = TikhonovPath(A, u - eps, L)
+        path = TikhonovPath(A, u, L, 1)
+        path2 = TikhonovPath(A, u - eps, L, 1)
         c = path.solve(lam)
         c2 = path2.solve(lam)
         lhs = np.linalg.norm(c - c2) / np.linalg.norm(c)

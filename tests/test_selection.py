@@ -8,6 +8,7 @@ import pytest
 from seprep.als import FitConfig, FitDiagnostics, RankRecord, fit_fixed
 from seprep.errors import ProtocolError, SelectionError
 from seprep.model import SampleSet, evaluate_batch
+from seprep.problems import manufactured_sample
 from seprep.regularize import RegularizationState
 from seprep.selection import SelectionReport, ei_max_for_rank, per_degree_seeds, select_model
 from helpers import random_model
@@ -15,8 +16,7 @@ from helpers import random_model
 
 def _state(ei):
     return RegularizationState(
-        cholesky_L=np.eye(2), lambda_=0.1, sigma_hat=0.0,
-        error_indicator=ei, hat_trace=1.0,
+        lambda_=0.1, sigma_hat=0.0, error_indicator=ei, hat_trace=1.0,
     )
 
 
@@ -125,6 +125,19 @@ def test_refit_from_stored_seed_reproduces_model():
     assert ei_max_for_rank(diag, r) == report.ei_max[(r, m)]
 
 
+def test_degree_zero_in_the_grid_loses_without_aborting():
+    # with degree 0 every factor is a constant: above rank one the term Gram is
+    # singular and surplus terms decay until their scales underflow; those
+    # pairs must lose on their indicators while the search runs to the end
+    for seed in (0, 1, 2):
+        data = manufactured_sample(60, seed=seed)
+        report = select_model(data, [1, 2, 3, 4], [0, 2], FitConfig(rank_max=4, degree=0))
+        assert math.isfinite(report.ei_max[(1, 0)])
+        for r in (2, 3, 4):
+            assert report.ei_max[(r, 0)] > 1e6
+        assert report.chosen[1] == 2
+
+
 def test_per_degree_seeds_are_stable():
     a = per_degree_seeds(123, [1, 2, 3])
     b = per_degree_seeds(123, [1, 2, 3])
@@ -135,8 +148,6 @@ def test_per_degree_seeds_are_stable():
 def test_noiseless_benchmark_never_overshoots_generating_rank():
     # the generating representation has five orthogonal terms, so even with
     # the grid extended past it the chosen rank must stay at or below five
-    from seprep.problems import manufactured_sample
-
     data = manufactured_sample(1000, seed=1, noisy=False)
     cfg = FitConfig(rank_max=6, degree=4, rng_seed=1)
     report = select_model(data, [1, 2, 3, 4, 5, 6], [1, 2, 3, 4], cfg)
