@@ -4,7 +4,10 @@ Provides the ten-dimensional manufactured benchmark function with known
 mean and variance, a one-dimensional stochastic diffusion problem whose
 log-free coefficient comes from a truncated Karhunen-Loeve expansion of a
 squared-exponential covariance, plus Monte Carlo and total-degree
-polynomial regression baselines to compare surrogates against.
+polynomial regression baselines to compare surrogates against. The
+diffusion problem uses quadratic finite elements and is solved for a whole
+batch of inputs at once: each element's bubble is condensed out and one
+tridiagonal LDL^T sweep over the mesh vertices runs on vectors of samples.
 """
 from __future__ import annotations
 
@@ -14,10 +17,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .basis import BasisSpec, Family, eval_basis_batch
-from .errors import ConditioningError, PositivityError, ResolutionError
+from .errors import ConditioningError, DomainError, PositivityError, ResolutionError
 from .model import SampleSet, SeparatedModel
 
 __all__ = [
@@ -191,6 +193,7 @@ def kl_decompose(corr_length: float, d: int, n_grid: int = 512) -> KLExpansion:
 
 _GAUSS3_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+_SOLVE_BLOCK = 1024  # bounds the solver's memory; its work arrays stay near cache size
 
 
 def _p2_shapes(xi: np.ndarray):
@@ -205,7 +208,10 @@ class EllipticProblem:
 
     The coefficient is mean_coeff plus sigma_a times the truncated KL
     expansion contracted with the input vector; inputs are uniform on
-    [-1, 1]^dims. The quantity of interest is u at query_point.
+    [-1, 1]^dims. The quantity of interest is u at query_point. The private
+    fields hold what the batched solve reuses: the KL map to the Gauss-point
+    coefficients, the per-Gauss-point P2 stiffness weights and the assembled
+    load, from which the solve condenses the bubbles.
     """
 
     corr_length: float = 1.0 / 14.0
@@ -219,10 +225,6 @@ class EllipticProblem:
     _coeff_map: np.ndarray = field(default=None, repr=False)
     _stiff_weights: np.ndarray = field(default=None, repr=False)
     _load: np.ndarray = field(default=None, repr=False)
-    _band_rows: np.ndarray = field(default=None, repr=False)
-    _band_cols: np.ndarray = field(default=None, repr=False)
-    _tri_mask: np.ndarray = field(default=None, repr=False)
-    _dofs: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -261,13 +263,6 @@ def elliptic_problem(
     load = np.zeros(prob.n_nodes)
     np.add.at(load, dofs, np.broadcast_to(fe, (n_el, 3)))
     prob._load = load
-    prob._dofs = dofs
-    ii = np.repeat(dofs, 3, axis=1).reshape(n_el, 3, 3)
-    jj = np.tile(dofs, (1, 3)).reshape(n_el, 3, 3)
-    tri = ii <= jj
-    prob._band_rows = (2 + ii - jj)[tri]
-    prob._band_cols = jj[tri]
-    prob._tri_mask = tri
     return prob
 
 
@@ -281,36 +276,57 @@ def coefficient_at_gauss_points(problem: EllipticProblem, points: np.ndarray) ->
 def elliptic_solve_batch(problem: EllipticProblem, points: np.ndarray) -> np.ndarray:
     """Solve the diffusion problem for each input row; returns u(query_point).
 
-    Element stiffness blocks are assembled for the whole batch at once; the
-    banded SPD systems are then solved sample by sample. Coefficient
-    positivity and solution positivity are asserted for every sample.
+    Rows must be finite `dims`-vectors, else DomainError. Each block of
+    `_SOLVE_BLOCK` samples is solved at once: one product with the Gauss
+    weights gives the six distinct P2 stiffness entries, condensing each
+    element's bubble leaves an SPD tridiagonal system on the interior
+    vertices, one LDL^T (Thomas) sweep solves it, and the query element's
+    bubble is recovered where its shape function is non-zero. A non-positive
+    coefficient or solution raises PositivityError, a pivot that is not
+    positive and finite ConditioningError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a = coefficient_at_gauss_points(problem, pts)
-    if np.any(a <= 0.0):
-        bad = int(np.argwhere(np.any(a <= 0.0, axis=(1, 2)))[0, 0])
-        raise PositivityError(
-            f"diffusion coefficient non-positive at sample {bad} "
-            f"(min {a[bad].min():.4e})"
-        )
-    ke = np.einsum("seg,gij->seij", a, problem._stiff_weights)
-    kv = ke[:, problem._tri_mask]
-    nn = problem.n_nodes
-    x = problem.query_point
-    n_el = problem.mesh_elements
+    if pts.ndim != 2 or pts.shape[1] != problem.dims:
+        raise DomainError(f"expected points of shape (n, {problem.dims}), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("elliptic inputs must be finite")
+    n_el, load = problem.mesh_elements, problem._load
     h = 1.0 / n_el
-    e = min(int(x / h), n_el - 1)
-    xi = 2.0 * (x - e * h) / h - 1.0
-    shape_at_x, _ = _p2_shapes(np.array([xi]))
+    e = min(int(problem.query_point / h), n_el - 1)
+    shape = _p2_shapes(np.array(2.0 * (problem.query_point - e * h) / h - 1.0))[0]
+    w = problem._stiff_weights[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]]  # (gauss, 6)
     out = np.empty(pts.shape[0])
-    interior = slice(1, nn - 1)
-    for s in range(pts.shape[0]):
-        band = np.zeros((3, nn))
-        np.add.at(band, (problem._band_rows, problem._band_cols), kv[s])
-        u_in = solveh_banded(band[:, interior], problem._load[interior])
-        u_full = np.zeros(nn)
-        u_full[interior] = u_in
-        out[s] = shape_at_x[0] @ u_full[problem._dofs[e]]
+    for first in range(0, pts.shape[0], _SOLVE_BLOCK):
+        a = coefficient_at_gauss_points(problem, pts[first:first + _SOLVE_BLOCK])
+        if np.any(a <= 0.0):
+            bad = int(np.argwhere(np.any(a <= 0.0, axis=(1, 2)))[0, 0])
+            raise PositivityError(
+                f"diffusion coefficient non-positive at sample {first + bad} "
+                f"(min {a[bad].min():.4e})"
+            )
+        n_s = a.shape[0]
+        ke = w.T @ a.reshape(n_s, -1).T.reshape(n_el, 3, n_s)
+        k00, k01, k02, k11, k12, k22 = ke.transpose(1, 0, 2)  # each (element, sample)
+        r0, r2 = k01 / k11, k12 / k11
+        off = k02 - k12 * r0  # couples vertex j to j + 1; the last meets u(1) = 0
+        piv = (k22 - k12 * r2)[:-1] + (k00 - k01 * r0)[1:]  # interior vertices 1 .. n_el-1
+        y = load[2:-1:2, None] - r2[:-1] * load[1:-2:2, None] - r0[1:] * load[3::2, None]
+        for v in range(1, n_el - 1):
+            ratio = off[v] / piv[v - 1]
+            piv[v] -= ratio * off[v]
+            y[v] -= ratio * y[v - 1]
+        ok = np.all((k11 > 0.0) & (k11 < np.inf), axis=0)
+        ok &= np.all((piv > 0.0) & (piv < np.inf), axis=0)
+        if not np.all(ok):
+            bad = first + int(np.flatnonzero(~ok)[0])
+            raise ConditioningError(f"non-positive or non-finite FEM pivot at sample {bad}")
+        u = np.zeros((n_el + 1, n_s))  # vertex values, zero at both ends
+        for v in range(n_el - 1, 0, -1):
+            u[v] = (y[v - 1] - off[v] * u[v + 1]) / piv[v - 1]
+        val = shape[0] * u[e] + shape[2] * u[e + 1]
+        if shape[1] != 0.0:
+            val += shape[1] * (load[2 * e + 1] - k01[e] * u[e] - k12[e] * u[e + 1]) / k11[e]
+        out[first:first + n_s] = val
     if np.any(out <= 0.0):
         bad = int(np.argwhere(out <= 0.0)[0, 0])
         raise PositivityError(
@@ -323,8 +339,6 @@ def elliptic_solve_batch(problem: EllipticProblem, points: np.ndarray) -> np.nda
 def elliptic_solve(problem: EllipticProblem, y) -> float:
     """Single-input convenience wrapper around the batched solver."""
     y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != problem.dims:
-        raise ValueError(f"expected a {problem.dims}-vector")
     return float(elliptic_solve_batch(problem, y[None, :])[0])
 
 

@@ -4,11 +4,12 @@ Everything here is deliberately naive (loops, brute force, quadrature) so
 the library paths are checked against genuinely different computations.
 """
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
 
 from seprep.basis import BasisSpec, eval_basis, gauss_quadrature
-from seprep.errors import DegenerateModelError
+from seprep.errors import DegenerateModelError, PositivityError
 from seprep.model import SeparatedModel
+from seprep.problems import _p2_shapes, coefficient_at_gauss_points
 
 
 def naive_evaluate(model, y):
@@ -182,3 +183,42 @@ def error_indicator(lambda_, L, sigma, c_lambda, n_samples):
     if lambda_ <= 0.0 or norm_c == 0.0 or not np.isfinite(sigma):
         return float("inf")
     return float(np.sqrt(n_samples) / lambda_ * l_inverse_norm(L) * sigma / norm_c)
+
+
+# -- per-sample banded reference for the elliptic FEM solve --------------------
+# The library condenses the P2 bubbles and sweeps the vertex system for a whole
+# block of samples; this assembles each sample's full P2 band and factors it.
+
+
+def banded_elliptic_solve(problem, points):
+    """u(query_point) per input row, one banded Cholesky solve per sample.
+
+    Each sample's element blocks are scattered into the upper band of the full
+    P2 stiffness matrix with np.add.at and solved with solveh_banded; both
+    positivity guards of the library are kept.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    a = coefficient_at_gauss_points(problem, pts)
+    if np.any(a <= 0.0):
+        raise PositivityError("diffusion coefficient non-positive")
+    n_el, nn = problem.mesh_elements, problem.n_nodes
+    dofs = 2 * np.arange(n_el)[:, None] + np.arange(3)[None, :]
+    ii = np.repeat(dofs, 3, axis=1).reshape(n_el, 3, 3)
+    jj = np.tile(dofs, (1, 3)).reshape(n_el, 3, 3)
+    tri = ii <= jj
+    band_rows, band_cols = (2 + ii - jj)[tri], jj[tri]
+    kv = np.einsum("seg,gij->seij", a, problem._stiff_weights)[:, tri]
+    h = 1.0 / n_el
+    e = min(int(problem.query_point / h), n_el - 1)
+    shape_at_x, _ = _p2_shapes(np.array([2.0 * (problem.query_point - e * h) / h - 1.0]))
+    out = np.empty(pts.shape[0])
+    interior = slice(1, nn - 1)
+    for s in range(pts.shape[0]):
+        band = np.zeros((3, nn))
+        np.add.at(band, (band_rows, band_cols), kv[s])
+        u_full = np.zeros(nn)
+        u_full[interior] = solveh_banded(band[:, interior], problem._load[interior])
+        out[s] = shape_at_x[0] @ u_full[dofs[e]]
+    if np.any(out <= 0.0):
+        raise PositivityError("solution non-positive")
+    return out

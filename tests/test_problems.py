@@ -1,10 +1,14 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import banded_elliptic_solve
+from seprep import problems
 from seprep.basis import BasisSpec, Family, eval_basis_batch
-from seprep.errors import ConditioningError, PositivityError, ResolutionError
+from seprep.errors import ConditioningError, DomainError, PositivityError, ResolutionError
 from seprep.model import SampleSet, evaluate_batch
 from seprep.problems import (
     MANUFACTURED_MEAN,
@@ -179,6 +183,80 @@ def test_elliptic_positivity_guard(problem):
     scaled = bad * 60.0
     with pytest.raises(PositivityError):
         elliptic_solve_batch(problem, scaled[None, :])
+
+
+@functools.lru_cache(maxsize=None)
+def _mesh_problem(mesh_elements, query_point):
+    return elliptic_problem(mesh_elements=mesh_elements, query_point=query_point)
+
+
+@pytest.mark.parametrize("n", [1, 5, 257])
+@pytest.mark.parametrize("query_point", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("mesh_elements", [1, 2, 7, 128])
+def test_elliptic_batch_matches_banded_oracle(mesh_elements, query_point, n):
+    # one element has no interior vertex (an empty vertex system); only 0.3
+    # falls inside an element, where the bubble value is recovered
+    prob = _mesh_problem(mesh_elements, query_point)
+    pts = np.random.default_rng(mesh_elements + n).uniform(-1, 1, (n, prob.dims))
+    if query_point in (0.0, 1.0):
+        # u is zero on the Dirichlet boundary, which both solution guards reject
+        with pytest.raises(PositivityError):
+            banded_elliptic_solve(prob, pts)
+        with pytest.raises(PositivityError):
+            elliptic_solve_batch(prob, pts)
+        return
+    want = banded_elliptic_solve(prob, pts)
+    np.testing.assert_allclose(elliptic_solve_batch(prob, pts), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_elliptic_non_finite_input_is_a_domain_error(problem, bad):
+    pts = np.zeros((3, 40))
+    pts[1, 7] = bad
+    with pytest.raises(DomainError):
+        elliptic_solve_batch(problem, pts)
+
+
+def test_elliptic_wrong_width_is_a_domain_error(problem):
+    with pytest.raises(DomainError, match=r"\(n, 40\)"):
+        elliptic_solve_batch(problem, np.zeros((2, 39)))
+    with pytest.raises(DomainError):
+        elliptic_solve(problem, np.zeros(39))
+    assert issubclass(DomainError, ValueError)
+
+
+def test_elliptic_empty_batch(problem):
+    out = elliptic_solve_batch(problem, np.zeros((0, 40)))
+    assert out.shape == (0,)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_elliptic_bad_pivot_is_a_conditioning_error(problem, monkeypatch, bad):
+    real = problems.coefficient_at_gauss_points
+
+    def corrupted(prob, pts):
+        a = real(prob, pts).copy()
+        a[2, 40, 1] = bad
+        return a
+
+    monkeypatch.setattr(problems, "coefficient_at_gauss_points", corrupted)
+    pts = np.random.default_rng(8).uniform(-1, 1, (4, 40))
+    with pytest.raises(ConditioningError, match="sample 2"):
+        elliptic_solve_batch(problem, pts)
+
+
+def test_elliptic_large_batch_memory_is_bounded(problem):
+    # the solve works in fixed-size blocks, so its peak must not grow with the batch
+    pts = np.random.default_rng(9).uniform(-1, 1, (50_000, 40))
+    tracemalloc.start()
+    try:
+        out = elliptic_solve_batch(problem, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (50_000,) and np.all(out > 0.0)
+    assert peak < 100e6
 
 
 # ---------------------------------------------------------------------------
