@@ -16,18 +16,7 @@ from .model import (
     second_moment,
     standard_deviation,
 )
-from .als import (
-    DirectionSolveResult,
-    FitConfig,
-    FitDiagnostics,
-    assemble_design_matrix,
-    exclusion_products,
-    factor_table,
-    fit_fixed,
-    normalize_direction,
-    solve_direction,
-    sweep,
-)
+from .als import FitConfig, FitDiagnostics, fit_fixed, sweep
 from .regularize import GcvResult, RegularizationState, TikhonovPath, gcv_select_lambda
 from .selection import SelectionReport, ei_max_for_rank, select_model
 from . import errors, problems

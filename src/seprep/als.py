@@ -24,27 +24,16 @@ from .errors import (
     DegenerateModelError,
     InvariantError,
 )
-from .model import SampleSet, SeparatedModel, empirical_norm, term_gram
+from .model import SampleSet, SeparatedModel, empirical_norm
 from .regularize import (
     DEFAULT_LAMBDA_FLOOR,
     RegularizationState,
     TikhonovPath,
+    _check_finite,
     gcv_select_lambda,
 )
 
-__all__ = [
-    "FitConfig",
-    "DirectionSolveResult",
-    "RankRecord",
-    "FitDiagnostics",
-    "factor_table",
-    "exclusion_products",
-    "assemble_design_matrix",
-    "solve_direction",
-    "normalize_direction",
-    "sweep",
-    "fit_fixed",
-]
+__all__ = ["FitConfig", "RankRecord", "FitDiagnostics", "sweep", "fit_fixed"]
 
 logger = logging.getLogger(__name__)
 
@@ -92,13 +81,6 @@ class FitConfig:
 
 
 @dataclass
-class DirectionSolveResult:
-    coeffs: np.ndarray
-    regularization: RegularizationState | None
-    residual_norm: float
-
-
-@dataclass
 class RankRecord:
     """Diagnostics for one rank of the growth ladder."""
 
@@ -128,53 +110,6 @@ class FitDiagnostics:
             if rec.rank == r:
                 return rec
         raise KeyError(r)
-
-
-def factor_table(data: SampleSet, model: SeparatedModel) -> np.ndarray:
-    """Factor values u_k^l at every sample: array of shape (dims, N, rank)."""
-    out = np.empty((model.dims, data.n, model.rank))
-    for k in range(model.dims):
-        psi = eval_basis_batch(model.basis, data.inputs[:, k])
-        out[k] = psi @ model.coeffs[k].T
-    return out
-
-
-def exclusion_products(table: np.ndarray) -> np.ndarray:
-    """All-but-one products over the dimension axis via prefix/suffix scans.
-
-    Entry [k] is prod_{i != k} table[i], computed without dividing by the
-    excluded factor so near-zero factor values stay harmless.
-    """
-    d = table.shape[0]
-    pref = np.ones_like(table)
-    for k in range(1, d):
-        np.multiply(pref[k - 1], table[k - 1], out=pref[k])
-    suf = np.ones_like(table[0])
-    for k in range(d - 1, -1, -1):
-        pref[k] *= suf
-        if k:
-            suf = suf * table[k]
-    return pref
-
-
-def assemble_design_matrix(
-    data: SampleSet, model: SeparatedModel, k: int, table: np.ndarray
-) -> np.ndarray:
-    """Design matrix for direction k: N rows by rank*(degree+1) columns.
-
-    Column block l holds s_l * psi_a(y_k) scaled by the product of the other
-    dimensions' factor values, in term-major column order matching the
-    stacked coefficient vector.
-    """
-    if not 0 <= k < model.dims:
-        raise ValueError(f"direction {k} out of range for {model.dims} dims")
-    excl = exclusion_products(table)[k]
-    psi = eval_basis_batch(model.basis, data.inputs[:, k])
-    A = (excl * model.scales[None, :])[:, :, None] * psi[:, None, :]
-    A = A.reshape(data.n, model.rank * model.basis.size)
-    if not np.all(np.isfinite(A)):
-        raise ConditioningError("design matrix contains non-finite entries (factor overflow)")
-    return A
 
 
 def _check_normal_equation(lhs, Atu):
@@ -227,13 +162,16 @@ def _direction_solve(A, u, G, m, config):
 
     With G None the plain normal equation A^T A c = A^T u is solved. Otherwise
     G is the r x r term Gram matrix and the penalty factor is L = chol(G) (x) I
-    on the m-function basis; lambda is picked by GCV along the path. Returns
-    (coefficients, RegularizationState or None, squared residual norm).
+    on the m-function basis; lambda is picked by GCV along the path. A
+    non-finite A^T A diagonal or A^T u (factor overflow) raises
+    ConditioningError. Returns (coefficients, RegularizationState or None,
+    squared residual norm).
     """
     n_samples = u.shape[0]
     if G is None:
         AtA = A.T @ A
         Atu = A.T @ u
+        _check_finite(AtA, Atu)
         c = _solve_spd(AtA, Atu)
         _check_normal_equation(AtA @ c, Atu)
         res = A @ c - u
@@ -267,56 +205,6 @@ def _direction_solve(A, u, G, m, config):
         lambda_=lam, sigma_hat=float(sig), error_indicator=ei, hat_trace=sel.hat_trace
     )
     return c, state, rn2
-
-
-def _penalty_gram(config: FitConfig, scales: np.ndarray, second_moment_gram):
-    """The kernel's G: None unregularized, diag(s^2) for the comparison penalty.
-
-    second_moment_gram is a zero-argument callable, called only when the
-    second-moment penalty is the one configured.
-    """
-    if not config.regularize:
-        return None
-    if config.l_identity:
-        return np.diag(scales**2)
-    return second_moment_gram()
-
-
-def solve_direction(
-    A: np.ndarray, u: np.ndarray, model: SeparatedModel, k: int, config: FitConfig
-) -> DirectionSolveResult:
-    """Solve the direction-k normal equation, regularized when configured.
-
-    The regularized path solves (A^T A + lambda^2 L^T L) c = A^T u with
-    L = chol(G) (x) I, G the second-moment term Gram matrix (or diag(s^2), the
-    diag-scale comparison penalty, when config.l_identity is set) and lambda
-    picked by GCV; the plain path sets lambda to zero and solves
-    A^T A c = A^T u.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    G = _penalty_gram(config, model.scales, lambda: term_gram(model, skip_dim=k))
-    c, state, rn2 = _direction_solve(A, u, G, model.basis.size, config)
-    return DirectionSolveResult(c, state, float(np.sqrt(rn2 / u.shape[0])))
-
-
-def normalize_direction(model: SeparatedModel, k: int, data: SampleSet) -> SeparatedModel:
-    """Push direction k's empirical factor norms into the term scales.
-
-    Returns a model that evaluates identically but whose direction-k factors
-    have unit empirical norm on the sample set.
-    """
-    psi = eval_basis_batch(model.basis, data.inputs[:, k])
-    vals = psi @ model.coeffs[k].T
-    norms = np.sqrt(np.mean(vals * vals, axis=0))
-    if np.any(norms == 0.0):
-        dead = np.flatnonzero(norms == 0.0).tolist()
-        raise DegenerateFactorError(
-            f"terms {dead} have zero empirical norm in direction {k}"
-        )
-    out = model.copy()
-    out.scales = model.scales * norms
-    out.coeffs[k] = model.coeffs[k] / norms[:, None]
-    return out
 
 
 class _Fitter:
@@ -411,10 +299,12 @@ class _Fitter:
             excl = left_f * suf_f[k]
             A = (excl * self.scales[None, :])[:, :, None] * self.psi[k][:, None, :]
             A = A.reshape(n, r * self.m1)
-            G = _penalty_gram(
-                cfg, self.scales,
-                lambda: np.outer(self.scales, self.scales) * left_g * suf_g[k],
-            )
+            if not cfg.regularize:
+                G = None
+            elif cfg.l_identity:
+                G = np.diag(self.scales**2)  # the diag-scale comparison penalty
+            else:
+                G = np.outer(self.scales, self.scales) * left_g * suf_g[k]
             c, state, rn2 = _direction_solve(A, self.u, G, self.m1, cfg)
             states.append(state)
             if G is None:
@@ -447,6 +337,21 @@ class _Fitter:
             left_f = left_f * self.factors[k]
         return float(np.sqrt(rn2 / n)), states
 
+    def _sweep_until(self, trace: list, cap: int, states=None):
+        """Sweep until converged or until trace holds cap residuals.
+
+        Converged means the relative residual decrease over one sweep fell
+        below sweep_tol. Returns (the last sweep's states, or `states` when
+        no sweep ran, converged).
+        """
+        tol = self.config.sweep_tol
+        while len(trace) < cap:
+            resid, states = self.sweep_once()
+            trace.append(resid)
+            if len(trace) > 1 and trace[-2] > 0.0 and (trace[-2] - trace[-1]) / trace[-2] < tol:
+                return states, True
+        return states, False
+
     def run_rank(self) -> RankRecord:
         """Grow by one term, race seeded candidates, converge the winner."""
         cfg = self.config
@@ -456,29 +361,18 @@ class _Fitter:
             self.restore(base)
             self.add_term()
             trace = []
-            states = None
-            converged = False
-            for _ in range(min(cfg.candidate_burn_sweeps, cfg.max_sweeps_per_rank)):
-                resid, states = self.sweep_once()
-                trace.append(resid)
-                if len(trace) > 1 and trace[-2] > 0.0 and (
-                    (trace[-2] - trace[-1]) / trace[-2] < cfg.sweep_tol
-                ):
-                    converged = True
-                    break
+            states, converged = self._sweep_until(
+                trace, min(cfg.candidate_burn_sweeps, cfg.max_sweeps_per_rank)
+            )
             candidates.append(
                 (trace[-1], idx, self.snapshot(), trace, states, converged, self._monotone_prev)
             )
         candidates.sort(key=lambda t: (t[0], t[1]))
-        resid, idx, state, trace, states, converged, mono = candidates[0]
+        _, idx, state, trace, states, converged, mono = candidates[0]
         self.restore(state)
         self._monotone_prev = mono
         if not converged:
-            while len(trace) < cfg.max_sweeps_per_rank:
-                resid, states = self.sweep_once()
-                trace.append(resid)
-                if trace[-2] > 0.0 and (trace[-2] - trace[-1]) / trace[-2] < cfg.sweep_tol:
-                    break
+            states, _ = self._sweep_until(trace, cfg.max_sweeps_per_rank, states)
         return RankRecord(
             rank=self.coeffs.shape[1],
             residual_trace=trace,

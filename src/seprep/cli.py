@@ -73,7 +73,6 @@ class ExperimentConfig:
     r_grid: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
     m_grid: list = field(default_factory=lambda: [1, 2, 3, 4])
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    regularization: bool = True
     l_identity: bool = False
     output_dir: str = "out"
     noisy: bool = True
@@ -94,12 +93,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be non-empty")
         if any(n <= 0 for n in self.sample_sizes):
             raise ValueError("sample sizes must be positive")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
     def fit_config(self, degree: int, seed: int) -> FitConfig:
         return FitConfig(
             rank_max=max(self.r_grid),
             degree=degree,
-            regularize=self.regularization,
             l_identity=self.l_identity,
             rng_seed=seed,
         )
@@ -316,23 +316,13 @@ def cmd_fit(config: ExperimentConfig) -> int:
     with (out / "reference.json").open("w", encoding="utf-8") as fh:
         json.dump(ref.to_dict(), fh, indent=1)
 
-    results = {}
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futs = {
-                pool.submit(_select_task, config, sampler, n, seed): (n, seed)
-                for n, seed in tasks
-            }
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    else:
-        for n, seed in tasks:
-            results[(n, seed)] = _select_task(config, sampler, n, seed)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
+        futures = [pool.submit(_select_task, config, sampler, n, seed) for n, seed in tasks]
+        results = [fut.result() for fut in futures]
 
     rows = []
     failures = 0
-    for n, seed in tasks:
-        report, error, wall = results[(n, seed)]
+    for (n, seed), (report, error, wall) in zip(tasks, results):
         if report is None:
             failures += 1
             logger.error("selection failed for N=%d seed=%d: %s", n, seed, error)
@@ -479,7 +469,6 @@ def _add_common(parser):
     parser.add_argument("--seeds", type=_int_list, help="comma-separated seeds")
     parser.add_argument("--r-max", type=int, help="rank grid becomes 1..r_max")
     parser.add_argument("--m-grid", type=_int_list, help="comma-separated degrees")
-    parser.add_argument("--no-regularization", action="store_true")
     parser.add_argument("--l-identity", action="store_true",
                         help="use the diag-scale comparison penalty")
     parser.add_argument("--out", help="output directory")
@@ -499,6 +488,11 @@ def _build_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config keys {unknown}")
     overrides = {
         "problem": args.problem,
         "sample_sizes": args.n,
@@ -514,8 +508,6 @@ def _build_config(args) -> ExperimentConfig:
     }
     if args.r_max is not None:
         overrides["r_grid"] = list(range(1, args.r_max + 1))
-    if args.no_regularization:
-        overrides["regularization"] = False
     if args.l_identity:
         overrides["l_identity"] = True
     if args.force:

@@ -132,17 +132,14 @@ def evaluate(model: SeparatedModel, y) -> float:
     return float(evaluate_batch(model, y[None, :])[0])
 
 
-def term_gram(model: SeparatedModel, skip_dim: int | None = None) -> np.ndarray:
+def term_gram(model: SeparatedModel) -> np.ndarray:
     """Rank-by-rank Gram matrix of the terms in L2 of the input density.
 
-    Entry (l, l') is s_l * s_l' * prod_k <u_k^l, u_k^l'>, the product running
-    over all dimensions except `skip_dim` when given. By orthonormality each
-    one-dimensional inner product is a coefficient dot product.
+    Entry (l, l') is s_l * s_l' * prod_k <u_k^l, u_k^l'>. By orthonormality
+    each one-dimensional inner product is a coefficient dot product.
     """
     G = np.outer(model.scales, model.scales)
     for k in range(model.dims):
-        if k == skip_dim:
-            continue
         G = G * (model.coeffs[k] @ model.coeffs[k].T)
     return G
 

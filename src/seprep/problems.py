@@ -240,7 +240,13 @@ def elliptic_problem(
     kl_grid: int = 512,
     query_point: float = 0.5,
 ) -> EllipticProblem:
-    """Build the problem: KL eigenpairs plus precomputed element machinery."""
+    """Build the problem: KL eigenpairs plus precomputed element machinery.
+
+    query_point must lie in the open interval (0, 1): u is fixed to 0 on the
+    Dirichlet boundary, and outside [0, 1] the P2 shapes would extrapolate.
+    """
+    if not 0.0 < query_point < 1.0:
+        raise DomainError(f"query_point must lie in (0, 1), got {query_point}")
     kl = kl_decompose(corr_length, dims, kl_grid)
     prob = EllipticProblem(
         corr_length=corr_length,

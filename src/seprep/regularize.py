@@ -44,6 +44,12 @@ class RegularizationState:
     hat_trace: float
 
 
+def _check_finite(AtA: np.ndarray, Atu: np.ndarray) -> None:
+    """Fail on factor overflow: a non-finite entry of A makes diag(A^T A) non-finite."""
+    if not (np.all(np.isfinite(AtA.diagonal())) and np.all(np.isfinite(Atu))):
+        raise ConditioningError("design matrix contains non-finite entries (factor overflow)")
+
+
 class TikhonovPath:
     """Shared factorization of (A, R (x) I) for cheap evaluation along a lambda grid.
 
@@ -66,6 +72,7 @@ class TikhonovPath:
         self.n_rows = A.shape[0]
         AtA = A.T @ A
         Atu = A.T @ u
+        _check_finite(AtA, Atu)
         self.AtA = AtA
         self.Atu = Atu
         XtX = self._l_inv_t(self._l_inv_t(AtA).T)

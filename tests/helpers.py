@@ -185,6 +185,90 @@ def error_indicator(lambda_, L, sigma, c_lambda, n_samples):
     return float(np.sqrt(n_samples) / lambda_ * l_inverse_norm(L) * sigma / norm_c)
 
 
+# -- dense Gauss-Seidel reference for one ALS sweep ------------------------------
+# The library forms design matrices from prefix and suffix products of cached
+# factor values and solves through the Kronecker-structured kernel; these loop
+# over samples and terms, build the dense penalty and solve it directly.
+
+
+def naive_design_matrix(data, model, k):
+    """Direction-k design matrix: entry (n, l*m + a) is s_l prod_{i != k} u_i^l(y_n) psi_a(y_nk)."""
+    d, r, m = model.dims, model.rank, model.basis.size
+    table = np.empty((d, data.n, r))
+    for i in range(d):
+        for n in range(data.n):
+            table[i, n] = model.coeffs[i] @ eval_basis(model.basis, data.inputs[n, i])
+    excl = naive_exclusion(table, k)
+    A = np.empty((data.n, r * m))
+    for n in range(data.n):
+        psi = eval_basis(model.basis, data.inputs[n, k])
+        for l in range(r):
+            A[n, l * m:(l + 1) * m] = model.scales[l] * excl[n, l] * psi
+    return A
+
+
+def naive_gcv_solve(A, u, B, grid_size, floor_rel):
+    """Dense Tikhonov solve with lambda minimizing GCV on the library's grid.
+
+    The grid spans [floor_rel, 1] times the largest singular value of A L^-1
+    (L^T L = B); every grid point solves (A^T A + lambda^2 B) c = A^T u and
+    forms its hat matrix explicitly. Returns (c, lambda, sigma-hat, EI).
+    """
+    L = tikhonov_factor(B)
+    gmax = np.linalg.svd(A @ np.linalg.inv(L), compute_uv=False)[0]
+    n = u.shape[0]
+    best = None
+    for lam in np.geomspace(floor_rel * gmax, gmax, grid_size):
+        c = np.linalg.solve(A.T @ A + lam**2 * B, A.T @ u)
+        trace = float(np.trace(explicit_hat_matrix(A, L, lam)))
+        res = A @ c - u
+        gcv = n * float(res @ res) / (n - trace) ** 2
+        if best is None or gcv < best[0]:  # ties go to the smaller lambda
+            best = (gcv, lam, c, trace)
+    _, lam, c, trace = best
+    sig = sigma_hat(A, u, c, trace)
+    return c, lam, sig, error_indicator(lam, L, sig, c, n)
+
+
+def naive_sweep(data, model, config):
+    """One Gauss-Seidel pass over the directions with dense matrices.
+
+    Per direction: naive_design_matrix, the penalty build_B (kron(diag(s^2), I)
+    for the diag-scale comparison) and naive_gcv_solve, or a plain normal
+    equation solve when unregularized; then each term's new factor is divided
+    by its empirical norm, which moves into the term's scale. Returns (model,
+    residual of the last solve, per-direction (lambda, sigma-hat, EI) or None,
+    per-direction design matrices).
+    """
+    model = model.copy()
+    u = data.outputs
+    m = model.basis.size
+    states, designs = [], []
+    for k in range(model.dims):
+        A = naive_design_matrix(data, model, k)
+        designs.append(A)
+        if not config.regularize:
+            c = np.linalg.solve(A.T @ A, A.T @ u)
+            states.append(None)
+        else:
+            if config.l_identity:
+                B = np.kron(np.diag(model.scales**2), np.eye(m))
+            else:
+                B = build_B(model, k)
+            c, lam, sig, ei = naive_gcv_solve(
+                A, u, B, config.lambda_grid_size, config.lambda_floor_rel
+            )
+            states.append((lam, sig, ei))
+        res = A @ c - u
+        for l in range(model.rank):
+            cl = c[l * m:(l + 1) * m]
+            vals = np.array([cl @ eval_basis(model.basis, y) for y in data.inputs[:, k]])
+            norm = np.sqrt(np.mean(vals * vals))
+            model.scales[l] *= norm
+            model.coeffs[k, l] = cl / norm
+    return model, float(np.sqrt(res @ res / data.n)), states, designs
+
+
 # -- per-sample banded reference for the elliptic FEM solve --------------------
 # The library condenses the P2 bubbles and sweeps the vertex system for a whole
 # block of samples; this assembles each sample's full P2 band and factors it.

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -5,24 +7,17 @@ from helpers import (
     build_B,
     error_indicator,
     fit_residual_on,
-    naive_exclusion,
+    naive_design_matrix,
+    naive_sweep,
     quadrature_l2_distance,
     random_model,
     sigma_hat,
     tikhonov_factor,
 )
-from seprep.als import (
-    FitConfig,
-    assemble_design_matrix,
-    exclusion_products,
-    factor_table,
-    fit_fixed,
-    normalize_direction,
-    solve_direction,
-    sweep,
-)
+from seprep import als
+from seprep.als import FitConfig, fit_fixed, sweep
 from seprep.basis import BasisSpec, Family, eval_basis_batch
-from seprep.errors import DegenerateFactorError
+from seprep.errors import ConditioningError
 from seprep.model import SampleSet, SeparatedModel, empirical_norm, evaluate_batch, mean
 from seprep.regularize import TikhonovPath, gcv_select_lambda
 
@@ -40,44 +35,70 @@ def _sampled_from(model, n, seed, noise=0.0):
     return SampleSet(pts, out, model.basis.family)
 
 
+@contextlib.contextmanager
+def _kernel_calls():
+    """Record (A, u, G, result) of every direction solve run inside the block.
+
+    A plain context manager rather than a fixture, so that criterion 6 can
+    call the tests that use it without arguments.
+    """
+    calls = []
+    real = als._direction_solve
+
+    def recording(A, u, G, m, config):
+        result = real(A, u, G, m, config)
+        calls.append((A, u, G, result))
+        return result
+
+    als._direction_solve = recording
+    try:
+        yield calls
+    finally:
+        als._direction_solve = real
+
+
 def test_design_matrix_constant_factors():
-    # all factors identically one: columns reduce to the basis values
+    # all factors identically one: the first direction's columns reduce to the
+    # basis values
     coeffs = np.zeros((3, 1, 3))
     coeffs[:, 0, 0] = 1.0
     m = SeparatedModel(BasisSpec(Family.HERMITE, 2), np.array([1.0]), coeffs)
     rng = np.random.default_rng(0)
-    data = SampleSet(_gauss_data(rng, 20, 3), np.zeros(20), Family.HERMITE)
-    table = factor_table(data, m)
-    A = assemble_design_matrix(data, m, 1, table)
-    psi = eval_basis_batch(m.basis, data.inputs[:, 1])
-    assert np.allclose(A, psi, atol=1e-14)
+    data = SampleSet(_gauss_data(rng, 20, 3), rng.standard_normal(20), Family.HERMITE)
+    with _kernel_calls() as calls:
+        sweep(data, m, FitConfig(rank_max=1, degree=2))
+    psi = eval_basis_batch(m.basis, data.inputs[:, 0])
+    assert np.allclose(calls[0][0], psi, atol=1e-14)
 
 
 def test_design_matrix_hand_computed():
-    # d=2, r=1, M=1, legendre; second factor sqrt(3)*y, scale 2, sample (0.5, -0.5)
+    # d=2, r=1, M=1, legendre; second factor sqrt(3)*y, scale 2, first sample (0.5, -0.5)
     coeffs = np.zeros((2, 1, 2))
     coeffs[0, 0, 0] = 1.0
     coeffs[1, 0, 1] = 1.0
     m = SeparatedModel(BasisSpec(Family.LEGENDRE, 1), np.array([2.0]), coeffs)
-    data = SampleSet(np.array([[0.5, -0.5]]), np.array([0.0]), Family.LEGENDRE)
-    A = assemble_design_matrix(data, m, 0, factor_table(data, m))
-    expected = np.array([[-np.sqrt(3.0), -1.5]])
-    assert np.allclose(A, expected, atol=1e-14)
+    rng = np.random.default_rng(1)
+    pts = np.vstack([[0.5, -0.5], rng.uniform(-1.0, 1.0, (9, 2))])
+    data = SampleSet(pts, rng.standard_normal(10), Family.LEGENDRE)
+    with _kernel_calls() as calls:
+        sweep(data, m, FitConfig(rank_max=1, degree=1))
+    expected = np.array([-np.sqrt(3.0), -1.5])
+    assert np.allclose(calls[0][0][0], expected, atol=1e-14)
 
 
 def test_exclusion_products_match_naive():
+    # each direction's design matrix in a sweep: products of the factors already
+    # updated in this sweep and of those still frozen, excluding its own
     rng = np.random.default_rng(1)
-    table = rng.standard_normal((6, 30, 4))
-    fast = exclusion_products(table)
-    for k in range(6):
-        ref = naive_exclusion(table, k)
-        assert np.max(np.abs(fast[k] - ref)) < 1e-13 * max(1.0, np.max(np.abs(ref)))
-
-
-def _dummy_model(d=2, r=1, M=1):
-    coeffs = np.zeros((d, r, M + 1))
-    coeffs[:, :, 0] = 1.0
-    return SeparatedModel(BasisSpec(Family.HERMITE, M), np.ones(r), coeffs)
+    data = _sampled_from(random_model(rng, dims=6, rank=3, degree=1), 40, seed=2, noise=0.3)
+    start = random_model(rng, dims=6, rank=3, degree=1)
+    cfg = FitConfig(rank_max=3, degree=1, regularize=False)
+    with _kernel_calls() as calls:
+        sweep(data, start, cfg)
+    designs = naive_sweep(data, start, cfg)[3]
+    assert len(calls) == len(designs) == 6
+    for (A, _, _, _), ref in zip(calls, designs):
+        assert np.max(np.abs(A - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
 def test_solve_direction_interpolation():
@@ -86,9 +107,20 @@ def test_solve_direction_interpolation():
     c_true = rng.standard_normal(4)
     u = A @ c_true
     cfg = FitConfig(rank_max=1, degree=3, regularize=False)
-    res = solve_direction(A, u, _dummy_model(M=3), 0, cfg)
-    assert np.allclose(res.coeffs, c_true, atol=1e-10)
-    assert res.regularization is None
+    c, state, _ = als._direction_solve(A, u, None, 4, cfg)
+    assert np.allclose(c, c_true, atol=1e-10)
+    assert state is None
+
+
+@pytest.mark.parametrize("regularize", [False, True])
+def test_factor_overflow_is_a_conditioning_error(regularize):
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((20, 6))
+    A[3, 2] = np.inf
+    G = np.eye(2) if regularize else None
+    cfg = FitConfig(rank_max=2, degree=2, regularize=regularize)
+    with pytest.raises(ConditioningError, match="factor overflow"):
+        als._direction_solve(A, rng.standard_normal(20), G, 3, cfg)
 
 
 def test_solve_direction_large_lambda_shrinks():
@@ -114,18 +146,20 @@ def test_normal_equation_residual_every_solve():
     rng = np.random.default_rng(4)
     m = random_model(rng, dims=3, rank=2, degree=2)
     data = _sampled_from(m, 200, seed=5, noise=0.05)
-    table = factor_table(data, m)
-    for k in range(3):
-        A = assemble_design_matrix(data, m, k, table)
-        for cfg in (
-            FitConfig(rank_max=2, degree=2, regularize=False),
-            FitConfig(rank_max=2, degree=2, regularize=True),
-        ):
-            res = solve_direction(A, data.outputs, m, k, cfg)
-            lam = res.regularization.lambda_ if res.regularization else 0.0
-            Mm = A.T @ A + lam**2 * build_B(m, k)
-            err = np.linalg.norm(Mm @ res.coeffs - A.T @ data.outputs)
-            assert err <= 1e-8 * np.linalg.norm(A.T @ data.outputs)
+    for regularize in (False, True):
+        cfg = FitConfig(rank_max=2, degree=2, regularize=regularize)
+        with _kernel_calls() as calls:
+            sweep(data, m, cfg)
+        assert len(calls) == 3
+        if regularize:
+            # the first direction's penalty comes from the unchanged model
+            assert np.allclose(np.kron(calls[0][2], np.eye(3)), build_B(m, 0), rtol=1e-12)
+        for A, u, G, (c, state, _) in calls:
+            lam = state.lambda_ if state else 0.0
+            B = np.kron(G, np.eye(3)) if G is not None else 0.0
+            Atu = A.T @ u
+            err = np.linalg.norm((A.T @ A + lam**2 * B) @ c - Atu)
+            assert err <= 1e-8 * np.linalg.norm(Atu)
 
 
 def _oracle_direction(A, u, B, cfg):
@@ -150,72 +184,82 @@ def test_structured_kernel_matches_dense_oracle(l_identity):
             u = A @ rng.standard_normal(r * m) + 0.3 * rng.standard_normal(n)
             cfg = FitConfig(rank_max=r, degree=m - 1, l_identity=l_identity)
             if l_identity:
-                B = np.kron(np.diag(model.scales**2), np.eye(m))
+                G = np.diag(model.scales**2)
             elif m == 1 and r > 1:
                 # constant factors make the second-moment Gram rank one, so the
                 # dense oracle cannot factor it; the model's own design matrix
                 # shares that null space, the solve stays finite and the
                 # error indicator marks the pair as losing
                 data = _sampled_from(model, n, seed=r, noise=0.3)
-                A = assemble_design_matrix(data, model, k, factor_table(data, model))
-                res = solve_direction(A, data.outputs, model, k, cfg)
-                lam = res.regularization.lambda_
+                A = naive_design_matrix(data, model, k)
+                B = build_B(model, k)
+                c, state, _ = als._direction_solve(A, data.outputs, B, 1, cfg)
                 Atu = A.T @ data.outputs
-                err = A.T @ A @ res.coeffs + lam**2 * build_B(model, k) @ res.coeffs - Atu
-                assert np.all(np.isfinite(res.coeffs))
+                err = A.T @ A @ c + state.lambda_**2 * B @ c - Atu
+                assert np.all(np.isfinite(c))
                 assert np.linalg.norm(err) <= 1e-8 * np.linalg.norm(Atu)
-                assert res.regularization.error_indicator > 1e6
+                assert state.error_indicator > 1e6
                 continue
             else:
-                B = build_B(model, k)
-            res = solve_direction(A, u, model, k, cfg)
-            c, lam, sig, ei = _oracle_direction(A, u, B, cfg)
-            state = res.regularization
-            assert np.allclose(res.coeffs, c, rtol=1e-10, atol=1e-10 * np.linalg.norm(c))
+                G = build_B(model, k)[::m, ::m]
+            c, state, _ = als._direction_solve(A, u, G, m, cfg)
+            c_ref, lam, sig, ei = _oracle_direction(A, u, np.kron(G, np.eye(m)), cfg)
+            assert np.allclose(c, c_ref, rtol=1e-10, atol=1e-10 * np.linalg.norm(c_ref))
             assert state.lambda_ == pytest.approx(lam, rel=1e-10)
             assert state.sigma_hat == pytest.approx(sig, rel=1e-10)
             assert state.error_indicator == pytest.approx(ei, rel=1e-10)
 
 
 def test_normalize_direction_scaling():
+    # after a sweep every factor has unit empirical norm, and moving the norms
+    # into the scales left the last direction's fit unchanged
     rng = np.random.default_rng(6)
-    m = random_model(rng, dims=3, rank=2, degree=2)
-    data = _sampled_from(m, 150, seed=7)
-    normed = normalize_direction(m, 1, data)
-    psi = eval_basis_batch(m.basis, data.inputs[:, 1])
-    for l in range(m.rank):
-        assert empirical_norm(psi @ normed.coeffs[1, l]) == pytest.approx(1.0, abs=1e-12)
-    # evaluation unchanged
-    pts = np.random.default_rng(8).standard_normal((40, 3))
-    assert np.allclose(
-        evaluate_batch(normed, pts), evaluate_batch(m, pts), rtol=1e-12, atol=1e-12
-    )
-    # idempotent on an already-normalized direction
-    again = normalize_direction(normed, 1, data)
-    assert np.allclose(again.coeffs[1], normed.coeffs[1], rtol=1e-14)
-    assert np.allclose(again.scales, normed.scales, rtol=1e-14)
+    data = _sampled_from(random_model(rng, dims=3, rank=2, degree=2), 150, seed=7)
+    start = random_model(rng, dims=3, rank=2, degree=2)
+    model, resid, _ = sweep(data, start, FitConfig(rank_max=2, degree=2))
+    for k in range(3):
+        psi = eval_basis_batch(model.basis, data.inputs[:, k])
+        for l in range(model.rank):
+            assert empirical_norm(psi @ model.coeffs[k, l]) == pytest.approx(1.0, abs=1e-12)
+    assert fit_residual_on(data, model) == pytest.approx(resid, rel=1e-10)
 
 
 def test_normalize_direction_explicit_factor_norm():
+    # constant data 2: the first direction's solve makes its factor identically
+    # 2, which normalization moves into the scale
     coeffs = np.zeros((2, 1, 2))
-    coeffs[0, 0, 0] = 2.0  # factor identically 2 in dimension 0
-    coeffs[1, 0, 0] = 1.0
+    coeffs[:, 0, 0] = 1.0
     m = SeparatedModel(BasisSpec(Family.HERMITE, 1), np.array([1.0]), coeffs)
-    data = SampleSet(np.zeros((5, 2)), np.zeros(5), Family.HERMITE)
-    normed = normalize_direction(m, 0, data)
-    assert normed.scales[0] == pytest.approx(2.0)
-    assert normed.coeffs[0, 0, 0] == pytest.approx(1.0)
+    rng = np.random.default_rng(5)
+    data = SampleSet(_gauss_data(rng, 5, 2), np.full(5, 2.0), Family.HERMITE)
+    model, _, _ = sweep(data, m, FitConfig(rank_max=1, degree=1, regularize=False))
+    assert model.scales[0] == pytest.approx(2.0)
+    assert model.coeffs[0, 0, 0] == pytest.approx(1.0)
+    assert model.coeffs[0, 0, 1] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_normalize_direction_zero_norm_raises():
-    coeffs = np.zeros((2, 1, 2))
-    coeffs[1, 0, 0] = 1.0  # dimension-0 factor vanishes everywhere
-    coeffs[0, 0, :] = 0.0
-    m = SeparatedModel(BasisSpec(Family.HERMITE, 1), np.array([1.0]), coeffs)
-    m.coeffs[0, 0, :] = 0.0
-    data = SampleSet(np.zeros((5, 2)), np.zeros(5), Family.HERMITE)
-    with pytest.raises(DegenerateFactorError):
-        normalize_direction(m, 0, data)
+@pytest.mark.parametrize("mode", ["second_moment", "diag_scale", "unregularized"])
+def test_sweep_matches_naive_gauss_seidel_oracle(mode):
+    rng = np.random.default_rng(40)
+    data = _sampled_from(random_model(rng, dims=4, rank=2, degree=2), 80, seed=41, noise=0.1)
+    start = random_model(rng, dims=4, rank=2, degree=2)
+    cfg = FitConfig(rank_max=2, degree=2, regularize=mode != "unregularized",
+                    l_identity=mode == "diag_scale")
+    model, resid, states = sweep(data, start, cfg)
+    ref, ref_resid, ref_states, _ = naive_sweep(data, start, cfg)
+    assert np.allclose(model.coeffs, ref.coeffs, rtol=1e-9,
+                       atol=1e-9 * np.max(np.abs(ref.coeffs)))
+    assert np.allclose(model.scales, ref.scales, rtol=1e-9, atol=0.0)
+    assert resid == pytest.approx(ref_resid, rel=1e-9)
+    assert len(states) == len(ref_states) == 4
+    for state, ref_state in zip(states, ref_states):
+        if ref_state is None:
+            assert state is None
+            continue
+        lam, sig, ei = ref_state
+        assert state.lambda_ == pytest.approx(lam, rel=1e-9)
+        assert state.sigma_hat == pytest.approx(sig, rel=1e-9)
+        assert state.error_indicator == pytest.approx(ei, rel=1e-9)
 
 
 def test_sweep_recovers_separable_data_quickly():

@@ -17,6 +17,7 @@ from seprep.cli import (
     write_dataset,
 )
 from seprep.errors import DatasetFormatError, InvariantError
+from seprep.model import SampleSet
 from seprep.problems import manufactured_sample
 
 
@@ -214,6 +215,41 @@ def test_cli_kl_info(tmp_path, capsys):
 def test_cli_bad_config_is_fatal(tmp_path):
     rc = main(["fit", "--problem", "external-dataset", "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"problm": "manufactured", "seeds": [0]}, "problm"),
+    ([{"problem": "manufactured"}], "JSON object"),
+])
+def test_cli_bad_config_file_is_fatal(tmp_path, caplog, doc, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc = main(["fit", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert named in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_rejects_non_positive_threads(tmp_path):
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            _small_fit_config(tmp_path, threads=threads)
+
+
+def test_cmd_fit_external_dataset_failure_is_an_exit_2_row(tmp_path):
+    # outputs of order 1e200 overflow the regularized solve: a typed error
+    base = manufactured_sample(60, seed=0)
+    data_path = tmp_path / "huge.csv"
+    write_dataset(data_path, SampleSet(base.inputs, 1e200 * base.outputs, Family.HERMITE))
+    config = ExperimentConfig(
+        problem="external-dataset", dataset=str(data_path), family="hermite",
+        sample_sizes=[60], seeds=[0], r_grid=[1, 2], m_grid=[1, 2],
+        output_dir=str(tmp_path / "out"),
+    )
+    assert cmd_fit(config) == 2
+    rows = _read_rows(tmp_path / "out" / "errors.csv")
+    assert len(rows) == 1 and rows[0]["r"] == "" and rows[0]["ei_max"] == ""
+    assert not (tmp_path / "out" / "model_N60_seed0.json").exists()
 
 
 def test_config_json_with_flag_overrides(tmp_path):

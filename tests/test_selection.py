@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seprep.als import FitConfig, FitDiagnostics, RankRecord, fit_fixed
-from seprep.errors import ProtocolError, SelectionError
+from seprep.errors import ProtocolError, SelectionError, SeprepError
 from seprep.model import SampleSet, evaluate_batch
 from seprep.problems import manufactured_sample
 from seprep.regularize import RegularizationState
@@ -136,6 +136,35 @@ def test_degree_zero_in_the_grid_loses_without_aborting():
         for r in (2, 3, 4):
             assert report.ei_max[(r, 0)] > 1e6
         assert report.chosen[1] == 2
+
+
+def _fault_variant(case):
+    base = manufactured_sample(60, seed=0)
+    x, y = base.inputs, base.outputs
+    if case == "duplicates":
+        x, y = np.repeat(x[:5], 12, axis=0), np.repeat(y[:5], 12)
+    elif case == "constant":
+        y = np.full(60, 0.55)
+    elif case == "zero":
+        y = np.zeros(60)
+    elif case == "huge":
+        y = 1e200 * y
+    elif case.startswith("n"):  # (r, M) = (2, 2) has 6 unknowns per direction
+        n = int(case[1:])
+        x, y = x[:n], y[:n]
+    return SampleSet(x, y, base.family)
+
+
+@pytest.mark.parametrize("case", ["duplicates", "constant", "zero", "huge", "n6", "n5"])
+def test_degenerate_data_ends_in_a_report_or_a_typed_error(case):
+    cfg = FitConfig(rank_max=2, degree=2, rng_seed=0, init_candidates=2,
+                    candidate_burn_sweeps=3, max_sweeps_per_rank=20)
+    try:
+        report = select_model(_fault_variant(case), [1, 2], [1, 2], cfg)
+    except SeprepError:
+        return
+    assert report.chosen in report.grid
+    assert math.isfinite(report.ei_max[report.chosen])
 
 
 def test_per_degree_seeds_are_stable():
