@@ -2,13 +2,12 @@
 
 Every run writes machine-readable artifacts (model JSON, selection-report
 JSON, error-table CSV) plus the reference statistics the error columns were
-computed against, so results are auditable after the fact. Single-threaded
-runs are bit-reproducible for identical configs and seeds.
+computed against, so results are auditable after the fact. Runs are serial
+and bit-reproducible for identical configs and seeds.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -64,6 +63,10 @@ ERROR_COLUMNS = [
 ]
 
 
+# smallest allowed entry of each list field
+_LIST_MINIMA = {"sample_sizes": 1, "r_grid": 1, "m_grid": 0, "seeds": 0}
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: problem, sample sizes, seeds, grids, and output layout."""
@@ -82,24 +85,23 @@ class ExperimentConfig:
     ref_samples: int = 200000
     ref_seed: int = 987654321
     pc_degree: int = 3
-    threads: int = 1
     force: bool = False
 
     def __post_init__(self):
         if self.problem not in ("manufactured", "elliptic", "external-dataset"):
             raise ValueError(f"unknown problem {self.problem!r}")
-        for name in ("sample_sizes", "r_grid", "m_grid", "seeds"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        if any(n <= 0 for n in self.sample_sizes):
-            raise ValueError("sample sizes must be positive")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        for name, least in _LIST_MINIMA.items():
+            values = getattr(self, name)
+            if not (isinstance(values, list) and values
+                    and all(isinstance(v, int) and v >= least for v in values)):
+                raise ValueError(
+                    f"{name} must be a non-empty list of integers >= {least}, got {values!r}"
+                )
 
-    def fit_config(self, degree: int, seed: int) -> FitConfig:
+    def fit_config(self, seed: int) -> FitConfig:
         return FitConfig(
             rank_max=max(self.r_grid),
-            degree=degree,
+            degree=max(self.m_grid),
             l_identity=self.l_identity,
             rng_seed=seed,
         )
@@ -184,6 +186,11 @@ def _require_fresh(paths, force: bool):
         )
 
 
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+
+
 def _write_rows(path, rows):
     for row in rows:
         bad = set(row) - set(ERROR_COLUMNS)
@@ -196,177 +203,149 @@ def _write_rows(path, rows):
             writer.writerow(row)
 
 
-def _row(N, seed, r="", M="", mean_est=None, std_est=None,
-         mean_rel=None, std_rel=None, ei="", wall=0.0):
+@dataclass
+class _Reference:
+    mean: float
+    std: float
+    stderr_mean: float
+    stderr_std: float
+    source: str
+    n: int | None = None
+    seed: int | None = None
+
+
+def _row(N, seed, ref: _Reference, r="", M="", mean_est=None, std_est=None, ei="", wall=0.0):
+    """One error-table row; a row without estimates records a failure."""
     def opt(v):
         return "" if v is None else _fmt(v)
+
+    def rel(est, exact):
+        return None if est is None else abs(est - exact) / abs(exact)
 
     return {
         "N": N, "seed": seed, "r": r, "M": M,
         "mean_est": opt(mean_est), "std_est": opt(std_est),
-        "mean_rel_err": opt(mean_rel), "std_rel_err": opt(std_rel),
+        "mean_rel_err": opt(rel(mean_est, ref.mean)),
+        "std_rel_err": opt(rel(std_est, ref.std)),
         "ei_max": ei if ei == "" else _fmt(ei),
         "wall_time_s": _fmt(wall),
     }
 
 
-class _Reference:
-    def __init__(self, mean, std, stderr_mean, stderr_std, source, n=None, seed=None):
-        self.mean = mean
-        self.std = std
-        self.stderr_mean = stderr_mean
-        self.stderr_std = stderr_std
-        self.source = source
-        self.n = n
-        self.seed = seed
-
-    def to_dict(self):
-        return {
-            "mean": self.mean, "std": self.std,
-            "stderr_mean": self.stderr_mean, "stderr_std": self.stderr_std,
-            "source": self.source, "n": self.n, "seed": self.seed,
-        }
-
-
 def _load_reference(path) -> _Reference:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    stats = ("mean", "std", "stderr_mean", "stderr_std")
+    bad = [k for k in stats if not isinstance(doc, dict) or not isinstance(doc.get(k), (int, float))]
+    if bad:
+        raise ValueError(f"{path}: reference lacks numeric values for {bad}")
     return _Reference(
-        doc["mean"], doc["std"], doc["stderr_mean"], doc["stderr_std"],
-        doc.get("source", "file"), doc.get("n"), doc.get("seed"),
+        *(doc[k] for k in stats), doc.get("source", "file"), doc.get("n"), doc.get("seed")
     )
 
 
-def _problem_context(config: ExperimentConfig, need_reference: bool = True):
-    """Returns (sampler(N, seed) -> SampleSet, reference or None)."""
+def _external_dataset(config: ExperimentConfig) -> SampleSet:
+    if not config.dataset or not config.family:
+        raise ValueError("external-dataset runs need both dataset and family set")
+    return read_dataset(config.dataset, config.family)
+
+
+def _problem_context(config: ExperimentConfig):
+    """Returns (sampler(N, seed) -> SampleSet, reference() -> _Reference)."""
     if config.problem == "manufactured":
-        ref = _Reference(
-            MANUFACTURED_MEAN, math.sqrt(MANUFACTURED_VAR), 0.0, 0.0, "analytic"
+        return (
+            lambda n, seed: manufactured_sample(n, seed, noisy=config.noisy),
+            lambda: _Reference(
+                MANUFACTURED_MEAN, math.sqrt(MANUFACTURED_VAR), 0.0, 0.0, "analytic"
+            ),
         )
-
-        def sampler(n, seed):
-            return manufactured_sample(n, seed, noisy=config.noisy)
-
-        return sampler, ref
     if config.problem == "elliptic":
         problem = elliptic_problem()
-        ref = None
-        if need_reference and config.ref_file:
-            ref = _load_reference(config.ref_file)
-        elif need_reference:
-            logger.info(
-                "computing elliptic Monte Carlo reference (n=%d)", config.ref_samples
-            )
+
+        def reference():
+            if config.ref_file:
+                return _load_reference(config.ref_file)
+            logger.info("computing elliptic Monte Carlo reference (n=%d)", config.ref_samples)
             rng = np.random.default_rng(config.ref_seed)
-
-            def ref_sampler(n, seed):
-                del seed
-                return elliptic_solve_batch(
+            mc = mc_baseline(
+                lambda n, _: elliptic_solve_batch(
                     problem, rng.uniform(-1.0, 1.0, (n, problem.dims))
-                )
-
-            mc = mc_baseline(ref_sampler, config.ref_samples, config.ref_seed)
-            ref = _Reference(
+                ),
+                config.ref_samples, config.ref_seed,
+            )
+            return _Reference(
                 mc.mean, mc.std, mc.stderr_mean, mc.stderr_std,
                 "monte-carlo", mc.n, config.ref_seed,
             )
 
-        def sampler(n, seed):
-            return elliptic_sample(problem, n, seed)
-
-        return sampler, ref
-    if not config.dataset or not config.family:
-        raise ValueError("external-dataset runs need both dataset and family set")
-    data = read_dataset(config.dataset, config.family)
-    ref = _Reference(float("nan"), float("nan"), 0.0, 0.0, "none")
+        return (lambda n, seed: elliptic_sample(problem, n, seed)), reference
+    data = _external_dataset(config)
 
     def sampler(n, seed):
-        del seed
         if n != data.n:
             raise ValueError(f"external dataset has N={data.n}, requested {n}")
         return data
 
-    return sampler, ref
+    return sampler, lambda: _Reference(float("nan"), float("nan"), 0.0, 0.0, "none")
 
 
-def _select_task(config, sampler, n, seed):
-    t0 = time.perf_counter()
-    data = sampler(n, seed)
-    report = None
-    error = None
-    try:
-        fit_cfg = config.fit_config(degree=max(config.m_grid), seed=seed)
-        report = select_model(data, config.r_grid, config.m_grid, fit_cfg)
-    except SeprepError as exc:
-        error = str(exc)
-    return report, error, time.perf_counter() - t0
+def _start_run(config: ExperimentConfig, names):
+    """Refuses clashing outputs and bad inputs, then writes reference.json.
+
+    Returns (output dir, sampler, reference); nothing is written before the checks pass.
+    """
+    out = Path(config.output_dir)
+    _require_fresh([out / "reference.json"] + [out / name for name in names], config.force)
+    sampler, reference = _problem_context(config)
+    ref = reference()
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "reference.json", dataclasses.asdict(ref))
+    return out, sampler, ref
 
 
 def cmd_fit(config: ExperimentConfig) -> int:
     """Run EI-based selection per (N, seed); write models, reports, and errors.csv."""
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    targets = [out / "errors.csv", out / "reference.json", out / "run_info.json"]
     tasks = [(n, seed) for n in config.sample_sizes for seed in config.seeds]
-    for n, seed in tasks:
-        targets.append(out / f"model_N{n}_seed{seed}.json")
-        targets.append(out / f"selection_N{n}_seed{seed}.json")
-    _require_fresh(targets, config.force)
-    sampler, ref = _problem_context(config)
-    with (out / "reference.json").open("w", encoding="utf-8") as fh:
-        json.dump(ref.to_dict(), fh, indent=1)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-        futures = [pool.submit(_select_task, config, sampler, n, seed) for n, seed in tasks]
-        results = [fut.result() for fut in futures]
+    names = ["errors.csv", "run_info.json"] + [
+        f"{kind}_N{n}_seed{seed}.json" for n, seed in tasks for kind in ("model", "selection")
+    ]
+    out, sampler, ref = _start_run(config, names)
 
     rows = []
     failures = 0
-    for (n, seed), (report, error, wall) in zip(tasks, results):
-        if report is None:
+    for n, seed in tasks:
+        t0 = time.perf_counter()
+        data = sampler(n, seed)
+        try:
+            report = select_model(data, config.r_grid, config.m_grid, config.fit_config(seed))
+        except SeprepError as exc:
             failures += 1
-            logger.error("selection failed for N=%d seed=%d: %s", n, seed, error)
-            rows.append(_row(n, seed, wall=wall))
+            logger.error("selection failed for N=%d seed=%d: %s", n, seed, exc)
+            rows.append(_row(n, seed, ref, wall=time.perf_counter() - t0))
             continue
+        wall = time.perf_counter() - t0
         model = report.chosen_model()
-        m_est = model_mean(model)
-        s_est = standard_deviation(model)
         r, m = report.chosen
         rows.append(
             _row(
-                n, seed, r=r, M=m, mean_est=m_est, std_est=s_est,
-                mean_rel=abs(m_est - ref.mean) / abs(ref.mean),
-                std_rel=abs(s_est - ref.std) / abs(ref.std),
+                n, seed, ref, r=r, M=m,
+                mean_est=model_mean(model), std_est=standard_deviation(model),
                 ei=report.ei_max[report.chosen], wall=wall,
             )
         )
-        with (out / f"model_N{n}_seed{seed}.json").open("w", encoding="utf-8") as fh:
-            json.dump(model_to_dict(model), fh, indent=1)
-        with (out / f"selection_N{n}_seed{seed}.json").open("w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=1)
+        _write_json(out / f"model_N{n}_seed{seed}.json", model_to_dict(model))
+        _write_json(out / f"selection_N{n}_seed{seed}.json", report.to_dict())
     _write_rows(out / "errors.csv", rows)
-    with (out / "run_info.json").open("w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "config": dataclasses.asdict(config),
-                "config_hash": config_hash(config),
-                "seeds": config.seeds,
-            },
-            fh, indent=1,
-        )
+    _write_json(out / "run_info.json", {
+        "config": dataclasses.asdict(config), "config_hash": config_hash(config),
+        "seeds": config.seeds,
+    })
     return 2 if failures else 0
 
 
 def cmd_baselines(config: ExperimentConfig) -> int:
     """Monte Carlo and total-degree regression error curves on the same N grid."""
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    mc_path = out / "baselines_mc.csv"
-    pc_path = out / "baselines_pc.csv"
-    _require_fresh([mc_path, pc_path, out / "reference.json"], config.force)
-    sampler, ref = _problem_context(config)
-    with (out / "reference.json").open("w", encoding="utf-8") as fh:
-        json.dump(ref.to_dict(), fh, indent=1)
+    out, sampler, ref = _start_run(config, ["baselines_mc.csv", "baselines_pc.csv"])
 
     mc_rows, pc_rows = [], []
     failures = 0
@@ -376,37 +355,31 @@ def cmd_baselines(config: ExperimentConfig) -> int:
             data = sampler(n, seed)
             mc = mc_baseline(lambda k, s, _d=data: _d.outputs[:k], n, seed)
             mc_rows.append(
-                _row(
-                    n, seed, mean_est=mc.mean, std_est=mc.std,
-                    mean_rel=abs(mc.mean - ref.mean) / abs(ref.mean),
-                    std_rel=abs(mc.std - ref.std) / abs(ref.std),
-                    wall=time.perf_counter() - t0,
-                )
+                _row(n, seed, ref, mean_est=mc.mean, std_est=mc.std,
+                     wall=time.perf_counter() - t0)
             )
             t0 = time.perf_counter()
             try:
                 _, pm, ps = pc_regression_baseline(data, config.pc_degree)
                 pc_rows.append(
-                    _row(
-                        n, seed, M=config.pc_degree, mean_est=pm, std_est=ps,
-                        mean_rel=abs(pm - ref.mean) / abs(ref.mean),
-                        std_rel=abs(ps - ref.std) / abs(ref.std),
-                        wall=time.perf_counter() - t0,
-                    )
+                    _row(n, seed, ref, M=config.pc_degree, mean_est=pm, std_est=ps,
+                         wall=time.perf_counter() - t0)
                 )
             except SeprepError as exc:
                 failures += 1
                 logger.error("regression baseline failed at N=%d seed=%d: %s", n, seed, exc)
-                pc_rows.append(_row(n, seed, M=config.pc_degree, wall=time.perf_counter() - t0))
-    _write_rows(mc_path, mc_rows)
-    _write_rows(pc_path, pc_rows)
+                pc_rows.append(
+                    _row(n, seed, ref, M=config.pc_degree, wall=time.perf_counter() - t0)
+                )
+    _write_rows(out / "baselines_mc.csv", mc_rows)
+    _write_rows(out / "baselines_pc.csv", pc_rows)
     return 2 if failures else 0
 
 
 def cmd_sample(config: ExperimentConfig, n: int, seed: int, path) -> int:
     """Generate one dataset CSV for the configured problem."""
     _require_fresh([path], config.force)
-    sampler, _ = _problem_context(config, need_reference=False)
+    sampler, _ = _problem_context(config)
     write_dataset(path, sampler(n, seed))
     return 0
 
@@ -414,17 +387,12 @@ def cmd_sample(config: ExperimentConfig, n: int, seed: int, path) -> int:
 def cmd_select(config: ExperimentConfig) -> int:
     """EI-based selection on an external dataset; writes report and model JSON."""
     out = Path(config.output_dir)
+    _require_fresh([out / "selection.json", out / "model.json"], config.force)
+    data = _external_dataset(config)
+    report = select_model(data, config.r_grid, config.m_grid, config.fit_config(config.seeds[0]))
     out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "selection.json"
-    model_path = out / "model.json"
-    _require_fresh([report_path, model_path], config.force)
-    data = read_dataset(config.dataset, config.family)
-    fit_cfg = config.fit_config(degree=max(config.m_grid), seed=config.seeds[0])
-    report = select_model(data, config.r_grid, config.m_grid, fit_cfg)
-    with report_path.open("w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-    with model_path.open("w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(report.chosen_model()), fh, indent=1)
+    _write_json(out / "selection.json", report.to_dict())
+    _write_json(out / "model.json", model_to_dict(report.chosen_model()))
     print(f"chosen (r, M) = {report.chosen}")
     return 0
 
@@ -439,17 +407,10 @@ def cmd_kl_info(corr_length: float, dims: int, n_grid: int, out_path=None) -> in
     print(f"eigenvalue {dims}: {kl.eigenvalues[-1]:.6e}")
     print(f"captured energy: {captured:.9f}")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "corr_length": corr_length,
-                    "dims": dims,
-                    "n_grid": n_grid,
-                    "eigenvalues": kl.eigenvalues.tolist(),
-                    "captured_energy": captured,
-                },
-                fh, indent=1,
-            )
+        _write_json(out_path, {
+            "corr_length": corr_length, "dims": dims, "n_grid": n_grid,
+            "eigenvalues": kl.eigenvalues.tolist(), "captured_energy": captured,
+        })
     return 0
 
 
@@ -462,59 +423,45 @@ def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok]
 
 
+def _rank_grid(text):
+    return list(range(1, int(text) + 1))
+
+
 def _add_common(parser):
+    """Options whose dest is an ExperimentConfig field; absent ones leave it alone."""
     parser.add_argument("--config", help="JSON experiment config; flags override it")
     parser.add_argument("--problem", choices=["manufactured", "elliptic", "external-dataset"])
-    parser.add_argument("--n", type=_int_list, help="comma-separated sample sizes")
+    parser.add_argument("--n", dest="sample_sizes", type=_int_list,
+                        help="comma-separated sample sizes")
     parser.add_argument("--seeds", type=_int_list, help="comma-separated seeds")
-    parser.add_argument("--r-max", type=int, help="rank grid becomes 1..r_max")
+    parser.add_argument("--r-max", dest="r_grid", type=_rank_grid,
+                        help="rank grid becomes 1..r_max")
     parser.add_argument("--m-grid", type=_int_list, help="comma-separated degrees")
     parser.add_argument("--l-identity", action="store_true",
                         help="use the diag-scale comparison penalty")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--dataset", help="external dataset CSV path")
     parser.add_argument("--family", choices=["hermite", "legendre"])
     parser.add_argument("--ref-file", help="JSON reference statistics")
     parser.add_argument("--ref-samples", type=int)
     parser.add_argument("--pc-degree", type=int)
-    parser.add_argument("--no-noise", action="store_true",
+    parser.add_argument("--no-noise", dest="noisy", action="store_false",
                         help="disable observation noise for the manufactured problem")
 
 
 def _build_config(args) -> ExperimentConfig:
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     doc = {}
-    if args.config:
+    if "config" in args:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        unknown = sorted(set(doc) - fields)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {unknown}")
-    overrides = {
-        "problem": args.problem,
-        "sample_sizes": args.n,
-        "seeds": args.seeds,
-        "m_grid": args.m_grid,
-        "output_dir": args.out,
-        "threads": args.threads,
-        "dataset": args.dataset,
-        "family": args.family,
-        "ref_file": args.ref_file,
-        "ref_samples": args.ref_samples,
-        "pc_degree": args.pc_degree,
-    }
-    if args.r_max is not None:
-        overrides["r_grid"] = list(range(1, args.r_max + 1))
-    if args.l_identity:
-        overrides["l_identity"] = True
-    if args.force:
-        overrides["force"] = True
-    if args.no_noise:
-        overrides["noisy"] = False
-    doc.update({k: v for k, v in overrides.items() if v is not None})
+    doc.update((k, v) for k, v in vars(args).items() if k in fields)
     return ExperimentConfig(**doc)
 
 
@@ -526,14 +473,14 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="EI-selected fits per (N, seed) with error tables")
-    _add_common(p_fit)
-    p_sel = sub.add_parser("select", help="rank/degree selection on an external dataset")
-    _add_common(p_sel)
-    p_base = sub.add_parser("baselines", help="Monte Carlo and regression baselines")
-    _add_common(p_base)
-    p_samp = sub.add_parser("sample", help="generate a dataset CSV")
-    _add_common(p_samp)
+    for name, help_text in [
+        ("fit", "EI-selected fits per (N, seed) with error tables"),
+        ("select", "rank/degree selection on an external dataset"),
+        ("baselines", "Monte Carlo and regression baselines"),
+        ("sample", "generate a dataset CSV"),
+    ]:
+        _add_common(sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS))
+    p_samp = sub.choices["sample"]
     p_samp.add_argument("--sample-n", type=int, required=True)
     p_samp.add_argument("--sample-seed", type=int, default=0)
     p_samp.add_argument("--sample-out", required=True)
@@ -554,13 +501,10 @@ def main(argv=None) -> int:
             return cmd_select(config)
         if args.command == "baselines":
             return cmd_baselines(config)
-        if args.command == "sample":
-            return cmd_sample(config, args.sample_n, args.sample_seed, args.sample_out)
-        parser.error(f"unknown command {args.command}")
+        return cmd_sample(config, args.sample_n, args.sample_seed, args.sample_out)
     except (SeprepError, FileExistsError, FileNotFoundError, ValueError) as exc:
         logger.error("%s", exc)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -110,7 +110,8 @@ def select_model(
     For each degree in M_grid one fit grows the rank to max(r_grid) from its
     own derived seed; every visited rank in r_grid contributes one EI_max
     value. Infinite indicators are kept (and lose); if every pair is
-    infinite, selection fails loudly with the full table attached.
+    infinite, selection fails loudly with the full table attached. All-zero
+    outputs are refused before any fit, since every indicator would be infinite.
     """
     r_grid = sorted(set(int(r) for r in r_grid))
     M_grid = sorted(set(int(m) for m in M_grid))
@@ -118,6 +119,8 @@ def select_model(
         raise ValueError("rank and degree grids must be non-empty")
     if not config.regularize:
         raise SelectionError("EI-based selection requires regularization to be enabled")
+    if not np.any(data.outputs):
+        raise SelectionError("every output is zero: no rank or degree can be selected")
     seeds = per_degree_seeds(config.rng_seed, M_grid)
     ei_max: dict = {}
     residuals: dict = {}

@@ -210,7 +210,6 @@ def test_criterion_7_deterministic_outputs(tmp_path):
             r_grid=[1, 2],
             m_grid=[2, 3],
             output_dir=str(out_dir),
-            threads=1,
         )
         assert cmd_fit(config) == 0
         return out_dir

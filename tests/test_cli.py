@@ -230,10 +230,22 @@ def test_cli_bad_config_file_is_fatal(tmp_path, caplog, doc, named):
     assert not (tmp_path / "o").exists()
 
 
-def test_config_rejects_non_positive_threads(tmp_path):
-    for threads in (0, -1):
-        with pytest.raises(ValueError, match="threads"):
-            _small_fit_config(tmp_path, threads=threads)
+@pytest.mark.parametrize("argv, inputs, named", [
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"], {"mean": 1.0}, "'std'"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"], [1, 2], "'mean'"),
+    (["fit", "--config", "in.json"], {"sample_sizes": 5}, "sample_sizes must be"),
+    (["baselines", "--config", "in.json"], {"seeds": "0,1"}, "seeds must be"),
+    (["fit", "--m-grid", "-1"], None, "m_grid must be"),
+    (["select", "--r-max", "1"], None, "need both dataset and family"),
+], ids=["ref-missing-keys", "ref-not-object", "sizes-not-list", "seeds-string",
+        "negative-degree", "select-no-dataset"])
+def test_cli_bad_input_is_fatal_before_any_output(tmp_path, caplog, argv, inputs, named):
+    if inputs is not None:
+        (tmp_path / "in.json").write_text(json.dumps(inputs))
+    argv = [str(tmp_path / a) if a == "in.json" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert named in caplog.text
+    assert not (tmp_path / "o").exists()
 
 
 def test_cmd_fit_external_dataset_failure_is_an_exit_2_row(tmp_path):
@@ -281,24 +293,6 @@ def test_cmd_fit_full_run_accuracy(tmp_path):
     row = _read_rows(Path(config.output_dir) / "errors.csv")[0]
     assert float(row["mean_rel_err"]) < 1e-2
     assert row["r"] and row["M"]
-
-
-def test_cmd_fit_thread_count_does_not_change_results(tmp_path):
-    kw = dict(
-        problem="manufactured", sample_sizes=[150, 250], seeds=[0, 1],
-        r_grid=[1, 2], m_grid=[2],
-    )
-    c1 = ExperimentConfig(output_dir=str(tmp_path / "t1"), threads=1, **kw)
-    c2 = ExperimentConfig(output_dir=str(tmp_path / "t2"), threads=2, **kw)
-    assert cmd_fit(c1) == 0
-    assert cmd_fit(c2) == 0
-    rows1 = _read_rows(Path(c1.output_dir) / "errors.csv")
-    rows2 = _read_rows(Path(c2.output_dir) / "errors.csv")
-    assert len(rows1) == len(rows2) == 4
-    for r1, r2 in zip(rows1, rows2):
-        for col in ERROR_COLUMNS:
-            if col != "wall_time_s":
-                assert r1[col] == r2[col]
 
 
 def test_sample_command_elliptic(tmp_path):

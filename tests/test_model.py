@@ -13,10 +13,11 @@ from seprep.model import (
     empirical_norm,
     evaluate,
     evaluate_batch,
+    load_model,
     mean,
-    model_from_dict,
     model_to_dict,
     moment,
+    save_model,
     second_moment,
 )
 from seprep.problems import manufactured_model
@@ -201,8 +202,15 @@ def test_sample_set_validation():
 def test_json_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(21)
     m = random_model(rng, dims=5, rank=4, degree=3)
-    doc = json.dumps(model_to_dict(m))
-    back = model_from_dict(json.loads(doc))
-    assert np.array_equal(back.scales, m.scales)
-    assert np.array_equal(back.coeffs, m.coeffs)
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    assert path.read_text().endswith("\n")
+    back = load_model(path)
+    assert back.scales.tobytes() == m.scales.tobytes()
+    assert back.coeffs.tobytes() == m.coeffs.tobytes()
     assert back.basis == m.basis
+    for key, value in (("dims", 4), ("rank", 5)):
+        doc = dict(model_to_dict(m), **{key: value})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="header"):
+            load_model(path)

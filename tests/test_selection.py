@@ -167,6 +167,17 @@ def test_degenerate_data_ends_in_a_report_or_a_typed_error(case):
     assert math.isfinite(report.ei_max[report.chosen])
 
 
+def test_all_zero_outputs_are_refused_before_any_fit(monkeypatch):
+    import seprep.selection
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("select_model fitted all-zero outputs")
+
+    monkeypatch.setattr(seprep.selection, "fit_fixed", no_fit)
+    with pytest.raises(SelectionError, match="every output is zero"):
+        select_model(_fault_variant("zero"), [1, 2], [1, 2], _fast_config())
+
+
 def test_per_degree_seeds_are_stable():
     a = per_degree_seeds(123, [1, 2, 3])
     b = per_degree_seeds(123, [1, 2, 3])
