@@ -18,7 +18,7 @@ from .model import (
 )
 from .als import FitConfig, FitDiagnostics, fit_fixed, sweep
 from .regularize import GcvResult, RegularizationState, TikhonovPath, gcv_select_lambda
-from .selection import SelectionReport, ei_max_for_rank, select_model
+from .selection import SelectionReport, select_model
 from . import errors, problems
 
 __version__ = "0.1.0"

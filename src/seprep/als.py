@@ -10,7 +10,6 @@ fragile warm-started rank increase reproducible and robust.
 from __future__ import annotations
 
 import logging
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +38,10 @@ logger = logging.getLogger(__name__)
 
 _MONOTONE_RTOL = 1e-10
 _NORMAL_EQ_RTOL = 1e-8
+_LAMBDA_GRID_SIZE = 50  # GCV grid points per direction solve
+_INIT_PERTURBATION = 0.3  # noise scale of a new term's initial coefficients
+
+_PENALTIES = ("second_moment", "diag_scale", "none")
 
 
 @dataclass
@@ -46,26 +49,26 @@ class FitConfig:
     """Knobs for the alternating fit.
 
     sweep_tol is the relative residual decrease per full sweep below which a
-    rank is considered converged; max_sweeps_per_rank caps the loop. The
-    candidate fields control the per-rank restart protocol: each new term is
-    initialized init_candidates times (unit constant coefficient plus
-    init_perturbation-scaled normal noise, normalized per direction), every
-    candidate runs candidate_burn_sweeps sweeps, and the lowest-residual one
-    is kept and swept to convergence.
+    rank is considered converged; max_sweeps_per_rank caps the loop. penalty
+    picks the Tikhonov penalty of every direction solve: "second_moment"
+    (the surrogate's second moment), "diag_scale" (the diag(s^2) comparison
+    penalty) or "none" (plain least squares, which leaves the error
+    indicator undefined). The candidate fields control the per-rank restart
+    protocol: each new term is initialized init_candidates times (unit
+    constant coefficient plus scaled normal noise, normalized per
+    direction), every candidate runs candidate_burn_sweeps sweeps, and the
+    lowest-residual one is kept and swept to convergence.
     """
 
     rank_max: int
     degree: int
     max_sweeps_per_rank: int = 600
     sweep_tol: float = 1e-5
-    regularize: bool = True
-    lambda_grid_size: int = 50
+    penalty: str = "second_moment"
     rng_seed: int = 0
     lambda_floor_rel: float = DEFAULT_LAMBDA_FLOOR
     init_candidates: int = 8
     candidate_burn_sweeps: int = 15
-    init_perturbation: float = 0.3
-    l_identity: bool = False
 
     def __post_init__(self):
         if self.rank_max < 1:
@@ -74,8 +77,9 @@ class FitConfig:
             raise ValueError("degree must be >= 0")
         if not 0.0 < self.sweep_tol < 1.0:
             raise ValueError("sweep_tol must lie in (0, 1)")
-        for name in ("max_sweeps_per_rank", "lambda_grid_size", "init_candidates",
-                     "candidate_burn_sweeps"):
+        if self.penalty not in _PENALTIES:
+            raise ValueError(f"penalty must be one of {_PENALTIES}, got {self.penalty!r}")
+        for name in ("max_sweeps_per_rank", "init_candidates", "candidate_burn_sweeps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -87,7 +91,6 @@ class RankRecord:
     rank: int
     residual_trace: list
     reg_states: list
-    sweeps: int
     candidate: int
     model: SeparatedModel
 
@@ -95,21 +98,16 @@ class RankRecord:
     def residual(self) -> float:
         return self.residual_trace[-1]
 
+    @property
+    def sweeps(self) -> int:
+        return len(self.residual_trace)
+
 
 @dataclass
 class FitDiagnostics:
-    per_rank: list
-    seed: int
-    degree: int
-    n_samples: int
-    dims: int
-    wall_time_s: float = 0.0
+    """Per-rank records of one fit; per_rank[r - 1] belongs to rank r."""
 
-    def rank_record(self, r: int) -> RankRecord:
-        for rec in self.per_rank:
-            if rec.rank == r:
-                return rec
-        raise KeyError(r)
+    per_rank: list
 
 
 def _check_normal_equation(lhs, Atu):
@@ -178,7 +176,7 @@ def _direction_solve(A, u, G, m, config):
         return c, None, float(res @ res)
     R = _gram_cholesky(G)
     path = TikhonovPath(A, u, R, m)
-    sel = gcv_select_lambda(path, config.lambda_grid_size, config.lambda_floor_rel)
+    sel = gcv_select_lambda(path, _LAMBDA_GRID_SIZE, config.lambda_floor_rel)
     lam = sel.lambda_
     c = path.solve(lam)
     # the penalty the path solves is R^T R (x) I: G itself, or G plus the
@@ -248,7 +246,7 @@ class _Fitter:
 
     def add_term(self):
         """Draw one new term from the stream: unit constant plus scaled noise."""
-        new = self.config.init_perturbation * self.rng.standard_normal((self.d, 1, self.m1))
+        new = _INIT_PERTURBATION * self.rng.standard_normal((self.d, 1, self.m1))
         new[:, 0, 0] += 1.0
         self.coeffs = np.concatenate([self.coeffs, new], axis=1)
         self.scales = np.append(self.scales, 1.0)
@@ -269,7 +267,7 @@ class _Fitter:
         )
         for l in dead:
             while True:
-                draw = self.config.init_perturbation * self.rng.standard_normal(self.m1)
+                draw = _INIT_PERTURBATION * self.rng.standard_normal(self.m1)
                 draw[0] += 1.0
                 v = self.psi[k] @ draw
                 nrm = empirical_norm(v)
@@ -299,10 +297,10 @@ class _Fitter:
             excl = left_f * suf_f[k]
             A = (excl * self.scales[None, :])[:, :, None] * self.psi[k][:, None, :]
             A = A.reshape(n, r * self.m1)
-            if not cfg.regularize:
+            if cfg.penalty == "none":
                 G = None
-            elif cfg.l_identity:
-                G = np.diag(self.scales**2)  # the diag-scale comparison penalty
+            elif cfg.penalty == "diag_scale":
+                G = np.diag(self.scales**2)
             else:
                 G = np.outer(self.scales, self.scales) * left_g * suf_g[k]
             c, state, rn2 = _direction_solve(A, self.u, G, self.m1, cfg)
@@ -353,10 +351,13 @@ class _Fitter:
         return states, False
 
     def run_rank(self) -> RankRecord:
-        """Grow by one term, race seeded candidates, converge the winner."""
+        """Grow by one term, race seeded candidates, converge the winner.
+
+        The winner has the lowest burn-in residual; ties go to the earliest draw.
+        """
         cfg = self.config
         base = self.snapshot()
-        candidates = []
+        best = None
         for idx in range(cfg.init_candidates):
             self.restore(base)
             self.add_term()
@@ -364,11 +365,9 @@ class _Fitter:
             states, converged = self._sweep_until(
                 trace, min(cfg.candidate_burn_sweeps, cfg.max_sweeps_per_rank)
             )
-            candidates.append(
-                (trace[-1], idx, self.snapshot(), trace, states, converged, self._monotone_prev)
-            )
-        candidates.sort(key=lambda t: (t[0], t[1]))
-        _, idx, state, trace, states, converged, mono = candidates[0]
+            if best is None or trace[-1] < best[0][-1]:
+                best = (trace, idx, self.snapshot(), self._monotone_prev, states, converged)
+        trace, idx, state, mono, states, converged = best
         self.restore(state)
         self._monotone_prev = mono
         if not converged:
@@ -377,7 +376,6 @@ class _Fitter:
             rank=self.coeffs.shape[1],
             residual_trace=trace,
             reg_states=states,
-            sweeps=len(trace),
             candidate=idx,
             model=self.model(),
         )
@@ -407,7 +405,6 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int):
     per-rank diagnostics carry the final sweep's regularization records,
     which rank/degree selection consumes.
     """
-    t0 = time.perf_counter()
     n_unknowns = r * (config.degree + 1)
     if data.n < n_unknowns:
         warnings.warn(
@@ -416,15 +413,5 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int):
             stacklevel=2,
         )
     fitter = _Fitter(data, config, np.random.default_rng(init_seed))
-    records = []
-    for _ in range(r):
-        records.append(fitter.run_rank())
-    diag = FitDiagnostics(
-        per_rank=records,
-        seed=init_seed,
-        degree=config.degree,
-        n_samples=data.n,
-        dims=data.dims,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return fitter.model(), diag
+    records = [fitter.run_rank() for _ in range(r)]
+    return fitter.model(), FitDiagnostics(per_rank=records)

@@ -97,12 +97,14 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{name} must be a non-empty list of integers >= {least}, got {values!r}"
                 )
+        if not (isinstance(self.pc_degree, int) and self.pc_degree >= 0):
+            raise ValueError(f"pc_degree must be an integer >= 0, got {self.pc_degree!r}")
 
     def fit_config(self, seed: int) -> FitConfig:
         return FitConfig(
             rank_max=max(self.r_grid),
             degree=max(self.m_grid),
-            l_identity=self.l_identity,
+            penalty="diag_scale" if self.l_identity else "second_moment",
             rng_seed=seed,
         )
 
@@ -250,8 +252,11 @@ def _external_dataset(config: ExperimentConfig) -> SampleSet:
     return read_dataset(config.dataset, config.family)
 
 
-def _problem_context(config: ExperimentConfig):
-    """Returns (sampler(N, seed) -> SampleSet, reference() -> _Reference)."""
+def _problem_context(config: ExperimentConfig, sizes):
+    """Returns (sampler(N, seed) -> SampleSet, reference() -> _Reference).
+
+    An external dataset is checked against the sample sizes N the run will request.
+    """
     if config.problem == "manufactured":
         return (
             lambda n, seed: manufactured_sample(n, seed, noisy=config.noisy),
@@ -280,13 +285,10 @@ def _problem_context(config: ExperimentConfig):
 
         return (lambda n, seed: elliptic_sample(problem, n, seed)), reference
     data = _external_dataset(config)
-
-    def sampler(n, seed):
-        if n != data.n:
-            raise ValueError(f"external dataset has N={data.n}, requested {n}")
-        return data
-
-    return sampler, lambda: _Reference(float("nan"), float("nan"), 0.0, 0.0, "none")
+    if any(n != data.n for n in sizes):
+        raise ValueError(f"external dataset has N={data.n}, requested {sizes}")
+    nan = float("nan")
+    return (lambda n, seed: data), (lambda: _Reference(nan, nan, 0.0, 0.0, "none"))
 
 
 def _start_run(config: ExperimentConfig, names):
@@ -296,7 +298,7 @@ def _start_run(config: ExperimentConfig, names):
     """
     out = Path(config.output_dir)
     _require_fresh([out / "reference.json"] + [out / name for name in names], config.force)
-    sampler, reference = _problem_context(config)
+    sampler, reference = _problem_context(config, config.sample_sizes)
     ref = reference()
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "reference.json", dataclasses.asdict(ref))
@@ -379,7 +381,7 @@ def cmd_baselines(config: ExperimentConfig) -> int:
 def cmd_sample(config: ExperimentConfig, n: int, seed: int, path) -> int:
     """Generate one dataset CSV for the configured problem."""
     _require_fresh([path], config.force)
-    sampler, _ = _problem_context(config)
+    sampler, _ = _problem_context(config, [n])
     write_dataset(path, sampler(n, seed))
     return 0
 

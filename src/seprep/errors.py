@@ -33,10 +33,6 @@ class SelectionError(SeprepError):
     """Regularization-parameter or model selection found no finite candidate."""
 
 
-class ProtocolError(SeprepError):
-    """Diagnostics records required by the selection protocol are missing."""
-
-
 class PositivityError(SeprepError):
     """Sampled diffusion coefficient or solution violates a positivity requirement."""
 

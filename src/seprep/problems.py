@@ -162,6 +162,10 @@ def kl_decompose(corr_length: float, d: int, n_grid: int = 512) -> KLExpansion:
     weights, diagonalized, and the eigenvectors rescaled so eigenfunctions
     have unit L2(0, 1) norm.
     """
+    if d < 1:
+        raise ValueError(f"need at least one KL mode, got d={d}")
+    if not corr_length > 0.0:
+        raise ValueError(f"correlation length must be positive, got {corr_length}")
     if n_grid < 4 * d:
         raise ValueError(f"n_grid={n_grid} too small; need at least 4*d={4 * d}")
     x, w = _gauss_legendre_01(n_grid)

@@ -130,9 +130,7 @@ class TikhonovPath:
 class GcvResult:
     lambda_: float
     hat_trace: float
-    gcv_values: np.ndarray
     grid: np.ndarray
-    residual_norms: np.ndarray
 
 
 def gcv_select_lambda(
@@ -160,10 +158,4 @@ def gcv_select_lambda(
     if not np.any(np.isfinite(gcv_values)):
         raise SelectionError("GCV is non-finite over the whole lambda grid")
     j = int(np.argmin(gcv_values))
-    return GcvResult(
-        lambda_=float(grid[j]),
-        hat_trace=float(traces[j]),
-        gcv_values=gcv_values,
-        grid=grid,
-        residual_norms=residual_norms,
-    )
+    return GcvResult(lambda_=float(grid[j]), hat_trace=float(traces[j]), grid=grid)

@@ -14,33 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .als import FitConfig, FitDiagnostics, fit_fixed
-from .errors import ProtocolError, SelectionError
+from .als import FitConfig, fit_fixed
+from .errors import SelectionError
 from .model import SampleSet, SeparatedModel, model_from_dict, model_to_dict
 
-__all__ = ["SelectionReport", "ei_max_for_rank", "select_model", "per_degree_seeds"]
+__all__ = ["SelectionReport", "select_model", "per_degree_seeds"]
 
 logger = logging.getLogger(__name__)
-
-
-def ei_max_for_rank(diagnostics: FitDiagnostics, r: int) -> float:
-    """Largest error indicator over the final sweep's direction solves at rank r."""
-    try:
-        record = diagnostics.rank_record(r)
-    except KeyError:
-        raise ProtocolError(f"diagnostics carry no record for rank {r}") from None
-    states = record.reg_states
-    if not states or any(s is None for s in states):
-        raise ProtocolError(
-            f"rank {r} diagnostics lack regularization records "
-            "(was the fit run with regularization enabled?)"
-        )
-    if len(states) != diagnostics.dims:
-        raise ProtocolError(
-            f"rank {r} final sweep recorded {len(states)} direction solves, "
-            f"expected {diagnostics.dims}"
-        )
-    return max(s.error_indicator for s in states)
 
 
 def per_degree_seeds(base_seed: int, degrees) -> dict:
@@ -117,7 +97,9 @@ def select_model(
     M_grid = sorted(set(int(m) for m in M_grid))
     if not r_grid or not M_grid:
         raise ValueError("rank and degree grids must be non-empty")
-    if not config.regularize:
+    if r_grid[0] < 1:
+        raise ValueError(f"ranks must be >= 1, got {r_grid[0]}")
+    if config.penalty == "none":
         raise SelectionError("EI-based selection requires regularization to be enabled")
     if not np.any(data.outputs):
         raise SelectionError("every output is zero: no rank or degree can be selected")
@@ -129,9 +111,9 @@ def select_model(
         cfg_m = dataclasses.replace(config, degree=m, rank_max=max(r_grid))
         _, diag = fit_fixed(data, max(r_grid), cfg_m, seeds[m])
         for r in r_grid:
-            rec = diag.rank_record(r)
+            rec = diag.per_rank[r - 1]
             pair = (r, m)
-            ei_max[pair] = ei_max_for_rank(diag, r)
+            ei_max[pair] = max(s.error_indicator for s in rec.reg_states)
             residuals[pair] = rec.residual
             models[pair] = rec.model
     grid = [(r, m) for m in M_grid for r in r_grid]

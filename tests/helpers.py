@@ -6,6 +6,7 @@ the library paths are checked against genuinely different computations.
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
 
+from seprep.als import _LAMBDA_GRID_SIZE
 from seprep.basis import BasisSpec, eval_basis, gauss_quadrature
 from seprep.errors import DegenerateModelError, PositivityError
 from seprep.model import SeparatedModel
@@ -247,16 +248,16 @@ def naive_sweep(data, model, config):
     for k in range(model.dims):
         A = naive_design_matrix(data, model, k)
         designs.append(A)
-        if not config.regularize:
+        if config.penalty == "none":
             c = np.linalg.solve(A.T @ A, A.T @ u)
             states.append(None)
         else:
-            if config.l_identity:
+            if config.penalty == "diag_scale":
                 B = np.kron(np.diag(model.scales**2), np.eye(m))
             else:
                 B = build_B(model, k)
             c, lam, sig, ei = naive_gcv_solve(
-                A, u, B, config.lambda_grid_size, config.lambda_floor_rel
+                A, u, B, _LAMBDA_GRID_SIZE, config.lambda_floor_rel
             )
             states.append((lam, sig, ei))
         res = A @ c - u

@@ -152,20 +152,16 @@ def test_criterion_5_regularization_effect():
         data = manufactured_sample(200, seed)
         init_seed = per_degree_seeds(seed, [2])[2]
         errs = {}
-        for variant in ("second_moment", "scale_identity", "off"):
-            cfg = FitConfig(
-                rank_max=5, degree=2, rng_seed=seed,
-                regularize=variant != "off",
-                l_identity=variant == "scale_identity",
-            )
+        for penalty in ("second_moment", "diag_scale", "none"):
+            cfg = FitConfig(rank_max=5, degree=2, rng_seed=seed, penalty=penalty)
             model, _ = fit_fixed(data, 5, cfg, init_seed)
-            errs[variant] = abs(standard_deviation(model) - TRUE_STD) / TRUE_STD
+            errs[penalty] = abs(standard_deviation(model) - TRUE_STD) / TRUE_STD
         results[seed] = errs
     beats_unreg = sum(
-        1 for e in results.values() if e["second_moment"] <= e["off"]
+        1 for e in results.values() if e["second_moment"] <= e["none"]
     )
     beats_diag = sum(
-        1 for e in results.values() if e["second_moment"] <= e["scale_identity"]
+        1 for e in results.values() if e["second_moment"] <= e["diag_scale"]
     )
     ok = beats_unreg >= 4 and beats_diag >= 3
     print(

@@ -92,7 +92,7 @@ def test_exclusion_products_match_naive():
     rng = np.random.default_rng(1)
     data = _sampled_from(random_model(rng, dims=6, rank=3, degree=1), 40, seed=2, noise=0.3)
     start = random_model(rng, dims=6, rank=3, degree=1)
-    cfg = FitConfig(rank_max=3, degree=1, regularize=False)
+    cfg = FitConfig(rank_max=3, degree=1, penalty="none")
     with _kernel_calls() as calls:
         sweep(data, start, cfg)
     designs = naive_sweep(data, start, cfg)[3]
@@ -106,7 +106,7 @@ def test_solve_direction_interpolation():
     A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
     c_true = rng.standard_normal(4)
     u = A @ c_true
-    cfg = FitConfig(rank_max=1, degree=3, regularize=False)
+    cfg = FitConfig(rank_max=1, degree=3, penalty="none")
     c, state, _ = als._direction_solve(A, u, None, 4, cfg)
     assert np.allclose(c, c_true, atol=1e-10)
     assert state is None
@@ -118,7 +118,7 @@ def test_factor_overflow_is_a_conditioning_error(regularize):
     A = rng.standard_normal((20, 6))
     A[3, 2] = np.inf
     G = np.eye(2) if regularize else None
-    cfg = FitConfig(rank_max=2, degree=2, regularize=regularize)
+    cfg = FitConfig(rank_max=2, degree=2)
     with pytest.raises(ConditioningError, match="factor overflow"):
         als._direction_solve(A, rng.standard_normal(20), G, 3, cfg)
 
@@ -146,12 +146,12 @@ def test_normal_equation_residual_every_solve():
     rng = np.random.default_rng(4)
     m = random_model(rng, dims=3, rank=2, degree=2)
     data = _sampled_from(m, 200, seed=5, noise=0.05)
-    for regularize in (False, True):
-        cfg = FitConfig(rank_max=2, degree=2, regularize=regularize)
+    for penalty in ("none", "second_moment"):
+        cfg = FitConfig(rank_max=2, degree=2, penalty=penalty)
         with _kernel_calls() as calls:
             sweep(data, m, cfg)
         assert len(calls) == 3
-        if regularize:
+        if penalty != "none":
             # the first direction's penalty comes from the unchanged model
             assert np.allclose(np.kron(calls[0][2], np.eye(3)), build_B(m, 0), rtol=1e-12)
         for A, u, G, (c, state, _) in calls:
@@ -166,7 +166,7 @@ def _oracle_direction(A, u, B, cfg):
     """Dense reference: factor the full (rm)^2 penalty and solve with m = 1."""
     L = tikhonov_factor(B)
     path = TikhonovPath(A, u, L, 1)
-    sel = gcv_select_lambda(path, cfg.lambda_grid_size, cfg.lambda_floor_rel)
+    sel = gcv_select_lambda(path, als._LAMBDA_GRID_SIZE, cfg.lambda_floor_rel)
     c = path.solve(sel.lambda_)
     sig = sigma_hat(A, u, c, sel.hat_trace)
     return c, sel.lambda_, sig, error_indicator(sel.lambda_, L, sig, c, u.shape[0])
@@ -182,7 +182,7 @@ def test_structured_kernel_matches_dense_oracle(l_identity):
             k = int(rng.integers(0, 3))
             A = rng.standard_normal((n, r * m))
             u = A @ rng.standard_normal(r * m) + 0.3 * rng.standard_normal(n)
-            cfg = FitConfig(rank_max=r, degree=m - 1, l_identity=l_identity)
+            cfg = FitConfig(rank_max=r, degree=m - 1)
             if l_identity:
                 G = np.diag(model.scales**2)
             elif m == 1 and r > 1:
@@ -232,19 +232,20 @@ def test_normalize_direction_explicit_factor_norm():
     m = SeparatedModel(BasisSpec(Family.HERMITE, 1), np.array([1.0]), coeffs)
     rng = np.random.default_rng(5)
     data = SampleSet(_gauss_data(rng, 5, 2), np.full(5, 2.0), Family.HERMITE)
-    model, _, _ = sweep(data, m, FitConfig(rank_max=1, degree=1, regularize=False))
+    model, _, _ = sweep(data, m, FitConfig(rank_max=1, degree=1, penalty="none"))
     assert model.scales[0] == pytest.approx(2.0)
     assert model.coeffs[0, 0, 0] == pytest.approx(1.0)
     assert model.coeffs[0, 0, 1] == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["second_moment", "diag_scale", "unregularized"])
-def test_sweep_matches_naive_gauss_seidel_oracle(mode):
+@pytest.mark.parametrize(
+    "penalty", ["second_moment", "diag_scale", pytest.param("none", id="unregularized")]
+)
+def test_sweep_matches_naive_gauss_seidel_oracle(penalty):
     rng = np.random.default_rng(40)
     data = _sampled_from(random_model(rng, dims=4, rank=2, degree=2), 80, seed=41, noise=0.1)
     start = random_model(rng, dims=4, rank=2, degree=2)
-    cfg = FitConfig(rank_max=2, degree=2, regularize=mode != "unregularized",
-                    l_identity=mode == "diag_scale")
+    cfg = FitConfig(rank_max=2, degree=2, penalty=penalty)
     model, resid, states = sweep(data, start, cfg)
     ref, ref_resid, ref_states, _ = naive_sweep(data, start, cfg)
     assert np.allclose(model.coeffs, ref.coeffs, rtol=1e-9,
@@ -266,7 +267,7 @@ def test_sweep_recovers_separable_data_quickly():
     rng = np.random.default_rng(9)
     truth = random_model(rng, dims=3, rank=1, degree=1)
     data = _sampled_from(truth, 240, seed=10)
-    cfg = FitConfig(rank_max=1, degree=1, regularize=False, rng_seed=3)
+    cfg = FitConfig(rank_max=1, degree=1, penalty="none", rng_seed=3)
     model = random_model(np.random.default_rng(11), dims=3, rank=1, degree=1)
     resid = None
     for _ in range(10):
@@ -278,7 +279,7 @@ def test_sweep_monotone_unregularized():
     rng = np.random.default_rng(12)
     truth = random_model(rng, dims=4, rank=2, degree=2)
     data = _sampled_from(truth, 300, seed=13, noise=0.3)
-    cfg = FitConfig(rank_max=2, degree=2, regularize=False, rng_seed=0)
+    cfg = FitConfig(rank_max=2, degree=2, penalty="none", rng_seed=0)
     model = random_model(np.random.default_rng(14), dims=4, rank=2, degree=2)
     prev = fit_residual_on(data, model)
     for _ in range(8):
@@ -292,12 +293,12 @@ def test_constant_data_fit():
     pts = rng.standard_normal((60, 3))
     data = SampleSet(pts, np.full(60, 5.0), Family.HERMITE)
     for degree in (0, 1, 2):
-        cfg = FitConfig(rank_max=1, degree=degree, regularize=False, rng_seed=4)
+        cfg = FitConfig(rank_max=1, degree=degree, penalty="none", rng_seed=4)
         model, _ = fit_fixed(data, 1, cfg, init_seed=4)
         assert mean(model) == pytest.approx(5.0, abs=1e-10)
     # regularized fits carry the O(floor^2) shrinkage of the lambda-grid lower
     # bound, so the constant is recovered to ~0.3% rather than machine level
-    cfg = FitConfig(rank_max=1, degree=2, regularize=True, rng_seed=4)
+    cfg = FitConfig(rank_max=1, degree=2, rng_seed=4)
     model, _ = fit_fixed(data, 1, cfg, init_seed=4)
     assert mean(model) == pytest.approx(5.0, rel=1e-2)
 
@@ -307,7 +308,7 @@ def test_fit_fixed_constant_degree_zero_residual():
     pts = rng.standard_normal((200, 4))
     out = rng.standard_normal(200) * 2.0 + 1.0
     data = SampleSet(pts, out, Family.HERMITE)
-    cfg = FitConfig(rank_max=1, degree=0, regularize=False, rng_seed=0)
+    cfg = FitConfig(rank_max=1, degree=0, penalty="none", rng_seed=0)
     model, diag = fit_fixed(data, 1, cfg, init_seed=0)
     assert mean(model) == pytest.approx(float(out.mean()), abs=1e-10)
     assert diag.per_rank[-1].residual == pytest.approx(float(out.std(ddof=0)), abs=1e-10)
@@ -317,7 +318,7 @@ def test_fit_fixed_recovers_separable_data():
     rng = np.random.default_rng(17)
     truth = random_model(rng, dims=4, rank=1, degree=2)
     data = _sampled_from(truth, 240, seed=18)
-    cfg = FitConfig(rank_max=1, degree=2, regularize=False, rng_seed=0)
+    cfg = FitConfig(rank_max=1, degree=2, penalty="none", rng_seed=0)
     model, diag = fit_fixed(data, 1, cfg, init_seed=0)
     rel = diag.per_rank[-1].residual / empirical_norm(data.outputs)
     assert rel < 1e-6
@@ -344,7 +345,7 @@ def test_fit_fixed_deterministic():
 def test_fit_fixed_warns_when_underdetermined():
     rng = np.random.default_rng(21)
     data = SampleSet(rng.standard_normal((5, 2)), rng.standard_normal(5), Family.HERMITE)
-    cfg = FitConfig(rank_max=2, degree=2, regularize=True,
+    cfg = FitConfig(rank_max=2, degree=2,
                     init_candidates=1, candidate_burn_sweeps=2, max_sweeps_per_rank=3)
     with pytest.warns(UserWarning, match="below the direction-solve unknown count"):
         fit_fixed(data, 2, cfg, init_seed=0)
@@ -356,7 +357,7 @@ def test_output_rescaling_scales_the_fit():
     data = _sampled_from(truth, 250, seed=23, noise=0.05)
     gamma = 2.0
     scaled = SampleSet(data.inputs.copy(), gamma * data.outputs, Family.HERMITE)
-    cfg = FitConfig(rank_max=2, degree=2, regularize=False, rng_seed=0,
+    cfg = FitConfig(rank_max=2, degree=2, penalty="none", rng_seed=0,
                     init_candidates=2, candidate_burn_sweeps=5, max_sweeps_per_rank=30)
     m1, _ = fit_fixed(data, 2, cfg, init_seed=9)
     m2, _ = fit_fixed(scaled, 2, cfg, init_seed=9)
@@ -369,7 +370,7 @@ def test_exact_recovery_success_rate():
     # restart protocol: require 19 of 20 seeds below 1e-6 relative L2 error
     d, M = 4, 2
     n = 20 * d * (M + 1)
-    cfg = FitConfig(rank_max=1, degree=M, regularize=False, sweep_tol=1e-10,
+    cfg = FitConfig(rank_max=1, degree=M, penalty="none", sweep_tol=1e-10,
                     max_sweeps_per_rank=600)
     hits = 0
     for seed in range(20):

@@ -237,12 +237,22 @@ def test_cli_bad_config_file_is_fatal(tmp_path, caplog, doc, named):
     (["baselines", "--config", "in.json"], {"seeds": "0,1"}, "seeds must be"),
     (["fit", "--m-grid", "-1"], None, "m_grid must be"),
     (["select", "--r-max", "1"], None, "need both dataset and family"),
+    (["fit", "--problem", "external-dataset", "--dataset", "in.csv", "--family", "hermite",
+      "--n", "3,4", "--r-max", "1", "--m-grid", "1"],
+     "y1,u\n0.1,1.0\n0.2,2.0\n0.3,3.0\n", "has N=3, requested [3, 4]"),
+    (["baselines", "--pc-degree", "-1"], None, "pc_degree must be"),
+    (["kl-info", "--dims", "0"], None, "at least one KL mode"),
+    (["kl-info", "--dims", "-3"], None, "at least one KL mode"),
+    (["kl-info", "--corr-length", "0"], None, "correlation length must be positive"),
 ], ids=["ref-missing-keys", "ref-not-object", "sizes-not-list", "seeds-string",
-        "negative-degree", "select-no-dataset"])
+        "negative-degree", "select-no-dataset", "dataset-size-mismatch",
+        "negative-pc-degree", "kl-zero-dims", "kl-negative-dims", "kl-zero-corr-length"])
 def test_cli_bad_input_is_fatal_before_any_output(tmp_path, caplog, argv, inputs, named):
-    if inputs is not None:
+    if isinstance(inputs, str):
+        (tmp_path / "in.csv").write_text(inputs)
+    elif inputs is not None:
         (tmp_path / "in.json").write_text(json.dumps(inputs))
-    argv = [str(tmp_path / a) if a == "in.json" else a for a in argv]
+    argv = [str(tmp_path / a) if a in ("in.json", "in.csv") else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     assert named in caplog.text
     assert not (tmp_path / "o").exists()
