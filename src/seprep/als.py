@@ -6,15 +6,30 @@ sample set, and moves on. Ranks grow one term at a time: each new term is
 drawn from the seeded stream several times and the candidate whose early
 sweeps reach the lowest residual is kept, which makes the otherwise
 fragile warm-started rank increase reproducible and robust.
+
+The fit state is a stack of models on a leading candidate axis, and one
+kernel sweeps the whole stack: the init_candidates candidates of a rank
+burn in together, each slice getting the bits it would get alone, and the
+winner converges as a stack of one. A candidate that converges early leaves
+the stack. A burn-in that would re-draw a collapsed term, or that fails, is
+replayed one candidate at a time from the same stream state, so the stream
+is consumed in the serial order. The outputs are fitted scaled by a power of
+two into [0.5, 1) in magnitude, which keeps outputs far from 1 away from
+overflow and underflow. The fit is exactly equivariant under power-of-two
+scaling, so the scaling changes no bit of a fit whose term Gram matrices
+never need jitter; that jitter is relative to the Gram's trace, which a new
+term's unit scale enters in the fitted units.
 """
 from __future__ import annotations
 
+import dataclasses
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .basis import BasisSpec, eval_basis_batch
 from .errors import (
@@ -22,6 +37,7 @@ from .errors import (
     DegenerateFactorError,
     DegenerateModelError,
     InvariantError,
+    SeprepError,
 )
 from .model import SampleSet, SeparatedModel, empirical_norm
 from .regularize import (
@@ -29,6 +45,8 @@ from .regularize import (
     RegularizationState,
     TikhonovPath,
     _check_finite,
+    _grid_position,
+    _triangular_solve,
     gcv_select_lambda,
 )
 
@@ -86,12 +104,17 @@ class FitConfig:
 
 @dataclass
 class RankRecord:
-    """Diagnostics for one rank of the growth ladder."""
+    """Diagnostics for one rank of the growth ladder.
+
+    converged is True when the winner stopped on sweep_tol and False when it
+    hit max_sweeps_per_rank.
+    """
 
     rank: int
     residual_trace: list
     reg_states: list
     candidate: int
+    converged: bool
     model: SeparatedModel
 
     @property
@@ -110,103 +133,134 @@ class FitDiagnostics:
     per_rank: list
 
 
+class _Replay(Exception):
+    """A candidate race must be rerun one candidate at a time."""
+
+
+def _rowdot(x: np.ndarray) -> np.ndarray:
+    """x_b . x_b for each row of a (B, p) stack, through the BLAS dot a 1-D x @ x uses."""
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 def _check_normal_equation(lhs, Atu):
-    """Fail when the solved coefficients leave the normal equation unsatisfied."""
-    err = np.linalg.norm(lhs - Atu)
-    if err > _NORMAL_EQ_RTOL * max(np.linalg.norm(Atu), 1e-300):
+    """Fail when the solved coefficients leave a slice's normal equation unsatisfied."""
+    err = np.sqrt(_rowdot(lhs - Atu))
+    bad = err > _NORMAL_EQ_RTOL * np.maximum(np.sqrt(_rowdot(Atu)), 1e-300)
+    if np.any(bad):
         raise ConditioningError(
-            f"normal-equation residual {err:.3e} exceeds tolerance; the system is "
+            f"normal-equation residual {err[bad][0]:.3e} exceeds tolerance; the system is "
             "numerically singular (consider enabling regularization or reducing rank/degree)"
         )
 
 
 def _solve_spd(Mm: np.ndarray, Atu: np.ndarray) -> np.ndarray:
     """Cholesky solve with an eigendecomposition pseudo-solve fallback."""
-    try:
-        C = cholesky(Mm, lower=False, check_finite=False)
-        return solve_triangular(
-            C,
-            solve_triangular(C, Atu, trans="T", lower=False, check_finite=False),
-            lower=False,
-            check_finite=False,
-        )
-    except LinAlgError:
-        w, V = np.linalg.eigh(Mm)
-        cut = 1e-12 * np.trace(Mm)
-        winv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-        return V @ (winv * (V.T @ Atu))
+    C, info = dpotrf(Mm, lower=0, clean=1)
+    if info == 0:
+        return _triangular_solve(C, _triangular_solve(C, Atu, 1), 0)
+    w, V = np.linalg.eigh(Mm)
+    cut = 1e-12 * np.trace(Mm)
+    winv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
+    return V @ (winv * (V.T @ Atu))
 
 
 def _gram_cholesky(G: np.ndarray) -> np.ndarray:
-    """Cholesky of the term Gram matrix, with one jitter retry before giving up."""
-    try:
-        return cholesky(G, lower=False, check_finite=False)
-    except LinAlgError:
-        jitter = 1e-14 * max(np.trace(G), 1e-300)
-        try:
-            Rg = cholesky(G + jitter * np.eye(G.shape[0]), lower=False)
-            logger.warning("term Gram matrix required jitter %.2e to factor", jitter)
-            return Rg
-        except LinAlgError:
-            w = np.linalg.eigvalsh(G)
-            raise DegenerateModelError(
-                f"surrogate second moment is numerically zero "
-                f"(min Gram eigenvalue {w[0]:.3e})"
-            ) from None
+    """Cholesky of one term Gram matrix, with one jitter retry before giving up."""
+    R, info = dpotrf(G, lower=0, clean=1)
+    if info == 0:
+        return R
+    if not np.all(np.isfinite(G)):
+        raise ConditioningError("term Gram matrix contains non-finite entries (factor overflow)")
+    jitter = 1e-14 * max(np.trace(G), 1e-300)
+    R, info = dpotrf(G + jitter * np.eye(G.shape[0]), lower=0, clean=1)
+    if info == 0:
+        logger.warning("term Gram matrix required jitter %.2e to factor", jitter)
+        return R
+    w = np.linalg.eigvalsh(G)
+    raise DegenerateModelError(
+        f"surrogate second moment is numerically zero (min Gram eigenvalue {w[0]:.3e})"
+    )
 
 
 def _direction_solve(A, u, G, m, config):
-    """Solve one direction; every direction solve of the package runs here.
+    """Solve one direction for every slice of a stack; every direction solve of the package runs here.
 
-    With G None the plain normal equation A^T A c = A^T u is solved. Otherwise
-    G is the r x r term Gram matrix and the penalty factor is L = chol(G) (x) I
-    on the m-function basis; lambda is picked by GCV along the path. A
-    non-finite A^T A diagonal or A^T u (factor overflow) raises
-    ConditioningError. Returns (coefficients, RegularizationState or None,
-    squared residual norm).
+    A is a (B, N, r*m) stack of design matrices on the shared outputs u and
+    G None or the (B, r, r) stack of term Gram matrices. With G None the
+    plain normal equation A^T A c = A^T u is solved. Otherwise slice b's
+    penalty factor is L = chol(G_b) (x) I on the m-function basis, and
+    lambda is picked by GCV along the path. A non-finite A^T A diagonal or
+    A^T u (factor overflow) raises ConditioningError. Returns (coefficients
+    (B, r*m), per-slice RegularizationState or None, squared residual norms
+    (B,)); each slice gets the bits it would get alone. A single (N, r*m)
+    design, with G None or r x r, returns (c, state, float).
     """
+    if A.ndim == 2:
+        c, states, rn2 = _direction_solve(A[None], u, None if G is None else G[None], m, config)
+        return c[0], states[0], float(rn2[0])
     n_samples = u.shape[0]
     if G is None:
-        AtA = A.T @ A
-        Atu = A.T @ u
+        At = np.swapaxes(A, -1, -2)
+        AtA = At @ A
+        Atu = At @ u
         _check_finite(AtA, Atu)
-        c = _solve_spd(AtA, Atu)
-        _check_normal_equation(AtA @ c, Atu)
-        res = A @ c - u
-        return c, None, float(res @ res)
-    R = _gram_cholesky(G)
+        c = np.stack([_solve_spd(AtA[b], Atu[b]) for b in range(len(A))])
+        _check_normal_equation((AtA @ c[..., None])[..., 0], Atu)
+        return c, [None] * len(A), _rowdot((A @ c[..., None])[..., 0] - u)
+    R = np.empty(G.shape)
+    for b, g in enumerate(G):
+        R[b] = _gram_cholesky(g)
     path = TikhonovPath(A, u, R, m)
     sel = gcv_select_lambda(path, _LAMBDA_GRID_SIZE, config.lambda_floor_rel)
     lam = sel.lambda_
     c = path.solve(lam)
     # the penalty the path solves is R^T R (x) I: G itself, or G plus the
     # jitter _gram_cholesky added when G is singular
-    penalty = (lam * lam) * (R.T @ (R @ c.reshape(R.shape[0], m))).ravel()
-    _check_normal_equation(path.AtA @ c + penalty, path.Atu)
-    res = A @ c - u
-    rn2 = float(res @ res)
-    sig = np.sqrt(rn2 / (n_samples - sel.hat_trace)) if n_samples > sel.hat_trace else float("inf")
-    wmin = float(np.linalg.eigvalsh(G)[0])
-    norm_c = float(np.linalg.norm(c))
-    if lam > 0.0 and norm_c > 0.0 and np.isfinite(sig) and wmin > 0.0:
-        # |L^-1|_2 = 1/sqrt(min eig of G) for the Kronecker-structured factor
-        ei = float(np.sqrt(n_samples) / lam / np.sqrt(wmin) * sig / norm_c)
-    else:
-        # routine on deliberately over-ranked fits, so keep the log quiet; the
-        # sentinel itself is preserved in the diagnostics record
-        logger.debug(
-            "error indicator undefined (lambda=%.3g, |c|=%.3g, sigma=%.3g, "
-            "min gram eig=%.3g); using +inf", lam, norm_c, sig, wmin,
-        )
-        ei = float("inf")
-    state = RegularizationState(
-        lambda_=lam, sigma_hat=float(sig), error_indicator=ei, hat_trace=sel.hat_trace
+    Rc = np.swapaxes(R, -1, -2) @ (R @ c.reshape(R.shape[:2] + (m,)))
+    _check_normal_equation(
+        (path.AtA @ c[..., None])[..., 0] + (lam * lam)[:, None] * Rc.reshape(c.shape), path.Atu
     )
-    return c, state, rn2
+    rn2 = _rowdot((A @ c[..., None])[..., 0] - u)
+    wmins = np.linalg.eigvalsh(G)[:, 0]
+    norms_c = np.sqrt(_rowdot(c))
+    states = []
+    for b in range(len(A)):
+        lam_b, ht_b, wmin, norm_c = (float(x[b]) for x in (lam, sel.hat_trace, wmins, norms_c))
+        sig = math.sqrt(float(rn2[b]) / (n_samples - ht_b)) if n_samples > ht_b else math.inf
+        if lam_b > 0.0 and norm_c > 0.0 and math.isfinite(sig) and wmin > 0.0:
+            # |L^-1|_2 = 1/sqrt(min eig of G) for the Kronecker-structured factor
+            ei = math.sqrt(n_samples) / lam_b / math.sqrt(wmin) * sig / norm_c
+        else:
+            # routine on deliberately over-ranked fits, so keep the log quiet; the
+            # sentinel itself is preserved in the diagnostics record
+            logger.debug(
+                "error indicator undefined (lambda=%.3g, |c|=%.3g, sigma=%.3g, "
+                "min gram eig=%.3g); using +inf", lam_b, norm_c, sig, wmin,
+            )
+            ei = math.inf
+        j = int(sel.index[b])
+        states.append(RegularizationState(
+            lambda_=lam_b, sigma_hat=sig, error_indicator=ei, hat_trace=ht_b,
+            grid_index=j, grid_position=_grid_position(j, _LAMBDA_GRID_SIZE),
+        ))
+    return c, states, rn2
+
+
+def _converged(trace: list, tol: float) -> bool:
+    """Whether the relative residual decrease over the last sweep fell below tol."""
+    return len(trace) > 1 and trace[-2] > 0.0 and (trace[-2] - trace[-1]) / trace[-2] < tol
 
 
 class _Fitter:
-    """Workspace for one fit: cached basis values and the mutable model state."""
+    """Workspace for one fit: cached basis values and a stack of models.
+
+    coeffs (B, d, r, M+1), scales (B, r) and factors (B, d, N, r) hold B
+    models of the same data, and _monotone_prev (B,) the last unregularized
+    residual of each, NaN when there is none to compare with. B is the
+    number of racing candidates, and 1 otherwise. The outputs are fitted as
+    u * 2^-exp with max |u| * 2^-exp in [0.5, 1); scales, residuals and
+    sigma-hat are mapped back by 2^exp on the way out.
+    """
 
     def __init__(self, data: SampleSet, config: FitConfig, rng: np.random.Generator):
         self.data = data
@@ -219,48 +273,72 @@ class _Fitter:
         self.psi = np.ascontiguousarray(
             np.swapaxes(eval_basis_batch(self.basis, data.inputs), 0, 1)
         )  # (d, N, M+1)
-        self.u = data.outputs
-        self.u_norm = empirical_norm(data.outputs) if np.any(data.outputs) else 1.0
-        self.coeffs = np.zeros((self.d, 0, self.m1))
-        self.scales = np.zeros(0)
-        self.factors = np.zeros((self.d, self.n, 0))
-        self._monotone_prev = None
+        self.exp = int(np.frexp(np.max(np.abs(data.outputs)))[1])
+        self.u = np.ldexp(data.outputs, -self.exp)
+        self.u_norm = empirical_norm(self.u) if np.any(self.u) else 1.0
+        self._use((
+            np.zeros((1, self.d, 0, self.m1)), np.zeros((1, 0)),
+            np.zeros((1, self.d, self.n, 0)), np.full(1, np.nan),
+        ))
 
     # -- state management -------------------------------------------------
 
-    def snapshot(self):
-        return self.coeffs.copy(), self.scales.copy(), self.factors.copy()
+    def _use(self, stack):
+        """Make (coeffs, scales, factors, monotone residuals) the live stack."""
+        self.coeffs, self.scales, self.factors, self._monotone_prev = stack
 
-    def restore(self, state):
-        self.coeffs, self.scales, self.factors = (a.copy() for a in state)
-        self._monotone_prev = None
+    def unscaled(self, residual) -> float:
+        return float(np.ldexp(residual, self.exp))
+
+    def unscaled_state(self, state):
+        if state is None:
+            return None
+        return dataclasses.replace(state, sigma_hat=self.unscaled(state.sigma_hat))
 
     def model(self) -> SeparatedModel:
-        return SeparatedModel(self.basis, self.scales.copy(), self.coeffs.copy())
+        """Model 0 of the stack, in the data's units."""
+        return SeparatedModel(
+            self.basis, np.ldexp(self.scales[0], self.exp), self.coeffs[0].copy()
+        )
 
     def set_model(self, model: SeparatedModel):
-        self.coeffs = model.coeffs.copy()
-        self.scales = model.scales.copy()
-        self.factors = np.einsum("knm,krm->knr", self.psi, self.coeffs)
-        self._monotone_prev = None
+        coeffs = model.coeffs.copy()
+        factors = np.einsum("knm,krm->knr", self.psi, coeffs)
+        scales = np.ldexp(model.scales, -self.exp)
+        self._use((coeffs[None], scales[None], factors[None], np.full(1, np.nan)))
 
-    def add_term(self):
-        """Draw one new term from the stream: unit constant plus scaled noise."""
-        new = _INIT_PERTURBATION * self.rng.standard_normal((self.d, 1, self.m1))
-        new[:, 0, 0] += 1.0
-        self.coeffs = np.concatenate([self.coeffs, new], axis=1)
-        self.scales = np.append(self.scales, 1.0)
-        r = self.coeffs.shape[1]
-        for k in range(self.d):
-            v = self.psi[k] @ self.coeffs[k, r - 1]
-            nrm = empirical_norm(v)
-            if nrm == 0.0:
-                raise DegenerateFactorError("drawn initial factor has zero empirical norm")
-            self.coeffs[k, r - 1] /= nrm
-        self.factors = np.einsum("knm,krm->knr", self.psi, self.coeffs)
+    def _draw_candidates(self, coeffs0: np.ndarray, scales0: np.ndarray, width: int):
+        """A stack of `width` copies of one model, each grown by a term drawn in stack order.
 
-    def _reinit_dead_terms(self, k: int, dead: np.ndarray):
-        """Redraw direction-k coefficients of collapsed terms from the stream."""
+        A new term is a unit constant plus scaled normal noise, normalized
+        per direction, with scale 1.
+        """
+        d, m1 = self.d, self.m1
+        r = coeffs0.shape[1] + 1
+        coeffs = np.empty((width, d, r, m1))
+        coeffs[:, :, :-1] = coeffs0
+        scales = np.empty((width, r))
+        scales[:, :-1] = scales0
+        scales[:, -1] = 1.0
+        factors = np.empty((width, d, self.n, r))
+        for b in range(width):
+            new = coeffs[b, :, -1]
+            new[...] = _INIT_PERTURBATION * self.rng.standard_normal((d, m1))
+            new[:, 0] += 1.0
+            for k in range(d):
+                nrm = empirical_norm(self.psi[k] @ new[k])
+                if nrm == 0.0:
+                    raise DegenerateFactorError("drawn initial factor has zero empirical norm")
+                new[k] /= nrm
+            factors[b] = np.einsum("knm,krm->knr", self.psi, coeffs[b])
+        return coeffs, scales, factors, np.full(width, np.nan)
+
+    def _revive(self, k: int, cmat: np.ndarray, norms: np.ndarray, alive: np.ndarray):
+        """Model 0: normalize direction k's live terms and redraw its collapsed ones."""
+        scales, coeffs = self.scales[0], self.coeffs[0, k]
+        scales[alive] = scales[alive] * norms[alive]
+        coeffs[alive] = cmat[alive] / norms[alive, None]
+        dead = np.flatnonzero(~alive)
         logger.warning(
             "terms %s collapsed to zero in direction %d; reinitializing them",
             dead.tolist(), k,
@@ -269,86 +347,119 @@ class _Fitter:
             while True:
                 draw = _INIT_PERTURBATION * self.rng.standard_normal(self.m1)
                 draw[0] += 1.0
-                v = self.psi[k] @ draw
-                nrm = empirical_norm(v)
+                nrm = empirical_norm(self.psi[k] @ draw)
                 if nrm > 0.0:
-                    self.coeffs[k, l] = draw / nrm
+                    coeffs[l] = draw / nrm
                     break
-        self._monotone_prev = None
+        self._monotone_prev[0] = np.nan
+
+    def _check_monotone(self, resid: np.ndarray):
+        """An unregularized solve must not raise any model's residual."""
+        prev = self._monotone_prev
+        bad = resid > prev + (prev * _MONOTONE_RTOL + 1e-12 * self.u_norm)
+        if bad.any():
+            b = int(np.argmax(bad))
+            raise InvariantError(
+                f"residual increased across an unregularized direction solve "
+                f"({self.unscaled(prev[b]):.6e} -> {self.unscaled(resid[b]):.6e})"
+            )
+        prev[...] = resid
 
     # -- sweeps ------------------------------------------------------------
 
     def sweep_once(self):
-        """One full pass over all directions; returns (residual, states)."""
+        """One full pass over all directions for every model of the stack.
+
+        Returns (residual per model, per model its direction solves' states),
+        in the fitted units. A term collapsing in a stack of more than one
+        model raises _Replay, since its redraw must come in stream order.
+        """
         cfg = self.config
-        d, n, r = self.d, self.n, self.coeffs.shape[1]
-        grams = [self.coeffs[i] @ self.coeffs[i].T for i in range(d)]
-        suf_f = np.ones((d, n, r))
-        suf_g = [None] * d
-        suf_g[d - 1] = np.ones((r, r))
+        coeffs, scales, factors = self.coeffs, self.scales, self.factors
+        nb, d, r, m1 = coeffs.shape
+        n = self.n
+        grams = coeffs @ np.swapaxes(coeffs, -1, -2)
+        suf_f = np.empty((d, nb, n, r))
+        suf_g = np.empty((d, nb, r, r))
+        suf_f[d - 1] = 1.0
+        suf_g[d - 1] = 1.0
         for k in range(d - 2, -1, -1):
-            np.multiply(suf_f[k + 1], self.factors[k + 1], out=suf_f[k])
-            suf_g[k] = suf_g[k + 1] * grams[k + 1]
-        left_f = np.ones((n, r))
-        left_g = np.ones((r, r))
+            np.multiply(suf_f[k + 1], factors[:, k + 1], out=suf_f[k])
+            np.multiply(suf_g[k + 1], grams[:, k + 1], out=suf_g[k])
+        left_f = np.ones((nb, n, r))
+        left_g = np.ones((nb, r, r))
         states = []
-        rn2 = 0.0
         for k in range(d):
             excl = left_f * suf_f[k]
-            A = (excl * self.scales[None, :])[:, :, None] * self.psi[k][:, None, :]
-            A = A.reshape(n, r * self.m1)
+            A = (excl * scales[:, None, :])[..., None] * self.psi[k][:, None, :]
+            A = A.reshape(nb, n, r * m1)
             if cfg.penalty == "none":
                 G = None
             elif cfg.penalty == "diag_scale":
-                G = np.diag(self.scales**2)
+                G = np.zeros((nb, r, r))
+                G[:, np.arange(r), np.arange(r)] = scales**2
             else:
-                G = np.outer(self.scales, self.scales) * left_g * suf_g[k]
-            c, state, rn2 = _direction_solve(A, self.u, G, self.m1, cfg)
-            states.append(state)
+                G = scales[:, :, None] * scales[:, None, :] * left_g * suf_g[k]
+            c, k_states, rn2 = _direction_solve(A, self.u, G, m1, cfg)
+            states.append(k_states)
             if G is None:
-                resid = np.sqrt(rn2 / n)
-                prev = self._monotone_prev
-                slack = prev * _MONOTONE_RTOL + 1e-12 * self.u_norm if prev is not None else 0.0
-                if prev is not None and resid > prev + slack:
-                    raise InvariantError(
-                        f"residual increased across an unregularized direction solve "
-                        f"({prev:.6e} -> {resid:.6e})"
-                    )
-                self._monotone_prev = resid
-            cmat = c.reshape(r, self.m1)
-            vals = self.psi[k] @ cmat.T
-            norms = np.sqrt(np.mean(vals * vals, axis=0))
+                self._check_monotone(np.sqrt(rn2 / n))
+            cmat = c.reshape(nb, r, m1)
+            vals = self.psi[k] @ np.swapaxes(cmat, -1, -2)
+            norms = np.sqrt(np.add.reduce(vals * vals, axis=-2) / n)  # np.mean's arithmetic
             # a term dies when its norm, or its scale times that norm, reaches
             # zero: decaying terms of over-ranked fits underflow to scale 0
-            alive = self.scales * norms != 0.0
-            dead = np.flatnonzero(~alive)
-            if dead.size:
-                self.scales[alive] = self.scales[alive] * norms[alive]
-                self.coeffs[k][alive] = cmat[alive] / norms[alive, None]
-                self._reinit_dead_terms(k, dead)
+            alive = scales * norms != 0.0
+            if alive.all():
+                scales *= norms
+                coeffs[:, k] = cmat / norms[..., None]
+            elif nb > 1:
+                raise _Replay
             else:
-                self.scales *= norms
-                self.coeffs[k] = cmat / norms[:, None]
-            self.factors[k] = self.psi[k] @ self.coeffs[k].T
-            grams[k] = self.coeffs[k] @ self.coeffs[k].T
-            left_g = left_g * grams[k]
-            left_f = left_f * self.factors[k]
-        return float(np.sqrt(rn2 / n)), states
+                self._revive(k, cmat[0], norms[0], alive[0])
+            factors[:, k] = self.psi[k] @ np.swapaxes(coeffs[:, k], -1, -2)
+            grams[:, k] = coeffs[:, k] @ np.swapaxes(coeffs[:, k], -1, -2)
+            left_g = left_g * grams[:, k]
+            left_f = left_f * factors[:, k]
+        return np.sqrt(rn2 / n), [list(s) for s in zip(*states)]
 
-    def _sweep_until(self, trace: list, cap: int, states=None):
-        """Sweep until converged or until trace holds cap residuals.
+    def _race(self, stack, traces: list, cap: int) -> list:
+        """Sweep a stack of models until each converges or its trace holds cap residuals.
 
-        Converged means the relative residual decrease over one sweep fell
-        below sweep_tol. Returns (the last sweep's states, or `states` when
-        no sweep ran, converged).
+        All traces have one length, below cap. A model that converges leaves:
+        the last live model moves into its slot, so the kernel always sweeps
+        the leading block of the arrays and no sweep copies them. Returns per
+        model (last states, converged, its arrays as a stack of one), views
+        into `stack` for the models that reached the cap.
         """
         tol = self.config.sweep_tol
-        while len(trace) < cap:
+        slot = list(range(len(traces)))
+        out = [None] * len(traces)
+        live = len(traces)
+        while live:
+            self._use(tuple(a[:live] for a in stack))
             resid, states = self.sweep_once()
-            trace.append(resid)
-            if len(trace) > 1 and trace[-2] > 0.0 and (trace[-2] - trace[-1]) / trace[-2] < tol:
-                return states, True
-        return states, False
+            at_cap = len(traces[slot[0]]) + 1 >= cap
+            for p in reversed(range(live)):
+                i = slot[p]
+                traces[i].append(float(resid[p]))
+                converged = _converged(traces[i], tol)
+                if at_cap:
+                    out[i] = (states[p], converged, tuple(a[p:p + 1] for a in stack))
+                elif converged:
+                    out[i] = (states[p], True, tuple(a[p:p + 1].copy() for a in stack))
+                    live -= 1
+                    for a in stack:
+                        a[p] = a[live]
+                    slot[p] = slot[live]
+            if at_cap:
+                break
+        return out
+
+    def _burn_in(self, width: int, cap: int, base):
+        """Draw `width` candidates from `base` and race them; returns (results, traces)."""
+        traces = [[] for _ in range(width)]
+        return self._race(self._draw_candidates(*base, width), traces, cap), traces
 
     def run_rank(self) -> RankRecord:
         """Grow by one term, race seeded candidates, converge the winner.
@@ -356,27 +467,38 @@ class _Fitter:
         The winner has the lowest burn-in residual; ties go to the earliest draw.
         """
         cfg = self.config
-        base = self.snapshot()
-        best = None
-        for idx in range(cfg.init_candidates):
-            self.restore(base)
-            self.add_term()
-            trace = []
-            states, converged = self._sweep_until(
-                trace, min(cfg.candidate_burn_sweeps, cfg.max_sweeps_per_rank)
-            )
-            if best is None or trace[-1] < best[0][-1]:
-                best = (trace, idx, self.snapshot(), self._monotone_prev, states, converged)
-        trace, idx, state, mono, states, converged = best
-        self.restore(state)
-        self._monotone_prev = mono
-        if not converged:
-            states, _ = self._sweep_until(trace, cfg.max_sweeps_per_rank, states)
+        width = cfg.init_candidates
+        burn = min(cfg.candidate_burn_sweeps, cfg.max_sweeps_per_rank)
+        base = (self.coeffs[0], self.scales[0])
+        stream = self.rng.bit_generator.state
+        try:
+            results, traces = self._burn_in(width, burn, base)
+        except (_Replay, SeprepError):
+            if width == 1:
+                raise
+            # one candidate at a time, consuming the stream in serial order
+            self.rng.bit_generator.state = stream
+            results, traces = [], []
+            for _ in range(width):
+                res, tr = self._burn_in(1, burn, base)
+                results += res
+                traces += tr
+        best = 0
+        for i in range(1, width):
+            if traces[i][-1] < traces[best][-1]:
+                best = i
+        trace = traces[best]
+        states, converged, stack = results[best]
+        stack = tuple(a.copy() for a in stack)
+        if not converged and len(trace) < cfg.max_sweeps_per_rank:
+            [(states, converged, stack)] = self._race(stack, [trace], cfg.max_sweeps_per_rank)
+        self._use(stack)
         return RankRecord(
-            rank=self.coeffs.shape[1],
-            residual_trace=trace,
-            reg_states=states,
-            candidate=idx,
+            rank=self.coeffs.shape[2],
+            residual_trace=[self.unscaled(x) for x in trace],
+            reg_states=[self.unscaled_state(s) for s in states],
+            candidate=best,
+            converged=converged,
             model=self.model(),
         )
 
@@ -394,7 +516,7 @@ def sweep(data: SampleSet, model: SeparatedModel, config: FitConfig):
     fitter = _Fitter(data, config, np.random.default_rng(config.rng_seed))
     fitter.set_model(model)
     resid, states = fitter.sweep_once()
-    return fitter.model(), resid, states
+    return fitter.model(), fitter.unscaled(resid[0]), [fitter.unscaled_state(s) for s in states[0]]
 
 
 def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int):

@@ -155,8 +155,12 @@ def second_moment(model: SeparatedModel) -> float:
 
 
 def standard_deviation(model: SeparatedModel) -> float:
-    var = second_moment(model) - mean(model) ** 2
-    return math.sqrt(max(var, 0.0))
+    # in units of 2^e that put the largest scale in [0.5, 1), so that the
+    # squares neither overflow nor underflow; power-of-two scaling is exact
+    e = int(np.frexp(np.max(model.scales))[1])
+    unit = SeparatedModel(model.basis, np.ldexp(model.scales, -e), model.coeffs)
+    var = second_moment(unit) - mean(unit) ** 2
+    return math.ldexp(math.sqrt(max(var, 0.0)), e)
 
 
 def moment(model: SeparatedModel, m: int, quad_points: int) -> float:

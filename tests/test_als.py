@@ -1,4 +1,5 @@
 import contextlib
+import logging
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from helpers import (
     sigma_hat,
     tikhonov_factor,
 )
-from seprep import als
+from seprep import als, regularize
 from seprep.als import FitConfig, fit_fixed, sweep
 from seprep.basis import BasisSpec, Family, eval_basis_batch
 from seprep.errors import ConditioningError
 from seprep.model import SampleSet, SeparatedModel, empirical_norm, evaluate_batch, mean
+from seprep.problems import manufactured_sample
 from seprep.regularize import TikhonovPath, gcv_select_lambda
 
 
@@ -47,7 +49,13 @@ def _kernel_calls():
 
     def recording(A, u, G, m, config):
         result = real(A, u, G, m, config)
-        calls.append((A, u, G, result))
+        if A.ndim == 2:
+            calls.append((A, u, G, result))
+            return result
+        # a stacked call solves one direction per slice: record each slice
+        c, states, rn2 = result
+        for b in range(A.shape[0]):
+            calls.append((A[b], u, None if G is None else G[b], (c[b], states[b], rn2[b])))
         return result
 
     als._direction_solve = recording
@@ -55,6 +63,20 @@ def _kernel_calls():
         yield calls
     finally:
         als._direction_solve = real
+
+
+def _output_scale(data, u_seen):
+    """The power of two the fit divided the outputs by, read off what the kernel saw.
+
+    The fit works on outputs scaled into [0.5, 1) in magnitude, so its design
+    matrices carry the same factor through the term scales.
+    """
+    peak = np.max(np.abs(u_seen))
+    assert 0.5 <= peak < 1.0
+    scale = np.max(np.abs(data.outputs)) / peak
+    assert np.frexp(scale)[0] == 0.5  # an exact power of two
+    assert np.array_equal(u_seen * scale, data.outputs)
+    return scale
 
 
 def test_design_matrix_constant_factors():
@@ -68,7 +90,7 @@ def test_design_matrix_constant_factors():
     with _kernel_calls() as calls:
         sweep(data, m, FitConfig(rank_max=1, degree=2))
     psi = eval_basis_batch(m.basis, data.inputs[:, 0])
-    assert np.allclose(calls[0][0], psi, atol=1e-14)
+    assert np.allclose(calls[0][0] * _output_scale(data, calls[0][1]), psi, atol=1e-14)
 
 
 def test_design_matrix_hand_computed():
@@ -83,7 +105,7 @@ def test_design_matrix_hand_computed():
     with _kernel_calls() as calls:
         sweep(data, m, FitConfig(rank_max=1, degree=1))
     expected = np.array([-np.sqrt(3.0), -1.5])
-    assert np.allclose(calls[0][0][0], expected, atol=1e-14)
+    assert np.allclose(calls[0][0][0] * _output_scale(data, calls[0][1]), expected, atol=1e-14)
 
 
 def test_exclusion_products_match_naive():
@@ -97,7 +119,8 @@ def test_exclusion_products_match_naive():
         sweep(data, start, cfg)
     designs = naive_sweep(data, start, cfg)[3]
     assert len(calls) == len(designs) == 6
-    for (A, _, _, _), ref in zip(calls, designs):
+    for (A, u, _, _), ref in zip(calls, designs):
+        A = A * _output_scale(data, u)
         assert np.max(np.abs(A - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
@@ -153,7 +176,9 @@ def test_normal_equation_residual_every_solve():
         assert len(calls) == 3
         if penalty != "none":
             # the first direction's penalty comes from the unchanged model
-            assert np.allclose(np.kron(calls[0][2], np.eye(3)), build_B(m, 0), rtol=1e-12)
+            # in the fit's output units: G scales as the square of the outputs
+            G0 = calls[0][2] * _output_scale(data, calls[0][1]) ** 2
+            assert np.allclose(np.kron(G0, np.eye(3)), build_B(m, 0), rtol=1e-12)
         for A, u, G, (c, state, _) in calls:
             lam = state.lambda_ if state else 0.0
             B = np.kron(G, np.eye(3)) if G is not None else 0.0
@@ -352,17 +377,176 @@ def test_fit_fixed_warns_when_underdetermined():
 
 
 def test_output_rescaling_scales_the_fit():
+    # outputs times 2^k, from about 1e-301 to 1e300: the fit scales exactly
     rng = np.random.default_rng(22)
     truth = random_model(rng, dims=3, rank=2, degree=2)
     data = _sampled_from(truth, 250, seed=23, noise=0.05)
-    gamma = 2.0
-    scaled = SampleSet(data.inputs.copy(), gamma * data.outputs, Family.HERMITE)
-    cfg = FitConfig(rank_max=2, degree=2, penalty="none", rng_seed=0,
+    for penalty in ("second_moment", "diag_scale", "none"):
+        _check_rescaled_fits(data, penalty)
+
+
+def _check_rescaled_fits(data, penalty):
+    cfg = FitConfig(rank_max=2, degree=2, penalty=penalty, rng_seed=0,
                     init_candidates=2, candidate_burn_sweeps=5, max_sweeps_per_rank=30)
-    m1, _ = fit_fixed(data, 2, cfg, init_seed=9)
-    m2, _ = fit_fixed(scaled, 2, cfg, init_seed=9)
-    assert np.allclose(m2.scales, gamma * m1.scales, rtol=1e-13)
-    assert np.allclose(m2.coeffs, m1.coeffs, rtol=1e-13, atol=1e-15)
+    m1, d1 = fit_fixed(data, 2, cfg, init_seed=9)
+    for k in (1, 532, 664, 997, -1000):
+        scaled = SampleSet(data.inputs.copy(), np.ldexp(data.outputs, k), Family.HERMITE)
+        m2, d2 = fit_fixed(scaled, 2, cfg, init_seed=9)
+        assert np.array_equal(m2.scales, np.ldexp(m1.scales, k))
+        assert np.array_equal(m2.coeffs, m1.coeffs)
+        for r1, r2 in zip(d1.per_rank, d2.per_rank, strict=True):
+            assert r2.residual_trace == [float(np.ldexp(x, k)) for x in r1.residual_trace]
+            for s1, s2 in zip(r1.reg_states, r2.reg_states, strict=True):
+                if s1 is None:
+                    assert s2 is None
+                    continue
+                assert s2.sigma_hat == np.ldexp(s1.sigma_hat, k)
+                assert (s2.lambda_, s2.error_indicator) == (s1.lambda_, s1.error_indicator)
+
+
+def test_rank_record_tells_a_cap_hit_from_convergence():
+    rng = np.random.default_rng(50)
+    data = _sampled_from(random_model(rng, dims=3, rank=2, degree=2), 150, seed=51, noise=0.1)
+    capped = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=2, init_candidates=3)
+    _, diag = fit_fixed(data, 2, capped, init_seed=0)
+    for rec in diag.per_rank:
+        assert rec.sweeps == 2 and not rec.converged
+    loose = FitConfig(rank_max=2, degree=2, sweep_tol=1e-3, init_candidates=3)
+    _, diag = fit_fixed(data, 2, loose, init_seed=0)
+    for rec in diag.per_rank:
+        assert rec.converged and rec.sweeps < loose.max_sweeps_per_rank
+        prev, last = rec.residual_trace[-2:]
+        assert (prev - last) / prev < loose.sweep_tol
+
+
+def test_state_records_lambda_grid_position():
+    # near-noiseless data sits on the grid floor, pure noise on its ceiling
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((80, 6))
+    signal = A @ rng.standard_normal(6)
+    cfg = FitConfig(rank_max=2, degree=2)
+    cases = [("floor", signal + 1e-3 * rng.standard_normal(80)),
+             ("ceiling", rng.standard_normal(80)),
+             ("interior", signal + 3.0 * rng.standard_normal(80))]
+    for want, u in cases:
+        _, state, _ = als._direction_solve(A, u, np.eye(2), 3, cfg)
+        grid = gcv_select_lambda(TikhonovPath(A, u, np.eye(2), 3), als._LAMBDA_GRID_SIZE,
+                                 cfg.lambda_floor_rel).grid
+        assert state.lambda_ == grid[state.grid_index]
+        assert state.grid_position == want
+        if want == "interior":
+            assert 0 < state.grid_index < len(grid) - 1
+        else:
+            assert state.grid_index == (0 if want == "floor" else len(grid) - 1)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.05, 1.0), (1e-300, 1e-290), (3.7e200, 2.0e202)])
+def test_lambda_grid_matches_geomspace(lo, hi):
+    rng = np.random.default_rng(53)
+    ends = np.exp(rng.uniform(np.log(lo), np.log(hi), (7, 2)))
+    ends.sort(axis=1)
+    grid = regularize._log_grid(ends[:, 0], ends[:, 1], 50)
+    for row, (a, b) in zip(grid, ends, strict=True):
+        assert np.array_equal(row, np.geomspace(a, b, 50))
+    assert np.array_equal(regularize._log_grid(lo, hi, 50), np.geomspace(lo, hi, 50))
+
+
+# -- the candidate race ---------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _race_probe():
+    """Record the stack width of every sweep and each race replayed one at a time."""
+    probe = {"widths": [], "replays": 0}
+    real = als._Fitter.sweep_once
+
+    def recording(self):
+        probe["widths"].append(self.coeffs.shape[0])
+        try:
+            return real(self)
+        except als._Replay:
+            probe["replays"] += 1
+            raise
+
+    als._Fitter.sweep_once = recording
+    try:
+        yield probe
+    finally:
+        als._Fitter.sweep_once = real
+
+
+def _race_against_one_at_a_time(data, r, cfg, seed):
+    """fit_fixed with stacked races, then with every race run one candidate at a time.
+
+    Returns the raced run's probe, after requiring the two fits to agree bit
+    for bit: models, residual traces, states, winners and convergence flags.
+    """
+    with _race_probe() as raced_probe:
+        raced = fit_fixed(data, r, cfg, seed)
+    real = als._Fitter._burn_in
+
+    def one_at_a_time(self, width, cap, base):
+        if width > 1:
+            raise als._Replay
+        return real(self, width, cap, base)
+
+    als._Fitter._burn_in = one_at_a_time
+    try:
+        with _race_probe() as serial_probe:
+            serial = fit_fixed(data, r, cfg, seed)
+    finally:
+        als._Fitter._burn_in = real
+    assert max(serial_probe["widths"]) == 1
+    assert max(raced_probe["widths"]) == cfg.init_candidates
+    (m1, d1), (m2, d2) = raced, serial
+    assert np.array_equal(m1.coeffs, m2.coeffs) and np.array_equal(m1.scales, m2.scales)
+    for a, b in zip(d1.per_rank, d2.per_rank, strict=True):
+        assert a.residual_trace == b.residual_trace
+        assert repr(a.reg_states) == repr(b.reg_states)
+        assert (a.candidate, a.converged) == (b.candidate, b.converged)
+        assert np.array_equal(a.model.coeffs, b.model.coeffs)
+        assert np.array_equal(a.model.scales, b.model.scales)
+    return raced_probe
+
+
+def test_race_with_a_burn_in_redraw_equals_one_at_a_time(caplog):
+    # degree-0 data of the selection test: surplus terms collapse during
+    # burn-in, so the race is replayed one candidate at a time from the
+    # stream state it started with
+    data = manufactured_sample(60, seed=0)
+    cfg = FitConfig(rank_max=4, degree=0)
+    with caplog.at_level(logging.WARNING, logger="seprep.als"):
+        probe = _race_against_one_at_a_time(data, 4, cfg, seed=5)
+    assert probe["replays"] > 0
+    assert "collapsed to zero" in caplog.text
+
+
+def test_race_with_a_jittered_gram_equals_one_at_a_time(caplog):
+    # rank two at degree 0: every term Gram is rank one and needs jitter,
+    # and the short burn-in ends before any term collapses
+    data = manufactured_sample(60, seed=1)
+    cfg = FitConfig(rank_max=2, degree=0, candidate_burn_sweeps=2, max_sweeps_per_rank=6)
+    with caplog.at_level(logging.WARNING, logger="seprep.als"):
+        probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)
+    assert probe["replays"] == 0
+    assert "required jitter" in caplog.text
+
+
+def test_unregularized_race_equals_one_at_a_time():
+    # each slice keeps its own monotone-residual invariant
+    data = manufactured_sample(100, seed=1)
+    cfg = FitConfig(rank_max=3, degree=2, penalty="none", max_sweeps_per_rank=60)
+    _race_against_one_at_a_time(data, 3, cfg, seed=5)
+
+
+def test_race_with_early_convergence_equals_one_at_a_time():
+    # a loose tolerance and a long burn-in: candidates converge at different
+    # sweeps and leave the stack one by one
+    data = manufactured_sample(200, seed=2)
+    cfg = FitConfig(rank_max=2, degree=2, sweep_tol=2e-3, candidate_burn_sweeps=40,
+                    max_sweeps_per_rank=80)
+    probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)
+    assert any(1 < w < cfg.init_candidates for w in probe["widths"])
 
 
 def test_exact_recovery_success_rate():

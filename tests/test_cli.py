@@ -259,10 +259,10 @@ def test_cli_bad_input_is_fatal_before_any_output(tmp_path, caplog, argv, inputs
 
 
 def test_cmd_fit_external_dataset_failure_is_an_exit_2_row(tmp_path):
-    # outputs of order 1e200 overflow the regularized solve: a typed error
+    # all-zero outputs leave no rank or degree to select: a typed error
     base = manufactured_sample(60, seed=0)
-    data_path = tmp_path / "huge.csv"
-    write_dataset(data_path, SampleSet(base.inputs, 1e200 * base.outputs, Family.HERMITE))
+    data_path = tmp_path / "zero.csv"
+    write_dataset(data_path, SampleSet(base.inputs, 0.0 * base.outputs, Family.HERMITE))
     config = ExperimentConfig(
         problem="external-dataset", dataset=str(data_path), family="hermite",
         sample_sizes=[60], seeds=[0], r_grid=[1, 2], m_grid=[1, 2],

@@ -19,6 +19,7 @@ from seprep.model import (
     moment,
     save_model,
     second_moment,
+    standard_deviation,
 )
 from seprep.problems import manufactured_model
 
@@ -179,6 +180,17 @@ def test_scale_rescaling_invariance():
     m2.scales[1] *= gamma
     m2.coeffs[0, 1, :] /= gamma
     assert evaluate(m2, y) == pytest.approx(evaluate(m, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [-1000, -7, 3, 532, 664, 997])
+def test_standard_deviation_scales_exactly(k):
+    # scales of order 1e200 square past the double range; power-of-two
+    # scaling must move the result by exactly that power
+    m = manufactured_model(4)
+    m2 = SeparatedModel(m.basis, np.ldexp(m.scales, k), m.coeffs)
+    assert standard_deviation(m2) == math.ldexp(standard_deviation(m), k)
+    assert standard_deviation(m) == pytest.approx(math.sqrt(second_moment(m) - mean(m) ** 2),
+                                                  rel=1e-14)
 
 
 def test_model_validation():

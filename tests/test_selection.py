@@ -19,6 +19,7 @@ from helpers import random_model
 def _state(ei):
     return RegularizationState(
         lambda_=0.1, sigma_hat=0.0, error_indicator=ei, hat_trace=1.0,
+        grid_index=3, grid_position="interior",
     )
 
 
@@ -62,7 +63,7 @@ def _select_on_indicators(monkeypatch, eis_per_rank):
     def handmade_fit(data, r, config, init_seed):
         records = [
             RankRecord(rank=i + 1, residual_trace=[1.0], reg_states=[_state(e) for e in eis],
-                       candidate=0, model=None)
+                       candidate=0, converged=True, model=None)
             for i, eis in enumerate(eis_per_rank)
         ]
         return None, FitDiagnostics(per_rank=records)
@@ -128,8 +129,10 @@ def test_names_the_benchmark_tracer_reads(monkeypatch):
             rec = diag.per_rank[r - 1]
             assert rec.rank == r
             assert rec.sweeps == len(rec.residual_trace)
+    # one call covers a stack of direction solves: one lambda and grid row each
     for _, sel in seen["gcv_select_lambda"]:
-        assert sel.grid[0] <= sel.lambda_ <= sel.grid[-1]
+        for lam, grid in zip(np.atleast_1d(sel.lambda_), np.atleast_2d(sel.grid), strict=True):
+            assert grid[0] <= lam <= grid[-1]
 
 
 def test_selection_deterministic_and_serializable():
@@ -205,16 +208,27 @@ def _fault_variant(case):
     return SampleSet(x, y, base.family)
 
 
+def _degenerate_config():
+    return FitConfig(rank_max=2, degree=2, rng_seed=0, init_candidates=2,
+                     candidate_burn_sweeps=3, max_sweeps_per_rank=20)
+
+
 @pytest.mark.parametrize("case", ["duplicates", "constant", "zero", "huge", "n6", "n5"])
 def test_degenerate_data_ends_in_a_report_or_a_typed_error(case):
-    cfg = FitConfig(rank_max=2, degree=2, rng_seed=0, init_candidates=2,
-                    candidate_burn_sweeps=3, max_sweeps_per_rank=20)
     try:
-        report = select_model(_fault_variant(case), [1, 2], [1, 2], cfg)
+        report = select_model(_fault_variant(case), [1, 2], [1, 2], _degenerate_config())
     except SeprepError:
         return
     assert report.chosen in report.grid
     assert math.isfinite(report.ei_max[report.chosen])
+
+
+def test_huge_outputs_pick_the_unscaled_pair():
+    # outputs of order 1e200 square past the double range; the fit works on
+    # outputs scaled into [0.5, 1), so it selects as it does unscaled
+    huge = select_model(_fault_variant("huge"), [1, 2], [1, 2], _degenerate_config())
+    plain = select_model(manufactured_sample(60, seed=0), [1, 2], [1, 2], _degenerate_config())
+    assert huge.chosen == plain.chosen
 
 
 def test_all_zero_outputs_are_refused_before_any_fit(monkeypatch):
