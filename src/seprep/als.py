@@ -13,12 +13,16 @@ burn in together, each slice getting the bits it would get alone, and the
 winner converges as a stack of one. A candidate that converges early leaves
 the stack. A burn-in that would re-draw a collapsed term, or that fails, is
 replayed one candidate at a time from the same stream state, so the stream
-is consumed in the serial order. The outputs are fitted scaled by a power of
-two into [0.5, 1) in magnitude, which keeps outputs far from 1 away from
-overflow and underflow. The fit is exactly equivariant under power-of-two
-scaling, so the scaling changes no bit of a fit whose term Gram matrices
-never need jitter; that jitter is relative to the Gram's trace, which a new
-term's unit scale enters in the fitted units.
+is consumed in the serial order. The kernel returns raw per-slice
+diagnostics, and the per-direction RegularizationState records (sigma-hat,
+the error indicator, and the eigenvalue and norm they need) are built only
+for the sweep a rank keeps, with the arithmetic of a state built in the
+sweep. The outputs are fitted scaled by a power of two into [0.5, 1) in
+magnitude, which keeps outputs far from 1 away from overflow and underflow.
+The fit is exactly equivariant under power-of-two scaling, so the scaling
+changes no bit of a fit whose term Gram matrices never need jitter; that
+jitter is relative to the Gram's trace, which a new term's unit scale
+enters in the fitted units.
 """
 from __future__ import annotations
 
@@ -95,6 +99,8 @@ class FitConfig:
             raise ValueError("degree must be >= 0")
         if not 0.0 < self.sweep_tol < 1.0:
             raise ValueError("sweep_tol must lie in (0, 1)")
+        if not 0.0 < self.lambda_floor_rel < 1.0:
+            raise ValueError("lambda_floor_rel must lie in (0, 1)")
         if self.penalty not in _PENALTIES:
             raise ValueError(f"penalty must be one of {_PENALTIES}, got {self.penalty!r}")
         for name in ("max_sweeps_per_rank", "init_candidates", "candidate_burn_sweeps"):
@@ -142,14 +148,16 @@ def _rowdot(x: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
-def _check_normal_equation(lhs, Atu):
+def _check_normal_equation(lhs, Atu, branch):
     """Fail when the solved coefficients leave a slice's normal equation unsatisfied."""
     err = np.sqrt(_rowdot(lhs - Atu))
     bad = err > _NORMAL_EQ_RTOL * np.maximum(np.sqrt(_rowdot(Atu)), 1e-300)
-    if np.any(bad):
+    if bad.any():
+        advice = ("consider enabling regularization or reducing rank/degree"
+                  if branch == "unregularized" else "consider reducing rank/degree")
         raise ConditioningError(
-            f"normal-equation residual {err[bad][0]:.3e} exceeds tolerance; the system is "
-            "numerically singular (consider enabling regularization or reducing rank/degree)"
+            f"normal-equation residual {err[bad][0]:.3e} of the {branch} direction solve "
+            f"exceeds tolerance; the system is numerically singular ({advice})"
         )
 
 
@@ -191,22 +199,20 @@ def _direction_solve(A, u, G, m, config):
     penalty factor is L = chol(G_b) (x) I on the m-function basis, and
     lambda is picked by GCV along the path. A non-finite A^T A diagonal or
     A^T u (factor overflow) raises ConditioningError. Returns (coefficients
-    (B, r*m), per-slice RegularizationState or None, squared residual norms
-    (B,)); each slice gets the bits it would get alone. A single (N, r*m)
-    design, with G None or r x r, returns (c, state, float).
+    (B, r*m), raw diagnostics or None, squared residual norms (B,)); each
+    slice gets the bits it would get alone. The raw diagnostics are the
+    arrays (lambda, hat trace, grid index, squared residual norm,
+    coefficients, G), one row per slice, from which _regularization_states
+    builds the states; a fit builds them only for the sweep a rank keeps.
     """
-    if A.ndim == 2:
-        c, states, rn2 = _direction_solve(A[None], u, None if G is None else G[None], m, config)
-        return c[0], states[0], float(rn2[0])
-    n_samples = u.shape[0]
     if G is None:
-        At = np.swapaxes(A, -1, -2)
+        At = A.swapaxes(-1, -2)
         AtA = At @ A
         Atu = At @ u
         _check_finite(AtA, Atu)
         c = np.stack([_solve_spd(AtA[b], Atu[b]) for b in range(len(A))])
-        _check_normal_equation((AtA @ c[..., None])[..., 0], Atu)
-        return c, [None] * len(A), _rowdot((A @ c[..., None])[..., 0] - u)
+        _check_normal_equation((AtA @ c[..., None])[..., 0], Atu, "unregularized")
+        return c, None, _rowdot((A @ c[..., None])[..., 0] - u)
     R = np.empty(G.shape)
     for b, g in enumerate(G):
         R[b] = _gram_cholesky(g)
@@ -216,16 +222,23 @@ def _direction_solve(A, u, G, m, config):
     c = path.solve(lam)
     # the penalty the path solves is R^T R (x) I: G itself, or G plus the
     # jitter _gram_cholesky added when G is singular
-    Rc = np.swapaxes(R, -1, -2) @ (R @ c.reshape(R.shape[:2] + (m,)))
+    Rc = R.swapaxes(-1, -2) @ (R @ c.reshape(R.shape[:2] + (m,)))
     _check_normal_equation(
-        (path.AtA @ c[..., None])[..., 0] + (lam * lam)[:, None] * Rc.reshape(c.shape), path.Atu
+        (path.AtA @ c[..., None])[..., 0] + (lam * lam)[:, None] * Rc.reshape(c.shape), path.Atu,
+        "regularized",
     )
     rn2 = _rowdot((A @ c[..., None])[..., 0] - u)
+    return c, (lam, sel.hat_trace, sel.index, rn2, c, G), rn2
+
+
+def _regularization_states(raw, n_samples: int) -> list:
+    """The RegularizationState of each slice of a direction solve, from its raw diagnostics."""
+    lam, hat_trace, index, rn2, c, G = raw
     wmins = np.linalg.eigvalsh(G)[:, 0]
     norms_c = np.sqrt(_rowdot(c))
     states = []
-    for b in range(len(A)):
-        lam_b, ht_b, wmin, norm_c = (float(x[b]) for x in (lam, sel.hat_trace, wmins, norms_c))
+    for b in range(len(lam)):
+        lam_b, ht_b, wmin, norm_c = (float(x[b]) for x in (lam, hat_trace, wmins, norms_c))
         sig = math.sqrt(float(rn2[b]) / (n_samples - ht_b)) if n_samples > ht_b else math.inf
         if lam_b > 0.0 and norm_c > 0.0 and math.isfinite(sig) and wmin > 0.0:
             # |L^-1|_2 = 1/sqrt(min eig of G) for the Kronecker-structured factor
@@ -238,12 +251,12 @@ def _direction_solve(A, u, G, m, config):
                 "min gram eig=%.3g); using +inf", lam_b, norm_c, sig, wmin,
             )
             ei = math.inf
-        j = int(sel.index[b])
+        j = int(index[b])
         states.append(RegularizationState(
             lambda_=lam_b, sigma_hat=sig, error_indicator=ei, hat_trace=ht_b,
             grid_index=j, grid_position=_grid_position(j, _LAMBDA_GRID_SIZE),
         ))
-    return c, states, rn2
+    return states
 
 
 def _converged(trace: list, tol: float) -> bool:
@@ -273,6 +286,7 @@ class _Fitter:
         self.psi = np.ascontiguousarray(
             np.swapaxes(eval_basis_batch(self.basis, data.inputs), 0, 1)
         )  # (d, N, M+1)
+        self.psi_tiled = self.psi[..., :0]  # psi repeated once per term: (d, N, r*(M+1))
         self.exp = int(np.frexp(np.max(np.abs(data.outputs)))[1])
         self.u = np.ldexp(data.outputs, -self.exp)
         self.u_norm = empirical_norm(self.u) if np.any(self.u) else 1.0
@@ -290,10 +304,16 @@ class _Fitter:
     def unscaled(self, residual) -> float:
         return float(np.ldexp(residual, self.exp))
 
-    def unscaled_state(self, state):
-        if state is None:
-            return None
-        return dataclasses.replace(state, sigma_hat=self.unscaled(state.sigma_hat))
+    def kept_states(self, raws: list, p: int = 0) -> list:
+        """Model p's direction-solve states in the data's units, from a sweep's raw diagnostics."""
+        states = []
+        for raw in raws:
+            if raw is None:
+                states.append(None)
+                continue
+            [state] = _regularization_states(tuple(x[p:p + 1] for x in raw), self.n)
+            states.append(dataclasses.replace(state, sigma_hat=self.unscaled(state.sigma_hat)))
+        return states
 
     def model(self) -> SeparatedModel:
         """Model 0 of the stack, in the data's units."""
@@ -370,15 +390,18 @@ class _Fitter:
     def sweep_once(self):
         """One full pass over all directions for every model of the stack.
 
-        Returns (residual per model, per model its direction solves' states),
-        in the fitted units. A term collapsing in a stack of more than one
-        model raises _Replay, since its redraw must come in stream order.
+        Returns (residual per model, in the fitted units, and per direction
+        the kernel's raw diagnostics, which kept_states turns into states). A
+        term collapsing in a stack of more than one model raises _Replay,
+        since its redraw must come in stream order.
         """
         cfg = self.config
         coeffs, scales, factors = self.coeffs, self.scales, self.factors
         nb, d, r, m1 = coeffs.shape
         n = self.n
-        grams = coeffs @ np.swapaxes(coeffs, -1, -2)
+        if self.psi_tiled.shape[-1] != r * m1:
+            self.psi_tiled = np.tile(self.psi, (1, 1, r))
+        grams = coeffs @ coeffs.swapaxes(-1, -2)
         suf_f = np.empty((d, nb, n, r))
         suf_g = np.empty((d, nb, r, r))
         suf_f[d - 1] = 1.0
@@ -388,11 +411,11 @@ class _Fitter:
             np.multiply(suf_g[k + 1], grams[:, k + 1], out=suf_g[k])
         left_f = np.ones((nb, n, r))
         left_g = np.ones((nb, r, r))
-        states = []
+        raws = []
         for k in range(d):
             excl = left_f * suf_f[k]
-            A = (excl * scales[:, None, :])[..., None] * self.psi[k][:, None, :]
-            A = A.reshape(nb, n, r * m1)
+            A = np.repeat(excl * scales[:, None, :], m1, axis=-1)
+            A *= self.psi_tiled[k]
             if cfg.penalty == "none":
                 G = None
             elif cfg.penalty == "diag_scale":
@@ -400,12 +423,12 @@ class _Fitter:
                 G[:, np.arange(r), np.arange(r)] = scales**2
             else:
                 G = scales[:, :, None] * scales[:, None, :] * left_g * suf_g[k]
-            c, k_states, rn2 = _direction_solve(A, self.u, G, m1, cfg)
-            states.append(k_states)
+            c, raw, rn2 = _direction_solve(A, self.u, G, m1, cfg)
+            raws.append(raw)
             if G is None:
                 self._check_monotone(np.sqrt(rn2 / n))
             cmat = c.reshape(nb, r, m1)
-            vals = self.psi[k] @ np.swapaxes(cmat, -1, -2)
+            vals = self.psi[k] @ cmat.swapaxes(-1, -2)
             norms = np.sqrt(np.add.reduce(vals * vals, axis=-2) / n)  # np.mean's arithmetic
             # a term dies when its norm, or its scale times that norm, reaches
             # zero: decaying terms of over-ranked fits underflow to scale 0
@@ -417,11 +440,12 @@ class _Fitter:
                 raise _Replay
             else:
                 self._revive(k, cmat[0], norms[0], alive[0])
-            factors[:, k] = self.psi[k] @ np.swapaxes(coeffs[:, k], -1, -2)
-            grams[:, k] = coeffs[:, k] @ np.swapaxes(coeffs[:, k], -1, -2)
+            ck = coeffs[:, k]
+            factors[:, k] = self.psi[k] @ ck.swapaxes(-1, -2)
+            grams[:, k] = ck @ ck.swapaxes(-1, -2)
             left_g = left_g * grams[:, k]
             left_f = left_f * factors[:, k]
-        return np.sqrt(rn2 / n), [list(s) for s in zip(*states)]
+        return np.sqrt(rn2 / n), raws
 
     def _race(self, stack, traces: list, cap: int) -> list:
         """Sweep a stack of models until each converges or its trace holds cap residuals.
@@ -429,8 +453,9 @@ class _Fitter:
         All traces have one length, below cap. A model that converges leaves:
         the last live model moves into its slot, so the kernel always sweeps
         the leading block of the arrays and no sweep copies them. Returns per
-        model (last states, converged, its arrays as a stack of one), views
-        into `stack` for the models that reached the cap.
+        model (its last sweep's raw diagnostics and its slot in them,
+        converged, its arrays as a stack of one), views into `stack` for the
+        models that reached the cap.
         """
         tol = self.config.sweep_tol
         slot = list(range(len(traces)))
@@ -438,16 +463,16 @@ class _Fitter:
         live = len(traces)
         while live:
             self._use(tuple(a[:live] for a in stack))
-            resid, states = self.sweep_once()
+            resid, raws = self.sweep_once()
             at_cap = len(traces[slot[0]]) + 1 >= cap
             for p in reversed(range(live)):
                 i = slot[p]
                 traces[i].append(float(resid[p]))
                 converged = _converged(traces[i], tol)
                 if at_cap:
-                    out[i] = (states[p], converged, tuple(a[p:p + 1] for a in stack))
+                    out[i] = ((raws, p), converged, tuple(a[p:p + 1] for a in stack))
                 elif converged:
-                    out[i] = (states[p], True, tuple(a[p:p + 1].copy() for a in stack))
+                    out[i] = ((raws, p), True, tuple(a[p:p + 1].copy() for a in stack))
                     live -= 1
                     for a in stack:
                         a[p] = a[live]
@@ -488,15 +513,15 @@ class _Fitter:
             if traces[i][-1] < traces[best][-1]:
                 best = i
         trace = traces[best]
-        states, converged, stack = results[best]
+        last, converged, stack = results[best]
         stack = tuple(a.copy() for a in stack)
         if not converged and len(trace) < cfg.max_sweeps_per_rank:
-            [(states, converged, stack)] = self._race(stack, [trace], cfg.max_sweeps_per_rank)
+            [(last, converged, stack)] = self._race(stack, [trace], cfg.max_sweeps_per_rank)
         self._use(stack)
         return RankRecord(
             rank=self.coeffs.shape[2],
             residual_trace=[self.unscaled(x) for x in trace],
-            reg_states=[self.unscaled_state(s) for s in states],
+            reg_states=self.kept_states(*last),
             candidate=best,
             converged=converged,
             model=self.model(),
@@ -513,10 +538,12 @@ def sweep(data: SampleSet, model: SeparatedModel, config: FitConfig):
         raise ValueError("model degree disagrees with config degree")
     if model.dims != data.dims:
         raise ValueError("model dims disagree with data dims")
+    if model.basis.family is not data.family:
+        raise ValueError("model basis family disagrees with data family")
     fitter = _Fitter(data, config, np.random.default_rng(config.rng_seed))
     fitter.set_model(model)
-    resid, states = fitter.sweep_once()
-    return fitter.model(), fitter.unscaled(resid[0]), [fitter.unscaled_state(s) for s in states[0]]
+    resid, raws = fitter.sweep_once()
+    return fitter.model(), fitter.unscaled(resid[0]), fitter.kept_states(raws)
 
 
 def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int):

@@ -13,6 +13,7 @@ logarithmic grid spanned by the generalized singular values of (A, L).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -60,7 +61,7 @@ def _grid_position(index: int, grid_size: int) -> str:
 
 def _check_finite(AtA: np.ndarray, Atu: np.ndarray) -> None:
     """Fail on factor overflow: a non-finite entry of A makes diag(A^T A) non-finite."""
-    diag = np.diagonal(AtA, axis1=-2, axis2=-1)
+    diag = AtA.diagonal(axis1=-2, axis2=-1)
     if not (np.isfinite(diag).all() and np.isfinite(Atu).all()):
         raise ConditioningError("design matrix contains non-finite entries (factor overflow)")
 
@@ -104,7 +105,8 @@ class TikhonovPath:
         self.R = R
         self.batch = A.shape[:-2]
         self.n_rows = A.shape[-2]
-        At = np.swapaxes(A, -1, -2)
+        self._R_slices = list(R.reshape(-1, R.shape[-1], R.shape[-1]))
+        At = A.swapaxes(-1, -2)
         AtA = At @ A
         Atu = At @ u
         _check_finite(AtA, Atu)
@@ -112,17 +114,17 @@ class TikhonovPath:
         self.Atu = Atu
         XtX = self._l_solve(self._l_solve(AtA, 1), 1, transposed=True)
         try:
-            w, V = np.linalg.eigh(0.5 * (XtX + np.swapaxes(XtX, -1, -2)))
+            w, V = np.linalg.eigh(0.5 * (XtX + XtX.swapaxes(-1, -2)))
         except LinAlgError:
             raise ConditioningError(
                 "eigendecomposition of the transformed normal matrix did not converge"
             ) from None
-        self.sv2 = np.clip(w[..., ::-1], 0.0, None)
+        self.sv2 = np.maximum(w[..., ::-1], 0.0)
         self.V = V[..., ::-1]
-        self.z = (np.swapaxes(self.V, -1, -2) @ self._l_solve(Atu, 1)[..., None])[..., 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.b2 = np.where(self.sv2 > 0.0, self.z * self.z / self.sv2, 0.0)
-        self.perp2 = np.maximum(float(u @ u) - self.b2.sum(axis=-1), 0.0)
+        self.z = (self.V.swapaxes(-1, -2) @ self._l_solve(Atu, 1)[..., None])[..., 0]
+        self.b2 = np.divide(self.z * self.z, self.sv2, out=np.zeros(self.sv2.shape),
+                            where=self.sv2 > 0.0)
+        self.perp2 = np.maximum(float(u @ u) - np.add.reduce(self.b2, -1), 0.0)
 
     def _l_solve(self, X: np.ndarray, trans: int, transposed: bool = False) -> np.ndarray:
         """L^-1 X (trans 0) or L^-T X (trans 1), per slice of the path's batch axis.
@@ -131,13 +133,12 @@ class TikhonovPath:
         transposed set, each slice of X is solved as its transpose.
         """
         r = self.R.shape[-1]
-        X = X.reshape((-1,) + X.shape[len(self.batch):])
-        R = self.R.reshape(-1, r, r)
+        shape = X.shape[len(self.batch):]
         out = np.empty(X.shape)
-        for i in range(len(X)):
-            x = X[i].T if transposed else X[i]
-            out[i] = _triangular_solve(R[i], x.reshape(r, -1), trans).reshape(x.shape)
-        return out.reshape(self.batch + X.shape[1:])
+        for R, x, o in zip(self._R_slices, X.reshape((-1,) + shape), out.reshape((-1,) + shape)):
+            x = x.T if transposed else x
+            o.reshape(r, -1)[...] = _triangular_solve(R, x.reshape(r, -1), trans)
+        return out
 
     @property
     def gamma_max(self):
@@ -156,9 +157,7 @@ class TikhonovPath:
 
     def residual_norm(self, lam):
         """||A c_lambda - u||, elementwise over an array of lambdas."""
-        return self._residual_norm(lam, self._filters(lam))
-
-    def _residual_norm(self, lam, f):
+        f = self._filters(lam)
         extra = np.ndim(lam) - len(self.batch)
         perp2 = np.reshape(self.perp2, self.batch + (1,) * extra)
         return np.sqrt(np.sum((1.0 - f) ** 2 * _along(self.b2, extra), axis=-1) + perp2)
@@ -166,10 +165,8 @@ class TikhonovPath:
     def solve(self, lam) -> np.ndarray:
         """Coefficients solving (A^T A + lam^2 L^T L) c = A^T u, one lambda per slice."""
         lam = np.asarray(lam, dtype=float)[..., None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            filt = np.where(
-                self.sv2 + lam * lam > 0.0, self.z / (self.sv2 + lam * lam), 0.0
-            )
+        den = self.sv2 + lam * lam
+        filt = np.divide(self.z, den, out=np.zeros(den.shape), where=den > 0.0)
         w = (self.V @ filt[..., None])[..., 0]
         return self._l_solve(w, 0)
 
@@ -184,24 +181,30 @@ class GcvResult:
     index: int
 
 
-def _log_grid(lo, hi, num: int) -> np.ndarray:
-    """np.geomspace(lo, hi, num, axis=-1), in its own arithmetic and without its overhead.
+@cache
+def _grid_steps(num: int) -> np.ndarray:
+    """0, 1, ..., num - 1 as floats, built once per grid size."""
+    steps = np.arange(num, dtype=float)
+    steps.flags.writeable = False
+    return steps
+
+
+def _log_grid(ends, num: int) -> np.ndarray:
+    """np.geomspace(lo, hi, num, axis=-1) for ends (..., [lo, hi]), without its overhead.
 
     Positive finite endpoints take the same steps as geomspace (log10 of
     the ends, a linspace of the exponents, a power of ten, the ends put
     back), so the grid has the same bits; anything else goes to geomspace.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if num < 2 or not (np.all(lo > 0.0) and np.all(hi > 0.0)):
-        return np.geomspace(lo, hi, num, axis=-1)
-    log_lo = np.log10(lo)[..., None]
-    log_hi = np.log10(hi)[..., None]
-    y = np.arange(num, dtype=float) * ((log_hi - log_lo) / (num - 1)) + log_lo
-    y[..., -1:] = log_hi
+    ends = np.asarray(ends, dtype=float)
+    if num < 2 or not (ends > 0.0).all():
+        return np.geomspace(ends[..., 0], ends[..., 1], num, axis=-1)
+    logs = np.log10(ends)
+    log_lo = logs[..., :1]
+    y = _grid_steps(num) * ((logs[..., 1:] - log_lo) / (num - 1)) + log_lo
+    y[..., -1:] = logs[..., 1:]
     grid = np.power(10.0, y)
-    grid[..., :1] = lo[..., None]
-    grid[..., -1:] = hi[..., None]
+    grid[..., ::num - 1] = ends
     return grid
 
 
@@ -219,19 +222,24 @@ def gcv_select_lambda(
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     gmax = path.gamma_max
-    if np.any(gmax <= 0.0):
+    if (gmax <= 0.0).any():
         raise SelectionError("design matrix is identically zero; nothing to select")
-    grid = _log_grid(floor_rel * gmax, gmax, grid_size)
-    filters = path._filters(grid)
-    traces = filters.sum(axis=-1)
-    residual_norms = path._residual_norm(grid, filters)
+    grid = _log_grid(gmax[..., None] * np.array([floor_rel, 1.0]), grid_size)
+    sv2 = path.sv2[..., None, :]
+    filters = sv2 / (sv2 + grid[..., None] ** 2)
+    traces = np.add.reduce(filters, -1)
+    residual_norms = np.sqrt(
+        np.add.reduce((1.0 - filters) ** 2 * path.b2[..., None, :], -1)
+        + np.reshape(path.perp2, path.batch + (1,))
+    )
     n = path.n_rows
     gcv_values = n * residual_norms**2 / (n - traces) ** 2
-    if (np.diff(residual_norms, axis=-1) < -1e-9 * residual_norms[..., :-1] - 1e-300).any():
+    if (residual_norms[..., 1:] - residual_norms[..., :-1]
+            < -1e-9 * residual_norms[..., :-1] - 1e-300).any():
         raise InvariantError("residual norm must be non-decreasing in lambda")
     if not np.isfinite(gcv_values).any(axis=-1).all():
         raise SelectionError("GCV is non-finite over the whole lambda grid")
-    j = np.argmin(gcv_values, axis=-1)
+    j = gcv_values.argmin(axis=-1)
     if grid.ndim == 1:
         return GcvResult(lambda_=float(grid[j]), hat_trace=float(traces[j]), grid=grid,
                          index=int(j))

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import logging
 
 import numpy as np
@@ -49,11 +50,10 @@ def _kernel_calls():
 
     def recording(A, u, G, m, config):
         result = real(A, u, G, m, config)
-        if A.ndim == 2:
-            calls.append((A, u, G, result))
-            return result
-        # a stacked call solves one direction per slice: record each slice
-        c, states, rn2 = result
+        # a stacked call solves one direction per slice: record each slice,
+        # with the state the library builds from the slice's raw diagnostics
+        c, raw, rn2 = result
+        states = [None] * len(A) if raw is None else als._regularization_states(raw, len(u))
         for b in range(A.shape[0]):
             calls.append((A[b], u, None if G is None else G[b], (c[b], states[b], rn2[b])))
         return result
@@ -63,6 +63,13 @@ def _kernel_calls():
         yield calls
     finally:
         als._direction_solve = real
+
+
+def _solve_one(A, u, G, m, cfg):
+    """The kernel on a stack of one (N, r*m) design; returns (c, state or None, rn2)."""
+    c, raw, rn2 = als._direction_solve(A[None], u, None if G is None else G[None], m, cfg)
+    state = None if raw is None else als._regularization_states(raw, len(u))[0]
+    return c[0], state, rn2[0]
 
 
 def _output_scale(data, u_seen):
@@ -130,7 +137,7 @@ def test_solve_direction_interpolation():
     c_true = rng.standard_normal(4)
     u = A @ c_true
     cfg = FitConfig(rank_max=1, degree=3, penalty="none")
-    c, state, _ = als._direction_solve(A, u, None, 4, cfg)
+    c, state, _ = _solve_one(A, u, None, 4, cfg)
     assert np.allclose(c, c_true, atol=1e-10)
     assert state is None
 
@@ -143,7 +150,7 @@ def test_factor_overflow_is_a_conditioning_error(regularize):
     G = np.eye(2) if regularize else None
     cfg = FitConfig(rank_max=2, degree=2)
     with pytest.raises(ConditioningError, match="factor overflow"):
-        als._direction_solve(A, rng.standard_normal(20), G, 3, cfg)
+        _solve_one(A, rng.standard_normal(20), G, 3, cfg)
 
 
 def test_solve_direction_large_lambda_shrinks():
@@ -218,7 +225,7 @@ def test_structured_kernel_matches_dense_oracle(l_identity):
                 data = _sampled_from(model, n, seed=r, noise=0.3)
                 A = naive_design_matrix(data, model, k)
                 B = build_B(model, k)
-                c, state, _ = als._direction_solve(A, data.outputs, B, 1, cfg)
+                c, state, _ = _solve_one(A, data.outputs, B, 1, cfg)
                 Atu = A.T @ data.outputs
                 err = A.T @ A @ c + state.lambda_**2 * B @ c - Atu
                 assert np.all(np.isfinite(c))
@@ -227,7 +234,7 @@ def test_structured_kernel_matches_dense_oracle(l_identity):
                 continue
             else:
                 G = build_B(model, k)[::m, ::m]
-            c, state, _ = als._direction_solve(A, u, G, m, cfg)
+            c, state, _ = _solve_one(A, u, G, m, cfg)
             c_ref, lam, sig, ei = _oracle_direction(A, u, np.kron(G, np.eye(m)), cfg)
             assert np.allclose(c, c_ref, rtol=1e-10, atol=1e-10 * np.linalg.norm(c_ref))
             assert state.lambda_ == pytest.approx(lam, rel=1e-10)
@@ -419,6 +426,64 @@ def test_rank_record_tells_a_cap_hit_from_convergence():
         assert (prev - last) / prev < loose.sweep_tol
 
 
+def test_rank_record_keeps_the_final_sweeps_states():
+    # the states of a rank are built only for the sweep it keeps: those of a
+    # fit capped at K + 1 sweeps must be the ones a sweep from the K-capped
+    # fit's model produces, not a stale earlier sweep's
+    data = manufactured_sample(100, seed=3)  # rank 1 is still moving at 20 sweeps
+    cfg = FitConfig(rank_max=1, degree=1, sweep_tol=1e-14, init_candidates=3)
+    K = cfg.candidate_burn_sweeps + 5
+    _, diag_k = fit_fixed(data, 1, dataclasses.replace(cfg, max_sweeps_per_rank=K), init_seed=3)
+    _, diag_next = fit_fixed(data, 1, dataclasses.replace(cfg, max_sweeps_per_rank=K + 1),
+                             init_seed=3)
+    rec_k, rec_next = diag_k.per_rank[0], diag_next.per_rank[0]
+    assert (rec_k.sweeps, rec_next.sweeps) == (K, K + 1)
+    _, resid, states = sweep(data, rec_k.model, cfg)
+    assert resid == pytest.approx(rec_next.residual, rel=1e-10)
+    assert len(states) == len(rec_next.reg_states) == data.dims
+    for state, kept, earlier in zip(states, rec_next.reg_states, rec_k.reg_states, strict=True):
+        assert kept.grid_index == state.grid_index
+        assert kept.lambda_ == pytest.approx(state.lambda_, rel=1e-10)
+        assert kept.sigma_hat == pytest.approx(state.sigma_hat, rel=1e-10)
+        assert kept.error_indicator == pytest.approx(state.error_indicator, rel=1e-10)
+        # the fit still moves, so an earlier sweep's states would not match
+        assert kept.sigma_hat != pytest.approx(earlier.sigma_hat, rel=1e-10)
+
+
+def test_sweep_refuses_a_model_of_another_family():
+    rng = np.random.default_rng(57)
+    model = random_model(rng, dims=2, rank=1, degree=1, family="legendre")
+    data = SampleSet(rng.standard_normal((20, 2)), rng.standard_normal(20), Family.HERMITE)
+    with pytest.raises(ValueError, match="family"):
+        sweep(data, model, FitConfig(rank_max=1, degree=1))
+
+
+@pytest.mark.parametrize("floor_rel", [0.0, 1.5, float("nan")])
+def test_lambda_floor_outside_the_unit_interval_is_refused(floor_rel):
+    with pytest.raises(ValueError, match="lambda_floor_rel must lie in"):
+        FitConfig(rank_max=1, degree=1, lambda_floor_rel=floor_rel)
+
+
+@pytest.mark.parametrize("penalty", ["none", "second_moment"])
+def test_normal_equation_failure_names_its_branch(monkeypatch, penalty):
+    # a solve that returns zeros leaves A^T u as the normal-equation residual
+    rng = np.random.default_rng(58)
+    A = rng.standard_normal((30, 6))
+    u = rng.standard_normal(30)
+    monkeypatch.setattr(als, "_solve_spd", lambda M, b: np.zeros_like(b))
+    monkeypatch.setattr(als.TikhonovPath, "solve", lambda self, lam: np.zeros(self.Atu.shape))
+    G = None if penalty == "none" else np.eye(2)
+    with pytest.raises(ConditioningError) as err:
+        _solve_one(A, u, G, 3, FitConfig(rank_max=2, degree=2, penalty=penalty))
+    message = str(err.value)
+    if penalty == "none":
+        assert "unregularized direction solve" in message
+        assert "consider enabling regularization" in message
+    else:
+        assert "of the regularized direction solve" in message
+        assert "enabling regularization" not in message
+
+
 def test_state_records_lambda_grid_position():
     # near-noiseless data sits on the grid floor, pure noise on its ceiling
     rng = np.random.default_rng(0)
@@ -429,7 +494,7 @@ def test_state_records_lambda_grid_position():
              ("ceiling", rng.standard_normal(80)),
              ("interior", signal + 3.0 * rng.standard_normal(80))]
     for want, u in cases:
-        _, state, _ = als._direction_solve(A, u, np.eye(2), 3, cfg)
+        _, state, _ = _solve_one(A, u, np.eye(2), 3, cfg)
         grid = gcv_select_lambda(TikhonovPath(A, u, np.eye(2), 3), als._LAMBDA_GRID_SIZE,
                                  cfg.lambda_floor_rel).grid
         assert state.lambda_ == grid[state.grid_index]
@@ -445,10 +510,10 @@ def test_lambda_grid_matches_geomspace(lo, hi):
     rng = np.random.default_rng(53)
     ends = np.exp(rng.uniform(np.log(lo), np.log(hi), (7, 2)))
     ends.sort(axis=1)
-    grid = regularize._log_grid(ends[:, 0], ends[:, 1], 50)
+    grid = regularize._log_grid(ends, 50)
     for row, (a, b) in zip(grid, ends, strict=True):
         assert np.array_equal(row, np.geomspace(a, b, 50))
-    assert np.array_equal(regularize._log_grid(lo, hi, 50), np.geomspace(lo, hi, 50))
+    assert np.array_equal(regularize._log_grid([lo, hi], 50), np.geomspace(lo, hi, 50))
 
 
 # -- the candidate race ---------------------------------------------------------
