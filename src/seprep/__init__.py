@@ -17,7 +17,7 @@ from .model import (
     standard_deviation,
 )
 from .als import FitConfig, FitDiagnostics, fit_fixed, sweep
-from .regularize import GcvResult, RegularizationState, TikhonovPath, gcv_select_lambda
+from .regularize import RegularizationState
 from .selection import SelectionReport, select_model
 from . import errors, problems
 

@@ -13,16 +13,16 @@ burn in together, each slice getting the bits it would get alone, and the
 winner converges as a stack of one. A candidate that converges early leaves
 the stack. A burn-in that would re-draw a collapsed term, or that fails, is
 replayed one candidate at a time from the same stream state, so the stream
-is consumed in the serial order. The kernel returns raw per-slice
-diagnostics, and the per-direction RegularizationState records (sigma-hat,
-the error indicator, and the eigenvalue and norm they need) are built only
-for the sweep a rank keeps, with the arithmetic of a state built in the
-sweep. The outputs are fitted scaled by a power of two into [0.5, 1) in
-magnitude, which keeps outputs far from 1 away from overflow and underflow.
-The fit is exactly equivariant under power-of-two scaling, so the scaling
-changes no bit of a fit whose term Gram matrices never need jitter; that
-jitter is relative to the Gram's trace, which a new term's unit scale
-enters in the fitted units.
+is consumed in the serial order. The kernel hands the whole stack to one
+regularize.TikhonovPath and one gcv_select_lambda call and returns raw
+per-slice diagnostics; a slice's RegularizationState (sigma-hat, the error
+indicator, and the eigenvalue and norm they need) is built from them one
+slice at a time, only for the sweep a rank keeps. The outputs are fitted
+scaled by a power of two into [0.5, 1) in magnitude, which keeps outputs far
+from 1 away from overflow and underflow. The fit is exactly equivariant
+under power-of-two scaling, so the scaling changes no bit of a fit whose
+term Gram matrices never need jitter; that jitter is relative to the Gram's
+trace, which a new term's unit scale enters in the fitted units.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ from .regularize import (
     RegularizationState,
     TikhonovPath,
     _check_finite,
-    _grid_position,
     _triangular_solve,
     gcv_select_lambda,
 )
@@ -60,7 +59,6 @@ logger = logging.getLogger(__name__)
 
 _MONOTONE_RTOL = 1e-10
 _NORMAL_EQ_RTOL = 1e-8
-_LAMBDA_GRID_SIZE = 50  # GCV grid points per direction solve
 _INIT_PERTURBATION = 0.3  # noise scale of a new term's initial coefficients
 
 _PENALTIES = ("second_moment", "diag_scale", "none")
@@ -93,19 +91,17 @@ class FitConfig:
     candidate_burn_sweeps: int = 15
 
     def __post_init__(self):
-        if self.rank_max < 1:
-            raise ValueError("rank_max must be >= 1")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        for name, least in (("rank_max", 1), ("degree", 0), ("max_sweeps_per_rank", 1),
+                            ("init_candidates", 1), ("candidate_burn_sweeps", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.sweep_tol < 1.0:
             raise ValueError("sweep_tol must lie in (0, 1)")
         if not 0.0 < self.lambda_floor_rel < 1.0:
             raise ValueError("lambda_floor_rel must lie in (0, 1)")
         if self.penalty not in _PENALTIES:
             raise ValueError(f"penalty must be one of {_PENALTIES}, got {self.penalty!r}")
-        for name in ("max_sweeps_per_rank", "init_candidates", "candidate_burn_sweeps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -202,8 +198,8 @@ def _direction_solve(A, u, G, m, config):
     (B, r*m), raw diagnostics or None, squared residual norms (B,)); each
     slice gets the bits it would get alone. The raw diagnostics are the
     arrays (lambda, hat trace, grid index, squared residual norm,
-    coefficients, G), one row per slice, from which _regularization_states
-    builds the states; a fit builds them only for the sweep a rank keeps.
+    coefficients, G), one row per slice, from which _regularization_state
+    builds a slice's state; a fit builds them only for the sweep a rank keeps.
     """
     if G is None:
         At = A.swapaxes(-1, -2)
@@ -217,7 +213,7 @@ def _direction_solve(A, u, G, m, config):
     for b, g in enumerate(G):
         R[b] = _gram_cholesky(g)
     path = TikhonovPath(A, u, R, m)
-    sel = gcv_select_lambda(path, _LAMBDA_GRID_SIZE, config.lambda_floor_rel)
+    sel = gcv_select_lambda(path, floor_rel=config.lambda_floor_rel)
     lam = sel.lambda_
     c = path.solve(lam)
     # the penalty the path solves is R^T R (x) I: G itself, or G plus the
@@ -231,32 +227,28 @@ def _direction_solve(A, u, G, m, config):
     return c, (lam, sel.hat_trace, sel.index, rn2, c, G), rn2
 
 
-def _regularization_states(raw, n_samples: int) -> list:
-    """The RegularizationState of each slice of a direction solve, from its raw diagnostics."""
-    lam, hat_trace, index, rn2, c, G = raw
-    wmins = np.linalg.eigvalsh(G)[:, 0]
-    norms_c = np.sqrt(_rowdot(c))
-    states = []
-    for b in range(len(lam)):
-        lam_b, ht_b, wmin, norm_c = (float(x[b]) for x in (lam, hat_trace, wmins, norms_c))
-        sig = math.sqrt(float(rn2[b]) / (n_samples - ht_b)) if n_samples > ht_b else math.inf
-        if lam_b > 0.0 and norm_c > 0.0 and math.isfinite(sig) and wmin > 0.0:
-            # |L^-1|_2 = 1/sqrt(min eig of G) for the Kronecker-structured factor
-            ei = math.sqrt(n_samples) / lam_b / math.sqrt(wmin) * sig / norm_c
-        else:
-            # routine on deliberately over-ranked fits, so keep the log quiet; the
-            # sentinel itself is preserved in the diagnostics record
-            logger.debug(
-                "error indicator undefined (lambda=%.3g, |c|=%.3g, sigma=%.3g, "
-                "min gram eig=%.3g); using +inf", lam_b, norm_c, sig, wmin,
-            )
-            ei = math.inf
-        j = int(index[b])
-        states.append(RegularizationState(
-            lambda_=lam_b, sigma_hat=sig, error_indicator=ei, hat_trace=ht_b,
-            grid_index=j, grid_position=_grid_position(j, _LAMBDA_GRID_SIZE),
-        ))
-    return states
+def _regularization_state(raw, p: int, n_samples: int) -> RegularizationState:
+    """Slice p's RegularizationState of a direction solve, from the solve's raw diagnostics."""
+    lam, hat_trace, index, rn2, c, G = (x[p] for x in raw)
+    lam, hat_trace = float(lam), float(hat_trace)
+    wmin = float(np.linalg.eigvalsh(G)[0])
+    norm_c = math.sqrt(float(c @ c))
+    sig = math.sqrt(float(rn2) / (n_samples - hat_trace)) if n_samples > hat_trace else math.inf
+    if lam > 0.0 and norm_c > 0.0 and math.isfinite(sig) and wmin > 0.0:
+        # |L^-1|_2 = 1/sqrt(min eig of G) for the Kronecker-structured factor
+        ei = math.sqrt(n_samples) / lam / math.sqrt(wmin) * sig / norm_c
+    else:
+        # routine on deliberately over-ranked fits, so keep the log quiet; the
+        # sentinel itself is preserved in the diagnostics record
+        logger.debug(
+            "error indicator undefined (lambda=%.3g, |c|=%.3g, sigma=%.3g, "
+            "min gram eig=%.3g); using +inf", lam, norm_c, sig, wmin,
+        )
+        ei = math.inf
+    return RegularizationState(
+        lambda_=lam, sigma_hat=sig, error_indicator=ei, hat_trace=hat_trace,
+        grid_index=int(index),
+    )
 
 
 def _converged(trace: list, tol: float) -> bool:
@@ -311,7 +303,7 @@ class _Fitter:
             if raw is None:
                 states.append(None)
                 continue
-            [state] = _regularization_states(tuple(x[p:p + 1] for x in raw), self.n)
+            state = _regularization_state(raw, p, self.n)
             states.append(dataclasses.replace(state, sigma_hat=self.unscaled(state.sigma_hat)))
         return states
 

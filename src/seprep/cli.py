@@ -63,8 +63,14 @@ ERROR_COLUMNS = [
 ]
 
 
-# smallest allowed entry of each list field
+# smallest allowed entry of each list field, and smallest value of each integer field
 _LIST_MINIMA = {"sample_sizes": 1, "r_grid": 1, "m_grid": 0, "seeds": 0}
+_INT_MINIMA = {"ref_samples": 2, "ref_seed": 0, "pc_degree": 0}
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -93,12 +99,22 @@ class ExperimentConfig:
         for name, least in _LIST_MINIMA.items():
             values = getattr(self, name)
             if not (isinstance(values, list) and values
-                    and all(isinstance(v, int) and v >= least for v in values)):
+                    and all(_is_int(v) and v >= least for v in values)):
                 raise ValueError(
                     f"{name} must be a non-empty list of integers >= {least}, got {values!r}"
                 )
-        if not (isinstance(self.pc_degree, int) and self.pc_degree >= 0):
-            raise ValueError(f"pc_degree must be an integer >= 0, got {self.pc_degree!r}")
+        for name, least in _INT_MINIMA.items():
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("l_identity", "noisy", "force"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
+        for name in ("dataset", "family", "ref_file"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
 
     def fit_config(self, seed: int) -> FitConfig:
         return FitConfig(

@@ -205,6 +205,9 @@ def empirical_norm(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(v * v)))
 
 
+_MODEL_KEYS = ("dims", "rank", "family", "max_degree", "scales", "coeffs")
+
+
 def model_to_dict(model: SeparatedModel) -> dict:
     return {
         "dims": model.dims,
@@ -216,7 +219,18 @@ def model_to_dict(model: SeparatedModel) -> dict:
     }
 
 
+def _check_keys(doc, expected, what: str) -> None:
+    """Fail with a ValueError naming the unknown and missing keys of a `what` document."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(expected))
+    missing = sorted(set(expected) - set(doc))
+    if unknown or missing:
+        raise ValueError(f"{what} has unknown keys {unknown} and missing keys {missing}")
+
+
 def model_from_dict(doc: dict) -> SeparatedModel:
+    _check_keys(doc, _MODEL_KEYS, "model document")
     basis = BasisSpec(Family(doc["family"]), int(doc["max_degree"]))
     model = SeparatedModel(basis, np.array(doc["scales"]), np.array(doc["coeffs"]))
     if model.dims != int(doc["dims"]) or model.rank != int(doc["rank"]):

@@ -9,6 +9,11 @@ axis only: a triangular solve with R on the coefficients reshaped to
 (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998). The
 regularization parameter is picked by generalized cross validation on a
 logarithmic grid spanned by the generalized singular values of (A, L).
+
+Everything here works on a stack of direction solves: A is (B, N, r*m) on
+shared outputs u, R is (B, r, r), and every result has one row per slice,
+with the bits that slice would get as a stack of one. A single solve is the
+case B = 1.
 """
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ __all__ = [
 # corner on near-noiseless data, which would leave the error indicator
 # floor-dominated and meaningless.
 DEFAULT_LAMBDA_FLOOR = 5e-2
+_LAMBDA_GRID_SIZE = 50  # GCV grid points per direction solve
 
 
 @dataclass
@@ -49,14 +55,12 @@ class RegularizationState:
     error_indicator: float
     hat_trace: float
     grid_index: int
-    grid_position: str
 
-
-def _grid_position(index: int, grid_size: int) -> str:
-    """"floor", "ceiling" or "interior" for a point of a grid_size-point grid."""
-    if index == 0:
-        return "floor"
-    return "ceiling" if index == grid_size - 1 else "interior"
+    @property
+    def grid_position(self) -> str:
+        if self.grid_index == 0:
+            return "floor"
+        return "ceiling" if self.grid_index == _LAMBDA_GRID_SIZE - 1 else "interior"
 
 
 def _check_finite(AtA: np.ndarray, Atu: np.ndarray) -> None:
@@ -74,38 +78,25 @@ def _triangular_solve(R: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     return x
 
 
-def _along(x: np.ndarray, extra: int) -> np.ndarray:
-    """x with `extra` unit axes inserted before its last axis."""
-    return x.reshape(x.shape[:-1] + (1,) * extra + x.shape[-1:])
-
-
 class TikhonovPath:
-    """Shared factorization of (A, R (x) I) for cheap evaluation along a lambda grid.
+    """Shared factorization of (A_b, R_b (x) I) for cheap evaluation along a lambda grid.
 
-    R is the r x r upper-triangular factor and m the basis size, so A has
+    A is a (B, N, r*m) stack of design matrices on the shared outputs u (N,),
+    and R the (B, r, r) stack of upper-triangular factors, so each A_b has
     r * m columns in term-major order; a generic dense upper-triangular L is
-    the case m = 1. The problem reduces to a ridge path in the transformed
+    the case m = 1. Each slice reduces to a ridge path in the transformed
     variable w = L c: one symmetric eigendecomposition of (A L^-1)^T (A L^-1)
     prices every lambda at O(n) for traces and residuals and O(n^2) for
-    coefficient vectors.
-
-    A (B, n, r*m) and R (B, r, r) may carry one leading batch axis, in
-    NumPy's stacked-matrix style: each slice is its own path on the shared
-    outputs u, and every array below keeps that axis. A slice gets the
-    same bits as the path of that slice alone.
+    coefficient vectors. Every array below has the leading slice axis.
     """
 
     def __init__(self, A: np.ndarray, u: np.ndarray, R: np.ndarray, m: int):
-        A = np.asarray(A, dtype=float)
-        u = np.asarray(u, dtype=float).ravel()
         if A.shape[-1] != R.shape[-1] * m:
             raise ValueError(
                 f"design matrix has {A.shape[-1]} columns, expected {R.shape[-1]} x {m}"
             )
         self.R = R
-        self.batch = A.shape[:-2]
-        self.n_rows = A.shape[-2]
-        self._R_slices = list(R.reshape(-1, R.shape[-1], R.shape[-1]))
+        self.n_rows = A.shape[1]
         At = A.swapaxes(-1, -2)
         AtA = At @ A
         Atu = At @ u
@@ -127,44 +118,21 @@ class TikhonovPath:
         self.perp2 = np.maximum(float(u @ u) - np.add.reduce(self.b2, -1), 0.0)
 
     def _l_solve(self, X: np.ndarray, trans: int, transposed: bool = False) -> np.ndarray:
-        """L^-1 X (trans 0) or L^-T X (trans 1), per slice of the path's batch axis.
+        """L^-1 X (trans 0) or L^-T X (trans 1), per slice.
 
         One triangular solve with R on the term axis of X's rows; with
         transposed set, each slice of X is solved as its transpose.
         """
         r = self.R.shape[-1]
-        shape = X.shape[len(self.batch):]
         out = np.empty(X.shape)
-        for R, x, o in zip(self._R_slices, X.reshape((-1,) + shape), out.reshape((-1,) + shape)):
+        for R, x, o in zip(self.R, X, out):
             x = x.T if transposed else x
             o.reshape(r, -1)[...] = _triangular_solve(R, x.reshape(r, -1), trans)
         return out
 
-    @property
-    def gamma_max(self):
-        """Largest generalized singular value of (A, L), per slice."""
-        return np.sqrt(self.sv2[..., 0])
-
-    def _filters(self, lam) -> np.ndarray:
-        """Filter factors; lam's shape is the path's batch shape, then any grid axes."""
-        lam = np.asarray(lam, dtype=float)
-        sv2 = _along(self.sv2, lam.ndim - len(self.batch))
-        return sv2 / (sv2 + lam[..., None] ** 2)
-
-    def hat_trace(self, lam):
-        """Trace of the hat matrix, elementwise over an array of lambdas."""
-        return self._filters(lam).sum(axis=-1)
-
-    def residual_norm(self, lam):
-        """||A c_lambda - u||, elementwise over an array of lambdas."""
-        f = self._filters(lam)
-        extra = np.ndim(lam) - len(self.batch)
-        perp2 = np.reshape(self.perp2, self.batch + (1,) * extra)
-        return np.sqrt(np.sum((1.0 - f) ** 2 * _along(self.b2, extra), axis=-1) + perp2)
-
-    def solve(self, lam) -> np.ndarray:
-        """Coefficients solving (A^T A + lam^2 L^T L) c = A^T u, one lambda per slice."""
-        lam = np.asarray(lam, dtype=float)[..., None]
+    def solve(self, lam: np.ndarray) -> np.ndarray:
+        """Coefficients solving (A^T A + lam^2 L^T L) c = A^T u for a (B,) array of lambdas."""
+        lam = lam[:, None]
         den = self.sv2 + lam * lam
         filt = np.divide(self.z, den, out=np.zeros(den.shape), where=den > 0.0)
         w = (self.V @ filt[..., None])[..., 0]
@@ -173,12 +141,12 @@ class TikhonovPath:
 
 @dataclass
 class GcvResult:
-    """The GCV pick of one path; fields carry the path's batch axis."""
+    """The GCV pick of each slice of a path: (B,) picks on a (B, grid size) grid."""
 
-    lambda_: float
-    hat_trace: float
+    lambda_: np.ndarray
+    hat_trace: np.ndarray
     grid: np.ndarray
-    index: int
+    index: np.ndarray
 
 
 @cache
@@ -189,59 +157,52 @@ def _grid_steps(num: int) -> np.ndarray:
     return steps
 
 
-def _log_grid(ends, num: int) -> np.ndarray:
-    """np.geomspace(lo, hi, num, axis=-1) for ends (..., [lo, hi]), without its overhead.
+def _log_grid(ends: np.ndarray, num: int) -> np.ndarray:
+    """np.geomspace(lo, hi, num, axis=-1) for positive ends (B, [lo, hi]), without its overhead.
 
-    Positive finite endpoints take the same steps as geomspace (log10 of
-    the ends, a linspace of the exponents, a power of ten, the ends put
-    back), so the grid has the same bits; anything else goes to geomspace.
+    The same steps as geomspace (log10 of the ends, a linspace of the
+    exponents, a power of ten, the ends put back), so the grid has the same
+    bits.
     """
-    ends = np.asarray(ends, dtype=float)
-    if num < 2 or not (ends > 0.0).all():
-        return np.geomspace(ends[..., 0], ends[..., 1], num, axis=-1)
     logs = np.log10(ends)
-    log_lo = logs[..., :1]
-    y = _grid_steps(num) * ((logs[..., 1:] - log_lo) / (num - 1)) + log_lo
-    y[..., -1:] = logs[..., 1:]
+    log_lo = logs[:, :1]
+    y = _grid_steps(num) * ((logs[:, 1:] - log_lo) / (num - 1)) + log_lo
+    y[:, -1:] = logs[:, 1:]
     grid = np.power(10.0, y)
-    grid[..., ::num - 1] = ends
+    grid[:, ::num - 1] = ends
     return grid
 
 
 def gcv_select_lambda(
-    path: TikhonovPath, grid_size: int = 50, floor_rel: float = DEFAULT_LAMBDA_FLOOR
+    path: TikhonovPath, grid_size: int = _LAMBDA_GRID_SIZE,
+    floor_rel: float = DEFAULT_LAMBDA_FLOOR,
 ) -> GcvResult:
-    """Minimize GCV(lambda) = N ||A c - u||^2 / (N - tr H)^2 over a log grid.
+    """Minimize GCV(lambda) = N ||A c - u||^2 / (N - tr H)^2 over a log grid per slice.
 
-    The grid spans [floor_rel * gamma_max, gamma_max] where gamma_max is the
-    largest generalized singular value of (A, L); zero is excluded so the
-    error indicator stays finite whenever selection succeeds. Ties go to the
-    first (smallest) grid point. A batched path gets one grid and one pick
-    per slice.
+    Slice b's grid spans [floor_rel * gamma_max, gamma_max], where gamma_max
+    is the largest generalized singular value of (A_b, L_b); zero is
+    excluded so the error indicator stays finite whenever selection
+    succeeds. Ties go to the first (smallest) grid point.
     """
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
-    gmax = path.gamma_max
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    gmax = np.sqrt(path.sv2[:, 0])
     if (gmax <= 0.0).any():
         raise SelectionError("design matrix is identically zero; nothing to select")
-    grid = _log_grid(gmax[..., None] * np.array([floor_rel, 1.0]), grid_size)
-    sv2 = path.sv2[..., None, :]
+    grid = _log_grid(gmax[:, None] * np.array([floor_rel, 1.0]), grid_size)
+    sv2 = path.sv2[:, None, :]
     filters = sv2 / (sv2 + grid[..., None] ** 2)
     traces = np.add.reduce(filters, -1)
     residual_norms = np.sqrt(
-        np.add.reduce((1.0 - filters) ** 2 * path.b2[..., None, :], -1)
-        + np.reshape(path.perp2, path.batch + (1,))
+        np.add.reduce((1.0 - filters) ** 2 * path.b2[:, None, :], -1) + path.perp2[:, None]
     )
     n = path.n_rows
     gcv_values = n * residual_norms**2 / (n - traces) ** 2
-    if (residual_norms[..., 1:] - residual_norms[..., :-1]
-            < -1e-9 * residual_norms[..., :-1] - 1e-300).any():
+    if (residual_norms[:, 1:] - residual_norms[:, :-1]
+            < -1e-9 * residual_norms[:, :-1] - 1e-300).any():
         raise InvariantError("residual norm must be non-decreasing in lambda")
     if not np.isfinite(gcv_values).any(axis=-1).all():
         raise SelectionError("GCV is non-finite over the whole lambda grid")
     j = gcv_values.argmin(axis=-1)
-    if grid.ndim == 1:
-        return GcvResult(lambda_=float(grid[j]), hat_trace=float(traces[j]), grid=grid,
-                         index=int(j))
     rows = np.arange(len(grid))
     return GcvResult(lambda_=grid[rows, j], hat_trace=traces[rows, j], grid=grid, index=j)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .als import FitConfig, fit_fixed
 from .errors import SelectionError
-from .model import SampleSet, SeparatedModel, model_from_dict, model_to_dict
+from .model import SampleSet, SeparatedModel, _check_keys, model_from_dict, model_to_dict
 
 __all__ = ["SelectionReport", "select_model", "per_degree_seeds"]
 
@@ -69,6 +69,9 @@ class SelectionReport:
             r, m = s.split(",")
             return (int(r), int(m))
 
+        _check_keys(doc, [f.name for f in dataclasses.fields(cls)], "selection report")
+        _check_keys(doc["config"], [f.name for f in dataclasses.fields(FitConfig)],
+                   "selection report config")
         grid = [tuple(p) for p in doc["grid"]]
         return cls(
             grid=grid,

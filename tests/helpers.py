@@ -6,11 +6,11 @@ the library paths are checked against genuinely different computations.
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
 
-from seprep.als import _LAMBDA_GRID_SIZE
 from seprep.basis import BasisSpec, eval_basis, gauss_quadrature
 from seprep.errors import DegenerateModelError, PositivityError
 from seprep.model import SeparatedModel
 from seprep.problems import _p2_shapes, coefficient_at_gauss_points
+from seprep.regularize import _LAMBDA_GRID_SIZE
 
 
 def naive_evaluate(model, y):

@@ -185,7 +185,7 @@ def test_criterion_6_invariant_suites():
         ("normal-equation residual", test_als.test_normal_equation_residual_every_solve),
         ("penalty norm equals second moment", test_regularize.test_penalty_norm_equals_second_moment),
         ("mean vs Monte Carlo", lambda: test_model.test_mean_and_second_moment_match_monte_carlo("hermite")),
-        ("GCV trace vs explicit hat matrix", test_regularize.test_gcv_trace_matches_explicit_hat_matrix),
+        ("GCV trace vs explicit hat matrix", test_regularize.test_stacked_gcv_matches_explicit_hat_matrix),
         ("perturbation bound (200 trials)", test_regularize.test_perturbation_bound_holds),
         ("rank-1 exact recovery", test_als.test_exact_recovery_success_rate),
     ]

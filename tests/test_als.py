@@ -53,9 +53,9 @@ def _kernel_calls():
         # a stacked call solves one direction per slice: record each slice,
         # with the state the library builds from the slice's raw diagnostics
         c, raw, rn2 = result
-        states = [None] * len(A) if raw is None else als._regularization_states(raw, len(u))
         for b in range(A.shape[0]):
-            calls.append((A[b], u, None if G is None else G[b], (c[b], states[b], rn2[b])))
+            state = None if raw is None else als._regularization_state(raw, b, len(u))
+            calls.append((A[b], u, None if G is None else G[b], (c[b], state, rn2[b])))
         return result
 
     als._direction_solve = recording
@@ -68,7 +68,7 @@ def _kernel_calls():
 def _solve_one(A, u, G, m, cfg):
     """The kernel on a stack of one (N, r*m) design; returns (c, state or None, rn2)."""
     c, raw, rn2 = als._direction_solve(A[None], u, None if G is None else G[None], m, cfg)
-    state = None if raw is None else als._regularization_states(raw, len(u))[0]
+    state = None if raw is None else als._regularization_state(raw, 0, len(u))
     return c[0], state, rn2[0]
 
 
@@ -157,9 +157,9 @@ def test_solve_direction_large_lambda_shrinks():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((30, 4))
     u = rng.standard_normal(30)
-    path = TikhonovPath(A, u, np.eye(4), 1)
-    c0 = path.solve(0.0)
-    c_big = path.solve(1e8 * np.linalg.svd(A, compute_uv=False)[0])
+    path = TikhonovPath(A[None], u, np.eye(4)[None], 1)
+    c0 = path.solve(np.zeros(1))
+    c_big = path.solve(np.array([1e8 * np.linalg.svd(A, compute_uv=False)[0]]))
     assert np.linalg.norm(c_big) <= 1e-6 * np.linalg.norm(c0)
 
 
@@ -168,8 +168,8 @@ def test_solve_direction_small_closed_form():
     u = np.array([1.0, 2.0, 3.0])
     lam = 1.0
     ref = np.linalg.solve(A.T @ A + lam**2 * np.eye(2), A.T @ u)
-    c = TikhonovPath(A, u, np.eye(2), 1).solve(lam)
-    assert np.allclose(c, ref, atol=1e-12)
+    c = TikhonovPath(A[None], u, np.eye(2)[None], 1).solve(np.array([lam]))
+    assert np.allclose(c[0], ref, atol=1e-12)
 
 
 def test_normal_equation_residual_every_solve():
@@ -197,11 +197,12 @@ def test_normal_equation_residual_every_solve():
 def _oracle_direction(A, u, B, cfg):
     """Dense reference: factor the full (rm)^2 penalty and solve with m = 1."""
     L = tikhonov_factor(B)
-    path = TikhonovPath(A, u, L, 1)
-    sel = gcv_select_lambda(path, als._LAMBDA_GRID_SIZE, cfg.lambda_floor_rel)
-    c = path.solve(sel.lambda_)
-    sig = sigma_hat(A, u, c, sel.hat_trace)
-    return c, sel.lambda_, sig, error_indicator(sel.lambda_, L, sig, c, u.shape[0])
+    path = TikhonovPath(A[None], u, L[None], 1)
+    sel = gcv_select_lambda(path, floor_rel=cfg.lambda_floor_rel)
+    c = path.solve(sel.lambda_)[0]
+    lam = float(sel.lambda_[0])
+    sig = sigma_hat(A, u, c, float(sel.hat_trace[0]))
+    return c, lam, sig, error_indicator(lam, L, sig, c, u.shape[0])
 
 
 @pytest.mark.parametrize("l_identity", [False, True])
@@ -464,6 +465,17 @@ def test_lambda_floor_outside_the_unit_interval_is_refused(floor_rel):
         FitConfig(rank_max=1, degree=1, lambda_floor_rel=floor_rel)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rank_max", 2.0), ("rank_max", True), ("degree", 1.5), ("degree", False),
+    ("max_sweeps_per_rank", 3.5), ("init_candidates", 2.5), ("candidate_burn_sweeps", "3"),
+    ("rank_max", 0), ("degree", -1), ("init_candidates", 0),
+])
+def test_non_integer_counts_are_refused(field, value):
+    fields = {"rank_max": 1, "degree": 1, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        FitConfig(**fields)
+
+
 @pytest.mark.parametrize("penalty", ["none", "second_moment"])
 def test_normal_equation_failure_names_its_branch(monkeypatch, penalty):
     # a solve that returns zeros leaves A^T u as the normal-equation residual
@@ -495,8 +507,8 @@ def test_state_records_lambda_grid_position():
              ("interior", signal + 3.0 * rng.standard_normal(80))]
     for want, u in cases:
         _, state, _ = _solve_one(A, u, np.eye(2), 3, cfg)
-        grid = gcv_select_lambda(TikhonovPath(A, u, np.eye(2), 3), als._LAMBDA_GRID_SIZE,
-                                 cfg.lambda_floor_rel).grid
+        grid = gcv_select_lambda(TikhonovPath(A[None], u, np.eye(2)[None], 3),
+                                 floor_rel=cfg.lambda_floor_rel).grid[0]
         assert state.lambda_ == grid[state.grid_index]
         assert state.grid_position == want
         if want == "interior":
@@ -513,7 +525,8 @@ def test_lambda_grid_matches_geomspace(lo, hi):
     grid = regularize._log_grid(ends, 50)
     for row, (a, b) in zip(grid, ends, strict=True):
         assert np.array_equal(row, np.geomspace(a, b, 50))
-    assert np.array_equal(regularize._log_grid([lo, hi], 50), np.geomspace(lo, hi, 50))
+    assert np.array_equal(regularize._log_grid(np.array([[lo, hi]]), 50)[0],
+                          np.geomspace(lo, hi, 50))
 
 
 # -- the candidate race ---------------------------------------------------------

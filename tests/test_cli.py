@@ -244,9 +244,22 @@ def test_cli_bad_config_file_is_fatal(tmp_path, caplog, doc, named):
     (["kl-info", "--dims", "0"], None, "at least one KL mode"),
     (["kl-info", "--dims", "-3"], None, "at least one KL mode"),
     (["kl-info", "--corr-length", "0"], None, "correlation length must be positive"),
+    (["fit", "--config", "in.json"], {"seeds": [True]}, "seeds must be"),
+    (["fit", "--config", "in.json"], {"noisy": "no"}, "noisy must be true or false"),
+    (["fit", "--config", "in.json"], {"l_identity": "false"}, "l_identity must be true or false"),
+    (["fit", "--config", "in.json"], {"force": 1}, "force must be true or false"),
+    (["fit", "--config", "in.json"], {"pc_degree": 2.0}, "pc_degree must be"),
+    (["fit", "--config", "in.json"], {"ref_samples": 2.5}, "ref_samples must be"),
+    (["fit", "--config", "in.json"], {"ref_samples": 1}, "ref_samples must be"),
+    (["fit", "--config", "in.json"], {"ref_seed": -1}, "ref_seed must be"),
+    (["fit", "--config", "in.json"], {"ref_seed": False}, "ref_seed must be"),
+    (["fit", "--config", "in.json"], {"dataset": 3}, "dataset must be a string"),
 ], ids=["ref-missing-keys", "ref-not-object", "sizes-not-list", "seeds-string",
         "negative-degree", "select-no-dataset", "dataset-size-mismatch",
-        "negative-pc-degree", "kl-zero-dims", "kl-negative-dims", "kl-zero-corr-length"])
+        "negative-pc-degree", "kl-zero-dims", "kl-negative-dims", "kl-zero-corr-length",
+        "seed-bool", "noisy-string", "l-identity-string", "force-int", "pc-degree-float",
+        "ref-samples-float", "ref-samples-one", "ref-seed-negative", "ref-seed-bool",
+        "dataset-number"])
 def test_cli_bad_input_is_fatal_before_any_output(tmp_path, caplog, argv, inputs, named):
     if isinstance(inputs, str):
         (tmp_path / "in.csv").write_text(inputs)

@@ -15,6 +15,7 @@ from seprep.model import (
     evaluate_batch,
     load_model,
     mean,
+    model_from_dict,
     model_to_dict,
     moment,
     save_model,
@@ -226,3 +227,16 @@ def test_json_round_trip_is_bit_exact(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="header"):
             load_model(path)
+
+
+@pytest.mark.parametrize("remove, add, named", [
+    (["family"], {}, r"unknown keys \[\] and missing keys \['family'\]"),
+    ([], {"degree": 3}, r"unknown keys \['degree'\] and missing keys \[\]"),
+    (["rank", "dims"], {"terms": 4}, r"\['terms'\] and missing keys \['dims', 'rank'\]"),
+], ids=["no-family", "unknown-key", "both"])
+def test_model_document_with_wrong_keys_is_refused(remove, add, named):
+    doc = model_to_dict(random_model(np.random.default_rng(22), dims=2, rank=1, degree=1))
+    for key in remove:
+        del doc[key]
+    with pytest.raises(ValueError, match=named):
+        model_from_dict(dict(doc, **add))

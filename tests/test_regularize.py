@@ -89,18 +89,26 @@ def test_tikhonov_factor_rejects_semidefinite():
 
 
 def _random_system(rng, n_rows=50, n_cols=6):
+    """One random system as a stack of one: A (1, N, n), u (N,), L (1, n, n)."""
     A = rng.standard_normal((n_rows, n_cols))
     u = rng.standard_normal(n_rows)
     X = rng.standard_normal((n_cols, n_cols))
     L = tikhonov_factor(X @ X.T + n_cols * np.eye(n_cols))
-    return A, u, L
+    return A[None], u, L[None]
 
 
 def test_hat_trace_at_zero_is_column_count():
     rng = np.random.default_rng(8)
     A, u, L = _random_system(rng)
     path = TikhonovPath(A, u, L, 1)
-    assert path.hat_trace(0.0) == pytest.approx(A.shape[1], abs=1e-9)
+    # the hat trace at lambda = 0 counts the positive generalized singular values
+    filters = np.divide(path.sv2, path.sv2, out=np.zeros(path.sv2.shape), where=path.sv2 > 0.0)
+    assert np.add.reduce(filters, -1)[0] == pytest.approx(A.shape[-1], abs=1e-9)
+    assert np.trace(explicit_hat_matrix(A[0], L[0], 0.0)) == pytest.approx(A.shape[-1], abs=1e-9)
+    # and the path's lambda = 0 solve is the least-squares solution
+    c = path.solve(np.zeros(1))[0]
+    c_ls = np.linalg.lstsq(A[0], u, rcond=None)[0]
+    assert np.allclose(c, c_ls, rtol=1e-9, atol=1e-11)
 
 
 def test_gcv_residual_monotone_and_in_grid():
@@ -108,22 +116,12 @@ def test_gcv_residual_monotone_and_in_grid():
     A, u, L = _random_system(rng)
     path = TikhonovPath(A, u, L, 1)
     sel = gcv_select_lambda(path, grid_size=50)
-    residual_norms = path.residual_norm(sel.grid)
+    residual_norms = np.array(
+        [np.linalg.norm(A[0] @ path.solve(np.array([lam]))[0] - u) for lam in sel.grid[0]]
+    )
     assert np.all(np.diff(residual_norms) >= -1e-9 * residual_norms[:-1])
-    assert sel.grid[0] <= sel.lambda_ <= sel.grid[-1]
-    assert any(sel.lambda_ == g for g in sel.grid)
-
-
-def test_gcv_matches_fine_grid_scan():
-    rng = np.random.default_rng(10)
-    A, u, L = _random_system(rng)
-    u = u + A @ rng.standard_normal(A.shape[1])  # give the system signal
-    path = TikhonovPath(A, u, L, 1)
-    coarse = gcv_select_lambda(path, grid_size=50)
-    fine = gcv_select_lambda(path, grid_size=500)
-    # the coarse minimizer must land within one coarse cell of the fine one
-    ratio = coarse.grid[1] / coarse.grid[0]
-    assert coarse.lambda_ / ratio <= fine.lambda_ <= coarse.lambda_ * ratio
+    assert sel.grid[0, 0] <= sel.lambda_[0] <= sel.grid[0, -1]
+    assert any(sel.lambda_[0] == g for g in sel.grid[0])
 
 
 def test_gcv_trace_matches_explicit_hat_matrix():
@@ -132,14 +130,64 @@ def test_gcv_trace_matches_explicit_hat_matrix():
         n_rows = int(rng.integers(20, 61))
         A, u, L = _random_system(rng, n_rows=n_rows, n_cols=5)
         path = TikhonovPath(A, u, L, 1)
-        # the array form is what GCV selection evaluates on its grid
-        grid = np.array([1e-3, 0.1, 1.0, 10.0])
-        for lam, trace, resid in zip(grid, path.hat_trace(grid), path.residual_norm(grid)):
-            H = explicit_hat_matrix(A, L, lam)
-            assert trace == pytest.approx(np.trace(H), abs=1e-9)
-            c = path.solve(lam)
-            resid_direct = np.linalg.norm(A @ c - u)
-            assert resid == pytest.approx(resid_direct, rel=1e-9, abs=1e-11)
+        sel = gcv_select_lambda(path, grid_size=4)
+        gcv, traces = [], []
+        for lam in sel.grid[0]:
+            H = explicit_hat_matrix(A[0], L[0], lam)
+            traces.append(np.trace(H))
+            c = path.solve(np.array([lam]))[0]
+            resid = np.linalg.norm(A[0] @ c - u)
+            assert resid == pytest.approx(np.linalg.norm(u - H @ u), rel=1e-9, abs=1e-11)
+            gcv.append(n_rows * resid**2 / (n_rows - traces[-1]) ** 2)
+        assert sel.index[0] == int(np.argmin(gcv))
+        assert sel.hat_trace[0] == pytest.approx(traces[sel.index[0]], abs=1e-9)
+
+
+def test_gcv_matches_fine_grid_scan():
+    rng = np.random.default_rng(10)
+    A, u, L = _random_system(rng)
+    u = u + A[0] @ rng.standard_normal(A.shape[-1])  # give the system signal
+    path = TikhonovPath(A, u, L, 1)
+    coarse = gcv_select_lambda(path, grid_size=50)
+    fine = gcv_select_lambda(path, grid_size=500)
+    # the coarse minimizer must land within one coarse cell of the fine one
+    ratio = coarse.grid[0, 1] / coarse.grid[0, 0]
+    assert coarse.lambda_[0] / ratio <= fine.lambda_[0] <= coarse.lambda_[0] * ratio
+
+
+def test_stacked_gcv_matches_explicit_hat_matrix():
+    # three independent systems on shared outputs, one path for the stack
+    rng = np.random.default_rng(11)
+    n_rows, n_cols = 40, 5
+    systems = [_random_system(rng, n_rows, n_cols) for _ in range(3)]
+    u = systems[0][1] + systems[0][0][0] @ rng.standard_normal(n_cols)
+    A = np.concatenate([a for a, _, _ in systems])
+    L = np.concatenate([l for _, _, l in systems])
+    path = TikhonovPath(A, u, L, 1)
+    sel = gcv_select_lambda(path)
+    residuals = np.array([np.linalg.norm(A @ c[:, :, None] - u[:, None], axis=(1, 2))
+                          for c in (path.solve(lam) for lam in sel.grid.T)])
+    for b in range(3):
+        # GCV scanned with explicit hat matrices over the slice's own grid
+        gcv, traces = [], []
+        for lam in sel.grid[b]:
+            H = explicit_hat_matrix(A[b], L[b], lam)
+            res = u - H @ u
+            traces.append(np.trace(H))
+            gcv.append(n_rows * float(res @ res) / (n_rows - traces[-1]) ** 2)
+        assert sel.index[b] == int(np.argmin(gcv))
+        assert sel.lambda_[b] == sel.grid[b, sel.index[b]]
+        assert sel.hat_trace[b] == pytest.approx(traces[sel.index[b]], abs=1e-9)
+        # the residual ||A c_lambda - u|| grows with lambda along the grid
+        assert np.all(np.diff(residuals[:, b]) >= -1e-9 * residuals[:-1, b])
+        # the slice run as a stack of one gets the same bits
+        one = TikhonovPath(A[b:b + 1], u, L[b:b + 1], 1)
+        sel_one = gcv_select_lambda(one)
+        assert np.array_equal(sel_one.grid[0], sel.grid[b])
+        assert sel_one.index[0] == sel.index[b]
+        assert sel_one.lambda_[0] == sel.lambda_[b]
+        assert sel_one.hat_trace[0] == sel.hat_trace[b]
+        assert np.array_equal(one.solve(sel_one.lambda_)[0], path.solve(sel.lambda_)[b])
 
 
 def test_gcv_decreasing_residual_is_an_invariant_error():
@@ -148,7 +196,7 @@ def test_gcv_decreasing_residual_is_an_invariant_error():
     path = TikhonovPath(A, u, L, 1)
     # a negative squared coefficient makes the residual shrink as lambda grows
     path.b2 = -np.ones_like(path.b2)
-    path.perp2 = 1e3
+    path.perp2 = np.full(1, 1e3)
     with pytest.raises(InvariantError):
         gcv_select_lambda(path, grid_size=10)
 
@@ -230,10 +278,10 @@ def test_perturbation_bound_holds():
         L = tikhonov_factor(X @ X.T + 0.5 * np.eye(n_cols))
         lam = float(np.exp(rng.uniform(-3, 2)))
         eps = 0.1 * rng.standard_normal(n_rows)
-        path = TikhonovPath(A, u, L, 1)
-        path2 = TikhonovPath(A, u - eps, L, 1)
-        c = path.solve(lam)
-        c2 = path2.solve(lam)
+        path = TikhonovPath(A[None], u, L[None], 1)
+        path2 = TikhonovPath(A[None], u - eps, L[None], 1)
+        c = path.solve(np.array([lam]))[0]
+        c2 = path2.solve(np.array([lam]))[0]
         lhs = np.linalg.norm(c - c2) / np.linalg.norm(c)
         rhs = l_inverse_norm(L) / lam * np.linalg.norm(eps) / np.linalg.norm(c)
         assert lhs <= rhs + 1e-10
@@ -248,3 +296,25 @@ def test_penalty_norm_equals_second_moment():
         c = m.coeffs[k].reshape(-1)
         val = float(np.linalg.norm(L @ c) ** 2)
         assert val == pytest.approx(second_moment(m), rel=1e-10)
+
+
+def test_package_public_names():
+    # the Tikhonov path and GCV pick are the kernel's internals: they stay in
+    # seprep.regularize and are called as module globals of seprep.als
+    import types
+
+    import seprep
+    from seprep import als, regularize
+
+    names = {name for name, value in vars(seprep).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == {
+        "BasisSpec", "Family", "FitConfig", "FitDiagnostics", "RegularizationState",
+        "SampleSet", "SelectionReport", "SeparatedModel", "empirical_norm", "eval_basis",
+        "eval_basis_batch", "evaluate", "evaluate_batch", "fit_fixed", "gauss_quadrature",
+        "load_model", "mean", "model_from_dict", "model_to_dict", "moment", "save_model",
+        "second_moment", "select_model", "standard_deviation", "sweep",
+    }
+    assert {"errors", "problems"} <= set(vars(seprep))
+    for name in ("TikhonovPath", "gcv_select_lambda"):
+        assert getattr(als, name) is getattr(regularize, name)

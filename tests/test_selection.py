@@ -18,8 +18,7 @@ from helpers import random_model
 
 def _state(ei):
     return RegularizationState(
-        lambda_=0.1, sigma_hat=0.0, error_indicator=ei, hat_trace=1.0,
-        grid_index=3, grid_position="interior",
+        lambda_=0.1, sigma_hat=0.0, error_indicator=ei, hat_trace=1.0, grid_index=3,
     )
 
 
@@ -149,6 +148,23 @@ def test_selection_deterministic_and_serializable():
     assert back.chosen == rep1.chosen
     assert back.ei_max == rep1.ei_max
     assert np.array_equal(back.chosen_model().coeffs, rep1.chosen_model().coeffs)
+
+
+@pytest.mark.parametrize("part, remove, add, named", [
+    # the config of a report written before one penalty field replaced two flags
+    ("config", ["penalty"], {"regularize": True, "l_identity": False},
+     r"config has unknown keys \['l_identity', 'regularize'\] and missing keys \['penalty'\]"),
+    (None, ["chosen"], {}, r"report has unknown keys \[\] and missing keys \['chosen'\]"),
+    (None, [], {"notes": ""}, r"report has unknown keys \['notes'\]"),
+], ids=["old-config", "no-chosen", "unknown-key"])
+def test_report_document_with_wrong_keys_is_refused(part, remove, add, named):
+    doc = select_model(_toy_data(), [1], [1], _fast_config(seed=11)).to_dict()
+    target = doc if part is None else doc[part]
+    for key in remove:
+        del target[key]
+    target.update(add)
+    with pytest.raises(ValueError, match=named):
+        SelectionReport.from_dict(doc)
 
 
 def test_chosen_pair_attains_minimum_with_parsimonious_ties():
