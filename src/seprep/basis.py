@@ -33,8 +33,9 @@ class BasisSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        if self.max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
+        M = self.max_degree
+        if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 0:
+            raise ValueError(f"max_degree must be an integer >= 0, got {M!r}")
 
     @property
     def size(self) -> int:
@@ -64,7 +65,9 @@ def eval_basis_batch(spec: BasisSpec, y: np.ndarray) -> np.ndarray:
     Returns
     -------
     ndarray of shape y.shape + (M+1,)
-        Entry [..., a] holds psi_a(y).
+        Entry [..., a] holds psi_a(y). It is a view of a degree-major
+        (M+1,) + y.shape array, so the recurrence reads and writes whole
+        contiguous rows; callers that need another layout copy it.
 
     Normalization is applied inside the three-term recurrence, degree by
     degree, so all iterates stay O(1) and no post-hoc scaling is needed.
@@ -72,25 +75,23 @@ def eval_basis_batch(spec: BasisSpec, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     _check_domain(spec.family, y)
     M = spec.max_degree
-    out = np.empty(y.shape + (M + 1,))
-    out[..., 0] = 1.0
-    if M == 0:
-        return out
-    if spec.family is Family.HERMITE:
+    out = np.empty((M + 1,) + y.shape)
+    out[0] = 1.0
+    if M > 0 and spec.family is Family.HERMITE:
         # normalized recurrence: sqrt(a+1) psi_{a+1} = y psi_a - sqrt(a) psi_{a-1}
-        out[..., 1] = y
+        out[1] = y
         for a in range(1, M):
-            out[..., a + 1] = (y * out[..., a] - np.sqrt(a) * out[..., a - 1]) / np.sqrt(a + 1)
-    else:
+            out[a + 1] = (y * out[a] - np.sqrt(a) * out[a - 1]) / np.sqrt(a + 1)
+    elif M > 0:
         # psi_a = sqrt(2a+1) P_a with the standard Legendre recurrence folded in
-        out[..., 1] = np.sqrt(3.0) * y
+        out[1] = np.sqrt(3.0) * y
         for a in range(1, M):
-            out[..., a + 1] = (
+            out[a + 1] = (
                 np.sqrt(2 * a + 3)
-                * (np.sqrt(2 * a + 1) * y * out[..., a] - a * out[..., a - 1] / np.sqrt(2 * a - 1))
+                * (np.sqrt(2 * a + 1) * y * out[a] - a * out[a - 1] / np.sqrt(2 * a - 1))
                 / (a + 1)
             )
-    return out
+    return np.moveaxis(out, 0, -1)
 
 
 def eval_basis(spec: BasisSpec, y: float) -> np.ndarray:

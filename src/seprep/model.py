@@ -97,6 +97,8 @@ class SeparatedModel:
             )
         if self.scales.shape != (r,):
             raise ValueError("scales length must equal the rank")
+        if not (np.all(np.isfinite(self.scales)) and np.all(np.isfinite(self.coeffs))):
+            raise ValueError("model scales and coefficients must be finite")
         if np.any(self.scales <= 0.0):
             raise ValueError("term scales must be strictly positive")
 
@@ -112,16 +114,36 @@ class SeparatedModel:
         return SeparatedModel(self.basis, self.scales.copy(), self.coeffs.copy())
 
 
+_EVAL_BLOCK = 16384  # rows per block; a block's work arrays stay near cache size
+
+
 def evaluate_batch(model: SeparatedModel, points: np.ndarray) -> np.ndarray:
-    """Evaluate the surrogate at each row of an (N, d) array."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """Evaluate the surrogate at each row of an (N, d) array, or at one d-vector.
+
+    Rows are evaluated in fixed blocks of `_EVAL_BLOCK`, the last of which
+    also takes the ragged rest, so the working memory beyond the (N,) result
+    is bounded by one block of under 2 * `_EVAL_BLOCK` rows, whatever N is.
+    No block is a single row unless N is 1, because BLAS rounds a one-row
+    product differently; so every value equals that of one unblocked product.
+    Each block is transposed once, so every dimension's basis evaluation
+    reads one contiguous row.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim > 2:
+        raise ValueError(f"points must be a d-vector or an (N, d) array, got shape {pts.shape}")
+    pts = np.atleast_2d(pts)
     if pts.shape[1] != model.dims:
         raise ValueError(f"expected {model.dims}-dimensional points, got {pts.shape[1]}")
-    prod = np.ones((pts.shape[0], model.rank))
-    for k in range(model.dims):
-        psi = eval_basis_batch(model.basis, pts[:, k])
-        prod *= psi @ model.coeffs[k].T
-    return prod @ model.scales
+    n = pts.shape[0]
+    out = np.empty(n)
+    starts = list(range(0, max(n - _EVAL_BLOCK, 0) + 1, _EVAL_BLOCK))
+    for first, stop in zip(starts, starts[1:] + [n]):
+        yt = np.ascontiguousarray(pts[first:stop].T)  # (d, rows)
+        prod = np.ones((stop - first, model.rank))
+        for k in range(model.dims):
+            prod *= eval_basis_batch(model.basis, yt[k]) @ model.coeffs[k].T
+        out[first:stop] = prod @ model.scales
+    return out
 
 
 def evaluate(model: SeparatedModel, y) -> float:
@@ -231,7 +253,7 @@ def _check_keys(doc, expected, what: str) -> None:
 
 def model_from_dict(doc: dict) -> SeparatedModel:
     _check_keys(doc, _MODEL_KEYS, "model document")
-    basis = BasisSpec(Family(doc["family"]), int(doc["max_degree"]))
+    basis = BasisSpec(Family(doc["family"]), doc["max_degree"])
     model = SeparatedModel(basis, np.array(doc["scales"]), np.array(doc["coeffs"]))
     if model.dims != int(doc["dims"]) or model.rank != int(doc["rank"]):
         raise ValueError("model document header disagrees with coefficient shapes")

@@ -6,7 +6,7 @@ the library paths are checked against genuinely different computations.
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
 
-from seprep.basis import BasisSpec, eval_basis, gauss_quadrature
+from seprep.basis import BasisSpec, Family, eval_basis, gauss_quadrature
 from seprep.errors import DegenerateModelError, PositivityError
 from seprep.model import SeparatedModel
 from seprep.problems import _p2_shapes, coefficient_at_gauss_points
@@ -26,6 +26,46 @@ def naive_evaluate(model, y):
             term *= factor
         total += term
     return total
+
+
+def degree_last_basis(spec, y):
+    """The basis recurrence written degree-last: entry [..., a] of an y.shape + (M+1,) array.
+
+    The same per-element expressions as the library's degree-major form, so
+    the two must agree bit for bit.
+    """
+    y = np.asarray(y, dtype=float)
+    M = spec.max_degree
+    out = np.empty(y.shape + (M + 1,))
+    out[..., 0] = 1.0
+    if M == 0:
+        return out
+    if spec.family is Family.HERMITE:
+        out[..., 1] = y
+        for a in range(1, M):
+            out[..., a + 1] = (y * out[..., a] - np.sqrt(a) * out[..., a - 1]) / np.sqrt(a + 1)
+    else:
+        out[..., 1] = np.sqrt(3.0) * y
+        for a in range(1, M):
+            out[..., a + 1] = (
+                np.sqrt(2 * a + 3)
+                * (np.sqrt(2 * a + 1) * y * out[..., a] - a * out[..., a - 1] / np.sqrt(2 * a - 1))
+                / (a + 1)
+            )
+    return out
+
+
+def unblocked_evaluate(model, points):
+    """The surrogate at every row of `points` in one product over all rows.
+
+    The library evaluates in row blocks; each value must equal this one bit
+    for bit.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    prod = np.ones((pts.shape[0], model.rank))
+    for k in range(model.dims):
+        prod *= degree_last_basis(model.basis, pts[:, k]) @ model.coeffs[k].T
+    return prod @ model.scales
 
 
 def naive_exclusion(table, k):
@@ -62,7 +102,6 @@ def quadrature_l2_distance(model_a, model_b):
 
 def mc_model_moments(model, n, seed, power=1, chunk=1_000_000):
     """Chunked Monte Carlo estimate of E[u^power] with its standard error."""
-    from seprep.basis import Family
     from seprep.model import evaluate_batch
 
     rng = np.random.default_rng(seed)

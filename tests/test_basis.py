@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from helpers import degree_last_basis
 from seprep.basis import BasisSpec, Family, eval_basis, eval_basis_batch, gauss_quadrature
 from seprep.errors import DomainError
 
@@ -114,3 +115,27 @@ def test_invalid_spec():
         BasisSpec(Family.HERMITE, -1)
     with pytest.raises(ValueError):
         gauss_quadrature(BasisSpec(Family.HERMITE, 1), 0)
+
+
+@pytest.mark.parametrize("degree", [2.5, 3.0, True, False, "3", None])
+def test_non_integer_degree_is_refused(degree):
+    with pytest.raises(ValueError, match="max_degree must be an integer"):
+        BasisSpec(Family.HERMITE, degree)
+
+
+def test_numpy_integer_degree_is_accepted():
+    spec = BasisSpec(Family.LEGENDRE, np.int64(3))
+    assert spec.size == 4 and eval_basis(spec, 0.5).shape == (4,)
+
+
+@pytest.mark.parametrize("family", [Family.HERMITE, Family.LEGENDRE])
+@pytest.mark.parametrize("shape", [(), (1,), (257,), (300, 7)], ids=["scalar", "n1", "n", "n-d"])
+def test_degree_major_recurrence_equals_degree_last_bit_for_bit(family, shape):
+    rng = np.random.default_rng(31)
+    y = rng.standard_normal(shape) if family is Family.HERMITE else rng.uniform(-1, 1, shape)
+    for M in (0, 1, 2, 4, 9):
+        spec = BasisSpec(family, M)
+        got = eval_basis_batch(spec, y)
+        want = degree_last_basis(spec, y)
+        assert got.shape == want.shape == np.shape(y) + (M + 1,)
+        assert np.array_equal(got, want)

@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import mc_model_moments, naive_evaluate, random_model
+from helpers import mc_model_moments, naive_evaluate, random_model, unblocked_evaluate
+from seprep import model as model_module
 from seprep.basis import BasisSpec, Family
-from seprep.errors import QuadraturePrecisionError
+from seprep.errors import DomainError, QuadraturePrecisionError
 from seprep.model import (
     SampleSet,
     SeparatedModel,
@@ -50,6 +52,58 @@ def test_evaluate_matches_naive_tensor_loop():
     fast = evaluate_batch(m, pts)
     for j in range(100):
         assert fast[j] == pytest.approx(naive_evaluate(m, pts[j]), rel=1e-12, abs=1e-12)
+
+
+def _points(family, rng, n, dims):
+    if family == "hermite":
+        return rng.standard_normal((n, dims))
+    return rng.uniform(-1.0, 1.0, (n, dims))
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre"])
+@pytest.mark.parametrize("dims, degree", [(1, 0), (1, 4), (40, 0), (40, 4)])
+def test_blocked_evaluation_equals_one_product_bit_for_bit(family, dims, degree):
+    B = model_module._EVAL_BLOCK
+    rng = np.random.default_rng(41)
+    m = random_model(rng, dims=dims, rank=3, degree=degree, family=family)
+    pts = _points(family, rng, 2 * B + 3, dims)
+    for n in (0, 1, B - 1, B, B + 1, 2 * B + 3):
+        got = evaluate_batch(m, pts[:n])
+        assert got.shape == (n,)
+        assert np.array_equal(got, unblocked_evaluate(m, pts[:n])), n
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-12, np.nan], ids=["outside", "nan"])
+def test_bad_point_in_the_last_ragged_block_is_a_domain_error(bad):
+    B = model_module._EVAL_BLOCK
+    rng = np.random.default_rng(42)
+    m = random_model(rng, dims=3, rank=2, degree=2, family="legendre")
+    pts = _points("legendre", rng, 2 * B + 3, 3)
+    evaluate_batch(m, pts)
+    pts[2 * B + 1, 2] = bad
+    with pytest.raises(DomainError):
+        evaluate_batch(m, pts)
+
+
+def test_evaluation_memory_is_bounded_by_one_block():
+    # evaluation works in fixed row blocks, so beyond the (N,) result its
+    # peak must not grow with N; one unblocked product over these points
+    # peaks above 50 MB
+    m = random_model(np.random.default_rng(43), dims=40, rank=5, degree=4, family="legendre")
+    pts = np.random.default_rng(44).uniform(-1.0, 1.0, (400_000, 40))
+    tracemalloc.start()
+    try:
+        out = evaluate_batch(m, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (400_000,) and np.all(np.isfinite(out))
+    assert peak < 20e6
+
+
+def test_points_with_more_than_two_axes_are_refused():
+    with pytest.raises(ValueError, match=r"got shape \(3, 2, 4\)"):
+        evaluate_batch(constant_model(dims=4), np.zeros((3, 2, 4)))
 
 
 def test_mean_trivial_and_benchmark():
@@ -201,6 +255,28 @@ def test_model_validation():
         SeparatedModel(BasisSpec(Family.HERMITE, 1), np.array([1.0]), np.ones((2, 1, 3)))
     with pytest.raises(ValueError):
         evaluate(constant_model(dims=3), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("scale, coeff", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf),
+                                          (1.0, -np.inf), (1.0, np.nan)])
+def test_non_finite_model_is_refused(scale, coeff):
+    coeffs = np.ones((2, 1, 2))
+    coeffs[1, 0, 1] = coeff
+    with pytest.raises(ValueError, match="finite"):
+        SeparatedModel(BasisSpec(Family.HERMITE, 1), np.array([scale]), coeffs)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("scales", [1.0, float("nan")], "finite"),  # JSON readers take NaN; the model must not
+    ("max_degree", 1.7, "max_degree"),
+    ("max_degree", True, "max_degree"),
+], ids=["nan-scale", "float-degree", "bool-degree"])
+def test_model_document_with_bad_values_is_refused(tmp_path, key, value, named):
+    doc = model_to_dict(random_model(np.random.default_rng(23), dims=2, rank=2, degree=1))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(doc, **{key: value})))
+    with pytest.raises(ValueError, match=named):
+        load_model(path)
 
 
 def test_sample_set_validation():
