@@ -156,6 +156,37 @@ def explicit_hat_matrix(A, L, lam):
     return A @ np.linalg.solve(M, A.T)
 
 
+def selection_summary(report):
+    """The chosen (r, M) and the runner-up pair, each with its EI_max.
+
+    The runner-up has the next-lowest finite EI_max, ties going to the
+    smaller rank and then the smaller degree, as in selection.
+    """
+    others = sorted((ei, pair) for pair, ei in report.ei_max.items()
+                    if pair != report.chosen and np.isfinite(ei))
+    return {
+        "chosen": list(report.chosen),
+        "ei_max": report.ei_max[report.chosen],
+        "runner_up": list(others[0][1]) if others else None,
+        "runner_up_ei_max": others[0][0] if others else None,
+    }
+
+
+def assert_selection_matches(report, recorded, rtol=1e-9):
+    """The stated result tolerance of a selection against its recorded selection_summary.
+
+    The chosen and runner-up pairs must be the recorded ones, and their
+    EI_max must match to rtol relative.
+    """
+    got = selection_summary(report)
+    for key in ("chosen", "runner_up"):
+        assert got[key] == recorded[key], f"{key}: {got[key]}, recorded {recorded[key]}"
+    for key in ("ei_max", "runner_up_ei_max"):
+        if recorded[key] is not None:
+            err = abs(got[key] - recorded[key]) / abs(recorded[key])
+            assert err <= rtol, f"{key}: {got[key]!r}, recorded {recorded[key]!r} ({err:.2e} rel)"
+
+
 def fit_residual_on(data, model):
     from seprep.model import evaluate_batch
 
