@@ -33,6 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
 from .basis import BasisSpec, eval_basis_batch
@@ -49,7 +50,6 @@ from .regularize import (
     RegularizationState,
     TikhonovPath,
     _check_finite,
-    _triangular_solve,
     gcv_select_lambda,
 )
 
@@ -92,7 +92,8 @@ class FitConfig:
 
     def __post_init__(self):
         for name, least in (("rank_max", 1), ("degree", 0), ("max_sweeps_per_rank", 1),
-                            ("init_candidates", 1), ("candidate_burn_sweeps", 1)):
+                            ("init_candidates", 1), ("candidate_burn_sweeps", 1),
+                            ("rng_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -161,7 +162,7 @@ def _solve_spd(Mm: np.ndarray, Atu: np.ndarray) -> np.ndarray:
     """Cholesky solve with an eigendecomposition pseudo-solve fallback."""
     C, info = dpotrf(Mm, lower=0, clean=1)
     if info == 0:
-        return _triangular_solve(C, _triangular_solve(C, Atu, 1), 0)
+        return cho_solve((C, False), Atu, check_finite=False)
     w, V = np.linalg.eigh(Mm)
     cut = 1e-12 * np.trace(Mm)
     winv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)

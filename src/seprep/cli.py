@@ -66,6 +66,7 @@ ERROR_COLUMNS = [
 # smallest allowed entry of each list field, and smallest value of each integer field
 _LIST_MINIMA = {"sample_sizes": 1, "r_grid": 1, "m_grid": 0, "seeds": 0}
 _INT_MINIMA = {"ref_samples": 2, "ref_seed": 0, "pc_degree": 0}
+_PENALTIES = ("second_moment", "diag_scale")
 
 
 def _is_int(value) -> bool:
@@ -82,7 +83,7 @@ class ExperimentConfig:
     r_grid: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
     m_grid: list = field(default_factory=lambda: [1, 2, 3, 4])
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    l_identity: bool = False
+    penalty: str = "second_moment"
     output_dir: str = "out"
     noisy: bool = True
     dataset: str | None = None
@@ -107,7 +108,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (_is_int(value) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        for name in ("l_identity", "noisy", "force"):
+        if self.penalty not in _PENALTIES:
+            raise ValueError(f"penalty must be one of {_PENALTIES} (selection needs a "
+                             f"regularized fit), got {self.penalty!r}")
+        for name in ("noisy", "force"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not isinstance(self.output_dir, str):
@@ -120,7 +124,7 @@ class ExperimentConfig:
         return FitConfig(
             rank_max=max(self.r_grid),
             degree=max(self.m_grid),
-            penalty="diag_scale" if self.l_identity else "second_moment",
+            penalty=self.penalty,
             rng_seed=seed,
         )
 
@@ -238,7 +242,7 @@ def _row(N, seed, ref: _Reference, r="", M="", mean_est=None, std_est=None, ei="
         return "" if v is None else _fmt(v)
 
     def rel(est, exact):
-        return None if est is None else abs(est - exact) / abs(exact)
+        return None if est is None or exact == 0.0 else abs(est - exact) / abs(exact)
 
     return {
         "N": N, "seed": seed, "r": r, "M": M,
@@ -254,9 +258,10 @@ def _load_reference(path) -> _Reference:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     stats = ("mean", "std", "stderr_mean", "stderr_std")
-    bad = [k for k in stats if not isinstance(doc, dict) or not isinstance(doc.get(k), (int, float))]
+    bad = [k for k in stats if not isinstance(doc, dict) or isinstance(doc.get(k), bool)
+           or not isinstance(doc.get(k), (int, float)) or not math.isfinite(doc[k])]
     if bad:
-        raise ValueError(f"{path}: reference lacks numeric values for {bad}")
+        raise ValueError(f"{path}: reference lacks finite numeric values for {bad}")
     return _Reference(
         *(doc[k] for k in stats), doc.get("source", "file"), doc.get("n"), doc.get("seed")
     )
@@ -455,8 +460,9 @@ def _add_common(parser):
     parser.add_argument("--r-max", dest="r_grid", type=_rank_grid,
                         help="rank grid becomes 1..r_max")
     parser.add_argument("--m-grid", type=_int_list, help="comma-separated degrees")
-    parser.add_argument("--l-identity", action="store_true",
-                        help="use the diag-scale comparison penalty")
+    parser.add_argument("--penalty", choices=_PENALTIES,
+                        help="Tikhonov penalty: the surrogate's second moment (default) "
+                             "or the diag-scale comparison penalty")
     parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--force", action="store_true", help="overwrite existing outputs")
     parser.add_argument("--dataset", help="external dataset CSV path")

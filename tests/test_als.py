@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import logging
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -469,6 +470,7 @@ def test_lambda_floor_outside_the_unit_interval_is_refused(floor_rel):
     ("rank_max", 2.0), ("rank_max", True), ("degree", 1.5), ("degree", False),
     ("max_sweeps_per_rank", 3.5), ("init_candidates", 2.5), ("candidate_burn_sweeps", "3"),
     ("rank_max", 0), ("degree", -1), ("init_candidates", 0),
+    ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", "3"), ("rng_seed", True),
 ])
 def test_non_integer_counts_are_refused(field, value):
     fields = {"rank_max": 1, "degree": 1, field: value}
@@ -517,16 +519,31 @@ def test_state_records_lambda_grid_position():
             assert state.grid_index == (0 if want == "floor" else len(grid) - 1)
 
 
-@pytest.mark.parametrize("lo, hi", [(0.05, 1.0), (1e-300, 1e-290), (3.7e200, 2.0e202)])
+@pytest.mark.parametrize("lo, hi", [(0.05, 1.0), (1e-120, 1e-110), (3.7e100, 2.0e102)])
 def test_lambda_grid_matches_geomspace(lo, hi):
+    # GCV's grid is gamma_max times a fixed unit log grid: its ends are
+    # floor_rel * gamma_max and gamma_max exactly, and its interior is the
+    # exact log grid to 1e-15 relative, on design matrices of any scale.
+    # np.geomspace goes through the logs of its ends, so it carries an error
+    # of its own of up to eps * |ln gamma| relative (2e-14 at 1e100)
     rng = np.random.default_rng(53)
-    ends = np.exp(rng.uniform(np.log(lo), np.log(hi), (7, 2)))
-    ends.sort(axis=1)
-    grid = regularize._log_grid(ends, 50)
-    for row, (a, b) in zip(grid, ends, strict=True):
-        assert np.array_equal(row, np.geomspace(a, b, 50))
-    assert np.array_equal(regularize._log_grid(np.array([[lo, hi]]), 50)[0],
-                          np.geomspace(lo, hi, 50))
+    scale = np.exp(rng.uniform(np.log(lo), np.log(hi), 7))
+    A = scale[:, None, None] * rng.standard_normal((7, 30, 4))
+    path = TikhonovPath(A, rng.standard_normal(30), np.broadcast_to(np.eye(4), (7, 4, 4)), 1)
+    gmax = np.sqrt(path.sv2[:, 0])
+    for floor_rel in (regularize.DEFAULT_LAMBDA_FLOOR, 1e-3):
+        grid = gcv_select_lambda(path, grid_size=50, floor_rel=floor_rel).grid
+        assert np.array_equal(grid[:, 0], floor_rel * gmax)
+        assert np.array_equal(grid[:, -1], gmax)
+        for row, g in zip(grid, gmax, strict=True):
+            with mpmath.workprec(128):
+                lo_g = mpmath.mpf(float(floor_rel * g))
+                ratio = mpmath.mpf(float(g)) / lo_g
+                exact = np.array([float(lo_g * ratio ** (mpmath.mpf(i) / 49)) for i in range(50)])
+            assert np.allclose(row, exact, rtol=1e-15, atol=0.0)
+            own = np.finfo(float).eps * max(abs(np.log(floor_rel * g)), abs(np.log(g)))
+            assert np.allclose(row, np.geomspace(floor_rel * g, g, 50), rtol=1e-15 + 2.0 * own,
+                               atol=0.0)
 
 
 # -- the candidate race ---------------------------------------------------------

@@ -246,7 +246,7 @@ def test_cli_bad_config_file_is_fatal(tmp_path, caplog, doc, named):
     (["kl-info", "--corr-length", "0"], None, "correlation length must be positive"),
     (["fit", "--config", "in.json"], {"seeds": [True]}, "seeds must be"),
     (["fit", "--config", "in.json"], {"noisy": "no"}, "noisy must be true or false"),
-    (["fit", "--config", "in.json"], {"l_identity": "false"}, "l_identity must be true or false"),
+    (["fit", "--config", "in.json"], {"penalty": "none"}, "penalty must be one of"),
     (["fit", "--config", "in.json"], {"force": 1}, "force must be true or false"),
     (["fit", "--config", "in.json"], {"pc_degree": 2.0}, "pc_degree must be"),
     (["fit", "--config", "in.json"], {"ref_samples": 2.5}, "ref_samples must be"),
@@ -254,12 +254,18 @@ def test_cli_bad_config_file_is_fatal(tmp_path, caplog, doc, named):
     (["fit", "--config", "in.json"], {"ref_seed": -1}, "ref_seed must be"),
     (["fit", "--config", "in.json"], {"ref_seed": False}, "ref_seed must be"),
     (["fit", "--config", "in.json"], {"dataset": 3}, "dataset must be a string"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"],
+     {"mean": True, "std": 1.0, "stderr_mean": 0.0, "stderr_std": 0.0}, "'mean'"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"],
+     {"mean": 1.0, "std": math.nan, "stderr_mean": 0.0, "stderr_std": 0.0}, "'std'"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"],
+     {"mean": 1.0, "std": 1.0, "stderr_mean": math.inf, "stderr_std": 0.0}, "'stderr_mean'"),
 ], ids=["ref-missing-keys", "ref-not-object", "sizes-not-list", "seeds-string",
         "negative-degree", "select-no-dataset", "dataset-size-mismatch",
         "negative-pc-degree", "kl-zero-dims", "kl-negative-dims", "kl-zero-corr-length",
-        "seed-bool", "noisy-string", "l-identity-string", "force-int", "pc-degree-float",
+        "seed-bool", "noisy-string", "penalty-none", "force-int", "pc-degree-float",
         "ref-samples-float", "ref-samples-one", "ref-seed-negative", "ref-seed-bool",
-        "dataset-number"])
+        "dataset-number", "ref-bool", "ref-nan", "ref-inf"])
 def test_cli_bad_input_is_fatal_before_any_output(tmp_path, caplog, argv, inputs, named):
     if isinstance(inputs, str):
         (tmp_path / "in.csv").write_text(inputs)
@@ -269,6 +275,27 @@ def test_cli_bad_input_is_fatal_before_any_output(tmp_path, caplog, argv, inputs
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     assert named in caplog.text
     assert not (tmp_path / "o").exists()
+
+
+def test_zero_reference_statistic_leaves_its_error_cell_empty(tmp_path):
+    # a relative error against a zero reference is undefined, not a crash
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"mean": 0.0, "std": 0.05, "stderr_mean": 0.0, "stderr_std": 0.0}))
+    out = tmp_path / "o"
+    assert main(["fit", "--problem", "elliptic", "--n", "30", "--seeds", "0", "--r-max", "1",
+                 "--m-grid", "1", "--ref-file", str(ref), "--out", str(out)]) == 0
+    [row] = _read_rows(out / "errors.csv")
+    assert row["mean_rel_err"] == "" and float(row["mean_est"]) > 0.0
+    assert math.isfinite(float(row["std_rel_err"]))
+
+
+def test_penalty_flag_reaches_the_fit(tmp_path):
+    out = tmp_path / "o"
+    assert main(["fit", "--n", "100", "--seeds", "0", "--r-max", "1", "--m-grid", "1",
+                 "--penalty", "diag_scale", "--out", str(out)]) == 0
+    doc = json.loads((out / "selection_N100_seed0.json").read_text())
+    assert doc["config"]["penalty"] == "diag_scale"
+    assert json.loads((out / "run_info.json").read_text())["config"]["penalty"] == "diag_scale"
 
 
 def test_cmd_fit_external_dataset_failure_is_an_exit_2_row(tmp_path):
