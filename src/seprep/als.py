@@ -11,9 +11,10 @@ The fit state is a stack of models on a leading candidate axis, and one
 kernel sweeps the whole stack: the init_candidates candidates of a rank
 burn in together, each slice getting the bits it would get alone, and the
 winner converges as a stack of one. A candidate that converges early leaves
-the stack. A burn-in that would re-draw a collapsed term, or that fails, is
-replayed one candidate at a time from the same stream state, so the stream
-is consumed in the serial order. The kernel hands the whole stack to one
+the stack. Initial draws come from the seeded stream in stack order, and
+each candidate carries a child stream of the seed, spawned in stack order,
+from which its collapsed terms are re-drawn inside the stack, so no slice's
+re-draw depends on another's. The kernel hands the whole stack to one
 regularize.TikhonovPath and one gcv_select_lambda call and returns raw
 per-slice diagnostics; a slice's RegularizationState (sigma-hat, the error
 indicator, and the eigenvalue and norm they need) is built from them one
@@ -42,7 +43,6 @@ from .errors import (
     DegenerateFactorError,
     DegenerateModelError,
     InvariantError,
-    SeprepError,
 )
 from .model import SampleSet, SeparatedModel, empirical_norm
 from .regularize import (
@@ -97,10 +97,11 @@ class FitConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 < self.sweep_tol < 1.0:
-            raise ValueError("sweep_tol must lie in (0, 1)")
-        if not 0.0 < self.lambda_floor_rel < 1.0:
-            raise ValueError("lambda_floor_rel must lie in (0, 1)")
+        for name in ("sweep_tol", "lambda_floor_rel"):
+            value = getattr(self, name)
+            real = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not real or not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
         if self.penalty not in _PENALTIES:
             raise ValueError(f"penalty must be one of {_PENALTIES}, got {self.penalty!r}")
 
@@ -134,10 +135,6 @@ class FitDiagnostics:
     """Per-rank records of one fit; per_rank[r - 1] belongs to rank r."""
 
     per_rank: list
-
-
-class _Replay(Exception):
-    """A candidate race must be rerun one candidate at a time."""
 
 
 def _rowdot(x: np.ndarray) -> np.ndarray:
@@ -261,17 +258,21 @@ class _Fitter:
     """Workspace for one fit: cached basis values and a stack of models.
 
     coeffs (B, d, r, M+1), scales (B, r) and factors (B, d, N, r) hold B
-    models of the same data, and _monotone_prev (B,) the last unregularized
-    residual of each, NaN when there is none to compare with. B is the
-    number of racing candidates, and 1 otherwise. The outputs are fitted as
-    u * 2^-exp with max |u| * 2^-exp in [0.5, 1); scales, residuals and
-    sigma-hat are mapped back by 2^exp on the way out.
+    models of the same data, _monotone_prev (B,) the last unregularized
+    residual of each, NaN when there is none to compare with, and rngs (B,)
+    the Generator each model re-draws its collapsed terms from. B is the
+    number of racing candidates, and 1 otherwise. Candidates are drawn from
+    rng = default_rng(SeedSequence(seed)), and each gets a re-draw stream
+    spawned from that SeedSequence; a lone model re-draws from rng. The
+    outputs are fitted as u * 2^-exp with max |u| * 2^-exp in [0.5, 1);
+    scales, residuals and sigma-hat are mapped back by 2^exp on the way out.
     """
 
-    def __init__(self, data: SampleSet, config: FitConfig, rng: np.random.Generator):
+    def __init__(self, data: SampleSet, config: FitConfig, seed: int):
         self.data = data
         self.config = config
-        self.rng = rng
+        self.seed_seq = np.random.SeedSequence(seed)
+        self.rng = np.random.default_rng(self.seed_seq)
         self.basis = BasisSpec(data.family, config.degree)
         self.n = data.n
         self.d = data.dims
@@ -285,14 +286,14 @@ class _Fitter:
         self.u_norm = empirical_norm(self.u) if np.any(self.u) else 1.0
         self._use((
             np.zeros((1, self.d, 0, self.m1)), np.zeros((1, 0)),
-            np.zeros((1, self.d, self.n, 0)), np.full(1, np.nan),
+            np.zeros((1, self.d, self.n, 0)), np.full(1, np.nan), np.array([self.rng]),
         ))
 
     # -- state management -------------------------------------------------
 
     def _use(self, stack):
-        """Make (coeffs, scales, factors, monotone residuals) the live stack."""
-        self.coeffs, self.scales, self.factors, self._monotone_prev = stack
+        """Make (coeffs, scales, factors, monotone residuals, re-draw streams) the live stack."""
+        self.coeffs, self.scales, self.factors, self._monotone_prev, self.rngs = stack
 
     def unscaled(self, residual) -> float:
         return float(np.ldexp(residual, self.exp))
@@ -318,13 +319,15 @@ class _Fitter:
         coeffs = model.coeffs.copy()
         factors = np.einsum("knm,krm->knr", self.psi, coeffs)
         scales = np.ldexp(model.scales, -self.exp)
-        self._use((coeffs[None], scales[None], factors[None], np.full(1, np.nan)))
+        self._use((coeffs[None], scales[None], factors[None], np.full(1, np.nan),
+                   np.array([self.rng])))
 
     def _draw_candidates(self, coeffs0: np.ndarray, scales0: np.ndarray, width: int):
         """A stack of `width` copies of one model, each grown by a term drawn in stack order.
 
         A new term is a unit constant plus scaled normal noise, normalized
-        per direction, with scale 1.
+        per direction, with scale 1. Each copy gets its own re-draw stream,
+        spawned in stack order.
         """
         d, m1 = self.d, self.m1
         r = coeffs0.shape[1] + 1
@@ -344,27 +347,29 @@ class _Fitter:
                     raise DegenerateFactorError("drawn initial factor has zero empirical norm")
                 new[k] /= nrm
             factors[b] = np.einsum("knm,krm->knr", self.psi, coeffs[b])
-        return coeffs, scales, factors, np.full(width, np.nan)
+        rngs = np.array([np.random.default_rng(s) for s in self.seed_seq.spawn(width)])
+        return coeffs, scales, factors, np.full(width, np.nan), rngs
 
     def _revive(self, k: int, cmat: np.ndarray, norms: np.ndarray, alive: np.ndarray):
-        """Model 0: normalize direction k's live terms and redraw its collapsed ones."""
-        scales, coeffs = self.scales[0], self.coeffs[0, k]
-        scales[alive] = scales[alive] * norms[alive]
-        coeffs[alive] = cmat[alive] / norms[alive, None]
-        dead = np.flatnonzero(~alive)
-        logger.warning(
-            "terms %s collapsed to zero in direction %d; reinitializing them",
-            dead.tolist(), k,
-        )
-        for l in dead:
-            while True:
-                draw = _INIT_PERTURBATION * self.rng.standard_normal(self.m1)
-                draw[0] += 1.0
-                nrm = empirical_norm(self.psi[k] @ draw)
-                if nrm > 0.0:
-                    coeffs[l] = draw / nrm
-                    break
-        self._monotone_prev[0] = np.nan
+        """Normalize direction k's live terms; re-draw each model's dead ones from its stream."""
+        coeffs = self.coeffs[:, k]
+        self.scales[alive] = self.scales[alive] * norms[alive]
+        coeffs[alive] = cmat[alive] / norms[alive][:, None]
+        for b in np.flatnonzero(~alive.all(axis=1)):
+            dead = np.flatnonzero(~alive[b])
+            logger.warning(
+                "terms %s collapsed to zero in direction %d; reinitializing them",
+                dead.tolist(), k,
+            )
+            for l in dead:
+                while True:
+                    draw = _INIT_PERTURBATION * self.rngs[b].standard_normal(self.m1)
+                    draw[0] += 1.0
+                    nrm = empirical_norm(self.psi[k] @ draw)
+                    if nrm > 0.0:
+                        coeffs[b, l] = draw / nrm
+                        break
+            self._monotone_prev[b] = np.nan
 
     def _check_monotone(self, resid: np.ndarray):
         """An unregularized solve must not raise any model's residual."""
@@ -384,9 +389,7 @@ class _Fitter:
         """One full pass over all directions for every model of the stack.
 
         Returns (residual per model, in the fitted units, and per direction
-        the kernel's raw diagnostics, which kept_states turns into states). A
-        term collapsing in a stack of more than one model raises _Replay,
-        since its redraw must come in stream order.
+        the kernel's raw diagnostics, which kept_states turns into states).
         """
         cfg = self.config
         coeffs, scales, factors = self.coeffs, self.scales, self.factors
@@ -429,10 +432,8 @@ class _Fitter:
             if alive.all():
                 scales *= norms
                 coeffs[:, k] = cmat / norms[..., None]
-            elif nb > 1:
-                raise _Replay
             else:
-                self._revive(k, cmat[0], norms[0], alive[0])
+                self._revive(k, cmat, norms, alive)
             ck = coeffs[:, k]
             factors[:, k] = self.psi[k] @ ck.swapaxes(-1, -2)
             grams[:, k] = ck @ ck.swapaxes(-1, -2)
@@ -445,10 +446,11 @@ class _Fitter:
 
         All traces have one length, below cap. A model that converges leaves:
         the last live model moves into its slot, so the kernel always sweeps
-        the leading block of the arrays and no sweep copies them. Returns per
-        model (its last sweep's raw diagnostics and its slot in them,
-        converged, its arrays as a stack of one), views into `stack` for the
-        models that reached the cap.
+        the leading block of the arrays and no sweep copies them. Collapsed
+        terms are re-drawn inside the stack, and an error in any slice ends
+        the race. Returns per model (its last sweep's raw diagnostics and its
+        slot in them, converged, its arrays as a stack of one), views into
+        `stack` for the models that reached the cap.
         """
         tol = self.config.sweep_tol
         slot = list(range(len(traces)))
@@ -474,33 +476,18 @@ class _Fitter:
                 break
         return out
 
-    def _burn_in(self, width: int, cap: int, base):
-        """Draw `width` candidates from `base` and race them; returns (results, traces)."""
-        traces = [[] for _ in range(width)]
-        return self._race(self._draw_candidates(*base, width), traces, cap), traces
-
     def run_rank(self) -> RankRecord:
         """Grow by one term, race seeded candidates, converge the winner.
 
-        The winner has the lowest burn-in residual; ties go to the earliest draw.
+        All init_candidates candidates burn in as one stack. The winner has
+        the lowest burn-in residual; ties go to the earliest draw.
         """
         cfg = self.config
         width = cfg.init_candidates
         burn = min(cfg.candidate_burn_sweeps, cfg.max_sweeps_per_rank)
-        base = (self.coeffs[0], self.scales[0])
-        stream = self.rng.bit_generator.state
-        try:
-            results, traces = self._burn_in(width, burn, base)
-        except (_Replay, SeprepError):
-            if width == 1:
-                raise
-            # one candidate at a time, consuming the stream in serial order
-            self.rng.bit_generator.state = stream
-            results, traces = [], []
-            for _ in range(width):
-                res, tr = self._burn_in(1, burn, base)
-                results += res
-                traces += tr
+        traces = [[] for _ in range(width)]
+        results = self._race(self._draw_candidates(self.coeffs[0], self.scales[0], width),
+                             traces, burn)
         best = 0
         for i in range(1, width):
             if traces[i][-1] < traces[best][-1]:
@@ -533,7 +520,7 @@ def sweep(data: SampleSet, model: SeparatedModel, config: FitConfig):
         raise ValueError("model dims disagree with data dims")
     if model.basis.family is not data.family:
         raise ValueError("model basis family disagrees with data family")
-    fitter = _Fitter(data, config, np.random.default_rng(config.rng_seed))
+    fitter = _Fitter(data, config, config.rng_seed)
     fitter.set_model(model)
     resid, raws = fitter.sweep_once()
     return fitter.model(), fitter.unscaled(resid[0]), fitter.kept_states(raws)
@@ -547,6 +534,8 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int):
     per-rank diagnostics carry the final sweep's regularization records,
     which rank/degree selection consumes.
     """
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
+        raise ValueError(f"r must be an integer >= 1, got {r!r}")
     n_unknowns = r * (config.degree + 1)
     if data.n < n_unknowns:
         warnings.warn(
@@ -554,6 +543,6 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int):
             f"{n_unknowns}; expect an underdetermined fit",
             stacklevel=2,
         )
-    fitter = _Fitter(data, config, np.random.default_rng(init_seed))
+    fitter = _Fitter(data, config, init_seed)
     records = [fitter.run_rank() for _ in range(r)]
     return fitter.model(), FitDiagnostics(per_rank=records)

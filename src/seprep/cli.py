@@ -526,7 +526,7 @@ def main(argv=None) -> int:
         if args.command == "baselines":
             return cmd_baselines(config)
         return cmd_sample(config, args.sample_n, args.sample_seed, args.sample_out)
-    except (SeprepError, FileExistsError, FileNotFoundError, ValueError) as exc:
+    except (SeprepError, OSError, ValueError) as exc:
         logger.error("%s", exc)
         return 1
 

@@ -20,7 +20,7 @@ from helpers import (
 from seprep import als, regularize
 from seprep.als import FitConfig, fit_fixed, sweep
 from seprep.basis import BasisSpec, Family, eval_basis_batch
-from seprep.errors import ConditioningError
+from seprep.errors import ConditioningError, DegenerateModelError
 from seprep.model import SampleSet, SeparatedModel, empirical_norm, evaluate_batch, mean
 from seprep.problems import manufactured_sample
 from seprep.regularize import TikhonovPath, gcv_select_lambda
@@ -460,10 +460,23 @@ def test_sweep_refuses_a_model_of_another_family():
         sweep(data, model, FitConfig(rank_max=1, degree=1))
 
 
-@pytest.mark.parametrize("floor_rel", [0.0, 1.5, float("nan")])
+@pytest.mark.parametrize("floor_rel", [0.0, 1.5, float("nan"), "0.05", True])
 def test_lambda_floor_outside_the_unit_interval_is_refused(floor_rel):
     with pytest.raises(ValueError, match="lambda_floor_rel must lie in"):
         FitConfig(rank_max=1, degree=1, lambda_floor_rel=floor_rel)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, float("nan"), "1e-5", True])
+def test_sweep_tol_outside_the_unit_interval_is_refused(tol):
+    with pytest.raises(ValueError, match="sweep_tol must lie in"):
+        FitConfig(rank_max=1, degree=1, sweep_tol=tol)
+
+
+@pytest.mark.parametrize("r", [0, -1, 2.0, True, "2"])
+def test_fit_fixed_refuses_a_rank_that_is_not_a_positive_integer(r):
+    data = manufactured_sample(40, seed=0)
+    with pytest.raises(ValueError, match="r must be an integer >= 1"):
+        fit_fixed(data, r, FitConfig(rank_max=2, degree=1), init_seed=0)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -551,46 +564,49 @@ def test_lambda_grid_matches_geomspace(lo, hi):
 
 @contextlib.contextmanager
 def _race_probe():
-    """Record the stack width of every sweep and each race replayed one at a time."""
-    probe = {"widths": [], "replays": 0}
-    real = als._Fitter.sweep_once
+    """Record the stack width of every sweep and of every sweep that re-draws a term."""
+    probe = {"widths": [], "redraw_widths": []}
+    real_sweep, real_revive = als._Fitter.sweep_once, als._Fitter._revive
 
-    def recording(self):
+    def sweep_once(self):
         probe["widths"].append(self.coeffs.shape[0])
-        try:
-            return real(self)
-        except als._Replay:
-            probe["replays"] += 1
-            raise
+        return real_sweep(self)
 
-    als._Fitter.sweep_once = recording
+    def revive(self, *args):
+        probe["redraw_widths"].append(self.coeffs.shape[0])
+        return real_revive(self, *args)
+
+    als._Fitter.sweep_once, als._Fitter._revive = sweep_once, revive
     try:
         yield probe
     finally:
-        als._Fitter.sweep_once = real
+        als._Fitter.sweep_once, als._Fitter._revive = real_sweep, real_revive
 
 
 def _race_against_one_at_a_time(data, r, cfg, seed):
     """fit_fixed with stacked races, then with every race run one candidate at a time.
 
-    Returns the raced run's probe, after requiring the two fits to agree bit
-    for bit: models, residual traces, states, winners and convergence flags.
+    The oracle races each slice of a stack alone, as a stack of one, on the
+    candidate's own re-draw stream. Returns the raced run's probe, after
+    requiring the two fits to agree bit for bit: models, residual traces,
+    states, winners and convergence flags.
     """
     with _race_probe() as raced_probe:
         raced = fit_fixed(data, r, cfg, seed)
-    real = als._Fitter._burn_in
+    real = als._Fitter._race
 
-    def one_at_a_time(self, width, cap, base):
-        if width > 1:
-            raise als._Replay
-        return real(self, width, cap, base)
+    def one_at_a_time(self, stack, traces, cap):
+        out = []
+        for b, trace in enumerate(traces):
+            out += real(self, tuple(a[b:b + 1].copy() for a in stack), [trace], cap)
+        return out
 
-    als._Fitter._burn_in = one_at_a_time
+    als._Fitter._race = one_at_a_time
     try:
         with _race_probe() as serial_probe:
             serial = fit_fixed(data, r, cfg, seed)
     finally:
-        als._Fitter._burn_in = real
+        als._Fitter._race = real
     assert max(serial_probe["widths"]) == 1
     assert max(raced_probe["widths"]) == cfg.init_candidates
     (m1, d1), (m2, d2) = raced, serial
@@ -606,13 +622,13 @@ def _race_against_one_at_a_time(data, r, cfg, seed):
 
 def test_race_with_a_burn_in_redraw_equals_one_at_a_time(caplog):
     # degree-0 data of the selection test: surplus terms collapse during
-    # burn-in, so the race is replayed one candidate at a time from the
-    # stream state it started with
+    # burn-in and are re-drawn inside the full stack, each from its
+    # candidate's own stream
     data = manufactured_sample(60, seed=0)
     cfg = FitConfig(rank_max=4, degree=0)
     with caplog.at_level(logging.WARNING, logger="seprep.als"):
         probe = _race_against_one_at_a_time(data, 4, cfg, seed=5)
-    assert probe["replays"] > 0
+    assert cfg.init_candidates in probe["redraw_widths"]
     assert "collapsed to zero" in caplog.text
 
 
@@ -623,7 +639,7 @@ def test_race_with_a_jittered_gram_equals_one_at_a_time(caplog):
     cfg = FitConfig(rank_max=2, degree=0, candidate_burn_sweeps=2, max_sweeps_per_rank=6)
     with caplog.at_level(logging.WARNING, logger="seprep.als"):
         probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)
-    assert probe["replays"] == 0
+    assert probe["redraw_widths"] == []
     assert "required jitter" in caplog.text
 
 
@@ -642,6 +658,26 @@ def test_race_with_early_convergence_equals_one_at_a_time():
                     max_sweeps_per_rank=80)
     probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)
     assert any(1 < w < cfg.init_candidates for w in probe["widths"])
+
+
+def test_a_failing_slice_ends_a_stacked_burn_in_with_its_typed_error(monkeypatch):
+    # the third slice of the first stacked solve fails: the fit ends there,
+    # with that error, instead of rerunning the race
+    real = als._gram_cholesky
+    calls = []
+
+    def failing(G):
+        calls.append(G)
+        if len(calls) == 3:
+            raise DegenerateModelError("slice 2 failed")
+        return real(G)
+
+    monkeypatch.setattr(als, "_gram_cholesky", failing)
+    cfg = FitConfig(rank_max=1, degree=2)
+    with _race_probe() as probe, pytest.raises(DegenerateModelError, match="slice 2 failed"):
+        fit_fixed(manufactured_sample(60, seed=0), 1, cfg, init_seed=5)
+    assert probe["widths"] == [cfg.init_candidates]
+    assert len(calls) == 3
 
 
 def test_exact_recovery_success_rate():

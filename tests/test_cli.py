@@ -230,6 +230,14 @@ def test_cli_bad_config_file_is_fatal(tmp_path, caplog, doc, named):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_os_error_is_fatal_without_a_traceback(tmp_path, caplog):
+    # reading a directory as the config file raises IsADirectoryError
+    rc = main(["fit", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "Is a directory" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv, inputs, named", [
     (["fit", "--problem", "elliptic", "--ref-file", "in.json"], {"mean": 1.0}, "'std'"),
     (["fit", "--problem", "elliptic", "--ref-file", "in.json"], [1, 2], "'mean'"),
