@@ -14,7 +14,9 @@ winner converges as a stack of one. A candidate that converges early leaves
 the stack. Initial draws come from the seeded stream in stack order, and
 each candidate carries a child stream of the seed, spawned in stack order,
 from which its collapsed terms are re-drawn inside the stack, so no slice's
-re-draw depends on another's. The kernel hands the whole stack to one
+re-draw depends on another's. Each direction's normal equations are built
+from the term-major factor values and cached basis products, never from a
+design matrix, and the kernel hands the whole stack to one
 regularize.TikhonovPath and one gcv_select_lambda call and returns raw
 per-slice diagnostics; a slice's RegularizationState (sigma-hat, the error
 indicator, and the eigenvalue and norm they need) is built from them one
@@ -49,7 +51,6 @@ from .regularize import (
     DEFAULT_LAMBDA_FLOOR,
     RegularizationState,
     TikhonovPath,
-    _check_finite,
     gcv_select_lambda,
 )
 
@@ -62,6 +63,12 @@ _NORMAL_EQ_RTOL = 1e-8
 _INIT_PERTURBATION = 0.3  # noise scale of a new term's initial coefficients
 
 _PENALTIES = ("second_moment", "diag_scale", "none")
+
+
+def _check_count(name: str, value, least: int):
+    """Refuse anything but an integer >= least; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -94,9 +101,7 @@ class FitConfig:
         for name, least in (("rank_max", 1), ("degree", 0), ("max_sweeps_per_rank", 1),
                             ("init_candidates", 1), ("candidate_burn_sweeps", 1),
                             ("rng_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _check_count(name, getattr(self, name), least)
         for name in ("sweep_tol", "lambda_floor_rel"):
             value = getattr(self, name)
             real = isinstance(value, (int, float, np.integer, np.floating))
@@ -184,33 +189,35 @@ def _gram_cholesky(G: np.ndarray) -> np.ndarray:
     )
 
 
-def _direction_solve(A, u, G, m, config):
+def _check_finite(AtA: np.ndarray, Atu: np.ndarray) -> None:
+    """Fail on factor overflow: a non-finite entry of A makes diag(A^T A) non-finite."""
+    if not (np.isfinite(AtA.diagonal(axis1=-2, axis2=-1)).all() and np.isfinite(Atu).all()):
+        raise ConditioningError("design matrix contains non-finite entries (factor overflow)")
+
+
+def _direction_solve(AtA, Atu, uu, n, G, m, config):
     """Solve one direction for every slice of a stack; every direction solve of the package runs here.
 
-    A is a (B, N, r*m) stack of design matrices on the shared outputs u and
-    G None or the (B, r, r) stack of term Gram matrices. With G None the
-    plain normal equation A^T A c = A^T u is solved. Otherwise slice b's
-    penalty factor is L = chol(G_b) (x) I on the m-function basis, and
-    lambda is picked by GCV along the path. A non-finite A^T A diagonal or
-    A^T u (factor overflow) raises ConditioningError. Returns (coefficients
-    (B, r*m), raw diagnostics or None, squared residual norms (B,)); each
-    slice gets the bits it would get alone. The raw diagnostics are the
-    arrays (lambda, hat trace, grid index, squared residual norm,
-    coefficients, G), one row per slice, from which _regularization_state
-    builds a slice's state; a fit builds them only for the sweep a rank keeps.
+    AtA (B, r*m, r*m) and Atu (B, r*m) are the normal-equation pieces of B
+    designs with n rows on shared outputs u, uu = u . u, and G None or the
+    (B, r, r) term Gram matrices. With G None, A^T A c = A^T u is solved;
+    otherwise slice b's penalty factor is L = chol(G_b) (x) I and lambda is
+    picked by GCV along the path. Factor overflow raises ConditioningError.
+    Returns (coefficients (B, r*m), raw diagnostics or None), each slice with
+    the bits it would get alone. The raw diagnostics are the arrays (lambda,
+    hat trace, grid index, coefficients, G), one row per slice; with the
+    squared residual norms appended, _regularization_state builds a slice's
+    state from them, only for the sweep a rank keeps.
     """
+    _check_finite(AtA, Atu)
     if G is None:
-        At = A.swapaxes(-1, -2)
-        AtA = At @ A
-        Atu = At @ u
-        _check_finite(AtA, Atu)
-        c = np.stack([_solve_spd(AtA[b], Atu[b]) for b in range(len(A))])
+        c = np.stack([_solve_spd(AtA[b], Atu[b]) for b in range(len(AtA))])
         _check_normal_equation((AtA @ c[..., None])[..., 0], Atu, "unregularized")
-        return c, None, _rowdot((A @ c[..., None])[..., 0] - u)
+        return c, None
     R = np.empty(G.shape)
     for b, g in enumerate(G):
         R[b] = _gram_cholesky(g)
-    path = TikhonovPath(A, u, R, m)
+    path = TikhonovPath(AtA, Atu, uu, n, R, m)
     sel = gcv_select_lambda(path, floor_rel=config.lambda_floor_rel)
     lam = sel.lambda_
     c = path.solve(lam)
@@ -218,16 +225,15 @@ def _direction_solve(A, u, G, m, config):
     # jitter _gram_cholesky added when G is singular
     Rc = R.swapaxes(-1, -2) @ (R @ c.reshape(R.shape[:2] + (m,)))
     _check_normal_equation(
-        (path.AtA @ c[..., None])[..., 0] + (lam * lam)[:, None] * Rc.reshape(c.shape), path.Atu,
+        (AtA @ c[..., None])[..., 0] + (lam * lam)[:, None] * Rc.reshape(c.shape), Atu,
         "regularized",
     )
-    rn2 = _rowdot((A @ c[..., None])[..., 0] - u)
-    return c, (lam, sel.hat_trace, sel.index, rn2, c, G), rn2
+    return c, (lam, sel.hat_trace, sel.index, c, G)
 
 
 def _regularization_state(raw, p: int, n_samples: int) -> RegularizationState:
-    """Slice p's RegularizationState of a direction solve, from the solve's raw diagnostics."""
-    lam, hat_trace, index, rn2, c, G = (x[p] for x in raw)
+    """Slice p's RegularizationState, from a solve's raw diagnostics with rn2 appended."""
+    lam, hat_trace, index, c, G, rn2 = (x[p] for x in raw)
     lam, hat_trace = float(lam), float(hat_trace)
     wmin = float(np.linalg.eigvalsh(G)[0])
     norm_c = math.sqrt(float(c @ c))
@@ -238,10 +244,8 @@ def _regularization_state(raw, p: int, n_samples: int) -> RegularizationState:
     else:
         # routine on deliberately over-ranked fits, so keep the log quiet; the
         # sentinel itself is preserved in the diagnostics record
-        logger.debug(
-            "error indicator undefined (lambda=%.3g, |c|=%.3g, sigma=%.3g, "
-            "min gram eig=%.3g); using +inf", lam, norm_c, sig, wmin,
-        )
+        logger.debug("error indicator undefined (lambda=%.3g, |c|=%.3g, sigma=%.3g, "
+                     "min gram eig=%.3g); using +inf", lam, norm_c, sig, wmin)
         ei = math.inf
     return RegularizationState(
         lambda_=lam, sigma_hat=sig, error_indicator=ei, hat_trace=hat_trace,
@@ -255,21 +259,23 @@ def _converged(trace: list, tol: float) -> bool:
 
 
 class _Fitter:
-    """Workspace for one fit: cached basis values and a stack of models.
+    """Workspace for one fit: cached basis products and a stack of models.
 
-    coeffs (B, d, r, M+1), scales (B, r) and factors (B, d, N, r) hold B
-    models of the same data, _monotone_prev (B,) the last unregularized
-    residual of each, NaN when there is none to compare with, and rngs (B,)
-    the Generator each model re-draws its collapsed terms from. B is the
-    number of racing candidates, and 1 otherwise. Candidates are drawn from
-    rng = default_rng(SeedSequence(seed)), and each gets a re-draw stream
-    spawned from that SeedSequence; a lone model re-draws from rng. The
-    outputs are fitted as u * 2^-exp with max |u| * 2^-exp in [0.5, 1);
-    scales, residuals and sigma-hat are mapped back by 2^exp on the way out.
+    psi_t (d, M+1, N) holds the basis values, psi_sq (d, N, (M+1)^2) their
+    products psi_j psi_j', psi_u (d, N, M+1) the values times the outputs,
+    and uu the outputs' squared norm: what the factors do not change.
+    coeffs (B, d, r, M+1), scales (B, r) and the term-major factor values
+    (B, d, r, N) hold B models of the same data, _monotone_prev (B,) the
+    last unregularized residual of each, NaN when there is none to compare
+    with, and rngs (B,) the Generator each model re-draws its collapsed terms
+    from. B is the number of racing candidates, and 1 otherwise. Candidates
+    are drawn from rng = default_rng(SeedSequence(seed)), and each gets a
+    re-draw stream spawned from that SeedSequence; a lone model re-draws from
+    rng. The outputs are fitted as u * 2^-exp with max |u| * 2^-exp in
+    [0.5, 1); scales, residuals and sigma-hat are mapped back by 2^exp.
     """
 
     def __init__(self, data: SampleSet, config: FitConfig, seed: int):
-        self.data = data
         self.config = config
         self.seed_seq = np.random.SeedSequence(seed)
         self.rng = np.random.default_rng(self.seed_seq)
@@ -277,16 +283,17 @@ class _Fitter:
         self.n = data.n
         self.d = data.dims
         self.m1 = config.degree + 1
-        self.psi = np.ascontiguousarray(
-            np.swapaxes(eval_basis_batch(self.basis, data.inputs), 0, 1)
-        )  # (d, N, M+1)
-        self.psi_tiled = self.psi[..., :0]  # psi repeated once per term: (d, N, r*(M+1))
+        psi = np.ascontiguousarray(np.swapaxes(eval_basis_batch(self.basis, data.inputs), 0, 1))
+        self.psi_t = np.ascontiguousarray(psi.swapaxes(1, 2))
+        self.psi_sq = (psi[..., :, None] * psi[..., None, :]).reshape(self.d, self.n, -1)
         self.exp = int(np.frexp(np.max(np.abs(data.outputs)))[1])
         self.u = np.ldexp(data.outputs, -self.exp)
+        self.psi_u = psi * self.u[:, None]
+        self.uu = float(self.u @ self.u)
         self.u_norm = empirical_norm(self.u) if np.any(self.u) else 1.0
         self._use((
             np.zeros((1, self.d, 0, self.m1)), np.zeros((1, 0)),
-            np.zeros((1, self.d, self.n, 0)), np.full(1, np.nan), np.array([self.rng]),
+            np.zeros((1, self.d, 0, self.n)), np.full(1, np.nan), np.array([self.rng]),
         ))
 
     # -- state management -------------------------------------------------
@@ -317,9 +324,8 @@ class _Fitter:
 
     def set_model(self, model: SeparatedModel):
         coeffs = model.coeffs.copy()
-        factors = np.einsum("knm,krm->knr", self.psi, coeffs)
         scales = np.ldexp(model.scales, -self.exp)
-        self._use((coeffs[None], scales[None], factors[None], np.full(1, np.nan),
+        self._use((coeffs[None], scales[None], (coeffs @ self.psi_t)[None], np.full(1, np.nan),
                    np.array([self.rng])))
 
     def _draw_candidates(self, coeffs0: np.ndarray, scales0: np.ndarray, width: int):
@@ -336,38 +342,36 @@ class _Fitter:
         scales = np.empty((width, r))
         scales[:, :-1] = scales0
         scales[:, -1] = 1.0
-        factors = np.empty((width, d, self.n, r))
         for b in range(width):
             new = coeffs[b, :, -1]
             new[...] = _INIT_PERTURBATION * self.rng.standard_normal((d, m1))
             new[:, 0] += 1.0
             for k in range(d):
-                nrm = empirical_norm(self.psi[k] @ new[k])
+                nrm = empirical_norm(new[k] @ self.psi_t[k])
                 if nrm == 0.0:
                     raise DegenerateFactorError("drawn initial factor has zero empirical norm")
                 new[k] /= nrm
-            factors[b] = np.einsum("knm,krm->knr", self.psi, coeffs[b])
         rngs = np.array([np.random.default_rng(s) for s in self.seed_seq.spawn(width)])
-        return coeffs, scales, factors, np.full(width, np.nan), rngs
+        return coeffs, scales, coeffs @ self.psi_t, np.full(width, np.nan), rngs
 
-    def _revive(self, k: int, cmat: np.ndarray, norms: np.ndarray, alive: np.ndarray):
+    def _revive(self, k: int, cmat, vals, norms, alive):
         """Normalize direction k's live terms; re-draw each model's dead ones from its stream."""
-        coeffs = self.coeffs[:, k]
+        coeffs, factors = self.coeffs[:, k], self.factors[:, k]
         self.scales[alive] = self.scales[alive] * norms[alive]
         coeffs[alive] = cmat[alive] / norms[alive][:, None]
+        factors[alive] = vals[alive] / norms[alive][:, None]
         for b in np.flatnonzero(~alive.all(axis=1)):
             dead = np.flatnonzero(~alive[b])
-            logger.warning(
-                "terms %s collapsed to zero in direction %d; reinitializing them",
-                dead.tolist(), k,
-            )
+            logger.warning("terms %s collapsed to zero in direction %d; reinitializing them",
+                           dead.tolist(), k)
             for l in dead:
                 while True:
                     draw = _INIT_PERTURBATION * self.rngs[b].standard_normal(self.m1)
                     draw[0] += 1.0
-                    nrm = empirical_norm(self.psi[k] @ draw)
+                    nrm = empirical_norm(draw @ self.psi_t[k])
                     if nrm > 0.0:
                         coeffs[b, l] = draw / nrm
+                        factors[b, l] = coeffs[b, l] @ self.psi_t[k]
                         break
             self._monotone_prev[b] = np.nan
 
@@ -388,30 +392,35 @@ class _Fitter:
     def sweep_once(self):
         """One full pass over all directions for every model of the stack.
 
-        Returns (residual per model, in the fitted units, and per direction
-        the kernel's raw diagnostics, which kept_states turns into states).
+        Each direction's normal equations come from the factors: with E_l the
+        term scale times the product of term l's other factors, A^T A is
+        sum_n (E_l E_l')(psi_j psi_j') and A^T u is sum_n E_l psi_j u, so no
+        design matrix is formed. Returns (residual per model, in the fitted
+        units, and per direction the kernel's raw diagnostics with the
+        squared residual norms appended, which kept_states turns into states).
         """
         cfg = self.config
         coeffs, scales, factors = self.coeffs, self.scales, self.factors
         nb, d, r, m1 = coeffs.shape
         n = self.n
-        if self.psi_tiled.shape[-1] != r * m1:
-            self.psi_tiled = np.tile(self.psi, (1, 1, r))
         grams = coeffs @ coeffs.swapaxes(-1, -2)
-        suf_f = np.empty((d, nb, n, r))
+        suf_f = np.empty((d, nb, r, n))
         suf_g = np.empty((d, nb, r, r))
         suf_f[d - 1] = 1.0
         suf_g[d - 1] = 1.0
         for k in range(d - 2, -1, -1):
             np.multiply(suf_f[k + 1], factors[:, k + 1], out=suf_f[k])
             np.multiply(suf_g[k + 1], grams[:, k + 1], out=suf_g[k])
-        left_f = np.ones((nb, n, r))
+        left_f = np.ones((nb, r, n))
         left_g = np.ones((nb, r, r))
         raws = []
         for k in range(d):
-            excl = left_f * suf_f[k]
-            A = np.repeat(excl * scales[:, None, :], m1, axis=-1)
-            A *= self.psi_tiled[k]
+            E = left_f * suf_f[k] * scales[..., None]
+            EE = (E[:, :, None] * E[:, None]).reshape(nb, r * r, n)
+            # (l, l', j, j') -> (l, j, l', j'): the design's term-major columns
+            AtA = (EE @ self.psi_sq[k]).reshape(nb, r, r, m1, m1).swapaxes(2, 3)
+            AtA = AtA.reshape(nb, r * m1, r * m1)
+            Atu = (E @ self.psi_u[k]).reshape(nb, r * m1)
             if cfg.penalty == "none":
                 G = None
             elif cfg.penalty == "diag_scale":
@@ -419,23 +428,24 @@ class _Fitter:
                 G[:, np.arange(r), np.arange(r)] = scales**2
             else:
                 G = scales[:, :, None] * scales[:, None, :] * left_g * suf_g[k]
-            c, raw, rn2 = _direction_solve(A, self.u, G, m1, cfg)
-            raws.append(raw)
+            c, raw = _direction_solve(AtA, Atu, self.uu, n, G, m1, cfg)
+            cmat = c.reshape(nb, r, m1)
+            vals = cmat @ self.psi_t[k]
+            rn2 = _rowdot(np.add.reduce(E * vals, axis=1) - self.u)
+            raws.append(None if raw is None else raw + (rn2,))
             if G is None:
                 self._check_monotone(np.sqrt(rn2 / n))
-            cmat = c.reshape(nb, r, m1)
-            vals = self.psi[k] @ cmat.swapaxes(-1, -2)
-            norms = np.sqrt(np.add.reduce(vals * vals, axis=-2) / n)  # np.mean's arithmetic
+            norms = np.sqrt(np.add.reduce(vals * vals, axis=-1) / n)
             # a term dies when its norm, or its scale times that norm, reaches
             # zero: decaying terms of over-ranked fits underflow to scale 0
             alive = scales * norms != 0.0
             if alive.all():
                 scales *= norms
                 coeffs[:, k] = cmat / norms[..., None]
+                factors[:, k] = vals / norms[..., None]
             else:
-                self._revive(k, cmat, norms, alive)
+                self._revive(k, cmat, vals, norms, alive)
             ck = coeffs[:, k]
-            factors[:, k] = self.psi[k] @ ck.swapaxes(-1, -2)
             grams[:, k] = ck @ ck.swapaxes(-1, -2)
             left_g = left_g * grams[:, k]
             left_f = left_f * factors[:, k]
@@ -534,8 +544,8 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int):
     per-rank diagnostics carry the final sweep's regularization records,
     which rank/degree selection consumes.
     """
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError(f"r must be an integer >= 1, got {r!r}")
+    _check_count("r", r, 1)
+    _check_count("init_seed", init_seed, 0)
     n_unknowns = r * (config.degree + 1)
     if data.n < n_unknowns:
         warnings.warn(

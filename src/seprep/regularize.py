@@ -10,10 +10,11 @@ parameter is picked by generalized cross validation (Golub, Heath & Wahba,
 1979) on a logarithmic grid: the largest generalized singular value of
 (A, L) times a fixed unit grid.
 
-Everything here works on a stack of direction solves: A is (B, N, r*m) on
-shared outputs u, R is (B, r, r), and every result has one row per slice,
-with the bits that slice would get as a stack of one. A single solve is the
-case B = 1.
+Everything here works on a stack of direction solves, given by their
+normal-equation pieces: A^T A (B, r*m, r*m) and A^T u (B, r*m) of B design
+matrices A with N rows on shared outputs u, and u . u. No design matrix is
+needed. R is (B, r, r), and every result has one row per slice, with the
+bits that slice would get as a stack of one. A single solve is the case B = 1.
 """
 from __future__ import annotations
 
@@ -62,36 +63,25 @@ class RegularizationState:
         return "ceiling" if self.grid_index == _LAMBDA_GRID_SIZE - 1 else "interior"
 
 
-def _check_finite(AtA: np.ndarray, Atu: np.ndarray) -> None:
-    """Fail on factor overflow: a non-finite entry of A makes diag(A^T A) non-finite."""
-    diag = AtA.diagonal(axis1=-2, axis2=-1)
-    if not (np.isfinite(diag).all() and np.isfinite(Atu).all()):
-        raise ConditioningError("design matrix contains non-finite entries (factor overflow)")
-
-
 class TikhonovPath:
     """Shared factorization of (A_b, R_b (x) I) for cheap evaluation along a lambda grid.
 
-    A is a (B, N, r*m) stack of design matrices on the shared outputs u (N,),
-    and R the (B, r, r) stack of upper-triangular factors, so each A_b has
-    r * m columns in term-major order; a generic dense upper-triangular L is
-    the case m = 1. Each slice reduces to a ridge path in the transformed
-    variable w = L c: one symmetric eigendecomposition of (A L^-1)^T (A L^-1)
-    prices every lambda at O(n) for traces and residuals and O(n^2) for
-    coefficient vectors. Every array below has the leading slice axis.
+    AtA (B, r*m, r*m) and Atu (B, r*m) are the normal-equation pieces of
+    designs A_b with n_rows rows and r * m term-major columns on shared
+    outputs u, uu is u . u, and R the (B, r, r) upper-triangular factors; a
+    generic dense upper-triangular L is the case m = 1. Each slice reduces
+    to a ridge path in the transformed variable w = L c: one symmetric
+    eigendecomposition of (A L^-1)^T (A L^-1) = L^-T A^T A L^-1 prices every
+    lambda at O(n) for traces and residuals and O(n^2) for coefficient
+    vectors. Every array below has the leading slice axis.
     """
 
-    def __init__(self, A: np.ndarray, u: np.ndarray, R: np.ndarray, m: int):
+    def __init__(self, AtA: np.ndarray, Atu: np.ndarray, uu: float, n_rows: int,
+                 R: np.ndarray, m: int):
         r = R.shape[-1]
-        if A.shape[-1] != r * m:
-            raise ValueError(f"design matrix has {A.shape[-1]} columns, expected {r} x {m}")
-        self.n_rows = A.shape[1]
-        At = A.swapaxes(-1, -2)
-        AtA = At @ A
-        Atu = At @ u
-        _check_finite(AtA, Atu)
-        self.AtA = AtA
-        self.Atu = Atu
+        if AtA.shape[-1] != r * m:
+            raise ValueError(f"normal matrix has {AtA.shape[-1]} columns, expected {r} x {m}")
+        self.n_rows = n_rows
         # L^-1 = R^-1 (x) I as a dense (B, r*m, r*m) stack
         Linv = (np.linalg.inv(R)[:, :, None, :, None] * np.eye(m)[:, None, :]).reshape(
             len(R), r * m, r * m)
@@ -110,7 +100,7 @@ class TikhonovPath:
         self.z = (self.V.swapaxes(-1, -2) @ (Linv.swapaxes(-1, -2) @ Atu[..., None]))[..., 0]
         self.b2 = np.divide(self.z * self.z, self.sv2, out=np.zeros(self.sv2.shape),
                             where=self.sv2 > 0.0)
-        self.perp2 = np.maximum(float(u @ u) - np.add.reduce(self.b2, -1), 0.0)
+        self.perp2 = np.maximum(uu - np.add.reduce(self.b2, -1), 0.0)
 
     def solve(self, lam: np.ndarray) -> np.ndarray:
         """Coefficients solving (A^T A + lam^2 L^T L) c = A^T u for a (B,) array of lambdas."""

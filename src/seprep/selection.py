@@ -110,6 +110,7 @@ def select_model(
     ei_max: dict = {}
     residuals: dict = {}
     models: dict = {}
+    capped: dict = {}
     for m in M_grid:
         cfg_m = dataclasses.replace(config, degree=m, rank_max=max(r_grid))
         _, diag = fit_fixed(data, max(r_grid), cfg_m, seeds[m])
@@ -119,19 +120,19 @@ def select_model(
             ei_max[pair] = max(s.error_indicator for s in rec.reg_states)
             residuals[pair] = rec.residual
             models[pair] = rec.model
+            capped[pair] = not rec.converged
     grid = [(r, m) for m in M_grid for r in r_grid]
-    ordered = sorted(grid)  # ties resolve toward smaller rank, then smaller degree
-    chosen = None
-    best = math.inf
-    for pair in ordered:
-        if ei_max[pair] < best:
-            best = ei_max[pair]
-            chosen = pair
-    if chosen is None:
+    # ties resolve toward smaller rank, then smaller degree
+    ranked = sorted((ei_max[p], p) for p in grid if math.isfinite(ei_max[p]))
+    if not ranked:
         raise SelectionError(
             f"every (rank, degree) pair produced an infinite error indicator: {ei_max}"
         )
-    logger.info("selected (r, M) = %s with EI_max = %.4g", chosen, best)
+    chosen = ranked[0][1]
+    pairs = [f"{p} with EI_max = {ei:.4g} "
+             f"({'stopped at max_sweeps_per_rank' if capped[p] else 'converged'})"
+             for ei, p in ranked[:2]]
+    logger.info("selected (r, M) = %s; runner-up %s", pairs[0], (pairs + ["none"])[1])
     return SelectionReport(
         grid=grid,
         ei_max=ei_max,

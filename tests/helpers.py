@@ -278,6 +278,16 @@ def naive_design_matrix(data, model, k):
     return A
 
 
+def normal_equation_pieces(A, u):
+    """(A^T A, A^T u, u . u, N) of a (B, N, p) stack of design matrices on shared outputs u.
+
+    The library's direction solve takes these pieces, built from the factors,
+    in place of a design matrix.
+    """
+    At = A.swapaxes(-1, -2)
+    return At @ A, At @ u, float(u @ u), A.shape[-2]
+
+
 def naive_gcv_solve(A, u, B, grid_size, floor_rel):
     """Dense Tikhonov solve with lambda minimizing GCV on the library's grid.
 

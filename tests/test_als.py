@@ -12,6 +12,7 @@ from helpers import (
     fit_residual_on,
     naive_design_matrix,
     naive_sweep,
+    normal_equation_pieces,
     quadrature_l2_distance,
     random_model,
     sigma_hat,
@@ -41,7 +42,7 @@ def _sampled_from(model, n, seed, noise=0.0):
 
 @contextlib.contextmanager
 def _kernel_calls():
-    """Record (A, u, G, result) of every direction solve run inside the block.
+    """Record (AtA, Atu, uu, G, (c, lambda or None)) of every direction solve run inside the block.
 
     A plain context manager rather than a fixture, so that criterion 6 can
     call the tests that use it without arguments.
@@ -49,14 +50,13 @@ def _kernel_calls():
     calls = []
     real = als._direction_solve
 
-    def recording(A, u, G, m, config):
-        result = real(A, u, G, m, config)
-        # a stacked call solves one direction per slice: record each slice,
-        # with the state the library builds from the slice's raw diagnostics
-        c, raw, rn2 = result
-        for b in range(A.shape[0]):
-            state = None if raw is None else als._regularization_state(raw, b, len(u))
-            calls.append((A[b], u, None if G is None else G[b], (c[b], state, rn2[b])))
+    def recording(AtA, Atu, uu, n, G, m, config):
+        result = real(AtA, Atu, uu, n, G, m, config)
+        # a stacked call solves one direction per slice: record each slice
+        c, raw = result
+        for b in range(AtA.shape[0]):
+            lam = None if raw is None else raw[0][b]
+            calls.append((AtA[b], Atu[b], uu, None if G is None else G[b], (c[b], lam)))
         return result
 
     als._direction_solve = recording
@@ -68,27 +68,39 @@ def _kernel_calls():
 
 def _solve_one(A, u, G, m, cfg):
     """The kernel on a stack of one (N, r*m) design; returns (c, state or None, rn2)."""
-    c, raw, rn2 = als._direction_solve(A[None], u, None if G is None else G[None], m, cfg)
-    state = None if raw is None else als._regularization_state(raw, 0, len(u))
-    return c[0], state, rn2[0]
+    AtA, Atu, uu, n = normal_equation_pieces(A[None], u)
+    c, raw = als._direction_solve(AtA, Atu, uu, n, None if G is None else G[None], m, cfg)
+    res = A @ c[0] - u
+    rn2 = float(res @ res)
+    state = None if raw is None else als._regularization_state(raw + (np.array([rn2]),), 0, n)
+    return c[0], state, rn2
 
 
-def _output_scale(data, u_seen):
-    """The power of two the fit divided the outputs by, read off what the kernel saw.
+def _output_scale(data, uu_seen):
+    """The power of two the fit divided the outputs by, read off the u . u the kernel saw.
 
     The fit works on outputs scaled into [0.5, 1) in magnitude, so its design
-    matrices carry the same factor through the term scales.
+    matrices carry the same factor through the term scales, and A^T A and
+    A^T u carry its square.
     """
-    peak = np.max(np.abs(u_seen))
-    assert 0.5 <= peak < 1.0
-    scale = np.max(np.abs(data.outputs)) / peak
+    uu = float(data.outputs @ data.outputs)
+    scale = np.sqrt(uu / uu_seen)
     assert np.frexp(scale)[0] == 0.5  # an exact power of two
-    assert np.array_equal(u_seen * scale, data.outputs)
+    assert uu_seen * scale**2 == uu
+    assert 0.5 <= np.max(np.abs(data.outputs)) / scale < 1.0
     return scale
 
 
+def _assert_normal_equations_match(call, A, u, scale, rtol):
+    """The sweep's A^T A and A^T u against those of design A, in the data's units."""
+    AtA, Atu = call[0] * scale**2, call[1] * scale**2
+    ref_AtA, ref_Atu, _, _ = normal_equation_pieces(A, u)
+    assert np.max(np.abs(AtA - ref_AtA)) <= rtol * np.max(np.abs(ref_AtA))
+    assert np.max(np.abs(Atu - ref_Atu)) <= rtol * np.max(np.abs(ref_Atu))
+
+
 def test_design_matrix_constant_factors():
-    # all factors identically one: the first direction's columns reduce to the
+    # all factors identically one: the first direction's design reduces to the
     # basis values
     coeffs = np.zeros((3, 1, 3))
     coeffs[:, 0, 0] = 1.0
@@ -98,7 +110,8 @@ def test_design_matrix_constant_factors():
     with _kernel_calls() as calls:
         sweep(data, m, FitConfig(rank_max=1, degree=2))
     psi = eval_basis_batch(m.basis, data.inputs[:, 0])
-    assert np.allclose(calls[0][0] * _output_scale(data, calls[0][1]), psi, atol=1e-14)
+    _assert_normal_equations_match(calls[0], psi, data.outputs,
+                                   _output_scale(data, calls[0][2]), 1e-14)
 
 
 def test_design_matrix_hand_computed():
@@ -112,24 +125,37 @@ def test_design_matrix_hand_computed():
     data = SampleSet(pts, rng.standard_normal(10), Family.LEGENDRE)
     with _kernel_calls() as calls:
         sweep(data, m, FitConfig(rank_max=1, degree=1))
-    expected = np.array([-np.sqrt(3.0), -1.5])
-    assert np.allclose(calls[0][0][0] * _output_scale(data, calls[0][1]), expected, atol=1e-14)
+    # row n is 2 * sqrt(3) y_n2 * (1, sqrt(3) y_n1)
+    y1, y2 = pts.T
+    A = (2.0 * np.sqrt(3.0) * y2)[:, None] * np.stack([np.ones(10), np.sqrt(3.0) * y1], axis=1)
+    assert np.allclose(A[0], [-np.sqrt(3.0), -1.5], atol=1e-14)
+    _assert_normal_equations_match(calls[0], A, data.outputs,
+                                   _output_scale(data, calls[0][2]), 1e-14)
 
 
-def test_exclusion_products_match_naive():
-    # each direction's design matrix in a sweep: products of the factors already
-    # updated in this sweep and of those still frozen, excluding its own
+@pytest.mark.parametrize("degree", [0, 2, 4])
+@pytest.mark.parametrize("rank", [1, 3, 5])
+def test_exclusion_products_match_naive(rank, degree):
+    # each direction's normal equations in a sweep: those of the design built
+    # from the factors already updated in this sweep and those still frozen,
+    # excluding its own; a single term and a degree-0 basis are the edges of
+    # the (r, r, m, m) -> (r*m, r*m) rearrangement. Degree-0 factors are
+    # constants, so several terms there need a penalty to be solvable. Each
+    # later direction's design carries the earlier solves' rounding times
+    # their conditioning: at (5, 4) on 40 rows it reaches 3e-6 relative by
+    # the last direction, so 200 rows keep every direction comparable
     rng = np.random.default_rng(1)
-    data = _sampled_from(random_model(rng, dims=6, rank=3, degree=1), 40, seed=2, noise=0.3)
-    start = random_model(rng, dims=6, rank=3, degree=1)
-    cfg = FitConfig(rank_max=3, degree=1, penalty="none")
+    data = _sampled_from(random_model(rng, dims=6, rank=3, degree=1), 200, seed=2, noise=0.3)
+    start = random_model(rng, dims=6, rank=rank, degree=degree)
+    penalty = "diag_scale" if degree == 0 and rank > 1 else "none"
+    cfg = FitConfig(rank_max=rank, degree=degree, penalty=penalty)
     with _kernel_calls() as calls:
         sweep(data, start, cfg)
     designs = naive_sweep(data, start, cfg)[3]
     assert len(calls) == len(designs) == 6
-    for (A, u, _, _), ref in zip(calls, designs):
-        A = A * _output_scale(data, u)
-        assert np.max(np.abs(A - ref)) < 1e-10 * np.max(np.abs(ref))
+    for call, ref in zip(calls, designs):
+        _assert_normal_equations_match(call, ref, data.outputs,
+                                       _output_scale(data, call[2]), 1e-10)
 
 
 def test_solve_direction_interpolation():
@@ -158,7 +184,7 @@ def test_solve_direction_large_lambda_shrinks():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((30, 4))
     u = rng.standard_normal(30)
-    path = TikhonovPath(A[None], u, np.eye(4)[None], 1)
+    path = TikhonovPath(*normal_equation_pieces(A[None], u), np.eye(4)[None], 1)
     c0 = path.solve(np.zeros(1))
     c_big = path.solve(np.array([1e8 * np.linalg.svd(A, compute_uv=False)[0]]))
     assert np.linalg.norm(c_big) <= 1e-6 * np.linalg.norm(c0)
@@ -169,7 +195,8 @@ def test_solve_direction_small_closed_form():
     u = np.array([1.0, 2.0, 3.0])
     lam = 1.0
     ref = np.linalg.solve(A.T @ A + lam**2 * np.eye(2), A.T @ u)
-    c = TikhonovPath(A[None], u, np.eye(2)[None], 1).solve(np.array([lam]))
+    path = TikhonovPath(*normal_equation_pieces(A[None], u), np.eye(2)[None], 1)
+    c = path.solve(np.array([lam]))
     assert np.allclose(c[0], ref, atol=1e-12)
 
 
@@ -182,23 +209,26 @@ def test_normal_equation_residual_every_solve():
         with _kernel_calls() as calls:
             sweep(data, m, cfg)
         assert len(calls) == 3
+        scale = _output_scale(data, calls[0][2])
         if penalty != "none":
             # the first direction's penalty comes from the unchanged model
             # in the fit's output units: G scales as the square of the outputs
-            G0 = calls[0][2] * _output_scale(data, calls[0][1]) ** 2
+            G0 = calls[0][3] * scale**2
             assert np.allclose(np.kron(G0, np.eye(3)), build_B(m, 0), rtol=1e-12)
-        for A, u, G, (c, state, _) in calls:
-            lam = state.lambda_ if state else 0.0
+        # the normal equations solved are those of the oracle sweep's designs
+        for call, ref in zip(calls, naive_sweep(data, m, cfg)[3], strict=True):
+            _assert_normal_equations_match(call, ref, data.outputs, scale, 1e-10)
+        for AtA, Atu, _, G, (c, lam) in calls:
+            lam = lam if lam is not None else 0.0
             B = np.kron(G, np.eye(3)) if G is not None else 0.0
-            Atu = A.T @ u
-            err = np.linalg.norm((A.T @ A + lam**2 * B) @ c - Atu)
+            err = np.linalg.norm((AtA + lam**2 * B) @ c - Atu)
             assert err <= 1e-8 * np.linalg.norm(Atu)
 
 
 def _oracle_direction(A, u, B, cfg):
     """Dense reference: factor the full (rm)^2 penalty and solve with m = 1."""
     L = tikhonov_factor(B)
-    path = TikhonovPath(A[None], u, L[None], 1)
+    path = TikhonovPath(*normal_equation_pieces(A[None], u), L[None], 1)
     sel = gcv_select_lambda(path, floor_rel=cfg.lambda_floor_rel)
     c = path.solve(sel.lambda_)[0]
     lam = float(sel.lambda_[0])
@@ -491,6 +521,13 @@ def test_non_integer_counts_are_refused(field, value):
         FitConfig(**fields)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_fit_fixed_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    data = manufactured_sample(40, seed=0)
+    with pytest.raises(ValueError, match="init_seed must be an integer >= 0"):
+        fit_fixed(data, 1, FitConfig(rank_max=1, degree=1), init_seed=seed)
+
+
 @pytest.mark.parametrize("penalty", ["none", "second_moment"])
 def test_normal_equation_failure_names_its_branch(monkeypatch, penalty):
     # a solve that returns zeros leaves A^T u as the normal-equation residual
@@ -498,7 +535,7 @@ def test_normal_equation_failure_names_its_branch(monkeypatch, penalty):
     A = rng.standard_normal((30, 6))
     u = rng.standard_normal(30)
     monkeypatch.setattr(als, "_solve_spd", lambda M, b: np.zeros_like(b))
-    monkeypatch.setattr(als.TikhonovPath, "solve", lambda self, lam: np.zeros(self.Atu.shape))
+    monkeypatch.setattr(als.TikhonovPath, "solve", lambda self, lam: np.zeros(self.z.shape))
     G = None if penalty == "none" else np.eye(2)
     with pytest.raises(ConditioningError) as err:
         _solve_one(A, u, G, 3, FitConfig(rank_max=2, degree=2, penalty=penalty))
@@ -522,8 +559,8 @@ def test_state_records_lambda_grid_position():
              ("interior", signal + 3.0 * rng.standard_normal(80))]
     for want, u in cases:
         _, state, _ = _solve_one(A, u, np.eye(2), 3, cfg)
-        grid = gcv_select_lambda(TikhonovPath(A[None], u, np.eye(2)[None], 3),
-                                 floor_rel=cfg.lambda_floor_rel).grid[0]
+        path = TikhonovPath(*normal_equation_pieces(A[None], u), np.eye(2)[None], 3)
+        grid = gcv_select_lambda(path, floor_rel=cfg.lambda_floor_rel).grid[0]
         assert state.lambda_ == grid[state.grid_index]
         assert state.grid_position == want
         if want == "interior":
@@ -542,7 +579,8 @@ def test_lambda_grid_matches_geomspace(lo, hi):
     rng = np.random.default_rng(53)
     scale = np.exp(rng.uniform(np.log(lo), np.log(hi), 7))
     A = scale[:, None, None] * rng.standard_normal((7, 30, 4))
-    path = TikhonovPath(A, rng.standard_normal(30), np.broadcast_to(np.eye(4), (7, 4, 4)), 1)
+    path = TikhonovPath(*normal_equation_pieces(A, rng.standard_normal(30)),
+                        np.broadcast_to(np.eye(4), (7, 4, 4)), 1)
     gmax = np.sqrt(path.sv2[:, 0])
     for floor_rel in (regularize.DEFAULT_LAMBDA_FLOOR, 1e-3):
         grid = gcv_select_lambda(path, grid_size=50, floor_rel=floor_rel).grid

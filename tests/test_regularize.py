@@ -6,6 +6,7 @@ from helpers import (
     error_indicator,
     explicit_hat_matrix,
     l_inverse_norm,
+    normal_equation_pieces,
     naive_second_moment_quadratic_form,
     random_model,
     sigma_hat,
@@ -100,7 +101,7 @@ def _random_system(rng, n_rows=50, n_cols=6):
 def test_hat_trace_at_zero_is_column_count():
     rng = np.random.default_rng(8)
     A, u, L = _random_system(rng)
-    path = TikhonovPath(A, u, L, 1)
+    path = TikhonovPath(*normal_equation_pieces(A, u), L, 1)
     # the hat trace at lambda = 0 counts the positive generalized singular values
     filters = np.divide(path.sv2, path.sv2, out=np.zeros(path.sv2.shape), where=path.sv2 > 0.0)
     assert np.add.reduce(filters, -1)[0] == pytest.approx(A.shape[-1], abs=1e-9)
@@ -114,7 +115,7 @@ def test_hat_trace_at_zero_is_column_count():
 def test_gcv_residual_monotone_and_in_grid():
     rng = np.random.default_rng(9)
     A, u, L = _random_system(rng)
-    path = TikhonovPath(A, u, L, 1)
+    path = TikhonovPath(*normal_equation_pieces(A, u), L, 1)
     sel = gcv_select_lambda(path, grid_size=50)
     residual_norms = np.array(
         [np.linalg.norm(A[0] @ path.solve(np.array([lam]))[0] - u) for lam in sel.grid[0]]
@@ -129,7 +130,7 @@ def test_gcv_trace_matches_explicit_hat_matrix():
     for trial in range(5):
         n_rows = int(rng.integers(20, 61))
         A, u, L = _random_system(rng, n_rows=n_rows, n_cols=5)
-        path = TikhonovPath(A, u, L, 1)
+        path = TikhonovPath(*normal_equation_pieces(A, u), L, 1)
         sel = gcv_select_lambda(path, grid_size=4)
         gcv, traces = [], []
         for lam in sel.grid[0]:
@@ -147,7 +148,7 @@ def test_gcv_matches_fine_grid_scan():
     rng = np.random.default_rng(10)
     A, u, L = _random_system(rng)
     u = u + A[0] @ rng.standard_normal(A.shape[-1])  # give the system signal
-    path = TikhonovPath(A, u, L, 1)
+    path = TikhonovPath(*normal_equation_pieces(A, u), L, 1)
     coarse = gcv_select_lambda(path, grid_size=50)
     fine = gcv_select_lambda(path, grid_size=500)
     # the coarse minimizer must land within one coarse cell of the fine one
@@ -163,7 +164,7 @@ def test_stacked_gcv_matches_explicit_hat_matrix():
     u = systems[0][1] + systems[0][0][0] @ rng.standard_normal(n_cols)
     A = np.concatenate([a for a, _, _ in systems])
     L = np.concatenate([l for _, _, l in systems])
-    path = TikhonovPath(A, u, L, 1)
+    path = TikhonovPath(*normal_equation_pieces(A, u), L, 1)
     sel = gcv_select_lambda(path)
     residuals = np.array([np.linalg.norm(A @ c[:, :, None] - u[:, None], axis=(1, 2))
                           for c in (path.solve(lam) for lam in sel.grid.T)])
@@ -181,7 +182,7 @@ def test_stacked_gcv_matches_explicit_hat_matrix():
         # the residual ||A c_lambda - u|| grows with lambda along the grid
         assert np.all(np.diff(residuals[:, b]) >= -1e-9 * residuals[:-1, b])
         # the slice run as a stack of one gets the same bits
-        one = TikhonovPath(A[b:b + 1], u, L[b:b + 1], 1)
+        one = TikhonovPath(*normal_equation_pieces(A[b:b + 1], u), L[b:b + 1], 1)
         sel_one = gcv_select_lambda(one)
         assert np.array_equal(sel_one.grid[0], sel.grid[b])
         assert sel_one.index[0] == sel.index[b]
@@ -193,7 +194,7 @@ def test_stacked_gcv_matches_explicit_hat_matrix():
 def test_gcv_decreasing_residual_is_an_invariant_error():
     rng = np.random.default_rng(19)
     A, u, L = _random_system(rng)
-    path = TikhonovPath(A, u, L, 1)
+    path = TikhonovPath(*normal_equation_pieces(A, u), L, 1)
     # a negative squared coefficient makes the residual shrink as lambda grows
     path.b2 = -np.ones_like(path.b2)
     path.perp2 = np.full(1, 1e3)
@@ -209,7 +210,7 @@ def test_path_eigendecomposition_failure_is_a_conditioning_error(monkeypatch):
     rng = np.random.default_rng(20)
     A, u, L = _random_system(rng)
     with pytest.raises(ConditioningError):
-        TikhonovPath(A, u, L, 1)
+        TikhonovPath(*normal_equation_pieces(A, u), L, 1)
 
 
 def test_sigma_hat_exact_fit_is_zero():
@@ -278,8 +279,8 @@ def test_perturbation_bound_holds():
         L = tikhonov_factor(X @ X.T + 0.5 * np.eye(n_cols))
         lam = float(np.exp(rng.uniform(-3, 2)))
         eps = 0.1 * rng.standard_normal(n_rows)
-        path = TikhonovPath(A[None], u, L[None], 1)
-        path2 = TikhonovPath(A[None], u - eps, L[None], 1)
+        path = TikhonovPath(*normal_equation_pieces(A[None], u), L[None], 1)
+        path2 = TikhonovPath(*normal_equation_pieces(A[None], u - eps), L[None], 1)
         c = path.solve(np.array([lam]))[0]
         c2 = path2.solve(np.array([lam]))[0]
         lhs = np.linalg.norm(c - c2) / np.linalg.norm(c)

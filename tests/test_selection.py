@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from seprep.model import SampleSet, evaluate_batch
 from seprep.problems import manufactured_sample
 from seprep.regularize import RegularizationState
 from seprep.selection import SelectionReport, per_degree_seeds, select_model
-from helpers import random_model
+from helpers import random_model, selection_summary
 
 
 def _state(ei):
@@ -86,6 +87,26 @@ def test_infinite_indicator_is_kept_and_loses(monkeypatch):
 def test_every_indicator_infinite_is_a_selection_error(monkeypatch):
     with pytest.raises(SelectionError, match="infinite error indicator"):
         _select_on_indicators(monkeypatch, [[math.inf, 0.1], [0.2, math.inf]])
+
+
+def test_selection_log_names_the_runner_up_and_cap_stops(caplog, monkeypatch):
+    # a two-sweep cap stops every rank fit before it converges
+    cfg = dataclasses.replace(_fast_config(), candidate_burn_sweeps=2, max_sweeps_per_rank=2)
+    with caplog.at_level(logging.INFO, logger="seprep.selection"):
+        report = select_model(_toy_data(), [1, 2], [1, 2], cfg)
+    summary = selection_summary(report)
+    chosen, runner_up = tuple(summary["chosen"]), tuple(summary["runner_up"])
+    assert caplog.messages[-1] == (
+        f"selected (r, M) = {chosen} with EI_max = {summary['ei_max']:.4g} "
+        f"(stopped at max_sweeps_per_rank); runner-up {runner_up} with EI_max = "
+        f"{summary['runner_up_ei_max']:.4g} (stopped at max_sweeps_per_rank)"
+    )
+    # fits that stopped on sweep_tol, and a grid with no finite runner-up
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="seprep.selection"):
+        _select_on_indicators(monkeypatch, [[0.2, 0.5], [0.4, math.inf]])
+    assert caplog.messages[-1] == (
+        "selected (r, M) = (1, 2) with EI_max = 0.5 (converged); runner-up none")
 
 
 @pytest.mark.parametrize("r_grid", [[0, 1], [-2, 3]])
