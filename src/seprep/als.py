@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from .basis import BasisSpec, eval_basis_batch
+from .basis import BasisSpec, _check_count, eval_basis_batch
 from .errors import (
     ConditioningError,
     DegenerateFactorError,
@@ -63,12 +63,6 @@ _NORMAL_EQ_RTOL = 1e-8
 _INIT_PERTURBATION = 0.3  # noise scale of a new term's initial coefficients
 
 _PENALTIES = ("second_moment", "diag_scale", "none")
-
-
-def _check_count(name: str, value, least: int):
-    """Refuse anything but an integer >= least; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass

@@ -9,6 +9,8 @@ so spectral coefficients are directly comparable across degrees.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,12 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import DomainError
 
 __all__ = ["Family", "BasisSpec", "eval_basis", "eval_basis_batch", "gauss_quadrature"]
+
+
+def _check_count(name: str, value, least: int):
+    """Refuse anything but an integer >= least; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class Family(str, enum.Enum):
@@ -33,9 +41,7 @@ class BasisSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        M = self.max_degree
-        if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 0:
-            raise ValueError(f"max_degree must be an integer >= 0, got {M!r}")
+        _check_count("max_degree", self.max_degree, 0)
 
     @property
     def size(self) -> int:
@@ -43,14 +49,39 @@ class BasisSpec:
 
 
 def _check_domain(family: Family, y: np.ndarray) -> None:
+    if y.size == 0:
+        return
+    # one min and one max pass; NaN propagates through both, so it fails
+    # each comparison and lands in the slow path that words the error
+    lo, hi = y.min(), y.max()
     if family is Family.LEGENDRE:
-        if np.any(y < -1.0) or np.any(y > 1.0):
-            bad = y[(y < -1.0) | (y > 1.0)]
+        if -1.0 <= lo and hi <= 1.0:
+            return
+        bad = y[(y < -1.0) | (y > 1.0)]
+        if bad.size:
             raise DomainError(
                 f"Legendre basis requires inputs in [-1, 1]; got value {bad.flat[0]!r}"
             )
-    if not np.all(np.isfinite(y)):
-        raise DomainError("basis input must be finite")
+    elif np.isfinite(lo) and np.isfinite(hi):
+        return
+    raise DomainError("basis input must be finite")
+
+
+@functools.lru_cache(maxsize=32)
+def _folded_recurrence(family: Family, M: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(alpha, beta) with psi_{a+1} = alpha[a] * y * psi_a - beta[a] * psi_{a-1}, a = 0..M-1.
+
+    Tuples of Python floats, so the cached constants cannot be written to.
+    """
+    if family is Family.HERMITE:
+        # sqrt(a+1) psi_{a+1} = y psi_a - sqrt(a) psi_{a-1}
+        alpha = [1.0 / math.sqrt(a + 1) for a in range(M)]
+        beta = [math.sqrt(a / (a + 1)) for a in range(M)]
+    else:
+        # psi_a = sqrt(2a+1) P_a in Bonnet's (a+1) P_{a+1} = (2a+1) y P_a - a P_{a-1}
+        alpha = [math.sqrt((2 * a + 1) * (2 * a + 3)) / (a + 1) for a in range(M)]
+        beta = [0.0] + [a / (a + 1) * math.sqrt((2 * a + 3) / (2 * a - 1)) for a in range(1, M)]
+    return tuple(alpha), tuple(beta)
 
 
 def eval_basis_batch(spec: BasisSpec, y: np.ndarray) -> np.ndarray:
@@ -69,28 +100,33 @@ def eval_basis_batch(spec: BasisSpec, y: np.ndarray) -> np.ndarray:
         (M+1,) + y.shape array, so the recurrence reads and writes whole
         contiguous rows; callers that need another layout copy it.
 
-    Normalization is applied inside the three-term recurrence, degree by
-    degree, so all iterates stay O(1) and no post-hoc scaling is needed.
+    Each degree step is psi_{a+1} = alpha_a * y * psi_a - beta_a * psi_{a-1},
+    with the normalization folded into alpha and beta once per (family, M),
+    so all iterates stay O(1) and no post-hoc scaling is needed. A step
+    writes straight into its output row through one reusable scratch row:
+    four array passes and no temporaries. The fold rounds differently from
+    the unfolded recurrence; values stay within 16 (a+1) eps max(1, |psi_a|)
+    of the exact ones (tested against mpmath up to degree 12).
+
+    Raises DomainError when an entry is not finite or, for Legendre, lies
+    outside [-1, 1].
     """
     y = np.asarray(y, dtype=float)
     _check_domain(spec.family, y)
     M = spec.max_degree
     out = np.empty((M + 1,) + y.shape)
-    out[0] = 1.0
-    if M > 0 and spec.family is Family.HERMITE:
-        # normalized recurrence: sqrt(a+1) psi_{a+1} = y psi_a - sqrt(a) psi_{a-1}
-        out[1] = y
+    # out[a, ...], not out[a]: for a 0-d y the latter is a copy, not a view
+    out[0, ...] = 1.0
+    if M > 0:
+        alpha, beta = _folded_recurrence(spec.family, M)
+        np.multiply(y, alpha[0], out=out[1, ...])
+        scratch = np.empty_like(y)
         for a in range(1, M):
-            out[a + 1] = (y * out[a] - np.sqrt(a) * out[a - 1]) / np.sqrt(a + 1)
-    elif M > 0:
-        # psi_a = sqrt(2a+1) P_a with the standard Legendre recurrence folded in
-        out[1] = np.sqrt(3.0) * y
-        for a in range(1, M):
-            out[a + 1] = (
-                np.sqrt(2 * a + 3)
-                * (np.sqrt(2 * a + 1) * y * out[a] - a * out[a - 1] / np.sqrt(2 * a - 1))
-                / (a + 1)
-            )
+            # (alpha y) psi_a - beta psi_{a-1}: four passes, no temporaries
+            np.multiply(y, alpha[a], out=scratch)
+            np.multiply(scratch, out[a, ...], out=scratch)
+            np.multiply(out[a - 1, ...], beta[a], out=out[a + 1, ...])
+            np.subtract(scratch, out[a + 1, ...], out=out[a + 1, ...])
     return np.moveaxis(out, 0, -1)
 
 
@@ -108,8 +144,7 @@ def gauss_quadrature(spec: BasisSpec, n_points: int) -> tuple[np.ndarray, np.nda
     because both weights are probability densities, and the rule is exact
     for polynomials up to degree 2*n_points - 1.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    _check_count("n_points", n_points, 1)
     if n_points == 1:
         return np.zeros(1), np.ones(1)
     k = np.arange(1, n_points, dtype=float)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, Family, eval_basis_batch, gauss_quadrature
+from .basis import BasisSpec, Family, _check_count, eval_basis_batch, gauss_quadrature
 from .errors import QuadraturePrecisionError
 
 __all__ = [
@@ -193,8 +193,8 @@ def moment(model: SeparatedModel, m: int, quad_points: int) -> float:
     polynomial of degree at most m*M. The rule must therefore have at least
     ceil((m*M + 1) / 2) points to be exact.
     """
-    if m < 1:
-        raise ValueError(f"moment order must be >= 1, got {m}")
+    _check_count("m", m, 1)
+    _check_count("quad_points", quad_points, 1)
     needed = -(-(m * model.basis.max_degree + 1) // 2)
     if quad_points < needed:
         raise QuadraturePrecisionError(

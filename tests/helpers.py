@@ -6,7 +6,7 @@ the library paths are checked against genuinely different computations.
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
 
-from seprep.basis import BasisSpec, Family, eval_basis, gauss_quadrature
+from seprep.basis import BasisSpec, Family, _folded_recurrence, eval_basis, gauss_quadrature
 from seprep.errors import DegenerateModelError, PositivityError
 from seprep.model import SeparatedModel
 from seprep.problems import _p2_shapes, coefficient_at_gauss_points
@@ -31,8 +31,8 @@ def naive_evaluate(model, y):
 def degree_last_basis(spec, y):
     """The basis recurrence written degree-last: entry [..., a] of an y.shape + (M+1,) array.
 
-    The same per-element expressions as the library's degree-major form, so
-    the two must agree bit for bit.
+    The same folded constants and per-element expressions as the library's
+    degree-major form, so the two must agree bit for bit.
     """
     y = np.asarray(y, dtype=float)
     M = spec.max_degree
@@ -40,18 +40,10 @@ def degree_last_basis(spec, y):
     out[..., 0] = 1.0
     if M == 0:
         return out
-    if spec.family is Family.HERMITE:
-        out[..., 1] = y
-        for a in range(1, M):
-            out[..., a + 1] = (y * out[..., a] - np.sqrt(a) * out[..., a - 1]) / np.sqrt(a + 1)
-    else:
-        out[..., 1] = np.sqrt(3.0) * y
-        for a in range(1, M):
-            out[..., a + 1] = (
-                np.sqrt(2 * a + 3)
-                * (np.sqrt(2 * a + 1) * y * out[..., a] - a * out[..., a - 1] / np.sqrt(2 * a - 1))
-                / (a + 1)
-            )
+    alpha, beta = _folded_recurrence(spec.family, M)
+    out[..., 1] = alpha[0] * y
+    for a in range(1, M):
+        out[..., a + 1] = alpha[a] * y * out[..., a] - beta[a] * out[..., a - 1]
     return out
 
 

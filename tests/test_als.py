@@ -672,8 +672,10 @@ def test_race_with_a_burn_in_redraw_equals_one_at_a_time(caplog):
 
 def test_race_with_a_jittered_gram_equals_one_at_a_time(caplog):
     # rank two at degree 0: every term Gram is rank one and needs jitter,
-    # and the short burn-in ends before any term collapses
-    data = manufactured_sample(60, seed=1)
+    # and the short burn-in ends before any term collapses. Whether a term
+    # collapses here turns on the data's last bits (an exact zero from
+    # cancellation), so this data seed is one where none does
+    data = manufactured_sample(60, seed=5)
     cfg = FitConfig(rank_max=2, degree=0, candidate_burn_sweeps=2, max_sweeps_per_rank=6)
     with caplog.at_level(logging.WARNING, logger="seprep.als"):
         probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)

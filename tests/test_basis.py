@@ -96,18 +96,22 @@ def _mp_legendre_norm(a, y):
 
 @pytest.mark.parametrize("family", [Family.HERMITE, Family.LEGENDRE])
 def test_recurrence_matches_high_precision(family):
+    # the stated basis tolerance: 16 (a+1) eps max(1, |psi_a|), an ulp-scale
+    # bound that grows by one rounding per recurrence step
     mpmath.mp.prec = 128
     M = 12
+    eps = np.finfo(float).eps
     spec = BasisSpec(family, M)
-    ys = np.linspace(-4.0, 4.0, 17) if family is Family.HERMITE else np.linspace(-1.0, 1.0, 17)
+    ys = np.linspace(-4.0, 4.0, 161) if family is Family.HERMITE else np.linspace(-1.0, 1.0, 161)
     for y in ys:
         ours = eval_basis(spec, y)
         for a in range(M + 1):
             if family is Family.HERMITE:
-                ref = float(_mp_hermite_norm(a, y))
+                ref = _mp_hermite_norm(a, y)
             else:
-                ref = float(_mp_legendre_norm(a, y))
-            assert ours[a] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+                ref = _mp_legendre_norm(a, y)
+            err = float(abs(mpmath.mpf(float(ours[a])) - ref))
+            assert err <= 16 * (a + 1) * eps * max(1.0, abs(float(ref))), (y, a)
 
 
 def test_invalid_spec():
@@ -126,6 +130,38 @@ def test_non_integer_degree_is_refused(degree):
 def test_numpy_integer_degree_is_accepted():
     spec = BasisSpec(Family.LEGENDRE, np.int64(3))
     assert spec.size == 4 and eval_basis(spec, 0.5).shape == (4,)
+    nodes, weights = gauss_quadrature(spec, np.int64(3))
+    assert nodes.shape == weights.shape == (3,)
+
+
+@pytest.mark.parametrize("n_points", [2.5, 3.0, True, False, "3", None])
+def test_non_integer_rule_size_is_refused(n_points):
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        gauss_quadrature(BasisSpec(Family.HERMITE, 1), n_points)
+
+
+@pytest.mark.parametrize("family", [Family.HERMITE, Family.LEGENDRE])
+def test_empty_input_gives_an_empty_basis(family):
+    for M in (0, 1, 4):
+        out = eval_basis_batch(BasisSpec(family, M), np.empty(0))
+        assert out.shape == (0, M + 1)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "minus-inf", "nan"])
+@pytest.mark.parametrize("family", [Family.HERMITE, Family.LEGENDRE])
+def test_non_finite_input_is_a_domain_error(family, bad):
+    # Legendre words an infinity as out of [-1, 1]; everything else is "finite"
+    if family is Family.LEGENDRE and np.isinf(bad):
+        msg = r"requires inputs in \[-1, 1\]; got value .*inf"
+    else:
+        msg = "basis input must be finite"
+    spec = BasisSpec(family, 3)
+    y = np.zeros((4, 5))
+    y[2, 3] = bad
+    with pytest.raises(DomainError, match=msg):
+        eval_basis_batch(spec, y)
+    with pytest.raises(DomainError, match=msg):
+        eval_basis(spec, bad)
 
 
 @pytest.mark.parametrize("family", [Family.HERMITE, Family.LEGENDRE])

@@ -73,12 +73,15 @@ def test_blocked_evaluation_equals_one_product_bit_for_bit(family, dims, degree)
         assert np.array_equal(got, unblocked_evaluate(m, pts[:n])), n
 
 
-@pytest.mark.parametrize("bad", [1.0 + 1e-12, np.nan], ids=["outside", "nan"])
-def test_bad_point_in_the_last_ragged_block_is_a_domain_error(bad):
+@pytest.mark.parametrize("family, bad", [
+    ("legendre", 1.0 + 1e-12), ("legendre", np.nan),
+    ("hermite", np.inf), ("hermite", -np.inf), ("hermite", np.nan),
+], ids=["outside", "nan", "hermite-inf", "hermite-minus-inf", "hermite-nan"])
+def test_bad_point_in_the_last_ragged_block_is_a_domain_error(family, bad):
     B = model_module._EVAL_BLOCK
     rng = np.random.default_rng(42)
-    m = random_model(rng, dims=3, rank=2, degree=2, family="legendre")
-    pts = _points("legendre", rng, 2 * B + 3, 3)
+    m = random_model(rng, dims=3, rank=2, degree=2, family=family)
+    pts = _points(family, rng, 2 * B + 3, 3)
     evaluate_batch(m, pts)
     pts[2 * B + 1, 2] = bad
     with pytest.raises(DomainError):
@@ -186,6 +189,21 @@ def test_moment_rejects_coarse_rule():
     m = manufactured_model()
     with pytest.raises(QuadraturePrecisionError):
         moment(m, 4, 5)  # needs ceil((4*3+1)/2) = 7 points
+
+
+@pytest.mark.parametrize("field, m, quad_points", [
+    ("m", 2.5, 10), ("m", 2.0, 10), ("m", True, 10), ("m", "2", 10), ("m", 0, 10),
+    ("quad_points", 2, 7.5), ("quad_points", 2, 7.0), ("quad_points", 2, True),
+    ("quad_points", 2, "7"),
+])
+def test_moment_refuses_non_integer_counts(field, m, quad_points):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        moment(manufactured_model(), m, quad_points)
+
+
+def test_moment_takes_numpy_integer_counts():
+    m = manufactured_model()
+    assert moment(m, np.int64(2), np.int32(10)) == moment(m, 2, 10)
 
 
 def test_empirical_norm():
