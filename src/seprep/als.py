@@ -29,7 +29,6 @@ trace, which a new term's unit scale enters in the fitted units.
 """
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import warnings
@@ -79,6 +78,10 @@ class FitConfig:
     constant coefficient plus scaled normal noise, normalized per
     direction), every candidate runs candidate_burn_sweeps sweeps, and the
     lowest-residual one is kept and swept to convergence.
+
+    select_model overrides degree and rank_max at each grid point, and
+    fit_fixed reads degree and takes its rank from its r argument, so no fit
+    reads rank_max: it is only recorded in a selection report's config.
     """
 
     rank_max: int
@@ -225,8 +228,8 @@ def _direction_solve(AtA, Atu, uu, n, G, m, config):
     return c, (lam, sel.hat_trace, sel.index, c, G)
 
 
-def _regularization_state(raw, p: int, n_samples: int) -> RegularizationState:
-    """Slice p's RegularizationState, from a solve's raw diagnostics with rn2 appended."""
+def _regularization_state(raw, p: int, n_samples: int, exp: int) -> RegularizationState:
+    """Slice p's state from a solve's raw diagnostics with rn2 appended, sigma-hat times 2^exp."""
     lam, hat_trace, index, c, G, rn2 = (x[p] for x in raw)
     lam, hat_trace = float(lam), float(hat_trace)
     wmin = float(np.linalg.eigvalsh(G)[0])
@@ -242,7 +245,7 @@ def _regularization_state(raw, p: int, n_samples: int) -> RegularizationState:
                      "min gram eig=%.3g); using +inf", lam, norm_c, sig, wmin)
         ei = math.inf
     return RegularizationState(
-        lambda_=lam, sigma_hat=sig, error_indicator=ei, hat_trace=hat_trace,
+        lambda_=lam, sigma_hat=math.ldexp(sig, exp), error_indicator=ei, hat_trace=hat_trace,
         grid_index=int(index),
     )
 
@@ -285,12 +288,14 @@ class _Fitter:
         self.psi_u = psi * self.u[:, None]
         self.uu = float(self.u @ self.u)
         self.u_norm = empirical_norm(self.u) if np.any(self.u) else 1.0
-        self._use((
-            np.zeros((1, self.d, 0, self.m1)), np.zeros((1, 0)),
-            np.zeros((1, self.d, 0, self.n)), np.full(1, np.nan), np.array([self.rng]),
-        ))
+        self._use(self._stack(np.zeros((1, self.d, 0, self.m1)), np.zeros((1, 0)),
+                              np.array([self.rng])))
 
     # -- state management -------------------------------------------------
+
+    def _stack(self, coeffs, scales, rngs):
+        """A stack of models: their factor values and no residual to compare with yet."""
+        return coeffs, scales, coeffs @ self.psi_t, np.full(len(coeffs), np.nan), rngs
 
     def _use(self, stack):
         """Make (coeffs, scales, factors, monotone residuals, re-draw streams) the live stack."""
@@ -301,14 +306,8 @@ class _Fitter:
 
     def kept_states(self, raws: list, p: int = 0) -> list:
         """Model p's direction-solve states in the data's units, from a sweep's raw diagnostics."""
-        states = []
-        for raw in raws:
-            if raw is None:
-                states.append(None)
-                continue
-            state = _regularization_state(raw, p, self.n)
-            states.append(dataclasses.replace(state, sigma_hat=self.unscaled(state.sigma_hat)))
-        return states
+        return [None if raw is None else _regularization_state(raw, p, self.n, self.exp)
+                for raw in raws]
 
     def model(self) -> SeparatedModel:
         """Model 0 of the stack, in the data's units."""
@@ -317,56 +316,45 @@ class _Fitter:
         )
 
     def set_model(self, model: SeparatedModel):
-        coeffs = model.coeffs.copy()
-        scales = np.ldexp(model.scales, -self.exp)
-        self._use((coeffs[None], scales[None], (coeffs @ self.psi_t)[None], np.full(1, np.nan),
-                   np.array([self.rng])))
+        self._use(self._stack(model.coeffs.copy()[None], np.ldexp(model.scales, -self.exp)[None],
+                              np.array([self.rng])))
+
+    def _draw_factor(self, rng, k: int) -> np.ndarray:
+        """A new term's direction-k coefficients from rng: unit constant plus noise, unit norm."""
+        draw = _INIT_PERTURBATION * rng.standard_normal(self.m1)
+        draw[0] += 1.0
+        nrm = empirical_norm(draw @ self.psi_t[k])
+        if nrm == 0.0:
+            raise DegenerateFactorError("drawn initial factor has zero empirical norm")
+        return draw / nrm
 
     def _draw_candidates(self, coeffs0: np.ndarray, scales0: np.ndarray, width: int):
         """A stack of `width` copies of one model, each grown by a term drawn in stack order.
 
-        A new term is a unit constant plus scaled normal noise, normalized
-        per direction, with scale 1. Each copy gets its own re-draw stream,
+        The new term has scale 1. Each copy gets its own re-draw stream,
         spawned in stack order.
         """
-        d, m1 = self.d, self.m1
         r = coeffs0.shape[1] + 1
-        coeffs = np.empty((width, d, r, m1))
+        coeffs = np.empty((width, self.d, r, self.m1))
         coeffs[:, :, :-1] = coeffs0
         scales = np.empty((width, r))
         scales[:, :-1] = scales0
         scales[:, -1] = 1.0
         for b in range(width):
-            new = coeffs[b, :, -1]
-            new[...] = _INIT_PERTURBATION * self.rng.standard_normal((d, m1))
-            new[:, 0] += 1.0
-            for k in range(d):
-                nrm = empirical_norm(new[k] @ self.psi_t[k])
-                if nrm == 0.0:
-                    raise DegenerateFactorError("drawn initial factor has zero empirical norm")
-                new[k] /= nrm
+            for k in range(self.d):
+                coeffs[b, k, -1] = self._draw_factor(self.rng, k)
         rngs = np.array([np.random.default_rng(s) for s in self.seed_seq.spawn(width)])
-        return coeffs, scales, coeffs @ self.psi_t, np.full(width, np.nan), rngs
+        return self._stack(coeffs, scales, rngs)
 
-    def _revive(self, k: int, cmat, vals, norms, alive):
-        """Normalize direction k's live terms; re-draw each model's dead ones from its stream."""
-        coeffs, factors = self.coeffs[:, k], self.factors[:, k]
-        self.scales[alive] = self.scales[alive] * norms[alive]
-        coeffs[alive] = cmat[alive] / norms[alive][:, None]
-        factors[alive] = vals[alive] / norms[alive][:, None]
+    def _revive(self, k: int, alive):
+        """Re-draw each model's dead direction-k terms from its own stream."""
         for b in np.flatnonzero(~alive.all(axis=1)):
             dead = np.flatnonzero(~alive[b])
             logger.warning("terms %s collapsed to zero in direction %d; reinitializing them",
                            dead.tolist(), k)
             for l in dead:
-                while True:
-                    draw = _INIT_PERTURBATION * self.rngs[b].standard_normal(self.m1)
-                    draw[0] += 1.0
-                    nrm = empirical_norm(draw @ self.psi_t[k])
-                    if nrm > 0.0:
-                        coeffs[b, l] = draw / nrm
-                        factors[b, l] = coeffs[b, l] @ self.psi_t[k]
-                        break
+                self.coeffs[b, k, l] = self._draw_factor(self.rngs[b], k)
+                self.factors[b, k, l] = self.coeffs[b, k, l] @ self.psi_t[k]
             self._monotone_prev[b] = np.nan
 
     def _check_monotone(self, resid: np.ndarray):
@@ -431,14 +419,15 @@ class _Fitter:
                 self._check_monotone(np.sqrt(rn2 / n))
             norms = np.sqrt(np.add.reduce(vals * vals, axis=-1) / n)
             # a term dies when its norm, or its scale times that norm, reaches
-            # zero: decaying terms of over-ranked fits underflow to scale 0
+            # zero: decaying terms of over-ranked fits underflow to scale 0.
+            # A dead term keeps its scale and is re-drawn.
             alive = scales * norms != 0.0
-            if alive.all():
-                scales *= norms
-                coeffs[:, k] = cmat / norms[..., None]
-                factors[:, k] = vals / norms[..., None]
-            else:
-                self._revive(k, cmat, vals, norms, alive)
+            norms = np.where(alive, norms, 1.0)
+            scales *= norms
+            coeffs[:, k] = cmat / norms[..., None]
+            factors[:, k] = vals / norms[..., None]
+            if not alive.all():
+                self._revive(k, alive)
             ck = coeffs[:, k]
             grams[:, k] = ck @ ck.swapaxes(-1, -2)
             left_g = left_g * grams[:, k]

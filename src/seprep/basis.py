@@ -60,7 +60,7 @@ def _check_domain(family: Family, y: np.ndarray) -> None:
         bad = y[(y < -1.0) | (y > 1.0)]
         if bad.size:
             raise DomainError(
-                f"Legendre basis requires inputs in [-1, 1]; got value {bad.flat[0]!r}"
+                f"Legendre basis requires inputs in [-1, 1]; got value {float(bad.flat[0])}"
             )
     elif np.isfinite(lo) and np.isfinite(hi):
         return

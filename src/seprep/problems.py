@@ -59,17 +59,20 @@ class ManufacturedSpec:
     dims: int = 10
 
 
+# the (dimension, degree) factors of each term after the constant, in coefficient order
+_MANUFACTURED_TERMS = (((0, 3), (1, 3)), ((2, 2),), ((7, 2),), ((8, 3),))
+
+
 def _manufactured_values(spec: ManufacturedSpec, points: np.ndarray) -> np.ndarray:
-    basis = BasisSpec(Family.HERMITE, 3)
-    psi = eval_basis_batch(basis, points)  # (n, d, 4)
+    psi = eval_basis_batch(BasisSpec(Family.HERMITE, 3), points)  # (n, d, 4)
     s = spec.coefficients
-    return (
-        s[0]
-        + s[1] * psi[:, 0, 3] * psi[:, 1, 3]
-        + s[2] * psi[:, 2, 2]
-        + s[3] * psi[:, 7, 2]
-        + s[4] * psi[:, 8, 3]
-    )
+    values = s[0]
+    for coeff, factors in zip(s[1:], _MANUFACTURED_TERMS):
+        term = coeff
+        for dim, deg in factors:
+            term = term * psi[:, dim, deg]
+        values = values + term
+    return values
 
 
 def manufactured_sample(
@@ -95,26 +98,16 @@ def manufactured_model(max_degree: int = 3) -> SeparatedModel:
     if max_degree < 3:
         raise ValueError("the exact encoding needs max_degree >= 3")
     spec = ManufacturedSpec()
-    s = spec.coefficients
-    d, m1 = spec.dims, max_degree + 1
-    coeffs = np.zeros((d, 5, m1))
+    terms = ((),) + _MANUFACTURED_TERMS
+    coeffs = np.zeros((spec.dims, len(terms), max_degree + 1))
     coeffs[:, :, 0] = 1.0  # every factor defaults to the constant
-    scales = np.empty(5)
-    term_dims_degrees = [
-        (s[0], []),
-        (s[1], [(0, 3), (1, 3)]),
-        (s[2], [(2, 2)]),
-        (s[3], [(7, 2)]),
-        (s[4], [(8, 3)]),
-    ]
-    for l, (coeff, spots) in enumerate(term_dims_degrees):
-        scales[l] = abs(coeff)
-        sign = 1.0 if coeff >= 0 else -1.0
-        for j, (dim, deg) in enumerate(spots):
+    for l, (coeff, spots) in enumerate(zip(spec.coefficients, terms)):
+        for dim, deg in spots:
             coeffs[dim, l, :] = 0.0
-            coeffs[dim, l, deg] = sign if j == 0 else 1.0
-        if not spots and coeff < 0:
-            coeffs[0, l, 0] = -1.0
+            coeffs[dim, l, deg] = 1.0
+        dim, deg = spots[0] if spots else (0, 0)
+        coeffs[dim, l, deg] = 1.0 if coeff >= 0 else -1.0
+    scales = np.abs(spec.coefficients)
     return SeparatedModel(BasisSpec(Family.HERMITE, max_degree), scales, coeffs)
 
 
@@ -210,12 +203,15 @@ def _p2_shapes(xi: np.ndarray):
 class EllipticProblem:
     """Dirichlet diffusion problem -(a u')' = 1 on (0, 1) with random a.
 
-    The coefficient is mean_coeff plus sigma_a times the truncated KL
-    expansion contracted with the input vector; inputs are uniform on
-    [-1, 1]^dims. The quantity of interest is u at query_point. The private
-    fields hold what the batched solve reuses: the KL map to the Gauss-point
-    coefficients, the per-Gauss-point P2 stiffness weights and the assembled
-    load, from which the solve condenses the bubbles.
+    The coefficient is mean_coeff plus sigma_a times the KL expansion of
+    kl_decompose(corr_length, dims, kl_grid) contracted with the input
+    vector; inputs are uniform on [-1, 1]^dims. The quantity of interest is
+    u at query_point, which must lie in the open interval (0, 1): u is fixed
+    to 0 on the Dirichlet boundary, and outside [0, 1] the P2 shapes would
+    extrapolate. Construction builds the KL expansion and what the batched
+    solve reuses: the KL map to the Gauss-point coefficients, the
+    per-Gauss-point P2 stiffness weights and the assembled load, from which
+    the solve condenses the bubbles.
     """
 
     corr_length: float = 1.0 / 14.0
@@ -223,57 +219,36 @@ class EllipticProblem:
     mean_coeff: float = 0.1
     sigma_a: float = 0.021
     mesh_elements: int = 128
+    kl_grid: int = 512
     query_point: float = 0.5
-    kl: KLExpansion = None
-    # assembled FEM machinery, built by elliptic_problem()
-    _coeff_map: np.ndarray = field(default=None, repr=False)
-    _stiff_weights: np.ndarray = field(default=None, repr=False)
-    _load: np.ndarray = field(default=None, repr=False)
+    kl: KLExpansion = field(init=False, repr=False, compare=False)
+    _coeff_map: np.ndarray = field(init=False, repr=False, compare=False)
+    _stiff_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _load: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.query_point < 1.0:
+            raise DomainError(f"query_point must lie in (0, 1), got {self.query_point}")
+        self.kl = kl_decompose(self.corr_length, self.dims, self.kl_grid)
+        n_el = self.mesh_elements
+        h = 1.0 / n_el
+        gauss_x = (np.arange(n_el)[:, None] + 0.5 * (_GAUSS3_NODES[None, :] + 1.0)) * h
+        phi = self.kl.eigenfunctions(gauss_x.reshape(-1))  # (n_el*3, dims)
+        self._coeff_map = self.sigma_a * np.sqrt(self.kl.eigenvalues)[None, :] * phi
+        N, dN = _p2_shapes(_GAUSS3_NODES)
+        self._stiff_weights = (2.0 / h) * np.einsum("g,gi,gj->gij", _GAUSS3_WEIGHTS, dN, dN)
+        fe = (h / 2.0) * np.einsum("g,gi->i", _GAUSS3_WEIGHTS, N)
+        dofs = 2 * np.arange(n_el)[:, None] + np.arange(3)[None, :]
+        self._load = np.zeros(self.n_nodes)
+        np.add.at(self._load, dofs, np.broadcast_to(fe, (n_el, 3)))
 
     @property
     def n_nodes(self) -> int:
         return 2 * self.mesh_elements + 1
 
 
-def elliptic_problem(
-    corr_length: float = 1.0 / 14.0,
-    dims: int = 40,
-    mean_coeff: float = 0.1,
-    sigma_a: float = 0.021,
-    mesh_elements: int = 128,
-    kl_grid: int = 512,
-    query_point: float = 0.5,
-) -> EllipticProblem:
-    """Build the problem: KL eigenpairs plus precomputed element machinery.
-
-    query_point must lie in the open interval (0, 1): u is fixed to 0 on the
-    Dirichlet boundary, and outside [0, 1] the P2 shapes would extrapolate.
-    """
-    if not 0.0 < query_point < 1.0:
-        raise DomainError(f"query_point must lie in (0, 1), got {query_point}")
-    kl = kl_decompose(corr_length, dims, kl_grid)
-    prob = EllipticProblem(
-        corr_length=corr_length,
-        dims=dims,
-        mean_coeff=mean_coeff,
-        sigma_a=sigma_a,
-        mesh_elements=mesh_elements,
-        query_point=query_point,
-        kl=kl,
-    )
-    n_el = mesh_elements
-    h = 1.0 / n_el
-    gauss_x = (np.arange(n_el)[:, None] + 0.5 * (_GAUSS3_NODES[None, :] + 1.0)) * h
-    phi = kl.eigenfunctions(gauss_x.reshape(-1))  # (n_el*3, dims)
-    prob._coeff_map = sigma_a * np.sqrt(kl.eigenvalues)[None, :] * phi
-    N, dN = _p2_shapes(_GAUSS3_NODES)
-    prob._stiff_weights = (2.0 / h) * np.einsum("g,gi,gj->gij", _GAUSS3_WEIGHTS, dN, dN)
-    fe = (h / 2.0) * np.einsum("g,gi->i", _GAUSS3_WEIGHTS, N)
-    dofs = 2 * np.arange(n_el)[:, None] + np.arange(3)[None, :]
-    load = np.zeros(prob.n_nodes)
-    np.add.at(load, dofs, np.broadcast_to(fe, (n_el, 3)))
-    prob._load = load
-    return prob
+# the factory name the CLI and existing callers build the problem by
+elliptic_problem = EllipticProblem
 
 
 def coefficient_at_gauss_points(problem: EllipticProblem, points: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import logging
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from helpers import (
     build_B,
@@ -21,7 +22,12 @@ from helpers import (
 from seprep import als, regularize
 from seprep.als import FitConfig, fit_fixed, sweep
 from seprep.basis import BasisSpec, Family, eval_basis_batch
-from seprep.errors import ConditioningError, DegenerateModelError
+from seprep.errors import (
+    ConditioningError,
+    DegenerateFactorError,
+    DegenerateModelError,
+    InvariantError,
+)
 from seprep.model import SampleSet, SeparatedModel, empirical_norm, evaluate_batch, mean
 from seprep.problems import manufactured_sample
 from seprep.regularize import TikhonovPath, gcv_select_lambda
@@ -72,7 +78,7 @@ def _solve_one(A, u, G, m, cfg):
     c, raw = als._direction_solve(AtA, Atu, uu, n, None if G is None else G[None], m, cfg)
     res = A @ c[0] - u
     rn2 = float(res @ res)
-    state = None if raw is None else als._regularization_state(raw + (np.array([rn2]),), 0, n)
+    state = None if raw is None else als._regularization_state(raw + (np.array([rn2]),), 0, n, 0)
     return c[0], state, rn2
 
 
@@ -548,6 +554,32 @@ def test_normal_equation_failure_names_its_branch(monkeypatch, penalty):
         assert "enabling regularization" not in message
 
 
+def test_a_residual_increase_breaks_the_monotone_invariant():
+    fitter = als._Fitter(manufactured_sample(40, seed=0), FitConfig(rank_max=1, degree=1), 0)
+    fitter._monotone_prev[...] = 0.25
+    fitter._check_monotone(np.array([0.25]))  # an equal residual is no increase
+    with pytest.raises(InvariantError, match="residual increased across an unregularized"):
+        fitter._check_monotone(np.array([0.5]))
+
+
+def test_singular_normal_matrix_takes_the_pseudo_solve():
+    # [[A, A], [A, A]] is PSD of rank 2, and its Cholesky meets an exact zero pivot
+    A = np.array([[4.0, 2.0], [2.0, 3.0]])
+    M = np.block([[A, A], [A, A]])
+    assert dpotrf(M, lower=0, clean=1)[1] > 0
+    b = np.array([1.0, 2.0, -3.0, 0.5])
+    assert np.allclose(als._solve_spd(M, b), np.linalg.pinv(M) @ b, rtol=1e-12, atol=1e-14)
+
+
+def test_term_gram_failures_are_typed():
+    # an overflowed factor product leaves non-finite Gram entries
+    with pytest.raises(ConditioningError, match="non-finite entries"):
+        als._gram_cholesky(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    # an indefinite Gram stays unfactorable after the jitter retry
+    with pytest.raises(DegenerateModelError, match=r"min Gram eigenvalue -1\.000e\+00"):
+        als._gram_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 def test_state_records_lambda_grid_position():
     # near-noiseless data sits on the grid floor, pure noise on its ceiling
     rng = np.random.default_rng(0)
@@ -718,6 +750,30 @@ def test_a_failing_slice_ends_a_stacked_burn_in_with_its_typed_error(monkeypatch
         fit_fixed(manufactured_sample(60, seed=0), 1, cfg, init_seed=5)
     assert probe["widths"] == [cfg.init_candidates]
     assert len(calls) == 3
+
+
+def test_a_zero_norm_candidate_draw_is_a_degenerate_factor(monkeypatch):
+    monkeypatch.setattr(als, "empirical_norm", lambda values: 0.0)
+    with pytest.raises(DegenerateFactorError, match="zero empirical norm"):
+        fit_fixed(manufactured_sample(60, seed=0), 1, FitConfig(rank_max=1, degree=1), 5)
+
+
+def test_a_zero_norm_redraw_is_a_degenerate_factor(monkeypatch):
+    # degree-0 data whose fit re-draws collapsed terms; every re-draw then
+    # meets a zero norm and fails as a candidate draw does, without retrying
+    real_revive = als._Fitter._revive
+    revived = []
+
+    def revive(self, *args):
+        revived.append(args[0])
+        monkeypatch.setattr(als, "empirical_norm", lambda values: 0.0)
+        return real_revive(self, *args)
+
+    monkeypatch.setattr(als._Fitter, "_revive", revive)
+    cfg = FitConfig(rank_max=2, degree=0, candidate_burn_sweeps=2, max_sweeps_per_rank=6)
+    with pytest.raises(DegenerateFactorError, match="zero empirical norm"):
+        fit_fixed(manufactured_sample(60, seed=0), 2, cfg, 5)
+    assert len(revived) == 1
 
 
 def test_exact_recovery_success_rate():

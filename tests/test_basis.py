@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -140,6 +141,15 @@ def test_non_integer_rule_size_is_refused(n_points):
         gauss_quadrature(BasisSpec(Family.HERMITE, 1), n_points)
 
 
+def test_out_of_domain_legendre_input_names_the_plain_value():
+    spec = BasisSpec(Family.LEGENDRE, 3)
+    msg = re.escape("Legendre basis requires inputs in [-1, 1]; got value 1.2") + "$"
+    with pytest.raises(DomainError, match=msg):
+        eval_basis_batch(spec, np.array([0.5, 1.2, -0.3]))
+    with pytest.raises(DomainError, match=msg):
+        eval_basis(spec, np.float64(1.2))
+
+
 @pytest.mark.parametrize("family", [Family.HERMITE, Family.LEGENDRE])
 def test_empty_input_gives_an_empty_basis(family):
     for M in (0, 1, 4):
@@ -152,7 +162,7 @@ def test_empty_input_gives_an_empty_basis(family):
 def test_non_finite_input_is_a_domain_error(family, bad):
     # Legendre words an infinity as out of [-1, 1]; everything else is "finite"
     if family is Family.LEGENDRE and np.isinf(bad):
-        msg = r"requires inputs in \[-1, 1\]; got value .*inf"
+        msg = re.escape(f"Legendre basis requires inputs in [-1, 1]; got value {bad}") + "$"
     else:
         msg = "basis input must be finite"
     spec = BasisSpec(family, 3)

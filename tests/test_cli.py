@@ -187,6 +187,23 @@ def test_cmd_baselines_pc_refusal_recorded(tmp_path, caplog):
     assert pc_rows[0]["mean_est"] == ""
 
 
+def test_cli_baselines_dispatch_writes_the_cmd_baselines_rows(tmp_path):
+    rc = main(["baselines", "--problem", "manufactured", "--n", "60", "--seeds", "0",
+               "--pc-degree", "1", "--out", str(tmp_path / "cli")])
+    assert rc == 0
+    config = ExperimentConfig(problem="manufactured", sample_sizes=[60], seeds=[0],
+                              output_dir=str(tmp_path / "direct"), pc_degree=1)
+    assert cmd_baselines(config) == 0
+    for name in ("baselines_mc.csv", "baselines_pc.csv"):
+        via_cli = _read_rows(tmp_path / "cli" / name)
+        direct = _read_rows(tmp_path / "direct" / name)
+        assert len(via_cli) == 1 and via_cli[0]["N"] == "60"
+        for row in via_cli + direct:
+            del row["wall_time_s"]
+        assert via_cli == direct
+    assert via_cli[0]["M"] == "1"
+
+
 def test_cli_select_external_dataset(tmp_path):
     data_path = tmp_path / "ext.csv"
     write_dataset(data_path, manufactured_sample(200, seed=5))

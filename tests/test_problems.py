@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -125,6 +126,21 @@ def test_elliptic_constant_coefficient(problem):
     # a == 0.1 gives u(x) = x(1-x)/0.2, so u(0.5) = 1.25
     val = elliptic_solve(problem, np.zeros(40))
     assert val == pytest.approx(1.25, abs=1e-10)
+
+
+def test_a_directly_built_problem_builds_itself():
+    # the constructor builds the KL expansion and the FEM arrays, so a problem
+    # built or replaced field by field solves: a == 0.1 gives u(0.25) = 0.9375
+    prob = problems.EllipticProblem(dims=4, mesh_elements=16, kl_grid=64, query_point=0.25)
+    assert prob.kl.dims == 4 and prob.kl.nodes.shape == (64,)
+    assert elliptic_solve(prob, np.zeros(4)) == pytest.approx(0.9375, abs=1e-12)
+    finer = dataclasses.replace(prob, mesh_elements=32)
+    assert finer._load.shape == (65,)
+    assert elliptic_solve(finer, np.zeros(4)) == pytest.approx(0.9375, abs=1e-12)
+    # equality compares the settings; the built arrays follow from them
+    assert finer != prob and dataclasses.replace(finer, mesh_elements=16) == prob
+    with pytest.raises(DomainError, match="query_point"):
+        problems.EllipticProblem(query_point=1.0)
 
 
 def test_elliptic_mesh_refinement(problem):
