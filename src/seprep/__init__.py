@@ -1,11 +1,10 @@
 """Low-rank separated surrogate models fit by regularized alternating least squares."""
 
-from .basis import BasisSpec, Family, eval_basis, eval_basis_batch, gauss_quadrature
+from .basis import BasisSpec, Family, eval_basis_batch, gauss_quadrature
 from .model import (
     SampleSet,
     SeparatedModel,
     empirical_norm,
-    evaluate,
     evaluate_batch,
     load_model,
     mean,

@@ -169,17 +169,19 @@ def _solve_spd(Mm: np.ndarray, Atu: np.ndarray) -> np.ndarray:
 
 
 def _gram_cholesky(G: np.ndarray) -> np.ndarray:
-    """Cholesky of one term Gram matrix, with one jitter retry before giving up."""
+    """Cholesky of one term Gram matrix, with one jitter retry if its trace is positive."""
     R, info = dpotrf(G, lower=0, clean=1)
     if info == 0:
         return R
     if not np.all(np.isfinite(G)):
         raise ConditioningError("term Gram matrix contains non-finite entries (factor overflow)")
-    jitter = 1e-14 * max(np.trace(G), 1e-300)
-    R, info = dpotrf(G + jitter * np.eye(G.shape[0]), lower=0, clean=1)
-    if info == 0:
-        logger.warning("term Gram matrix required jitter %.2e to factor", jitter)
-        return R
+    trace = np.trace(G)
+    if trace > 0.0:  # a jitter relative to a zero trace would factor G = 0 as a tiny I
+        jitter = 1e-14 * max(trace, 1e-300)
+        R, info = dpotrf(G + jitter * np.eye(G.shape[0]), lower=0, clean=1)
+        if info == 0:
+            logger.warning("term Gram matrix required jitter %.2e to factor", jitter)
+            return R
     w = np.linalg.eigvalsh(G)
     raise DegenerateModelError(
         f"surrogate second moment is numerically zero (min Gram eigenvalue {w[0]:.3e})"

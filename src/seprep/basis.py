@@ -18,7 +18,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError
 
-__all__ = ["Family", "BasisSpec", "eval_basis", "eval_basis_batch", "gauss_quadrature"]
+__all__ = ["Family", "BasisSpec", "eval_basis_batch", "gauss_quadrature"]
 
 
 def _check_count(name: str, value, least: int):
@@ -91,7 +91,7 @@ def eval_basis_batch(spec: BasisSpec, y: np.ndarray) -> np.ndarray:
     ----------
     spec : BasisSpec
     y : ndarray
-        Evaluation points, any shape.
+        Evaluation points, any shape; a 0-d y is one point.
 
     Returns
     -------
@@ -128,11 +128,6 @@ def eval_basis_batch(spec: BasisSpec, y: np.ndarray) -> np.ndarray:
             np.multiply(out[a - 1, ...], beta[a], out=out[a + 1, ...])
             np.subtract(scratch, out[a + 1, ...], out=out[a + 1, ...])
     return np.moveaxis(out, 0, -1)
-
-
-def eval_basis(spec: BasisSpec, y: float) -> np.ndarray:
-    """Evaluate the orthonormal family at a single point; returns a vector of length M+1."""
-    return eval_basis_batch(spec, np.asarray(float(y)))
 
 
 def gauss_quadrature(spec: BasisSpec, n_points: int) -> tuple[np.ndarray, np.ndarray]:

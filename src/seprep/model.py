@@ -20,7 +20,6 @@ from .errors import QuadraturePrecisionError
 __all__ = [
     "SampleSet",
     "SeparatedModel",
-    "evaluate",
     "evaluate_batch",
     "mean",
     "second_moment",
@@ -144,14 +143,6 @@ def evaluate_batch(model: SeparatedModel, points: np.ndarray) -> np.ndarray:
             prod *= eval_basis_batch(model.basis, yt[k]) @ model.coeffs[k].T
         out[first:stop] = prod @ model.scales
     return out
-
-
-def evaluate(model: SeparatedModel, y) -> float:
-    """Evaluate the surrogate at a single d-vector."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != model.dims:
-        raise ValueError(f"expected a {model.dims}-vector, got length {y.shape[0]}")
-    return float(evaluate_batch(model, y[None, :])[0])
 
 
 def term_gram(model: SeparatedModel) -> np.ndarray:

@@ -32,7 +32,6 @@ __all__ = [
     "kl_decompose",
     "EllipticProblem",
     "elliptic_problem",
-    "elliptic_solve",
     "elliptic_solve_batch",
     "elliptic_sample",
     "MCResult",
@@ -247,7 +246,7 @@ class EllipticProblem:
         return 2 * self.mesh_elements + 1
 
 
-# the factory name the CLI and existing callers build the problem by
+# the factory name the benchmark and older callers build the problem by
 elliptic_problem = EllipticProblem
 
 
@@ -259,7 +258,7 @@ def coefficient_at_gauss_points(problem: EllipticProblem, points: np.ndarray) ->
 
 
 def elliptic_solve_batch(problem: EllipticProblem, points: np.ndarray) -> np.ndarray:
-    """Solve the diffusion problem for each input row; returns u(query_point).
+    """Solve the diffusion problem for each input row, or one `dims`-vector; returns u(query_point).
 
     Rows must be finite `dims`-vectors, else DomainError. Each block of
     `_SOLVE_BLOCK` samples is solved at once: one product with the Gauss
@@ -319,12 +318,6 @@ def elliptic_solve_batch(problem: EllipticProblem, points: np.ndarray) -> np.nda
             "this violates the maximum principle for unit forcing"
         )
     return out
-
-
-def elliptic_solve(problem: EllipticProblem, y) -> float:
-    """Single-input convenience wrapper around the batched solver."""
-    y = np.asarray(y, dtype=float).ravel()
-    return float(elliptic_solve_batch(problem, y[None, :])[0])
 
 
 def elliptic_sample(problem: EllipticProblem, n: int, seed: int) -> SampleSet:

@@ -121,30 +121,26 @@ class GcvResult:
 
 
 @cache
-def _unit_grid(floor_rel: float, num: int) -> np.ndarray:
-    """The read-only log grid np.geomspace(floor_rel, 1.0, num), built once per pair."""
-    grid = np.geomspace(floor_rel, 1.0, num)
+def _unit_grid(floor_rel: float) -> np.ndarray:
+    """Read-only np.geomspace(floor_rel, 1.0, _LAMBDA_GRID_SIZE), built once per floor."""
+    grid = np.geomspace(floor_rel, 1.0, _LAMBDA_GRID_SIZE)
     grid.flags.writeable = False
     return grid
 
 
-def gcv_select_lambda(
-    path: TikhonovPath, grid_size: int = _LAMBDA_GRID_SIZE,
-    floor_rel: float = DEFAULT_LAMBDA_FLOOR,
-) -> GcvResult:
+def gcv_select_lambda(path: TikhonovPath, floor_rel: float = DEFAULT_LAMBDA_FLOOR) -> GcvResult:
     """Minimize GCV(lambda) = N ||A c - u||^2 / (N - tr H)^2 over a log grid per slice.
 
-    Slice b's grid spans [floor_rel * gamma_max, gamma_max], where gamma_max
-    is the largest generalized singular value of (A_b, L_b); zero is
-    excluded so the error indicator stays finite whenever selection
-    succeeds. Ties go to the first (smallest) grid point.
+    Slice b's grid holds _LAMBDA_GRID_SIZE points spanning
+    [floor_rel * gamma_max, gamma_max], where gamma_max is the largest
+    generalized singular value of (A_b, L_b); zero is excluded so the error
+    indicator stays finite whenever selection succeeds. Ties go to the first
+    (smallest) grid point.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     gmax = np.sqrt(path.sv2[:, 0])
     if (gmax <= 0.0).any():
         raise SelectionError("design matrix is identically zero; nothing to select")
-    grid = gmax[:, None] * _unit_grid(floor_rel, grid_size)
+    grid = gmax[:, None] * _unit_grid(floor_rel)
     sv2 = path.sv2[:, None, :]
     filters = sv2 / (sv2 + grid[..., None] ** 2)
     traces = np.add.reduce(filters, -1)

@@ -6,7 +6,7 @@ the library paths are checked against genuinely different computations.
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
 
-from seprep.basis import BasisSpec, Family, _folded_recurrence, eval_basis, gauss_quadrature
+from seprep.basis import BasisSpec, Family, _folded_recurrence, eval_basis_batch, gauss_quadrature
 from seprep.errors import DegenerateModelError, PositivityError
 from seprep.model import SeparatedModel
 from seprep.problems import _p2_shapes, coefficient_at_gauss_points
@@ -19,7 +19,7 @@ def naive_evaluate(model, y):
     for l in range(model.rank):
         term = model.scales[l]
         for k in range(model.dims):
-            psi = eval_basis(model.basis, y[k])
+            psi = eval_basis_batch(model.basis, y[k])
             factor = 0.0
             for a in range(model.basis.size):
                 factor += model.coeffs[k, l, a] * psi[a]
@@ -260,11 +260,11 @@ def naive_design_matrix(data, model, k):
     table = np.empty((d, data.n, r))
     for i in range(d):
         for n in range(data.n):
-            table[i, n] = model.coeffs[i] @ eval_basis(model.basis, data.inputs[n, i])
+            table[i, n] = model.coeffs[i] @ eval_basis_batch(model.basis, data.inputs[n, i])
     excl = naive_exclusion(table, k)
     A = np.empty((data.n, r * m))
     for n in range(data.n):
-        psi = eval_basis(model.basis, data.inputs[n, k])
+        psi = eval_basis_batch(model.basis, data.inputs[n, k])
         for l in range(r):
             A[n, l * m:(l + 1) * m] = model.scales[l] * excl[n, l] * psi
     return A
@@ -335,7 +335,7 @@ def naive_sweep(data, model, config):
         res = A @ c - u
         for l in range(model.rank):
             cl = c[l * m:(l + 1) * m]
-            vals = np.array([cl @ eval_basis(model.basis, y) for y in data.inputs[:, k]])
+            vals = np.array([cl @ eval_basis_batch(model.basis, y) for y in data.inputs[:, k]])
             norm = np.sqrt(np.mean(vals * vals))
             model.scales[l] *= norm
             model.coeffs[k, l] = cl / norm

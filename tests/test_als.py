@@ -571,13 +571,19 @@ def test_singular_normal_matrix_takes_the_pseudo_solve():
     assert np.allclose(als._solve_spd(M, b), np.linalg.pinv(M) @ b, rtol=1e-12, atol=1e-14)
 
 
-def test_term_gram_failures_are_typed():
+def test_term_gram_failures_are_typed(caplog):
     # an overflowed factor product leaves non-finite Gram entries
     with pytest.raises(ConditioningError, match="non-finite entries"):
         als._gram_cholesky(np.array([[1.0, np.inf], [np.inf, 1.0]]))
     # an indefinite Gram stays unfactorable after the jitter retry
     with pytest.raises(DegenerateModelError, match=r"min Gram eigenvalue -1\.000e\+00"):
         als._gram_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # a zero Gram has no trace to scale a jitter by, so it is refused without a retry
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="seprep.als"):
+        with pytest.raises(DegenerateModelError, match=r"numerically zero \(min Gram eigenvalue 0"):
+            als._gram_cholesky(np.zeros((2, 2)))
+    assert "jitter" not in caplog.text
 
 
 def test_state_records_lambda_grid_position():
@@ -615,7 +621,7 @@ def test_lambda_grid_matches_geomspace(lo, hi):
                         np.broadcast_to(np.eye(4), (7, 4, 4)), 1)
     gmax = np.sqrt(path.sv2[:, 0])
     for floor_rel in (regularize.DEFAULT_LAMBDA_FLOOR, 1e-3):
-        grid = gcv_select_lambda(path, grid_size=50, floor_rel=floor_rel).grid
+        grid = gcv_select_lambda(path, floor_rel=floor_rel).grid
         assert np.array_equal(grid[:, 0], floor_rel * gmax)
         assert np.array_equal(grid[:, -1], gmax)
         for row, g in zip(grid, gmax, strict=True):

@@ -6,29 +6,29 @@ import numpy as np
 import pytest
 
 from helpers import degree_last_basis
-from seprep.basis import BasisSpec, Family, eval_basis, eval_basis_batch, gauss_quadrature
+from seprep.basis import BasisSpec, Family, eval_basis_batch, gauss_quadrature
 from seprep.errors import DomainError
 
 
 def test_legendre_degree_one():
-    vals = eval_basis(BasisSpec(Family.LEGENDRE, 1), 0.5)
+    vals = eval_basis_batch(BasisSpec(Family.LEGENDRE, 1), 0.5)
     assert vals == pytest.approx([1.0, math.sqrt(3) * 0.5], abs=1e-15)
 
 
 def test_hermite_degree_two_root():
     # psi_2(y) = (y^2 - 1)/sqrt(2) vanishes at y = 1
-    vals = eval_basis(BasisSpec(Family.HERMITE, 2), 1.0)
+    vals = eval_basis_batch(BasisSpec(Family.HERMITE, 2), 1.0)
     assert vals == pytest.approx([1.0, 1.0, 0.0], abs=1e-15)
 
 
 def test_hermite_values_at_zero():
-    vals = eval_basis(BasisSpec(Family.HERMITE, 3), 0.0)
+    vals = eval_basis_batch(BasisSpec(Family.HERMITE, 3), 0.0)
     assert vals == pytest.approx([1.0, 0.0, -1.0 / math.sqrt(2), 0.0], abs=1e-15)
 
 
 def test_legendre_rejects_out_of_domain():
     with pytest.raises(DomainError):
-        eval_basis(BasisSpec(Family.LEGENDRE, 2), 1.2)
+        eval_basis_batch(BasisSpec(Family.LEGENDRE, 2), 1.2)
     with pytest.raises(DomainError):
         eval_basis_batch(BasisSpec(Family.LEGENDRE, 2), np.array([0.0, -1.0001]))
 
@@ -105,7 +105,7 @@ def test_recurrence_matches_high_precision(family):
     spec = BasisSpec(family, M)
     ys = np.linspace(-4.0, 4.0, 161) if family is Family.HERMITE else np.linspace(-1.0, 1.0, 161)
     for y in ys:
-        ours = eval_basis(spec, y)
+        ours = eval_basis_batch(spec, y)
         for a in range(M + 1):
             if family is Family.HERMITE:
                 ref = _mp_hermite_norm(a, y)
@@ -130,7 +130,7 @@ def test_non_integer_degree_is_refused(degree):
 
 def test_numpy_integer_degree_is_accepted():
     spec = BasisSpec(Family.LEGENDRE, np.int64(3))
-    assert spec.size == 4 and eval_basis(spec, 0.5).shape == (4,)
+    assert spec.size == 4 and eval_basis_batch(spec, 0.5).shape == (4,)
     nodes, weights = gauss_quadrature(spec, np.int64(3))
     assert nodes.shape == weights.shape == (3,)
 
@@ -147,7 +147,7 @@ def test_out_of_domain_legendre_input_names_the_plain_value():
     with pytest.raises(DomainError, match=msg):
         eval_basis_batch(spec, np.array([0.5, 1.2, -0.3]))
     with pytest.raises(DomainError, match=msg):
-        eval_basis(spec, np.float64(1.2))
+        eval_basis_batch(spec, np.float64(1.2))
 
 
 @pytest.mark.parametrize("family", [Family.HERMITE, Family.LEGENDRE])
@@ -171,7 +171,7 @@ def test_non_finite_input_is_a_domain_error(family, bad):
     with pytest.raises(DomainError, match=msg):
         eval_basis_batch(spec, y)
     with pytest.raises(DomainError, match=msg):
-        eval_basis(spec, bad)
+        eval_basis_batch(spec, bad)
 
 
 @pytest.mark.parametrize("family", [Family.HERMITE, Family.LEGENDRE])

@@ -18,7 +18,7 @@ from seprep.cli import (
 )
 from seprep.errors import DatasetFormatError, InvariantError
 from seprep.model import SampleSet
-from seprep.problems import manufactured_sample
+from seprep.problems import EllipticProblem, manufactured_sample
 
 
 def _read_rows(path):
@@ -54,6 +54,27 @@ def test_dataset_bad_field_count(tmp_path):
     path.write_text("y1,y2,u\n0.0,0.0\n")
     with pytest.raises(DatasetFormatError, match="expected 3 fields"):
         read_dataset(path, Family.HERMITE)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", "empty file"),
+    ("u\n1.0\n", r"malformed header \['u'\]"),
+    ("y1,u\n", "no data rows"),
+    ("y1,u\n0.5,1.0\n\n0.5,abc\n", r"d\.csv:4: could not convert string to float: 'abc'"),
+], ids=["empty", "no-inputs", "header-only", "non-numeric"])
+def test_dataset_refusals_name_the_fault(tmp_path, text, named):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetFormatError, match=named):
+        read_dataset(path, Family.HERMITE)
+
+
+def test_dataset_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("y1,u\n\n0.1,1.0\n\n\n0.2,2.0\n\n")
+    data = read_dataset(path, Family.HERMITE)
+    assert np.array_equal(data.inputs, [[0.1], [0.2]])
+    assert np.array_equal(data.outputs, [1.0, 2.0])
 
 
 def test_sample_command_writes_dataset(tmp_path):
@@ -229,6 +250,15 @@ def test_cli_kl_info(tmp_path, capsys):
     assert len(doc["eigenvalues"]) == 10
 
 
+def test_cli_kl_info_defaults_are_the_elliptic_problems(capsys):
+    assert main(["kl-info"]) == 0
+    out = capsys.readouterr().out
+    kl = EllipticProblem().kl
+    assert f"correlation length: {1.0 / 14.0}" in out
+    assert "modes kept: 40 of 512" in out
+    assert f"eigenvalue 40: {kl.eigenvalues[-1]:.6e}" in out
+
+
 def test_cli_bad_config_is_fatal(tmp_path):
     rc = main(["fit", "--problem", "external-dataset", "--out", str(tmp_path / "x")])
     assert rc == 1
@@ -276,8 +306,9 @@ def test_cli_os_error_is_fatal_without_a_traceback(tmp_path, caplog):
     (["fit", "--config", "in.json"], {"pc_degree": 2.0}, "pc_degree must be"),
     (["fit", "--config", "in.json"], {"ref_samples": 2.5}, "ref_samples must be"),
     (["fit", "--config", "in.json"], {"ref_samples": 1}, "ref_samples must be"),
-    (["fit", "--config", "in.json"], {"ref_seed": -1}, "ref_seed must be"),
-    (["fit", "--config", "in.json"], {"ref_seed": False}, "ref_seed must be"),
+    # the reference seed is a fixed constant, not a setting: any value is refused
+    (["fit", "--config", "in.json"], {"ref_seed": -1}, "unknown config keys ['ref_seed']"),
+    (["fit", "--config", "in.json"], {"ref_seed": False}, "unknown config keys ['ref_seed']"),
     (["fit", "--config", "in.json"], {"dataset": 3}, "dataset must be a string"),
     (["fit", "--problem", "elliptic", "--ref-file", "in.json"],
      {"mean": True, "std": 1.0, "stderr_mean": 0.0, "stderr_std": 0.0}, "'mean'"),

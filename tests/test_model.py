@@ -13,7 +13,6 @@ from seprep.model import (
     SampleSet,
     SeparatedModel,
     empirical_norm,
-    evaluate,
     evaluate_batch,
     load_model,
     mean,
@@ -36,13 +35,13 @@ def constant_model(dims=3, scale=2.0, degree=2):
 def test_evaluate_constant_factors():
     m = constant_model(scale=2.0)
     for y in ([0.0, 0.0, 0.0], [1.3, -0.2, 4.0]):
-        assert evaluate(m, y) == pytest.approx(2.0, abs=1e-15)
+        assert evaluate_batch(m, y) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_evaluate_benchmark_at_origin():
     # hand value: 0.55 + 2*(-sqrt(2)/4)*(-1/sqrt(2)) = 1.05
     m = manufactured_model()
-    assert evaluate(m, np.zeros(10)) == pytest.approx(1.05, abs=1e-14)
+    assert evaluate_batch(m, np.zeros(10)) == pytest.approx(1.05, abs=1e-14)
 
 
 def test_evaluate_matches_naive_tensor_loop():
@@ -227,7 +226,7 @@ def test_evaluate_linear_in_scales_and_coefficients():
     rng = np.random.default_rng(5)
     m = random_model(rng, dims=3, rank=2, degree=2)
     y = rng.standard_normal(3)
-    base = evaluate(m, y)
+    base = evaluate_batch(m, y)
     # doubling one scale doubles that term's contribution
     m2 = m.copy()
     m2.scales[0] *= 2.0
@@ -238,9 +237,9 @@ def test_evaluate_linear_in_scales_and_coefficients():
     m3.coeffs[1, 0, :] *= 3.0
     m_rest = m.copy()
     m_rest.scales = m.scales * np.array([1e-300, 1.0])
-    term0 = base - evaluate(m_rest, y)
-    assert evaluate(m2, y) == pytest.approx(base + term0, rel=1e-10, abs=1e-12)
-    assert evaluate(m3, y) == pytest.approx(base + 2.0 * term0, rel=1e-10, abs=1e-12)
+    term0 = base - evaluate_batch(m_rest, y)
+    assert evaluate_batch(m2, y) == pytest.approx(base + term0, rel=1e-10, abs=1e-12)
+    assert evaluate_batch(m3, y) == pytest.approx(base + 2.0 * term0, rel=1e-10, abs=1e-12)
 
 
 def test_scale_rescaling_invariance():
@@ -252,7 +251,7 @@ def test_scale_rescaling_invariance():
     m2.scales = m.scales.copy()
     m2.scales[1] *= gamma
     m2.coeffs[0, 1, :] /= gamma
-    assert evaluate(m2, y) == pytest.approx(evaluate(m, y), rel=1e-12)
+    assert evaluate_batch(m2, y) == pytest.approx(evaluate_batch(m, y), rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [-1000, -7, 3, 532, 664, 997])
@@ -271,8 +270,13 @@ def test_model_validation():
         SeparatedModel(BasisSpec(Family.HERMITE, 1), np.array([0.0]), np.ones((2, 1, 2)))
     with pytest.raises(ValueError):
         SeparatedModel(BasisSpec(Family.HERMITE, 1), np.array([1.0]), np.ones((2, 1, 3)))
-    with pytest.raises(ValueError):
-        evaluate(constant_model(dims=3), [0.0, 0.0])
+
+
+def test_evaluate_batch_refuses_points_of_the_wrong_dimension():
+    m = constant_model(dims=3)
+    for points in ([0.0, 0.0], np.zeros((5, 4))):
+        with pytest.raises(ValueError, match="expected 3-dimensional points, got"):
+            evaluate_batch(m, points)
 
 
 @pytest.mark.parametrize("scale, coeff", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf),

@@ -16,7 +16,6 @@ from seprep.problems import (
     MANUFACTURED_VAR,
     elliptic_problem,
     elliptic_sample,
-    elliptic_solve,
     elliptic_solve_batch,
     kl_decompose,
     manufactured_model,
@@ -124,7 +123,7 @@ def problem():
 
 def test_elliptic_constant_coefficient(problem):
     # a == 0.1 gives u(x) = x(1-x)/0.2, so u(0.5) = 1.25
-    val = elliptic_solve(problem, np.zeros(40))
+    val = elliptic_solve_batch(problem, np.zeros(40))
     assert val == pytest.approx(1.25, abs=1e-10)
 
 
@@ -133,10 +132,10 @@ def test_a_directly_built_problem_builds_itself():
     # built or replaced field by field solves: a == 0.1 gives u(0.25) = 0.9375
     prob = problems.EllipticProblem(dims=4, mesh_elements=16, kl_grid=64, query_point=0.25)
     assert prob.kl.dims == 4 and prob.kl.nodes.shape == (64,)
-    assert elliptic_solve(prob, np.zeros(4)) == pytest.approx(0.9375, abs=1e-12)
+    assert elliptic_solve_batch(prob, np.zeros(4)) == pytest.approx(0.9375, abs=1e-12)
     finer = dataclasses.replace(prob, mesh_elements=32)
     assert finer._load.shape == (65,)
-    assert elliptic_solve(finer, np.zeros(4)) == pytest.approx(0.9375, abs=1e-12)
+    assert elliptic_solve_batch(finer, np.zeros(4)) == pytest.approx(0.9375, abs=1e-12)
     # equality compares the settings; the built arrays follow from them
     assert finer != prob and dataclasses.replace(finer, mesh_elements=16) == prob
     with pytest.raises(DomainError, match="query_point"):
@@ -145,8 +144,8 @@ def test_a_directly_built_problem_builds_itself():
 
 def test_elliptic_mesh_refinement(problem):
     coarse = elliptic_problem(mesh_elements=64)
-    v1 = elliptic_solve(coarse, np.zeros(40))
-    v2 = elliptic_solve(problem, np.zeros(40))
+    v1 = elliptic_solve_batch(coarse, np.zeros(40))
+    v2 = elliptic_solve_batch(problem, np.zeros(40))
     assert abs(v1 - v2) < 1e-8
 
 
@@ -174,7 +173,7 @@ def test_elliptic_matches_refined_linear_elements(problem):
     for _ in range(3):
         y = rng.uniform(-1, 1, 40)
         ref = solve_p1(y, 1280)
-        assert abs(elliptic_solve(problem, y) - ref) < 1e-6
+        assert abs(elliptic_solve_batch(problem, y) - ref) < 1e-6
 
 
 def test_elliptic_batch_consistent_with_single(problem):
@@ -184,7 +183,7 @@ def test_elliptic_batch_consistent_with_single(problem):
     # row counts change the BLAS reduction order; agreement to the documented
     # 1e-12 reduction tolerance is the contract
     for j in range(5):
-        assert batch[j] == pytest.approx(elliptic_solve(problem, pts[j]), rel=1e-12)
+        assert batch[j] == pytest.approx(elliptic_solve_batch(problem, pts[j])[0], rel=1e-12)
 
 
 def test_elliptic_solution_positive(problem):
@@ -233,10 +232,9 @@ def test_elliptic_non_finite_input_is_a_domain_error(problem, bad):
 
 
 def test_elliptic_wrong_width_is_a_domain_error(problem):
-    with pytest.raises(DomainError, match=r"\(n, 40\)"):
-        elliptic_solve_batch(problem, np.zeros((2, 39)))
-    with pytest.raises(DomainError):
-        elliptic_solve(problem, np.zeros(39))
+    for points in (np.zeros((2, 39)), np.zeros(39)):
+        with pytest.raises(DomainError, match=r"\(n, 40\)"):
+            elliptic_solve_batch(problem, points)
     assert issubclass(DomainError, ValueError)
 
 

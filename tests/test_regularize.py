@@ -6,6 +6,7 @@ from helpers import (
     error_indicator,
     explicit_hat_matrix,
     l_inverse_norm,
+    naive_gcv_solve,
     normal_equation_pieces,
     naive_second_moment_quadratic_form,
     random_model,
@@ -14,7 +15,7 @@ from helpers import (
 )
 from seprep.errors import ConditioningError, DegenerateModelError, InvariantError
 from seprep.model import second_moment, term_gram
-from seprep.regularize import TikhonovPath, gcv_select_lambda
+from seprep.regularize import DEFAULT_LAMBDA_FLOOR, TikhonovPath, gcv_select_lambda
 
 
 def test_build_B_rank_one_normalized():
@@ -116,7 +117,7 @@ def test_gcv_residual_monotone_and_in_grid():
     rng = np.random.default_rng(9)
     A, u, L = _random_system(rng)
     path = TikhonovPath(*normal_equation_pieces(A, u), L, 1)
-    sel = gcv_select_lambda(path, grid_size=50)
+    sel = gcv_select_lambda(path)
     residual_norms = np.array(
         [np.linalg.norm(A[0] @ path.solve(np.array([lam]))[0] - u) for lam in sel.grid[0]]
     )
@@ -131,7 +132,7 @@ def test_gcv_trace_matches_explicit_hat_matrix():
         n_rows = int(rng.integers(20, 61))
         A, u, L = _random_system(rng, n_rows=n_rows, n_cols=5)
         path = TikhonovPath(*normal_equation_pieces(A, u), L, 1)
-        sel = gcv_select_lambda(path, grid_size=4)
+        sel = gcv_select_lambda(path)
         gcv, traces = [], []
         for lam in sel.grid[0]:
             H = explicit_hat_matrix(A[0], L[0], lam)
@@ -149,11 +150,12 @@ def test_gcv_matches_fine_grid_scan():
     A, u, L = _random_system(rng)
     u = u + A[0] @ rng.standard_normal(A.shape[-1])  # give the system signal
     path = TikhonovPath(*normal_equation_pieces(A, u), L, 1)
-    coarse = gcv_select_lambda(path, grid_size=50)
-    fine = gcv_select_lambda(path, grid_size=500)
+    coarse = gcv_select_lambda(path)
+    # the dense oracle's GCV scan over 500 points of the same range
+    fine = naive_gcv_solve(A[0], u, L[0].T @ L[0], 500, DEFAULT_LAMBDA_FLOOR)[1]
     # the coarse minimizer must land within one coarse cell of the fine one
     ratio = coarse.grid[0, 1] / coarse.grid[0, 0]
-    assert coarse.lambda_[0] / ratio <= fine.lambda_[0] <= coarse.lambda_[0] * ratio
+    assert coarse.lambda_[0] / ratio <= fine <= coarse.lambda_[0] * ratio
 
 
 def test_stacked_gcv_matches_explicit_hat_matrix():
@@ -199,7 +201,7 @@ def test_gcv_decreasing_residual_is_an_invariant_error():
     path.b2 = -np.ones_like(path.b2)
     path.perp2 = np.full(1, 1e3)
     with pytest.raises(InvariantError):
-        gcv_select_lambda(path, grid_size=10)
+        gcv_select_lambda(path)
 
 
 def test_path_eigendecomposition_failure_is_a_conditioning_error(monkeypatch):
@@ -311,10 +313,10 @@ def test_package_public_names():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == {
         "BasisSpec", "Family", "FitConfig", "FitDiagnostics", "RegularizationState",
-        "SampleSet", "SelectionReport", "SeparatedModel", "empirical_norm", "eval_basis",
-        "eval_basis_batch", "evaluate", "evaluate_batch", "fit_fixed", "gauss_quadrature",
-        "load_model", "mean", "model_from_dict", "model_to_dict", "moment", "save_model",
-        "second_moment", "select_model", "standard_deviation", "sweep",
+        "SampleSet", "SelectionReport", "SeparatedModel", "empirical_norm", "eval_basis_batch",
+        "evaluate_batch", "fit_fixed", "gauss_quadrature", "load_model", "mean",
+        "model_from_dict", "model_to_dict", "moment", "save_model", "second_moment",
+        "select_model", "standard_deviation", "sweep",
     }
     assert {"errors", "problems"} <= set(vars(seprep))
     for name in ("TikhonovPath", "gcv_select_lambda"):
