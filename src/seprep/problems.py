@@ -6,8 +6,10 @@ log-free coefficient comes from a truncated Karhunen-Loeve expansion of a
 squared-exponential covariance, plus Monte Carlo and total-degree
 polynomial regression baselines to compare surrogates against. The
 diffusion problem uses quadratic finite elements and is solved for a whole
-batch of inputs at once: each element's bubble is condensed out and one
-tridiagonal LDL^T sweep over the mesh vertices runs on vectors of samples.
+batch of inputs at once: the coefficients are formed Gauss-point-major by
+one product with the KL map, the stiffness entries by one product with the
+Gauss weights, each element's bubble is condensed out, and one tridiagonal
+LDL^T sweep over the mesh vertices runs in place on vectors of samples.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, Family, eval_basis_batch
+from .basis import BasisSpec, Family, _check_count, eval_basis_batch
 from .errors import ConditioningError, DomainError, PositivityError, ResolutionError
 from .model import SampleSet, SeparatedModel
 
@@ -154,12 +156,12 @@ def kl_decompose(corr_length: float, d: int, n_grid: int = 512) -> KLExpansion:
     weights, diagonalized, and the eigenvectors rescaled so eigenfunctions
     have unit L2(0, 1) norm.
     """
-    if d < 1:
+    if isinstance(d, (int, np.integer)) and d < 1:
         raise ValueError(f"need at least one KL mode, got d={d}")
+    _check_count("d", d, 1)
     if not corr_length > 0.0:
         raise ValueError(f"correlation length must be positive, got {corr_length}")
-    if n_grid < 4 * d:
-        raise ValueError(f"n_grid={n_grid} too small; need at least 4*d={4 * d}")
+    _check_count("n_grid", n_grid, 4 * d)  # at least four nodes per mode
     x, w = _gauss_legendre_01(n_grid)
     K = np.exp(-np.subtract.outer(x, x) ** 2 / corr_length**2)
     sw = np.sqrt(w)
@@ -190,6 +192,7 @@ def kl_decompose(corr_length: float, d: int, n_grid: int = 512) -> KLExpansion:
 _GAUSS3_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 _SOLVE_BLOCK = 1024  # bounds the solver's memory; its work arrays stay near cache size
+_ROW_PAD = 16  # the coefficient product pads its rows to a multiple of this
 
 
 def _p2_shapes(xi: np.ndarray):
@@ -226,6 +229,9 @@ class EllipticProblem:
     _load: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_count("dims", self.dims, 1)
+        _check_count("mesh_elements", self.mesh_elements, 1)
+        _check_count("kl_grid", self.kl_grid, 4 * self.dims)
         if not 0.0 < self.query_point < 1.0:
             raise DomainError(f"query_point must lie in (0, 1), got {self.query_point}")
         self.kl = kl_decompose(self.corr_length, self.dims, self.kl_grid)
@@ -233,7 +239,9 @@ class EllipticProblem:
         h = 1.0 / n_el
         gauss_x = (np.arange(n_el)[:, None] + 0.5 * (_GAUSS3_NODES[None, :] + 1.0)) * h
         phi = self.kl.eigenfunctions(gauss_x.reshape(-1))  # (n_el*3, dims)
-        self._coeff_map = self.sigma_a * np.sqrt(self.kl.eigenvalues)[None, :] * phi
+        coeff_map = self.sigma_a * np.sqrt(self.kl.eigenvalues)[None, :] * phi
+        # Gauss-point-major rows, g * n_el + e
+        self._coeff_map = coeff_map.reshape(n_el, 3, -1).swapaxes(0, 1).reshape(3 * n_el, -1)
         N, dN = _p2_shapes(_GAUSS3_NODES)
         self._stiff_weights = (2.0 / h) * np.einsum("g,gi,gj->gij", _GAUSS3_WEIGHTS, dN, dN)
         fe = (h / 2.0) * np.einsum("g,gi->i", _GAUSS3_WEIGHTS, N)
@@ -251,23 +259,49 @@ elliptic_problem = EllipticProblem
 
 
 def coefficient_at_gauss_points(problem: EllipticProblem, points: np.ndarray) -> np.ndarray:
-    """Diffusion coefficient at all element Gauss points, shape (n, n_el, 3)."""
+    """Diffusion coefficient at all element Gauss points, shape (n, n_el, 3).
+
+    The result is a view of a Gauss-point-major (3, n_el, rows) array: each
+    Gauss point's (element, row) plane runs along the rows, the layout the
+    solve's stiffness product reads. The rows are padded with zeros to a
+    multiple of `_ROW_PAD` before the one product with the KL map, so every
+    row goes through the same BLAS kernel and, at the default problem size, no
+    coefficient depends on how the rows are batched; unpadded, a one-row call
+    or a ragged tail is rounded by another kernel. A BLAS may still round a
+    small batch on a coarse mesh by another kernel; the values then agree to
+    the documented 1e-12.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a = problem.mean_coeff + pts @ problem._coeff_map.T
-    return a.reshape(pts.shape[0], problem.mesh_elements, 3)
+    n = pts.shape[0]
+    padded = np.zeros((-(-n // _ROW_PAD) * _ROW_PAD, pts.shape[1]))
+    padded[:n] = pts
+    a = problem._coeff_map @ padded.T
+    a += problem.mean_coeff
+    planes = a.reshape(3, problem.mesh_elements, padded.shape[0])
+    return planes[:, :, :n].transpose(2, 1, 0)
+
+
+def _positive_finite(x: np.ndarray) -> bool:
+    # one min and one max pass; NaN fails both comparisons
+    return x.size == 0 or bool(x.min() > 0.0 and x.max() < np.inf)
 
 
 def elliptic_solve_batch(problem: EllipticProblem, points: np.ndarray) -> np.ndarray:
     """Solve the diffusion problem for each input row, or one `dims`-vector; returns u(query_point).
 
     Rows must be finite `dims`-vectors, else DomainError. Each block of
-    `_SOLVE_BLOCK` samples is solved at once: one product with the Gauss
-    weights gives the six distinct P2 stiffness entries, condensing each
-    element's bubble leaves an SPD tridiagonal system on the interior
-    vertices, one LDL^T (Thomas) sweep solves it, and the query element's
-    bubble is recovered where its shape function is non-zero. A non-positive
-    coefficient or solution raises PositivityError, a pivot that is not
-    positive and finite ConditioningError.
+    `_SOLVE_BLOCK` samples is solved at once: one (6 x 3)(3, n_el * rows)
+    product of the Gauss weights with the Gauss-point-major coefficients
+    gives the six distinct P2 stiffness entries, condensing each element's
+    bubble leaves an SPD tridiagonal system on the interior vertices, and one
+    LDL^T (Thomas) sweep, updated in place, solves it. Back-substitution stops
+    at the query element's left vertex, and that element's bubble is
+    recovered where its shape function is non-zero. Every step works on
+    vectors of samples and the coefficient product is padded, so at the
+    default problem size a row's value does not depend on how the rows are
+    batched (see `coefficient_at_gauss_points`). A non-positive coefficient
+    or solution raises PositivityError, a pivot that is not positive and
+    finite ConditioningError; each names the first such sample.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != problem.dims:
@@ -278,40 +312,54 @@ def elliptic_solve_batch(problem: EllipticProblem, points: np.ndarray) -> np.nda
     h = 1.0 / n_el
     e = min(int(problem.query_point / h), n_el - 1)
     shape = _p2_shapes(np.array(2.0 * (problem.query_point - e * h) / h - 1.0))[0]
-    w = problem._stiff_weights[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]]  # (gauss, 6)
+    w = problem._stiff_weights[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].T  # (6, gauss)
     out = np.empty(pts.shape[0])
+    # per block row: six stiffness entries, r0, r2 and scratch per element, then the vertices
+    work = np.empty((10 * n_el + 1) * min(_SOLVE_BLOCK, pts.shape[0]))
     for first in range(0, pts.shape[0], _SOLVE_BLOCK):
         a = coefficient_at_gauss_points(problem, pts[first:first + _SOLVE_BLOCK])
-        if np.any(a <= 0.0):
+        n_s = a.shape[0]
+        planes = a.transpose(2, 1, 0).reshape(3, n_el * n_s)  # a copy only for a ragged block
+        if planes.min() <= 0.0:
             bad = int(np.argwhere(np.any(a <= 0.0, axis=(1, 2)))[0, 0])
             raise PositivityError(
                 f"diffusion coefficient non-positive at sample {first + bad} "
                 f"(min {a[bad].min():.4e})"
             )
-        n_s = a.shape[0]
-        ke = w.T @ a.reshape(n_s, -1).T.reshape(n_el, 3, n_s)
-        k00, k01, k02, k11, k12, k22 = ke.transpose(1, 0, 2)  # each (element, sample)
-        r0, r2 = k01 / k11, k12 / k11
-        off = k02 - k12 * r0  # couples vertex j to j + 1; the last meets u(1) = 0
-        piv = (k22 - k12 * r2)[:-1] + (k00 - k01 * r0)[1:]  # interior vertices 1 .. n_el-1
-        y = load[2:-1:2, None] - r2[:-1] * load[1:-2:2, None] - r0[1:] * load[3::2, None]
+        block = work[:(10 * n_el + 1) * n_s].reshape(10 * n_el + 1, n_s)
+        np.matmul(w, planes, out=block[:6 * n_el].reshape(6, n_el * n_s))
+        # each (element, sample)
+        k00, k01, k02, k11, k12, k22, r0, r2, tmp = block[:9 * n_el].reshape(9, n_el, n_s)
+        np.divide(k01, k11, out=r0)
+        np.divide(k12, k11, out=r2)
+        # off couples vertex j to j + 1; the last meets u(1) = 0
+        off = np.subtract(k02, np.multiply(k12, r0, out=tmp), out=k02)
+        c22 = np.subtract(k22, np.multiply(k12, r2, out=tmp), out=k22)
+        c00 = np.subtract(k00, np.multiply(k01, r0, out=tmp), out=k00)
+        piv = np.add(c22[:-1], c00[1:], out=c22[:-1])  # interior vertices 1 .. n_el-1
+        u = block[9 * n_el:]  # vertex values, zero at both ends
+        u[0] = u[-1] = 0.0
+        y = u[1:-1]  # the right-hand side, overwritten by the solution
+        np.subtract(load[2:-1:2, None], np.multiply(r2[:-1], load[1:-2:2, None], out=y), out=y)
+        y -= np.multiply(r0[1:], load[3::2, None], out=tmp[1:])
+        ratio, prod = np.empty((2, n_s))
         for v in range(1, n_el - 1):
-            ratio = off[v] / piv[v - 1]
-            piv[v] -= ratio * off[v]
-            y[v] -= ratio * y[v - 1]
-        ok = np.all((k11 > 0.0) & (k11 < np.inf), axis=0)
-        ok &= np.all((piv > 0.0) & (piv < np.inf), axis=0)
-        if not np.all(ok):
+            np.divide(off[v], piv[v - 1], out=ratio)
+            piv[v] -= np.multiply(ratio, off[v], out=prod)
+            y[v] -= np.multiply(ratio, y[v - 1], out=prod)
+        if not (_positive_finite(k11) and _positive_finite(piv)):
+            ok = np.all((k11 > 0.0) & (k11 < np.inf), axis=0)
+            ok &= np.all((piv > 0.0) & (piv < np.inf), axis=0)
             bad = first + int(np.flatnonzero(~ok)[0])
             raise ConditioningError(f"non-positive or non-finite FEM pivot at sample {bad}")
-        u = np.zeros((n_el + 1, n_s))  # vertex values, zero at both ends
-        for v in range(n_el - 1, 0, -1):
-            u[v] = (y[v - 1] - off[v] * u[v + 1]) / piv[v - 1]
+        for v in range(n_el - 1, max(e, 1) - 1, -1):  # u[e] and u[e + 1] are all that is read
+            u[v] -= np.multiply(off[v], u[v + 1], out=prod)
+            u[v] /= piv[v - 1]
         val = shape[0] * u[e] + shape[2] * u[e + 1]
         if shape[1] != 0.0:
             val += shape[1] * (load[2 * e + 1] - k01[e] * u[e] - k12[e] * u[e + 1]) / k11[e]
         out[first:first + n_s] = val
-    if np.any(out <= 0.0):
+    if out.size and out.min() <= 0.0:
         bad = int(np.argwhere(out <= 0.0)[0, 0])
         raise PositivityError(
             f"solution non-positive at sample {bad} (u={out[bad]:.4e}); "

@@ -223,6 +223,87 @@ def test_elliptic_batch_matches_banded_oracle(mesh_elements, query_point, n):
     np.testing.assert_allclose(elliptic_solve_batch(prob, pts), want, rtol=1e-12, atol=0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _cross_block_case(mesh_elements, query_point):
+    prob = _mesh_problem(mesh_elements, query_point)
+    n = 2 * problems._SOLVE_BLOCK + 3
+    pts = np.random.default_rng(mesh_elements).uniform(-1, 1, (n, prob.dims))
+    return prob, pts, banded_elliptic_solve(prob, pts)
+
+
+@pytest.mark.parametrize("extra", [-1, 1, problems._SOLVE_BLOCK + 3])
+@pytest.mark.parametrize("mesh_elements, query_point",
+                         [(128, 0.003), (128, 0.998), (7, 0.05), (7, 0.95)])
+def test_elliptic_blocks_match_banded_oracle(mesh_elements, query_point, extra):
+    # batches that end one row short of a block, one row into the next, and
+    # three rows into a third, with the query point in the first or last element
+    prob, pts, want = _cross_block_case(mesh_elements, query_point)
+    n = problems._SOLVE_BLOCK + extra
+    np.testing.assert_allclose(elliptic_solve_batch(prob, pts[:n]), want[:n],
+                               rtol=1e-12, atol=0.0)
+
+
+def test_elliptic_rows_do_not_depend_on_batching(problem):
+    # the coefficient product is padded to full BLAS panels, so at the default
+    # size a row's value is the same in any batch, bit for bit
+    block = problems._SOLVE_BLOCK
+    pts = np.random.default_rng(12).uniform(-1, 1, (2 * block + 3, 40))
+    whole = elliptic_solve_batch(problem, pts)
+    sliced = [elliptic_solve_batch(problem, pts[i:i + block]) for i in range(0, len(pts), block)]
+    assert np.array_equal(whole, np.concatenate(sliced))
+    for row in (0, 17, block - 1):
+        assert elliptic_solve_batch(problem, pts[row])[0] == whole[row]
+
+
+def test_elliptic_errors_name_the_global_sample(problem, monkeypatch):
+    pts = np.random.default_rng(13).uniform(-1, 1, (2051, 40))
+    pts[1500] = 60.0  # the sign flip of test_elliptic_positivity_guard, in the second block
+    with pytest.raises(PositivityError, match="sample 1500 "):
+        elliptic_solve_batch(problem, pts)
+    pts[1500] = 0.0
+    real = problems.coefficient_at_gauss_points
+
+    def corrupted(prob, block):
+        a = real(prob, block).copy()
+        a[np.all(block == 0.0, axis=1), 40, 1] = np.nan
+        return a
+
+    monkeypatch.setattr(problems, "coefficient_at_gauss_points", corrupted)
+    with pytest.raises(ConditioningError, match="sample 1500$"):
+        elliptic_solve_batch(problem, pts)
+
+
+@pytest.mark.parametrize("settings", [{}, {"dims": 4, "mesh_elements": 7}])
+def test_coefficient_map_matches_kl_sum(settings):
+    # mean_coeff + sigma_a * sum_i sqrt(lambda_i) phi_i(x_eg) y_i, with phi
+    # from the expansion's own eigenfunctions at each element's Gauss points
+    prob = elliptic_problem(**settings)
+    n_el = prob.mesh_elements
+    xi = np.polynomial.legendre.leggauss(3)[0]
+    x = (np.arange(n_el)[:, None] + (xi[None, :] + 1.0) / 2.0) / n_el
+    phi = prob.kl.eigenfunctions(x)  # (n_el, 3, dims)
+    y = np.random.default_rng(14).uniform(-1, 1, (5, prob.dims))
+    want = prob.mean_coeff + prob.sigma_a * np.einsum(
+        "egi,i,ni->neg", phi, np.sqrt(prob.kl.eigenvalues), y)
+    got = problems.coefficient_at_gauss_points(prob, y)
+    assert got.shape == (5, n_el, 3)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("build, settings, name", [
+    (problems.EllipticProblem, {"mesh_elements": 0}, "mesh_elements"),
+    (problems.EllipticProblem, {"mesh_elements": 2.5}, "mesh_elements"),
+    (problems.EllipticProblem, {"mesh_elements": -3}, "mesh_elements"),
+    (problems.EllipticProblem, {"kl_grid": 600.5}, "kl_grid"),
+    (problems.EllipticProblem, {"dims": 2.0}, "dims"),
+    (functools.partial(kl_decompose, 0.1), {"d": 2.0}, "d"),
+    (functools.partial(kl_decompose, 0.1), {"d": 4, "n_grid": 600.5}, "n_grid"),
+])
+def test_bad_counts_are_refused_by_name(build, settings, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        build(**settings)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_elliptic_non_finite_input_is_a_domain_error(problem, bad):
     pts = np.zeros((3, 40))
