@@ -82,6 +82,9 @@ class FitConfig:
     select_model overrides degree and rank_max at each grid point, and
     fit_fixed reads degree and takes its rank from its r argument, so no fit
     reads rank_max: it is only recorded in a selection report's config.
+    There it is the top of each degree's rank ladder, not a rank every
+    degree reached: select_model stops a ladder once EI_max stops falling,
+    a stop rule of this package's own (see seprep.selection).
     """
 
     rank_max: int
@@ -521,13 +524,15 @@ def sweep(data: SampleSet, model: SeparatedModel, config: FitConfig):
     return fitter.model(), fitter.unscaled(resid[0]), fitter.kept_states(raws)
 
 
-def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int):
+def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, stop=None):
     """Fit with ranks growing 1..r; returns (model, diagnostics).
 
     Each rank keeps sweeping until the relative residual decrease over a full
     sweep falls below config.sweep_tol or the sweep cap is reached. The
     per-rank diagnostics carry the final sweep's regularization records,
-    which rank/degree selection consumes.
+    which rank/degree selection consumes. stop, if given, is called with
+    each rank's RankRecord; when it returns True the fit ends at that rank,
+    and the model and diagnostics are those of the ranks fitted so far.
     """
     _check_count("r", r, 1)
     _check_count("init_seed", init_seed, 0)
@@ -539,5 +544,9 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int):
             stacklevel=2,
         )
     fitter = _Fitter(data, config, init_seed)
-    records = [fitter.run_rank() for _ in range(r)]
+    records = []
+    for _ in range(r):
+        records.append(fitter.run_rank())
+        if stop is not None and stop(records[-1]):
+            break
     return fitter.model(), FitDiagnostics(per_rank=records)

@@ -1,9 +1,14 @@
 """Rank and degree selection driven by the per-direction error indicator.
 
-For each candidate degree, one fit grows the rank over the whole rank grid;
-at every visited rank the largest error indicator observed during the final
-sweep is recorded. The chosen pair minimizes that quantity over the grid,
-with ties broken toward the smaller rank and then the smaller degree.
+For each candidate degree, one fit grows the rank along the rank grid; at
+every visited grid rank the largest error indicator observed during the
+final sweep (EI_max) is recorded. A degree's ladder stops at the first grid
+rank whose EI_max is not below the best finite EI_max of its lower grid
+ranks (patience one), so the ranks above it are not fitted. This stop rule
+is this package's own: the source paper does not say how the (r, M) grid
+is searched, and the rule can miss a degree's own minimum further up. The
+chosen pair minimizes EI_max over the fitted pairs, with ties broken toward
+the smaller rank and then the smaller degree.
 """
 from __future__ import annotations
 
@@ -32,9 +37,41 @@ def per_degree_seeds(base_seed: int, degrees) -> dict:
     }
 
 
+def _ei_max(rec) -> float:
+    """The largest error indicator of a rank's final sweep."""
+    return max(s.error_indicator for s in rec.reg_states)
+
+
+def _ladder_stop(r_grid):
+    """fit_fixed's stop predicate for one degree's rank ladder, with patience one.
+
+    It stops at the first rank of r_grid whose EI_max is not below the best
+    finite EI_max of the lower grid ranks. Ranks off the grid, and grid
+    ranks with no finite EI_max below them, never stop the ladder.
+    """
+    best = math.inf
+
+    def stop(rec) -> bool:
+        nonlocal best
+        if rec.rank not in r_grid:
+            return False
+        ei = _ei_max(rec)
+        if math.isfinite(best) and not ei < best:
+            return True
+        best = min(best, ei)
+        return False
+
+    return stop
+
+
 @dataclass
 class SelectionReport:
-    """Everything the rank/degree search produced, keyed by (rank, degree)."""
+    """Everything the rank/degree search produced, keyed by (rank, degree).
+
+    grid is the requested grid. ei_max, residuals and models hold the fitted
+    pairs only: a pair above the rank where its degree's ladder stopped is
+    absent from all three.
+    """
 
     grid: list
     ei_max: dict
@@ -52,11 +89,12 @@ class SelectionReport:
         def key(pair):
             return f"{pair[0]},{pair[1]}"
 
+        fitted = [p for p in self.grid if p in self.ei_max]
         return {
             "grid": [list(p) for p in self.grid],
-            "ei_max": {key(p): self.ei_max[p] for p in self.grid},
-            "residuals": {key(p): self.residuals[p] for p in self.grid},
-            "models": {key(p): model_to_dict(self.models[p]) for p in self.grid},
+            "ei_max": {key(p): self.ei_max[p] for p in fitted},
+            "residuals": {key(p): self.residuals[p] for p in fitted},
+            "models": {key(p): model_to_dict(self.models[p]) for p in fitted},
             "chosen": list(self.chosen),
             "base_seed": self.base_seed,
             "degree_seeds": {str(m): s for m, s in self.degree_seeds.items()},
@@ -73,12 +111,28 @@ class SelectionReport:
         _check_keys(doc["config"], [f.name for f in dataclasses.fields(FitConfig)],
                    "selection report config")
         grid = [tuple(p) for p in doc["grid"]]
+        tables = {name: {unkey(k): v for k, v in doc[name].items()}
+                  for name in ("ei_max", "residuals", "models")}
+        fitted = set(tables["ei_max"])
+        for name, table in tables.items():
+            outside = sorted(set(table) - set(grid))
+            if outside:
+                raise ValueError(f"selection report {name} holds {outside[0]}, "
+                                 f"which is outside its grid")
+            unmatched = sorted(set(table) ^ fitted)
+            if unmatched:
+                pair = unmatched[0]
+                has, lacks = ("ei_max", name) if pair in fitted else (name, "ei_max")
+                raise ValueError(f"selection report {has} holds {pair} and {lacks} does not")
+        chosen = tuple(doc["chosen"])
+        if chosen not in fitted:
+            raise ValueError(f"selection report chose {chosen}, which is not a fitted pair")
         return cls(
             grid=grid,
-            ei_max={unkey(k): v for k, v in doc["ei_max"].items()},
-            residuals={unkey(k): v for k, v in doc["residuals"].items()},
-            models={unkey(k): model_from_dict(v) for k, v in doc["models"].items()},
-            chosen=tuple(doc["chosen"]),
+            ei_max=tables["ei_max"],
+            residuals=tables["residuals"],
+            models={p: model_from_dict(v) for p, v in tables["models"].items()},
+            chosen=chosen,
             base_seed=doc["base_seed"],
             degree_seeds={int(k): v for k, v in doc["degree_seeds"].items()},
             config=FitConfig(**doc["config"]),
@@ -90,11 +144,16 @@ def select_model(
 ) -> SelectionReport:
     """Search (rank, degree) pairs and pick the one with the smallest EI_max.
 
-    For each degree in M_grid one fit grows the rank to max(r_grid) from its
-    own derived seed; every visited rank in r_grid contributes one EI_max
-    value. Infinite indicators are kept (and lose); if every pair is
-    infinite, selection fails loudly with the full table attached. All-zero
-    outputs are refused before any fit, since every indicator would be infinite.
+    For each degree in M_grid one fit grows the rank towards max(r_grid)
+    from its own derived seed; every fitted rank in r_grid contributes one
+    EI_max value. The fit stops at the first grid rank whose EI_max is not
+    below the best finite EI_max of that degree's lower grid ranks, and the
+    pairs above it are left out of the report. This stop rule (patience
+    one, fixed here) is this package's own; the source paper does not say
+    how the grid is searched. Infinite indicators are kept (and lose); if
+    every fitted pair is infinite, selection fails loudly with the table
+    attached. All-zero outputs are refused before any fit, since every
+    indicator would be infinite.
     """
     r_grid = sorted(set(int(r) for r in r_grid))
     M_grid = sorted(set(int(m) for m in M_grid))
@@ -113,17 +172,24 @@ def select_model(
     capped: dict = {}
     for m in M_grid:
         cfg_m = dataclasses.replace(config, degree=m, rank_max=max(r_grid))
-        _, diag = fit_fixed(data, max(r_grid), cfg_m, seeds[m])
-        for r in r_grid:
+        _, diag = fit_fixed(data, max(r_grid), cfg_m, seeds[m], stop=_ladder_stop(r_grid))
+        fitted = [r for r in r_grid if r <= len(diag.per_rank)]
+        for r in fitted:
             rec = diag.per_rank[r - 1]
             pair = (r, m)
-            ei_max[pair] = max(s.error_indicator for s in rec.reg_states)
+            ei_max[pair] = _ei_max(rec)
             residuals[pair] = rec.residual
             models[pair] = rec.model
             capped[pair] = not rec.converged
+        if fitted[-1] < r_grid[-1]:
+            top = fitted[-1]
+            best_ei, best_r = min((ei_max[(r, m)], r) for r in fitted[:-1])
+            logger.info("M = %d: rank ladder stopped at r = %d with EI_max = %.4g, not below "
+                        "r = %d with EI_max = %.4g; ranks above %d not fitted",
+                        m, top, ei_max[(top, m)], best_r, best_ei, top)
     grid = [(r, m) for m in M_grid for r in r_grid]
     # ties resolve toward smaller rank, then smaller degree
-    ranked = sorted((ei_max[p], p) for p in grid if math.isfinite(ei_max[p]))
+    ranked = sorted((ei, p) for p, ei in ei_max.items() if math.isfinite(ei))
     if not ranked:
         raise SelectionError(
             f"every (rank, degree) pair produced an infinite error indicator: {ei_max}"

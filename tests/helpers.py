@@ -9,7 +9,7 @@ from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
 from seprep.basis import BasisSpec, Family, _folded_recurrence, eval_basis_batch, gauss_quadrature
 from seprep.errors import DegenerateModelError, PositivityError
 from seprep.model import SeparatedModel
-from seprep.problems import _p2_shapes, coefficient_at_gauss_points
+from seprep.problems import _MANUFACTURED_TERMS, _p2_shapes, coefficient_at_gauss_points
 from seprep.regularize import _LAMBDA_GRID_SIZE
 
 
@@ -45,6 +45,23 @@ def degree_last_basis(spec, y):
     for a in range(1, M):
         out[..., a + 1] = alpha[a] * y * out[..., a] - beta[a] * out[..., a - 1]
     return out
+
+
+def full_basis_manufactured_values(spec, points):
+    """The manufactured function from the Hermite basis of every input dimension, (n, d, 4).
+
+    The library evaluates only the columns its terms read; each value must
+    equal this one bit for bit.
+    """
+    psi = eval_basis_batch(BasisSpec(Family.HERMITE, 3), points)
+    s = spec.coefficients
+    values = s[0]
+    for coeff, factors in zip(s[1:], _MANUFACTURED_TERMS):
+        term = coeff
+        for dim, deg in factors:
+            term = term * psi[:, dim, deg]
+        values = values + term
+    return values
 
 
 def unblocked_evaluate(model, points):

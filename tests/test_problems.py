@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import banded_elliptic_solve
+from helpers import banded_elliptic_solve, full_basis_manufactured_values
 from seprep import problems
 from seprep.basis import BasisSpec, Family, eval_basis_batch
 from seprep.errors import ConditioningError, DomainError, PositivityError, ResolutionError
@@ -40,6 +40,13 @@ def test_manufactured_value_at_origin():
     from seprep.problems import _manufactured_values, ManufacturedSpec
 
     assert _manufactured_values(ManufacturedSpec(), origin.inputs)[0] == pytest.approx(1.05)
+
+
+def test_manufactured_values_equal_the_full_basis_formula():
+    spec = problems.ManufacturedSpec()
+    points = np.random.default_rng(3).standard_normal((20_000, 10))
+    want = full_basis_manufactured_values(spec, points)
+    assert np.array_equal(problems._manufactured_values(spec, points), want)
 
 
 def test_manufactured_statistics_noise_free():

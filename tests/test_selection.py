@@ -23,9 +23,9 @@ def _state(ei):
     )
 
 
-def _toy_data(seed=0, n=150, dims=3):
+def _toy_data(seed=0, n=150, dims=3, rank=1):
     rng = np.random.default_rng(seed)
-    truth = random_model(rng, dims=dims, rank=1, degree=2)
+    truth = random_model(rng, dims=dims, rank=rank, degree=2)
     pts = rng.standard_normal((n, dims))
     out = evaluate_batch(truth, pts) + 0.01 * rng.standard_normal(n)
     return SampleSet(pts, out, "hermite")
@@ -57,19 +57,95 @@ def test_unknown_penalty_is_refused():
         FitConfig(rank_max=1, degree=1, penalty="identity")
 
 
-def _select_on_indicators(monkeypatch, eis_per_rank):
-    """select_model over ranks 1..len(eis_per_rank) and degree 2, on a fit
-    whose rank-r final sweep recorded the error indicators eis_per_rank[r - 1]."""
-    def handmade_fit(data, r, config, init_seed):
-        records = [
-            RankRecord(rank=i + 1, residual_trace=[1.0], reg_states=[_state(e) for e in eis],
-                       candidate=0, converged=True, model=None)
-            for i, eis in enumerate(eis_per_rank)
-        ]
+def _select_on_indicators(monkeypatch, eis_per_rank, r_grid=None):
+    """select_model over r_grid (default ranks 1..len(eis_per_rank)) and degree 2,
+    on a fit whose rank-r final sweep recorded the error indicators
+    eis_per_rank[r - 1]; like fit_fixed, the fit ends where stop says so."""
+    def handmade_fit(data, r, config, init_seed, *, stop=None):
+        records = []
+        for i, eis in enumerate(eis_per_rank[:r]):
+            records.append(RankRecord(rank=i + 1, residual_trace=[1.0],
+                                      reg_states=[_state(e) for e in eis],
+                                      candidate=0, converged=True, model=None))
+            if stop is not None and stop(records[-1]):
+                break
         return None, FitDiagnostics(per_rank=records)
 
     monkeypatch.setattr(seprep.selection, "fit_fixed", handmade_fit)
-    return select_model(_toy_data(), range(1, len(eis_per_rank) + 1), [2], _fast_config())
+    if r_grid is None:
+        r_grid = range(1, len(eis_per_rank) + 1)
+    return select_model(_toy_data(), r_grid, [2], _fast_config())
+
+
+@pytest.fixture(scope="module")
+def stopped_report():
+    # a rank-2 truth: degree 1's ladder stops at r = 2, degree 2's at r = 3,
+    # so rank 4 is fitted for neither
+    data = _toy_data(seed=1, rank=2)
+    return data, select_model(data, [1, 2, 3, 4], [1, 2], _fast_config())
+
+
+def test_stopped_ladders_keep_the_bits_of_a_full_ladder(stopped_report):
+    data, report = stopped_report
+    assert report.grid == [(r, m) for m in (1, 2) for r in (1, 2, 3, 4)]
+    assert sorted(report.ei_max) == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
+    for m, seed in report.degree_seeds.items():
+        cfg = dataclasses.replace(_fast_config(), degree=m, rank_max=4)
+        _, full = fit_fixed(data, 4, cfg, seed)
+        eis = [max(s.error_indicator for s in rec.reg_states) for rec in full.per_rank]
+        # the first rank whose EI_max is not below the best finite lower one
+        top = next((r for r in (2, 3, 4)
+                    if math.isfinite(min(eis[:r - 1])) and not eis[r - 1] < min(eis[:r - 1])), 4)
+        assert sorted(r for r, mm in report.ei_max if mm == m) == list(range(1, top + 1))
+        for r in range(1, top + 1):
+            rec = full.per_rank[r - 1]
+            assert report.ei_max[(r, m)] == eis[r - 1]
+            assert report.residuals[(r, m)] == rec.residual
+            assert np.array_equal(report.models[(r, m)].coeffs, rec.model.coeffs)
+            assert np.array_equal(report.models[(r, m)].scales, rec.model.scales)
+
+
+@pytest.mark.parametrize("eis, r_grid, fitted", [
+    # stops at the first rank not below the best lower one, equal included
+    ([0.5, 0.3, 0.4, 0.2], None, [1, 2, 3]),
+    ([0.5, 0.5, 0.1], None, [1, 2]),
+    ([0.5, 0.3, 0.2, 0.1], None, [1, 2, 3, 4]),
+    # only grid ranks are compared: 0.35 is below off-grid rank 3's 0.4,
+    # but not below grid rank 2's 0.3
+    ([0.5, 0.3, 0.4, 0.35, 0.1], [1, 2, 4, 5], [1, 2, 4]),
+    # off-grid ranks are fitted but never compared: rank 2's 0.1 does not
+    # make rank 3 stop, and rank 2's 0.9 does not stop the ladder
+    ([0.5, 0.1, 0.4, 0.3], [1, 3, 4], [1, 3, 4]),
+    ([0.5, 0.9, 0.6, 0.3], [1, 3, 4], [1, 3]),
+    # with no finite EI_max below it a rank never stops the ladder
+    ([math.inf, 0.5, 0.4], None, [1, 2, 3]),
+    ([math.inf, math.inf, 0.3, 0.2], None, [1, 2, 3, 4]),
+    ([math.inf, 0.5, math.inf, 0.1], None, [1, 2, 3]),
+], ids=["rises", "ties", "falls", "off-grid-between", "off-grid-low", "off-grid-high",
+        "inf-first", "inf-twice", "inf-after-finite"])
+def test_ladder_stops_at_the_first_rank_not_below_the_best_lower(
+        monkeypatch, eis, r_grid, fitted):
+    report = _select_on_indicators(monkeypatch, [[e] for e in eis], r_grid)
+    grid_ranks = list(r_grid or range(1, len(eis) + 1))
+    assert report.grid == [(r, 2) for r in grid_ranks]
+    assert report.ei_max == {(r, 2): eis[r - 1] for r in fitted}
+    assert set(report.residuals) == set(report.models) == set(report.ei_max)
+
+
+def test_each_early_stop_is_logged_before_the_selection(caplog, monkeypatch):
+    with caplog.at_level(logging.INFO, logger="seprep.selection"):
+        _select_on_indicators(monkeypatch, [[0.5], [0.3], [0.4], [0.2]])
+    assert caplog.messages == [
+        "M = 2: rank ladder stopped at r = 3 with EI_max = 0.4, not below r = 2 "
+        "with EI_max = 0.3; ranks above 3 not fitted",
+        "selected (r, M) = (2, 2) with EI_max = 0.3 (converged); runner-up (3, 2) "
+        "with EI_max = 0.4 (converged)",
+    ]
+    # a ladder that reaches the top of the grid logs no stop
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="seprep.selection"):
+        _select_on_indicators(monkeypatch, [[0.5], [0.3], [0.4]])
+    assert len(caplog.messages) == 1 and caplog.messages[0].startswith("selected")
 
 
 def test_ei_max_is_the_largest_indicator_of_the_final_sweep(monkeypatch):
@@ -188,6 +264,38 @@ def test_report_document_with_wrong_keys_is_refused(part, remove, add, named):
         SelectionReport.from_dict(doc)
 
 
+def test_stopped_report_round_trips(stopped_report):
+    _, report = stopped_report
+    back = SelectionReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    assert back.grid == report.grid
+    assert back.chosen == report.chosen
+    assert back.ei_max == report.ei_max
+    assert back.residuals == report.residuals
+    assert back.models.keys() == report.models.keys()
+    for pair, model in report.models.items():
+        assert np.array_equal(back.models[pair].coeffs, model.coeffs)
+        assert np.array_equal(back.models[pair].scales, model.scales)
+    assert back.to_dict() == report.to_dict()
+
+
+@pytest.mark.parametrize("case", ["outside-grid", "unmatched-tables", "chosen-not-fitted"])
+def test_report_document_with_malformed_tables_is_refused(stopped_report, case):
+    _, report = stopped_report
+    doc = json.loads(json.dumps(report.to_dict()))
+    if case == "outside-grid":
+        for name in ("ei_max", "residuals", "models"):
+            doc[name]["9,2"] = doc[name]["1,2"]
+        named = r"ei_max holds \(9, 2\), which is outside its grid"
+    elif case == "unmatched-tables":
+        del doc["models"]["2,1"]
+        named = r"ei_max holds \(2, 1\) and models does not"
+    else:
+        doc["chosen"] = [4, 2]  # in the grid, above where degree 2's ladder stopped
+        named = r"chose \(4, 2\), which is not a fitted pair"
+    with pytest.raises(ValueError, match=named):
+        SelectionReport.from_dict(doc)
+
+
 def test_chosen_pair_attains_minimum_with_parsimonious_ties():
     data = _toy_data(seed=3)
     report = select_model(data, [1, 2], [1, 2], _fast_config(seed=5))
@@ -217,14 +325,16 @@ def test_refit_from_stored_seed_reproduces_model():
 
 def test_degree_zero_in_the_grid_loses_without_aborting():
     # with degree 0 every factor is a constant: above rank one the term Gram is
-    # singular and surplus terms decay until their scales underflow; those
-    # pairs must lose on their indicators while the search runs to the end
+    # singular and surplus terms decay until their scales underflow; rank two
+    # must lose on its indicator, which stops the degree's ladder there, and
+    # the search must still run through the other degree
     for seed in (0, 1, 2):
         data = manufactured_sample(60, seed=seed)
         report = select_model(data, [1, 2, 3, 4], [0, 2], FitConfig(rank_max=4, degree=0))
         assert math.isfinite(report.ei_max[(1, 0)])
-        for r in (2, 3, 4):
-            assert report.ei_max[(r, 0)] > 1e6
+        assert report.ei_max[(2, 0)] > 1e6
+        for r in (3, 4):
+            assert (r, 0) not in report.ei_max
         assert report.chosen[1] == 2
 
 
