@@ -33,6 +33,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -69,15 +70,17 @@ class FitConfig:
     """Knobs for the alternating fit.
 
     sweep_tol is the relative residual decrease per full sweep below which a
-    rank is considered converged; max_sweeps_per_rank caps the loop. penalty
-    picks the Tikhonov penalty of every direction solve: "second_moment"
-    (the surrogate's second moment), "diag_scale" (the diag(s^2) comparison
-    penalty) or "none" (plain least squares, which leaves the error
-    indicator undefined). The candidate fields control the per-rank restart
-    protocol: each new term is initialized init_candidates times (unit
-    constant coefficient plus scaled normal noise, normalized per
-    direction), every candidate runs candidate_burn_sweeps sweeps, and the
-    lowest-residual one is kept and swept to convergence.
+    rank is considered converged; a sweep that raises the residual has a
+    negative decrease, so it also ends the rank as converged.
+    max_sweeps_per_rank caps the loop. penalty picks the Tikhonov penalty of
+    every direction solve: "second_moment" (the surrogate's second moment),
+    "diag_scale" (the diag(s^2) comparison penalty) or "none" (plain least
+    squares, which leaves the error indicator undefined). The candidate
+    fields control the per-rank restart protocol: each new term is
+    initialized init_candidates times (unit constant coefficient plus scaled
+    normal noise, normalized per direction), every candidate runs
+    candidate_burn_sweeps sweeps, and the lowest-residual one is kept and
+    swept to convergence.
 
     select_model overrides degree and rank_max at each grid point, and
     fit_fixed reads degree and takes its rank from its r argument, so no fit
@@ -115,8 +118,9 @@ class FitConfig:
 class RankRecord:
     """Diagnostics for one rank of the growth ladder.
 
-    converged is True when the winner stopped on sweep_tol and False when it
-    hit max_sweeps_per_rank.
+    converged is True when the winner stopped on sweep_tol, which includes a
+    final sweep that raised the residual, and False when it hit
+    max_sweeps_per_rank.
     """
 
     rank: int
@@ -143,20 +147,40 @@ class FitDiagnostics:
 
 
 def _rowdot(x: np.ndarray) -> np.ndarray:
-    """x_b . x_b for each row of a (B, p) stack, through the BLAS dot a 1-D x @ x uses."""
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    """x . x along the last axis of a stack, through the BLAS dot a 1-D x @ x uses."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
-def _check_normal_equation(lhs, Atu, branch):
-    """Fail when the solved coefficients leave a slice's normal equation unsatisfied."""
+def _check_normal_equations(solves: list) -> None:
+    """Fail at the first direction, in order, whose solve leaves a slice's normal equation unsatisfied.
+
+    solves holds one (AtA, Atu, c, raw) per direction, in direction order:
+    a _direction_solve call's inputs and outputs, all of one branch. The
+    regularized branch's equation carries the penalty R^T R (x) I the path
+    solved: G itself, or G plus the jitter _gram_cholesky added when G is
+    singular. All directions are checked at once.
+    """
+    if not solves:
+        return
+    AtA, Atu, c = (np.stack([s[i] for s in solves]) for i in range(3))
+    lhs = (AtA @ c[..., None])[..., 0]
+    regularized = solves[0][3] is not None
+    if regularized:
+        lam = np.stack([s[3][0] for s in solves])
+        R = np.stack([s[3][5] for s in solves])
+        Rc = R.swapaxes(-1, -2) @ (R @ c.reshape(R.shape[:-1] + (-1,)))
+        lhs += (lam * lam)[..., None] * Rc.reshape(c.shape)
     err = np.sqrt(_rowdot(lhs - Atu))
     bad = err > _NORMAL_EQ_RTOL * np.maximum(np.sqrt(_rowdot(Atu)), 1e-300)
     if bad.any():
-        advice = ("consider enabling regularization or reducing rank/degree"
-                  if branch == "unregularized" else "consider reducing rank/degree")
+        k, b = np.unravel_index(np.argmax(bad), bad.shape)
+        branch = "regularized" if regularized else "unregularized"
+        advice = ("consider reducing rank/degree" if regularized
+                  else "consider enabling regularization or reducing rank/degree")
         raise ConditioningError(
-            f"normal-equation residual {err[bad][0]:.3e} of the {branch} direction solve "
-            f"exceeds tolerance; the system is numerically singular ({advice})"
+            f"normal-equation residual {err[k, b]:.3e} of the {branch} direction solve "
+            f"in direction {k} exceeds tolerance; the system is numerically singular "
+            f"({advice})"
         )
 
 
@@ -192,8 +216,8 @@ def _gram_cholesky(G: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(AtA: np.ndarray, Atu: np.ndarray) -> None:
-    """Fail on factor overflow: a non-finite entry of A makes diag(A^T A) non-finite."""
-    if not (np.isfinite(AtA.diagonal(axis1=-2, axis2=-1)).all() and np.isfinite(Atu).all()):
+    """Fail on factor overflow: a non-finite entry of A makes A^T A non-finite."""
+    if not (np.isfinite(AtA).all() and np.isfinite(Atu).all()):
         raise ConditioningError("design matrix contains non-finite entries (factor overflow)")
 
 
@@ -207,35 +231,28 @@ def _direction_solve(AtA, Atu, uu, n, G, m, config):
     picked by GCV along the path. Factor overflow raises ConditioningError.
     Returns (coefficients (B, r*m), raw diagnostics or None), each slice with
     the bits it would get alone. The raw diagnostics are the arrays (lambda,
-    hat trace, grid index, coefficients, G), one row per slice; with the
-    squared residual norms appended, _regularization_state builds a slice's
-    state from them, only for the sweep a rank keeps.
+    hat trace, grid index, coefficients, G, R), one row per slice, R the
+    Cholesky factor the penalty was built from; with the squared residual
+    norms appended, _regularization_state builds a slice's state from them,
+    only for the sweep a rank keeps. The normal equations are not checked
+    here: the caller hands every direction of a sweep to
+    _check_normal_equations at once.
     """
     _check_finite(AtA, Atu)
     if G is None:
-        c = np.stack([_solve_spd(AtA[b], Atu[b]) for b in range(len(AtA))])
-        _check_normal_equation((AtA @ c[..., None])[..., 0], Atu, "unregularized")
-        return c, None
+        return np.stack([_solve_spd(AtA[b], Atu[b]) for b in range(len(AtA))]), None
     R = np.empty(G.shape)
     for b, g in enumerate(G):
         R[b] = _gram_cholesky(g)
     path = TikhonovPath(AtA, Atu, uu, n, R, m)
     sel = gcv_select_lambda(path, floor_rel=config.lambda_floor_rel)
-    lam = sel.lambda_
-    c = path.solve(lam)
-    # the penalty the path solves is R^T R (x) I: G itself, or G plus the
-    # jitter _gram_cholesky added when G is singular
-    Rc = R.swapaxes(-1, -2) @ (R @ c.reshape(R.shape[:2] + (m,)))
-    _check_normal_equation(
-        (AtA @ c[..., None])[..., 0] + (lam * lam)[:, None] * Rc.reshape(c.shape), Atu,
-        "regularized",
-    )
-    return c, (lam, sel.hat_trace, sel.index, c, G)
+    c = path.solve(sel.lambda_)
+    return c, (sel.lambda_, sel.hat_trace, sel.index, c, G, R)
 
 
 def _regularization_state(raw, p: int, n_samples: int, exp: int) -> RegularizationState:
     """Slice p's state from a solve's raw diagnostics with rn2 appended, sigma-hat times 2^exp."""
-    lam, hat_trace, index, c, G, rn2 = (x[p] for x in raw)
+    lam, hat_trace, index, c, G, _, rn2 = (x[p] for x in raw)
     lam, hat_trace = float(lam), float(hat_trace)
     wmin = float(np.linalg.eigvalsh(G)[0])
     norm_c = math.sqrt(float(c @ c))
@@ -255,17 +272,40 @@ def _regularization_state(raw, p: int, n_samples: int, exp: int) -> Regularizati
     )
 
 
+@cache
+def _half_index(r: int, m: int) -> np.ndarray:
+    """Read-only (r*m, r*m) map from A^T A's term-major entries into its flattened half table.
+
+    The half table of r terms and m basis functions holds the products
+    sum_n E_l E_l' psi_j psi_j' for l <= l' and j <= j' only, rows in
+    np.triu_indices(r) order and columns in np.triu_indices(m) order; entry
+    (l*m + j, l'*m + j') of A^T A reads the table at the pair it sorts to,
+    so the expanded matrix is exactly symmetric.
+    """
+    def pairs(k):
+        out = np.empty((k, k), dtype=np.intp)
+        rows, cols = np.triu_indices(k)
+        out[rows, cols] = out[cols, rows] = np.arange(len(rows))
+        return out
+
+    q = m * (m + 1) // 2
+    index = (pairs(r)[:, None, :, None] * q + pairs(m)[None, :, None, :]).reshape(r * m, r * m)
+    index.flags.writeable = False
+    return index
+
+
 def _converged(trace: list, tol: float) -> bool:
-    """Whether the relative residual decrease over the last sweep fell below tol."""
+    """Whether the last sweep's relative residual decrease fell below tol, or the residual rose."""
     return len(trace) > 1 and trace[-2] > 0.0 and (trace[-2] - trace[-1]) / trace[-2] < tol
 
 
 class _Fitter:
     """Workspace for one fit: cached basis products and a stack of models.
 
-    psi_t (d, M+1, N) holds the basis values, psi_sq (d, N, (M+1)^2) their
-    products psi_j psi_j', psi_u (d, N, M+1) the values times the outputs,
-    and uu the outputs' squared norm: what the factors do not change.
+    psi_t (d, M+1, N) holds the basis values, psi_half (d, N, (M+1)(M+2)/2)
+    their products psi_j psi_j' for j <= j' in np.triu_indices order,
+    psi_u (d, N, M+1) the values times the outputs, and uu the outputs'
+    squared norm: what the factors do not change.
     coeffs (B, d, r, M+1), scales (B, r) and the term-major factor values
     (B, d, r, N) hold B models of the same data, _monotone_prev (B,) the
     last unregularized residual of each, NaN when there is none to compare
@@ -287,7 +327,8 @@ class _Fitter:
         self.m1 = config.degree + 1
         psi = np.ascontiguousarray(np.swapaxes(eval_basis_batch(self.basis, data.inputs), 0, 1))
         self.psi_t = np.ascontiguousarray(psi.swapaxes(1, 2))
-        self.psi_sq = (psi[..., :, None] * psi[..., None, :]).reshape(self.d, self.n, -1)
+        rows, cols = np.triu_indices(self.m1)
+        self.psi_half = psi[..., rows] * psi[..., cols]
         self.exp = int(np.frexp(np.max(np.abs(data.outputs)))[1])
         self.u = np.ldexp(data.outputs, -self.exp)
         self.psi_u = psi * self.u[:, None]
@@ -382,9 +423,15 @@ class _Fitter:
         Each direction's normal equations come from the factors: with E_l the
         term scale times the product of term l's other factors, A^T A is
         sum_n (E_l E_l')(psi_j psi_j') and A^T u is sum_n E_l psi_j u, so no
-        design matrix is formed. Returns (residual per model, in the fitted
-        units, and per direction the kernel's raw diagnostics with the
-        squared residual norms appended, which kept_states turns into states).
+        design matrix is formed. A^T A is symmetric, so only its l <= l',
+        j <= j' blocks are computed, as one product of the E_l E_l' rows with
+        the half table psi_half, and expanded by _half_index. The normal
+        equations of all directions are checked once, after the last one;
+        an error that ends the sweep earlier first checks those already
+        solved, so an earlier direction's failed normal equation is the
+        error raised, with the interrupting error as its context. Returns (residual per model, in the fitted units,
+        and per direction the kernel's raw diagnostics with the squared
+        residual norms appended, which kept_states turns into states).
         """
         cfg = self.config
         coeffs, scales, factors = self.coeffs, self.scales, self.factors
@@ -400,43 +447,51 @@ class _Fitter:
             np.multiply(suf_g[k + 1], grams[:, k + 1], out=suf_g[k])
         left_f = np.ones((nb, r, n))
         left_g = np.ones((nb, r, r))
+        rows, cols = np.triu_indices(r)
+        index = _half_index(r, m1)
         raws = []
-        for k in range(d):
-            E = left_f * suf_f[k] * scales[..., None]
-            EE = (E[:, :, None] * E[:, None]).reshape(nb, r * r, n)
-            # (l, l', j, j') -> (l, j, l', j'): the design's term-major columns
-            AtA = (EE @ self.psi_sq[k]).reshape(nb, r, r, m1, m1).swapaxes(2, 3)
-            AtA = AtA.reshape(nb, r * m1, r * m1)
-            Atu = (E @ self.psi_u[k]).reshape(nb, r * m1)
-            if cfg.penalty == "none":
-                G = None
-            elif cfg.penalty == "diag_scale":
-                G = np.zeros((nb, r, r))
-                G[:, np.arange(r), np.arange(r)] = scales**2
-            else:
-                G = scales[:, :, None] * scales[:, None, :] * left_g * suf_g[k]
-            c, raw = _direction_solve(AtA, Atu, self.uu, n, G, m1, cfg)
-            cmat = c.reshape(nb, r, m1)
-            vals = cmat @ self.psi_t[k]
-            rn2 = _rowdot(np.add.reduce(E * vals, axis=1) - self.u)
-            raws.append(None if raw is None else raw + (rn2,))
-            if G is None:
-                self._check_monotone(np.sqrt(rn2 / n))
-            norms = np.sqrt(np.add.reduce(vals * vals, axis=-1) / n)
-            # a term dies when its norm, or its scale times that norm, reaches
-            # zero: decaying terms of over-ranked fits underflow to scale 0.
-            # A dead term keeps its scale and is re-drawn.
-            alive = scales * norms != 0.0
-            norms = np.where(alive, norms, 1.0)
-            scales *= norms
-            coeffs[:, k] = cmat / norms[..., None]
-            factors[:, k] = vals / norms[..., None]
-            if not alive.all():
-                self._revive(k, alive)
-            ck = coeffs[:, k]
-            grams[:, k] = ck @ ck.swapaxes(-1, -2)
-            left_g = left_g * grams[:, k]
-            left_f = left_f * factors[:, k]
+        solves = []
+        try:
+            for k in range(d):
+                E = left_f * suf_f[k] * scales[..., None]
+                EE = E.take(rows, 1)
+                EE *= E.take(cols, 1)
+                AtA = (EE @ self.psi_half[k]).reshape(nb, -1).take(index, 1)
+                Atu = (E @ self.psi_u[k]).reshape(nb, r * m1)
+                if cfg.penalty == "none":
+                    G = None
+                elif cfg.penalty == "diag_scale":
+                    G = np.zeros((nb, r, r))
+                    G[:, np.arange(r), np.arange(r)] = scales**2
+                else:
+                    G = scales[:, :, None] * scales[:, None, :] * left_g * suf_g[k]
+                c, raw = _direction_solve(AtA, Atu, self.uu, n, G, m1, cfg)
+                solves.append((AtA, Atu, c, raw))
+                cmat = c.reshape(nb, r, m1)
+                vals = cmat @ self.psi_t[k]
+                rn2 = _rowdot(np.add.reduce(E * vals, axis=1) - self.u)
+                raws.append(None if raw is None else raw + (rn2,))
+                if G is None:
+                    self._check_monotone(np.sqrt(rn2 / n))
+                norms = np.sqrt(np.add.reduce(vals * vals, axis=-1) / n)
+                # a term dies when its norm, or its scale times that norm,
+                # reaches zero: decaying terms of over-ranked fits underflow
+                # to scale 0. A dead term keeps its scale and is re-drawn.
+                alive = scales * norms != 0.0
+                all_alive = alive.all()
+                if not all_alive:
+                    norms = np.where(alive, norms, 1.0)
+                scales *= norms
+                np.divide(cmat, norms[..., None], out=coeffs[:, k])
+                np.divide(vals, norms[..., None], out=factors[:, k])
+                if not all_alive:
+                    self._revive(k, alive)
+                ck = coeffs[:, k]
+                grams[:, k] = ck @ ck.swapaxes(-1, -2)
+                left_g *= grams[:, k]
+                left_f *= factors[:, k]
+        finally:
+            _check_normal_equations(solves)
         return np.sqrt(rn2 / n), raws
 
     def _race(self, stack, traces: list, cap: int) -> list:
@@ -533,19 +588,22 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, sto
     which rank/degree selection consumes. stop, if given, is called with
     each rank's RankRecord; when it returns True the fit ends at that rank,
     and the model and diagnostics are those of the ranks fitted so far.
+    The first rank fitted whose direction solves have more unknowns,
+    rank * (degree + 1), than the data has samples warns once, naming the
+    caller; ranks a stop leaves unfitted never warn.
     """
     _check_count("r", r, 1)
     _check_count("init_seed", init_seed, 0)
-    n_unknowns = r * (config.degree + 1)
-    if data.n < n_unknowns:
-        warnings.warn(
-            f"sample count {data.n} is below the direction-solve unknown count "
-            f"{n_unknowns}; expect an underdetermined fit",
-            stacklevel=2,
-        )
+    m1 = config.degree + 1
     fitter = _Fitter(data, config, init_seed)
     records = []
-    for _ in range(r):
+    for rank in range(1, r + 1):
+        if (rank - 1) * m1 <= data.n < rank * m1:
+            warnings.warn(
+                f"sample count {data.n} is below the direction-solve unknown count "
+                f"{rank * m1} of rank {rank}; expect an underdetermined fit",
+                stacklevel=2,
+            )
         records.append(fitter.run_rank())
         if stop is not None and stop(records[-1]):
             break

@@ -73,31 +73,38 @@ class TikhonovPath:
     to a ridge path in the transformed variable w = L c: one symmetric
     eigendecomposition of (A L^-1)^T (A L^-1) = L^-T A^T A L^-1 prices every
     lambda at O(n) for traces and residuals and O(n^2) for coefficient
-    vectors. Every array below has the leading slice axis.
+    vectors. L^-1 = R^-1 (x) I is never formed: R^-1 acts on the term axis
+    of the (term, basis function) index, as R^-T on A^T A's rows, on its
+    transposed result's rows (A^T A is taken as symmetric), and on A^T u,
+    and as R^-1 on the solution. eigh reads the lower triangle of the
+    transformed matrix, which is symmetric up to rounding. Every array below
+    has the leading slice axis.
     """
 
     def __init__(self, AtA: np.ndarray, Atu: np.ndarray, uu: float, n_rows: int,
                  R: np.ndarray, m: int):
-        r = R.shape[-1]
-        if AtA.shape[-1] != r * m:
+        nb, r = len(R), R.shape[-1]
+        p = r * m
+        if AtA.shape[-1] != p:
             raise ValueError(f"normal matrix has {AtA.shape[-1]} columns, expected {r} x {m}")
         self.n_rows = n_rows
-        # L^-1 = R^-1 (x) I as a dense (B, r*m, r*m) stack
-        Linv = (np.linalg.inv(R)[:, :, None, :, None] * np.eye(m)[:, None, :]).reshape(
-            len(R), r * m, r * m)
-        XtX = Linv.swapaxes(-1, -2) @ AtA @ Linv
+        self.Rinv = np.linalg.inv(R)
+        RinvT = self.Rinv.swapaxes(-1, -2)
+        # L^-T A^T A, then L^-T (L^-T A^T A)^T = L^-T A^T A L^-1
+        XtX = (RinvT @ AtA.reshape(nb, r, m * p)).reshape(nb, p, p)
+        XtX = (RinvT @ XtX.swapaxes(-1, -2).reshape(nb, r, m * p)).reshape(nb, p, p)
         try:
-            w, V = np.linalg.eigh(0.5 * (XtX + XtX.swapaxes(-1, -2)))
+            w, V = np.linalg.eigh(XtX)
         except LinAlgError:
             raise ConditioningError(
                 "eigendecomposition of the transformed normal matrix did not converge"
             ) from None
-        # L^-1 stays a product of its own, not folded into V: Linv @ V lost up
+        # L^-1 stays a product of its own, not folded into V: L^-1 V lost up
         # to 2.4x in normal-equation residual as the term Gram neared singular
-        self.Linv = Linv
         self.sv2 = np.maximum(w[..., ::-1], 0.0)
         self.V = V[..., ::-1]
-        self.z = (self.V.swapaxes(-1, -2) @ (Linv.swapaxes(-1, -2) @ Atu[..., None]))[..., 0]
+        Ltu = RinvT @ Atu.reshape(nb, r, m)
+        self.z = (self.V.swapaxes(-1, -2) @ Ltu.reshape(nb, p, 1))[..., 0]
         self.b2 = np.divide(self.z * self.z, self.sv2, out=np.zeros(self.sv2.shape),
                             where=self.sv2 > 0.0)
         self.perp2 = np.maximum(uu - np.add.reduce(self.b2, -1), 0.0)
@@ -107,7 +114,9 @@ class TikhonovPath:
         lam = lam[:, None]
         den = self.sv2 + lam * lam
         filt = np.divide(self.z, den, out=np.zeros(den.shape), where=den > 0.0)
-        return (self.Linv @ (self.V @ filt[..., None]))[..., 0]
+        nb, r = self.Rinv.shape[:2]
+        w = (self.V @ filt[..., None]).reshape(nb, r, -1)
+        return (self.Rinv @ w).reshape(nb, -1)
 
 
 @dataclass
@@ -121,11 +130,16 @@ class GcvResult:
 
 
 @cache
-def _unit_grid(floor_rel: float) -> np.ndarray:
-    """Read-only np.geomspace(floor_rel, 1.0, _LAMBDA_GRID_SIZE), built once per floor."""
+def _unit_grid(floor_rel: float) -> tuple:
+    """Read-only np.geomspace(floor_rel, 1.0, _LAMBDA_GRID_SIZE) and its squares and fourth powers.
+
+    Built once per floor.
+    """
     grid = np.geomspace(floor_rel, 1.0, _LAMBDA_GRID_SIZE)
-    grid.flags.writeable = False
-    return grid
+    powers = (grid, grid * grid, (grid * grid) ** 2)
+    for a in powers:
+        a.flags.writeable = False
+    return powers
 
 
 def gcv_select_lambda(path: TikhonovPath, floor_rel: float = DEFAULT_LAMBDA_FLOOR) -> GcvResult:
@@ -135,22 +149,26 @@ def gcv_select_lambda(path: TikhonovPath, floor_rel: float = DEFAULT_LAMBDA_FLOO
     [floor_rel * gamma_max, gamma_max], where gamma_max is the largest
     generalized singular value of (A_b, L_b); zero is excluded so the error
     indicator stays finite whenever selection succeeds. Ties go to the first
-    (smallest) grid point.
+    (smallest) grid point. In units of gamma_max^2, with s_i the squared
+    generalized singular values and t the unit grid, D = 1 / (s_i + t^2)
+    prices the whole grid in two matrix-vector products: tr H = D s and
+    ||A c - u||^2 = t^4 (D^2 b2) + perp2, with b2 and perp2 the path's
+    squared coefficients of u inside and outside the range of A. The squared
+    residual must not fall along the grid.
     """
-    gmax = np.sqrt(path.sv2[:, 0])
-    if (gmax <= 0.0).any():
+    sv2 = path.sv2
+    if (sv2[:, 0] <= 0.0).any():
         raise SelectionError("design matrix is identically zero; nothing to select")
-    grid = gmax[:, None] * _unit_grid(floor_rel)
-    sv2 = path.sv2[:, None, :]
-    filters = sv2 / (sv2 + grid[..., None] ** 2)
-    traces = np.add.reduce(filters, -1)
-    residual_norms = np.sqrt(
-        np.add.reduce((1.0 - filters) ** 2 * path.b2[:, None, :], -1) + path.perp2[:, None]
-    )
+    unit, unit2, unit4 = _unit_grid(floor_rel)
+    grid = np.sqrt(sv2[:, :1]) * unit
+    s = sv2 / sv2[:, :1]
+    D = 1.0 / (s[:, None, :] + unit2[:, None])
+    traces = (D @ s[..., None])[..., 0]
+    D *= D
+    rn2 = unit4 * (D @ path.b2[..., None])[..., 0] + path.perp2[:, None]
     n = path.n_rows
-    gcv_values = n * residual_norms**2 / (n - traces) ** 2
-    if (residual_norms[:, 1:] - residual_norms[:, :-1]
-            < -1e-9 * residual_norms[:, :-1] - 1e-300).any():
+    gcv_values = n * rn2 / (n - traces) ** 2
+    if (rn2[:, 1:] < (1.0 - 1e-9) ** 2 * rn2[:, :-1]).any():
         raise InvariantError("residual norm must be non-decreasing in lambda")
     if not np.isfinite(gcv_values).any(axis=-1).all():
         raise SelectionError("GCV is non-finite over the whole lambda grid")

@@ -73,9 +73,13 @@ def _kernel_calls():
 
 
 def _solve_one(A, u, G, m, cfg):
-    """The kernel on a stack of one (N, r*m) design; returns (c, state or None, rn2)."""
+    """The kernel on a stack of one (N, r*m) design, then the normal-equation check a sweep runs.
+
+    Returns (c, state or None, rn2).
+    """
     AtA, Atu, uu, n = normal_equation_pieces(A[None], u)
     c, raw = als._direction_solve(AtA, Atu, uu, n, None if G is None else G[None], m, cfg)
+    als._check_normal_equations([(AtA, Atu, c, raw)])
     res = A @ c[0] - u
     rn2 = float(res @ res)
     state = None if raw is None else als._regularization_state(raw + (np.array([rn2]),), 0, n, 0)
@@ -162,6 +166,47 @@ def test_exclusion_products_match_naive(rank, degree):
     for call, ref in zip(calls, designs):
         _assert_normal_equations_match(call, ref, data.outputs,
                                        _output_scale(data, call[2]), 1e-10)
+
+
+@pytest.mark.parametrize("width", [1, 8])
+@pytest.mark.parametrize("degree", [0, 2, 4])
+@pytest.mark.parametrize("rank", [1, 3, 5])
+def test_half_product_normal_matrix_matches_the_full_product(rank, degree, width):
+    # the sweep forms A^T A from its l <= l', j <= j' blocks only; against
+    # the full product sum_n (E_l E_l')(psi_j psi_j') of every pair, from the
+    # stack's factors as they stand when the direction is solved, it agrees
+    # to 1e-14 relative and is exactly symmetric, on a stack of `width` models
+    rng = np.random.default_rng(60)
+    data = _sampled_from(random_model(rng, dims=4, rank=2, degree=2), 120, seed=61, noise=0.2)
+    cfg = FitConfig(rank_max=rank, degree=degree, penalty="diag_scale")
+    fitter = als._Fitter(data, cfg, 0)
+    starts = [random_model(rng, dims=4, rank=rank, degree=degree) for _ in range(width)]
+    fitter._use(fitter._stack(np.stack([m.coeffs for m in starts]),
+                              np.stack([m.scales for m in starts]),
+                              np.array([np.random.default_rng(b) for b in range(width)])))
+    real = als._direction_solve
+    seen = []
+
+    def recording(AtA, Atu, uu, n, G, m, config):
+        k = len(seen)
+        others = [j for j in range(fitter.d) if j != k]
+        E = fitter.scales[..., None] * np.prod(fitter.factors[:, others], axis=1)
+        psi = fitter.psi_t[k]
+        full = np.einsum("blLn,jJn->bljLJ", E[:, :, None] * E[:, None],
+                         psi[:, None] * psi[None]).reshape(AtA.shape)
+        seen.append((AtA.copy(), full))
+        return real(AtA, Atu, uu, n, G, m, config)
+
+    als._direction_solve = recording
+    try:
+        fitter.sweep_once()
+    finally:
+        als._direction_solve = real
+    assert len(seen) == fitter.d
+    for AtA, full in seen:
+        assert AtA.shape == (width, rank * (degree + 1), rank * (degree + 1))
+        assert np.array_equal(AtA, AtA.swapaxes(-1, -2))
+        assert np.max(np.abs(AtA - full)) <= 1e-14 * np.max(np.abs(full))
 
 
 def test_solve_direction_interpolation():
@@ -421,6 +466,32 @@ def test_fit_fixed_warns_when_underdetermined():
         fit_fixed(data, 2, cfg, init_seed=0)
 
 
+def test_fit_fixed_warns_once_at_the_first_underdetermined_rank():
+    # ranks 2 and 3 of degree 2 have 6 and 9 unknowns for 5 samples: one
+    # warning, for rank 2, pointing at the line that called fit_fixed
+    rng = np.random.default_rng(21)
+    data = SampleSet(rng.standard_normal((5, 2)), rng.standard_normal(5), Family.HERMITE)
+    cfg = FitConfig(rank_max=3, degree=2,
+                    init_candidates=1, candidate_burn_sweeps=2, max_sweeps_per_rank=3)
+    with pytest.warns(UserWarning, match="below the direction-solve unknown count") as record:
+        fit_fixed(data, 3, cfg, init_seed=0)
+    underdetermined = [w for w in record if "unknown count" in str(w.message)]
+    assert len(underdetermined) == 1
+    assert "unknown count 6 of rank 2" in str(underdetermined[0].message)
+    assert underdetermined[0].filename == __file__
+
+
+def test_a_stopped_ladder_does_not_warn_about_ranks_it_never_fits(recwarn):
+    # rank 5 would have 15 unknowns for 12 samples, but degree 2's ladder
+    # stops at rank 2, with 6
+    from seprep.selection import select_model
+
+    report = select_model(manufactured_sample(12, 0), [1, 2, 3, 4, 5], [2],
+                          FitConfig(rank_max=5, degree=2))
+    assert sorted(report.ei_max) == [(1, 2), (2, 2)]
+    assert not [w for w in recwarn if "unknown count" in str(w.message)]
+
+
 def test_output_rescaling_scales_the_fit():
     # outputs times 2^k, from about 1e-301 to 1e300: the fit scales exactly
     rng = np.random.default_rng(22)
@@ -552,6 +623,87 @@ def test_normal_equation_failure_names_its_branch(monkeypatch, penalty):
     else:
         assert "of the regularized direction solve" in message
         assert "enabling regularization" not in message
+
+
+@contextlib.contextmanager
+def _perturbed_directions(failing, error_at=None):
+    """Run every direction solve inside the block, scaling the coefficients of those in `failing`.
+
+    Coefficients c (1 + 1e-6) leave 1e-6 A^T u as the normal-equation
+    residual, 100 times its tolerance, while the fit's residual barely
+    moves, so an unregularized sweep's monotone check still passes. With
+    error_at, the solve of that direction raises DegenerateModelError before
+    it runs. Directions count from 0 in call order.
+    """
+    real = als._direction_solve
+    calls = []
+
+    def solve(AtA, Atu, uu, n, G, m, config):
+        k = len(calls)
+        calls.append(k)
+        if k == error_at:
+            raise DegenerateModelError(f"direction {k} interrupted the sweep")
+        c, raw = real(AtA, Atu, uu, n, G, m, config)
+        return (c * (1.0 + 1e-6), raw) if k in failing else (c, raw)
+
+    als._direction_solve = solve
+    try:
+        yield calls
+    finally:
+        als._direction_solve = real
+
+
+def _sweep_case(penalty):
+    rng = np.random.default_rng(62)
+    data = _sampled_from(random_model(rng, dims=4, rank=2, degree=2), 80, seed=63, noise=0.1)
+    return data, random_model(rng, dims=4, rank=2, degree=2), FitConfig(
+        rank_max=2, degree=2, penalty=penalty)
+
+
+@pytest.mark.parametrize("penalty", ["none", "diag_scale", "second_moment"])
+def test_each_penalty_checks_its_normal_equations_once_per_sweep(monkeypatch, penalty):
+    # every branch hands all d directions of a sweep to one check, which
+    # passes on a healthy sweep and fails it when one direction's solve is off
+    data, start, cfg = _sweep_case(penalty)
+    real = als._check_normal_equations
+    checked = []
+
+    def recording(solves):
+        checked.append([raw is None for _, _, _, raw in solves])
+        return real(solves)
+
+    monkeypatch.setattr(als, "_check_normal_equations", recording)
+    sweep(data, start, cfg)
+    assert checked == [[penalty == "none"] * data.dims]
+    branch = "unregularized" if penalty == "none" else "regularized"
+    with _perturbed_directions({0}), pytest.raises(ConditioningError) as err:
+        sweep(data, start, cfg)
+    assert f"of the {branch} direction solve in direction 0 exceeds" in str(err.value)
+
+
+@pytest.mark.parametrize("penalty", ["none", "second_moment"])
+def test_the_earlier_of_two_failing_directions_is_reported(penalty):
+    data, start, cfg = _sweep_case(penalty)
+    branch = "unregularized" if penalty == "none" else "regularized"
+    with _perturbed_directions({1, 2}) as calls, pytest.raises(ConditioningError) as err:
+        sweep(data, start, cfg)
+    assert calls == list(range(data.dims))  # the whole sweep ran before the check
+    assert f"of the {branch} direction solve in direction 1 exceeds" in str(err.value)
+
+
+def test_an_error_that_ends_the_sweep_reports_an_earlier_failed_normal_equation():
+    data, start, cfg = _sweep_case("second_moment")
+    # direction 1's normal equation fails, then direction 2 raises: the
+    # pending checks run first, so direction 1's failure is the error
+    with _perturbed_directions({1}, error_at=2) as calls, pytest.raises(ConditioningError) as err:
+        sweep(data, start, cfg)
+    assert calls == [0, 1, 2]
+    assert "regularized direction solve in direction 1 exceeds" in str(err.value)
+    assert isinstance(err.value.__context__, DegenerateModelError)
+    # with every earlier normal equation satisfied, the interrupting error stands
+    with _perturbed_directions(set(), error_at=2), pytest.raises(
+            DegenerateModelError, match="direction 2 interrupted the sweep"):
+        sweep(data, start, cfg)
 
 
 def test_a_residual_increase_breaks_the_monotone_invariant():
@@ -766,7 +918,10 @@ def test_a_zero_norm_candidate_draw_is_a_degenerate_factor(monkeypatch):
 
 def test_a_zero_norm_redraw_is_a_degenerate_factor(monkeypatch):
     # degree-0 data whose fit re-draws collapsed terms; every re-draw then
-    # meets a zero norm and fails as a candidate draw does, without retrying
+    # meets a zero norm and fails as a candidate draw does, without retrying.
+    # A term collapses to an exact zero from cancellation, which turns on the
+    # fit's last bits, so the full burn-in runs: on this data and seed its
+    # first collapse comes after the second sweep
     real_revive = als._Fitter._revive
     revived = []
 
@@ -776,7 +931,7 @@ def test_a_zero_norm_redraw_is_a_degenerate_factor(monkeypatch):
         return real_revive(self, *args)
 
     monkeypatch.setattr(als._Fitter, "_revive", revive)
-    cfg = FitConfig(rank_max=2, degree=0, candidate_burn_sweeps=2, max_sweeps_per_rank=6)
+    cfg = FitConfig(rank_max=2, degree=0)
     with pytest.raises(DegenerateFactorError, match="zero empirical norm"):
         fit_fixed(manufactured_sample(60, seed=0), 2, cfg, 5)
     assert len(revived) == 1
