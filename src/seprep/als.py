@@ -154,8 +154,8 @@ def _rowdot(x: np.ndarray) -> np.ndarray:
 def _check_normal_equations(solves: list) -> None:
     """Fail at the first direction, in order, whose solve leaves a slice's normal equation unsatisfied.
 
-    solves holds one (AtA, Atu, c, raw) per direction, in direction order:
-    a _direction_solve call's inputs and outputs, all of one branch. The
+    solves holds one (AtA, Atu, c, raw, rn2) per direction, in direction
+    order: a _direction_solve call's inputs and outputs, all of one branch. The
     regularized branch's equation carries the penalty R^T R (x) I the path
     solved: G itself, or G plus the jitter _gram_cholesky added when G is
     singular. All directions are checked at once.
@@ -167,7 +167,7 @@ def _check_normal_equations(solves: list) -> None:
     regularized = solves[0][3] is not None
     if regularized:
         lam = np.stack([s[3][0] for s in solves])
-        R = np.stack([s[3][5] for s in solves])
+        R = np.stack([s[3][4] for s in solves])
         Rc = R.swapaxes(-1, -2) @ (R @ c.reshape(R.shape[:-1] + (-1,)))
         lhs += (lam * lam)[..., None] * Rc.reshape(c.shape)
     err = np.sqrt(_rowdot(lhs - Atu))
@@ -231,12 +231,12 @@ def _direction_solve(AtA, Atu, uu, n, G, m, config):
     picked by GCV along the path. Factor overflow raises ConditioningError.
     Returns (coefficients (B, r*m), raw diagnostics or None), each slice with
     the bits it would get alone. The raw diagnostics are the arrays (lambda,
-    hat trace, grid index, coefficients, G, R), one row per slice, R the
-    Cholesky factor the penalty was built from; with the squared residual
-    norms appended, _regularization_state builds a slice's state from them,
-    only for the sweep a rank keeps. The normal equations are not checked
-    here: the caller hands every direction of a sweep to
-    _check_normal_equations at once.
+    hat trace, grid index, G, R), one row per slice, R the Cholesky factor
+    the penalty was built from; _regularization_state builds a slice's state
+    from them, the coefficients and the squared residual norms, only for the
+    sweep a rank keeps. The normal equations are not checked here: the
+    caller hands every direction of a sweep to _check_normal_equations at
+    once.
     """
     _check_finite(AtA, Atu)
     if G is None:
@@ -247,12 +247,14 @@ def _direction_solve(AtA, Atu, uu, n, G, m, config):
     path = TikhonovPath(AtA, Atu, uu, n, R, m)
     sel = gcv_select_lambda(path, floor_rel=config.lambda_floor_rel)
     c = path.solve(sel.lambda_)
-    return c, (sel.lambda_, sel.hat_trace, sel.index, c, G, R)
+    return c, (sel.lambda_, sel.hat_trace, sel.index, G, R)
 
 
-def _regularization_state(raw, p: int, n_samples: int, exp: int) -> RegularizationState:
-    """Slice p's state from a solve's raw diagnostics with rn2 appended, sigma-hat times 2^exp."""
-    lam, hat_trace, index, c, G, _, rn2 = (x[p] for x in raw)
+def _regularization_state(solve, p: int, n_samples: int, exp: int) -> RegularizationState:
+    """Slice p's state from one (AtA, Atu, c, raw, rn2) entry of a sweep, sigma-hat times 2^exp."""
+    _, _, c, raw, rn2 = solve
+    lam, hat_trace, index, G, _ = (x[p] for x in raw)
+    c, rn2 = c[p], rn2[p]
     lam, hat_trace = float(lam), float(hat_trace)
     wmin = float(np.linalg.eigvalsh(G)[0])
     norm_c = math.sqrt(float(c @ c))
@@ -350,10 +352,10 @@ class _Fitter:
     def unscaled(self, residual) -> float:
         return float(np.ldexp(residual, self.exp))
 
-    def kept_states(self, raws: list, p: int = 0) -> list:
-        """Model p's direction-solve states in the data's units, from a sweep's raw diagnostics."""
-        return [None if raw is None else _regularization_state(raw, p, self.n, self.exp)
-                for raw in raws]
+    def kept_states(self, solves: list, p: int = 0) -> list:
+        """Model p's direction-solve states in the data's units, from a sweep's direction solves."""
+        return [None if s[3] is None else _regularization_state(s, p, self.n, self.exp)
+                for s in solves]
 
     def model(self) -> SeparatedModel:
         """Model 0 of the stack, in the data's units."""
@@ -429,9 +431,10 @@ class _Fitter:
         equations of all directions are checked once, after the last one;
         an error that ends the sweep earlier first checks those already
         solved, so an earlier direction's failed normal equation is the
-        error raised, with the interrupting error as its context. Returns (residual per model, in the fitted units,
-        and per direction the kernel's raw diagnostics with the squared
-        residual norms appended, which kept_states turns into states).
+        error raised, with the interrupting error as its context. Returns
+        (residual per model, in the fitted units, and per direction the
+        (AtA, Atu, c, raw, rn2) of its solve, which kept_states turns into
+        states).
         """
         cfg = self.config
         coeffs, scales, factors = self.coeffs, self.scales, self.factors
@@ -449,7 +452,6 @@ class _Fitter:
         left_g = np.ones((nb, r, r))
         rows, cols = np.triu_indices(r)
         index = _half_index(r, m1)
-        raws = []
         solves = []
         try:
             for k in range(d):
@@ -466,11 +468,10 @@ class _Fitter:
                 else:
                     G = scales[:, :, None] * scales[:, None, :] * left_g * suf_g[k]
                 c, raw = _direction_solve(AtA, Atu, self.uu, n, G, m1, cfg)
-                solves.append((AtA, Atu, c, raw))
                 cmat = c.reshape(nb, r, m1)
                 vals = cmat @ self.psi_t[k]
                 rn2 = _rowdot(np.add.reduce(E * vals, axis=1) - self.u)
-                raws.append(None if raw is None else raw + (rn2,))
+                solves.append((AtA, Atu, c, raw, rn2))
                 if G is None:
                     self._check_monotone(np.sqrt(rn2 / n))
                 norms = np.sqrt(np.add.reduce(vals * vals, axis=-1) / n)
@@ -492,7 +493,7 @@ class _Fitter:
                 left_f *= factors[:, k]
         finally:
             _check_normal_equations(solves)
-        return np.sqrt(rn2 / n), raws
+        return np.sqrt(rn2 / n), solves
 
     def _race(self, stack, traces: list, cap: int) -> list:
         """Sweep a stack of models until each converges or its trace holds cap residuals.
@@ -501,7 +502,7 @@ class _Fitter:
         the last live model moves into its slot, so the kernel always sweeps
         the leading block of the arrays and no sweep copies them. Collapsed
         terms are re-drawn inside the stack, and an error in any slice ends
-        the race. Returns per model (its last sweep's raw diagnostics and its
+        the race. Returns per model (its last sweep's direction solves and its
         slot in them, converged, its arrays as a stack of one), views into
         `stack` for the models that reached the cap.
         """
@@ -511,16 +512,16 @@ class _Fitter:
         live = len(traces)
         while live:
             self._use(tuple(a[:live] for a in stack))
-            resid, raws = self.sweep_once()
+            resid, solves = self.sweep_once()
             at_cap = len(traces[slot[0]]) + 1 >= cap
             for p in reversed(range(live)):
                 i = slot[p]
                 traces[i].append(float(resid[p]))
                 converged = _converged(traces[i], tol)
                 if at_cap:
-                    out[i] = ((raws, p), converged, tuple(a[p:p + 1] for a in stack))
+                    out[i] = ((solves, p), converged, tuple(a[p:p + 1] for a in stack))
                 elif converged:
-                    out[i] = ((raws, p), True, tuple(a[p:p + 1].copy() for a in stack))
+                    out[i] = ((solves, p), True, tuple(a[p:p + 1].copy() for a in stack))
                     live -= 1
                     for a in stack:
                         a[p] = a[live]
@@ -575,12 +576,12 @@ def sweep(data: SampleSet, model: SeparatedModel, config: FitConfig):
         raise ValueError("model basis family disagrees with data family")
     fitter = _Fitter(data, config, config.rng_seed)
     fitter.set_model(model)
-    resid, raws = fitter.sweep_once()
-    return fitter.model(), fitter.unscaled(resid[0]), fitter.kept_states(raws)
+    resid, solves = fitter.sweep_once()
+    return fitter.model(), fitter.unscaled(resid[0]), fitter.kept_states(solves)
 
 
 def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, stop=None):
-    """Fit with ranks growing 1..r; returns (model, diagnostics).
+    """Fit with ranks growing 1..r; returns (the last rank record's model, diagnostics).
 
     Each rank keeps sweeping until the relative residual decrease over a full
     sweep falls below config.sweep_tol or the sweep cap is reached. The
@@ -607,4 +608,4 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, sto
         records.append(fitter.run_rank())
         if stop is not None and stop(records[-1]):
             break
-    return fitter.model(), FitDiagnostics(per_rank=records)
+    return records[-1].model, FitDiagnostics(per_rank=records)

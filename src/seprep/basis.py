@@ -21,10 +21,11 @@ from .errors import DomainError
 __all__ = ["Family", "BasisSpec", "eval_basis_batch", "gauss_quadrature"]
 
 
-def _check_count(name: str, value, least: int):
-    """Refuse anything but an integer >= least; a bool is not a count."""
+def _check_count(name: str, value, least: int) -> int:
+    """The one count rule: an integer >= least, returned as a Python int; a bool is not a count."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class Family(str, enum.Enum):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .als import FitConfig
-from .basis import Family
+from .basis import Family, _check_count
 from .errors import DatasetFormatError, SeprepError
 from .model import (
     SampleSet,
@@ -70,11 +70,6 @@ _PENALTIES = ("second_moment", "diag_scale")
 _REF_SEED = 987654321  # seed of the elliptic Monte Carlo reference
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment: problem, sample sizes, seeds, grids, and output layout."""
@@ -97,17 +92,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in ("manufactured", "elliptic", "external-dataset"):
             raise ValueError(f"unknown problem {self.problem!r}")
+        # counts are stored as Python ints, so the config stays JSON-serializable
         for name, least in _LIST_MINIMA.items():
             values = getattr(self, name)
-            if not (isinstance(values, list) and values
-                    and all(_is_int(v) and v >= least for v in values)):
+            if not (isinstance(values, list) and values):
                 raise ValueError(
                     f"{name} must be a non-empty list of integers >= {least}, got {values!r}"
                 )
+            setattr(self, name, [_check_count(name, v, least) for v in values])
         for name, least in _INT_MINIMA.items():
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            setattr(self, name, _check_count(name, getattr(self, name), least))
         if self.penalty not in _PENALTIES:
             raise ValueError(f"penalty must be one of {_PENALTIES} (selection needs a "
                              f"regularized fit), got {self.penalty!r}")

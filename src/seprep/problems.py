@@ -59,6 +59,9 @@ class ManufacturedSpec:
     noise_std: float = 0.0005
     dims: int = 10
 
+    def __post_init__(self):
+        _check_count("dims", self.dims, 9)  # the terms read dimension 8
+
 
 # the (dimension, degree) factors of each term after the constant, in coefficient order
 _MANUFACTURED_TERMS = (((0, 3), (1, 3)), ((2, 2),), ((7, 2),), ((8, 3),))
@@ -81,8 +84,8 @@ def manufactured_sample(
     n: int, seed: int, noisy: bool = True, spec: ManufacturedSpec = ManufacturedSpec()
 ) -> SampleSet:
     """Draw n standard-Gaussian points and evaluate the benchmark function."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, spec.dims))
     values = _manufactured_values(spec, points)
@@ -97,8 +100,7 @@ def manufactured_model(max_degree: int = 3) -> SeparatedModel:
     Negative term coefficients are folded into one factor so all scales stay
     positive.
     """
-    if max_degree < 3:
-        raise ValueError("the exact encoding needs max_degree >= 3")
+    _check_count("max_degree", max_degree, 3)  # the exact encoding reads degree 3
     spec = ManufacturedSpec()
     terms = ((),) + _MANUFACTURED_TERMS
     coeffs = np.zeros((spec.dims, len(terms), max_degree + 1))
@@ -157,8 +159,6 @@ def kl_decompose(corr_length: float, d: int, n_grid: int = 512) -> KLExpansion:
     weights, diagonalized, and the eigenvectors rescaled so eigenfunctions
     have unit L2(0, 1) norm.
     """
-    if isinstance(d, (int, np.integer)) and d < 1:
-        raise ValueError(f"need at least one KL mode, got d={d}")
     _check_count("d", d, 1)
     if not corr_length > 0.0:
         raise ValueError(f"correlation length must be positive, got {corr_length}")
@@ -371,8 +371,8 @@ def elliptic_solve_batch(problem: EllipticProblem, points: np.ndarray) -> np.nda
 
 def elliptic_sample(problem: EllipticProblem, n: int, seed: int) -> SampleSet:
     """Uniform inputs on [-1, 1]^d paired with solver outputs."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     points = rng.uniform(-1.0, 1.0, (n, problem.dims))
     return SampleSet(points, elliptic_solve_batch(problem, points), Family.LEGENDRE)
@@ -399,8 +399,7 @@ def mc_baseline(sampler, n: int, seed: int) -> MCResult:
     of the std estimate uses the delta method with the sample fourth moment,
     so it stays honest for non-Gaussian outputs.
     """
-    if n < 2:
-        raise ValueError("Monte Carlo baseline needs at least two samples")
+    _check_count("n", n, 2)
     values = np.asarray(sampler(n, seed), dtype=float).ravel()
     m = float(values.mean())
     s = float(values.std(ddof=1))
@@ -417,6 +416,8 @@ def mc_baseline(sampler, n: int, seed: int) -> MCResult:
 
 def total_degree_indices(dims: int, degree: int) -> list:
     """All multi-indices with |alpha|_1 <= degree, graded lexicographic order."""
+    _check_count("dims", dims, 1)
+    _check_count("degree", degree, 0)
     out = []
     for total in range(degree + 1):
         for comb in itertools.combinations_with_replacement(range(dims), total):
@@ -434,6 +435,7 @@ def pc_regression_baseline(data: SampleSet, total_degree: int):
     and the variance the sum of squared non-constant coefficients, by
     orthonormality. Refuses underdetermined problems outright.
     """
+    _check_count("total_degree", total_degree, 0)
     indices = total_degree_indices(data.dims, total_degree)
     n_basis = len(indices)
     if data.n < n_basis:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .als import FitConfig, fit_fixed
+from .basis import _check_count
 from .errors import SelectionError
 from .model import SampleSet, SeparatedModel, _check_keys, model_from_dict, model_to_dict
 
@@ -153,14 +154,13 @@ def select_model(
     how the grid is searched. Infinite indicators are kept (and lose); if
     every fitted pair is infinite, selection fails loudly with the table
     attached. All-zero outputs are refused before any fit, since every
-    indicator would be infinite.
+    indicator would be infinite. Every grid entry is a count (ranks >= 1,
+    degrees >= 0), checked before the grids are sorted and deduplicated.
     """
-    r_grid = sorted(set(int(r) for r in r_grid))
-    M_grid = sorted(set(int(m) for m in M_grid))
+    r_grid = sorted({_check_count("r_grid", r, 1) for r in r_grid})
+    M_grid = sorted({_check_count("M_grid", m, 0) for m in M_grid})
     if not r_grid or not M_grid:
         raise ValueError("rank and degree grids must be non-empty")
-    if r_grid[0] < 1:
-        raise ValueError(f"ranks must be >= 1, got {r_grid[0]}")
     if config.penalty == "none":
         raise SelectionError("EI-based selection requires regularization to be enabled")
     if not np.any(data.outputs):

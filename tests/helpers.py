@@ -359,20 +359,20 @@ def naive_sweep(data, model, config):
     return model, float(np.sqrt(res @ res / data.n)), states, designs
 
 
-# -- per-sample banded reference for the elliptic FEM solve --------------------
+# -- per-sample banded references for the elliptic FEM solve -------------------
 # The library condenses the P2 bubbles and sweeps the vertex system for a whole
-# block of samples; this assembles each sample's full P2 band and factors it.
+# block of samples; these assemble each sample's full P2 band and factor it.
+# Both take the Gauss-point coefficients from the library.
 
 
-def banded_elliptic_solve(problem, points):
-    """u(query_point) per input row, one banded Cholesky solve per sample.
+def _banded_p2_solve(problem, a, ke, load, shape_at_x):
+    """u(query_point) per sample from element stiffness blocks ke (s, n_el, 3, 3) and the load.
 
     Each sample's element blocks are scattered into the upper band of the full
     P2 stiffness matrix with np.add.at and solved with solveh_banded; both
-    positivity guards of the library are kept.
+    positivity guards of the library are kept. shape_at_x holds the query
+    element's three shape values at the query point.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a = coefficient_at_gauss_points(problem, pts)
     if np.any(a <= 0.0):
         raise PositivityError("diffusion coefficient non-positive")
     n_el, nn = problem.mesh_elements, problem.n_nodes
@@ -381,18 +381,75 @@ def banded_elliptic_solve(problem, points):
     jj = np.tile(dofs, (1, 3)).reshape(n_el, 3, 3)
     tri = ii <= jj
     band_rows, band_cols = (2 + ii - jj)[tri], jj[tri]
-    kv = np.einsum("seg,gij->seij", a, problem._stiff_weights)[:, tri]
-    h = 1.0 / n_el
-    e = min(int(problem.query_point / h), n_el - 1)
-    shape_at_x, _ = _p2_shapes(np.array([2.0 * (problem.query_point - e * h) / h - 1.0]))
-    out = np.empty(pts.shape[0])
+    kv = ke[:, tri]
+    e = _query_element(problem)[0]
+    out = np.empty(len(a))
     interior = slice(1, nn - 1)
-    for s in range(pts.shape[0]):
+    for s in range(len(a)):
         band = np.zeros((3, nn))
         np.add.at(band, (band_rows, band_cols), kv[s])
         u_full = np.zeros(nn)
-        u_full[interior] = solveh_banded(band[:, interior], problem._load[interior])
-        out[s] = shape_at_x[0] @ u_full[dofs[e]]
+        u_full[interior] = solveh_banded(band[:, interior], load[interior])
+        out[s] = shape_at_x @ u_full[dofs[e]]
     if np.any(out <= 0.0):
         raise PositivityError("solution non-positive")
     return out
+
+
+def _query_element(problem):
+    """The query point's element e and its local coordinate in [-1, 1]."""
+    h = 1.0 / problem.mesh_elements
+    e = min(int(problem.query_point / h), problem.mesh_elements - 1)
+    return e, 2.0 * (problem.query_point - e * h) / h - 1.0
+
+
+def banded_elliptic_solve(problem, points):
+    """u(query_point) per input row from the library's own element arrays, by another solver.
+
+    The stiffness weights, load and query shapes are the problem's, so this
+    checks the condensed solve to rounding (1e-12), not the arrays;
+    independent_elliptic_solve checks those.
+    """
+    a = coefficient_at_gauss_points(problem, np.atleast_2d(np.asarray(points, dtype=float)))
+    ke = np.einsum("seg,gij->seij", a, problem._stiff_weights)
+    shape_at_x = _p2_shapes(np.array([_query_element(problem)[1]]))[0][0]
+    return _banded_p2_solve(problem, a, ke, problem._load, shape_at_x)
+
+
+def p2_lagrange_shapes():
+    """The P2 shape functions on [-1, 1], one per node -1, 0, 1, and their derivatives.
+
+    Shape i is the numpy Polynomial through the three nodes that is 1 at node i.
+    """
+    nodes = (-1.0, 0.0, 1.0)
+    shapes = []
+    for i, node in enumerate(nodes):
+        p = np.polynomial.Polynomial.fromroots([x for j, x in enumerate(nodes) if j != i])
+        shapes.append(p / p(node))
+    return shapes, [p.deriv() for p in shapes]
+
+
+def independent_elliptic_solve(problem, points):
+    """u(query_point) per input row, with every element array built here.
+
+    Element e maps xi in [-1, 1] to x = (e + (xi + 1) / 2) h. With the
+    three-point rule of np.polynomial.legendre.leggauss, its stiffness is
+    sum_g w_g a(x_g) N_i'(xi_g) N_j'(xi_g) 2 / h and its load (unit forcing)
+    sum_g w_g N_i(xi_g) h / 2, N from p2_lagrange_shapes; the library's
+    coefficients are taken at the same points, in the same order. Its own
+    rounding of the element arrays differs from the library's, and at 128
+    elements the system's conditioning turns that into up to 2.2e-12
+    relative, so it checks the formulas, not the last bits.
+    """
+    a = coefficient_at_gauss_points(problem, np.atleast_2d(np.asarray(points, dtype=float)))
+    h = 1.0 / problem.mesh_elements
+    xi, w = np.polynomial.legendre.leggauss(3)
+    shapes, derivs = p2_lagrange_shapes()
+    N = np.array([[p(x) for p in shapes] for x in xi])  # (gauss, shape)
+    dN = np.array([[p(x) for p in derivs] for x in xi])
+    ke = (2.0 / h) * np.einsum("seg,g,gi,gj->seij", a, w, dN, dN)
+    dofs = 2 * np.arange(problem.mesh_elements)[:, None] + np.arange(3)[None, :]
+    load = np.zeros(problem.n_nodes)
+    np.add.at(load, dofs, np.broadcast_to((h / 2.0) * np.einsum("g,gi->i", w, N), dofs.shape))
+    shape_at_x = np.array([p(_query_element(problem)[1]) for p in shapes])
+    return _banded_p2_solve(problem, a, ke, load, shape_at_x)

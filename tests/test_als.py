@@ -79,10 +79,11 @@ def _solve_one(A, u, G, m, cfg):
     """
     AtA, Atu, uu, n = normal_equation_pieces(A[None], u)
     c, raw = als._direction_solve(AtA, Atu, uu, n, None if G is None else G[None], m, cfg)
-    als._check_normal_equations([(AtA, Atu, c, raw)])
     res = A @ c[0] - u
     rn2 = float(res @ res)
-    state = None if raw is None else als._regularization_state(raw + (np.array([rn2]),), 0, n, 0)
+    solve = (AtA, Atu, c, raw, np.array([rn2]))
+    als._check_normal_equations([solve])
+    state = None if raw is None else als._regularization_state(solve, 0, n, 0)
     return c[0], state, rn2
 
 
@@ -669,7 +670,7 @@ def test_each_penalty_checks_its_normal_equations_once_per_sweep(monkeypatch, pe
     checked = []
 
     def recording(solves):
-        checked.append([raw is None for _, _, _, raw in solves])
+        checked.append([raw is None for _, _, _, raw, _ in solves])
         return real(solves)
 
     monkeypatch.setattr(als, "_check_normal_equations", recording)

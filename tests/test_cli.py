@@ -11,6 +11,7 @@ from seprep.cli import (
     ERROR_COLUMNS,
     ExperimentConfig,
     cmd_baselines,
+    config_hash,
     cmd_fit,
     main,
     read_dataset,
@@ -296,8 +297,8 @@ def test_cli_os_error_is_fatal_without_a_traceback(tmp_path, caplog):
       "--n", "3,4", "--r-max", "1", "--m-grid", "1"],
      "y1,u\n0.1,1.0\n0.2,2.0\n0.3,3.0\n", "has N=3, requested [3, 4]"),
     (["baselines", "--pc-degree", "-1"], None, "pc_degree must be"),
-    (["kl-info", "--dims", "0"], None, "at least one KL mode"),
-    (["kl-info", "--dims", "-3"], None, "at least one KL mode"),
+    (["kl-info", "--dims", "0"], None, "d must be an integer >= 1, got 0"),
+    (["kl-info", "--dims", "-3"], None, "d must be an integer >= 1, got -3"),
     (["kl-info", "--corr-length", "0"], None, "correlation length must be positive"),
     (["fit", "--config", "in.json"], {"seeds": [True]}, "seeds must be"),
     (["fit", "--config", "in.json"], {"noisy": "no"}, "noisy must be true or false"),
@@ -331,6 +332,30 @@ def test_cli_bad_input_is_fatal_before_any_output(tmp_path, caplog, argv, inputs
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     assert named in caplog.text
     assert not (tmp_path / "o").exists()
+
+
+# the least value of each count field; the first four are lists of counts
+_CONFIG_COUNTS = {"sample_sizes": 1, "r_grid": 1, "m_grid": 0, "seeds": 0,
+                  "ref_samples": 2, "pc_degree": 0}
+
+
+@pytest.mark.parametrize("case", ["fraction", "integral-float", "bool", "below-least"])
+@pytest.mark.parametrize("name", list(_CONFIG_COUNTS))
+def test_config_counts_follow_the_one_rule(name, case):
+    # a float, even an integral one, a bool and a value below the least are
+    # refused by name; a NumPy integer is a count, stored as a Python int so
+    # the config still hashes and serializes
+    least = _CONFIG_COUNTS[name]
+    listed = isinstance(getattr(ExperimentConfig(), name), list)
+    bad = {"fraction": 2.5, "integral-float": float(least), "bool": True,
+           "below-least": least - 1}[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, got "):
+        ExperimentConfig(**{name: [least, bad] if listed else bad})
+    config = ExperimentConfig(**{name: [np.int64(least)] if listed else np.int64(least)})
+    value = getattr(config, name)
+    assert value == ([least] if listed else least)
+    assert type(value[0] if listed else value) is int
+    assert config_hash(config) == config_hash(ExperimentConfig(**{name: value}))
 
 
 def test_zero_reference_statistic_leaves_its_error_cell_empty(tmp_path):

@@ -6,7 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import banded_elliptic_solve, full_basis_manufactured_values
+from helpers import (
+    banded_elliptic_solve,
+    full_basis_manufactured_values,
+    independent_elliptic_solve,
+)
 from seprep import problems
 from seprep.basis import BasisSpec, Family, eval_basis_batch
 from seprep.errors import ConditioningError, DomainError, PositivityError, ResolutionError
@@ -207,6 +211,17 @@ def test_elliptic_positivity_guard(problem):
         elliptic_solve_batch(problem, scaled[None, :])
 
 
+# Two oracles check the FEM solve. banded_elliptic_solve reads the problem's
+# own element arrays, so it checks the condensed solve to rounding.
+# independent_elliptic_solve builds the arrays itself, and its rounding of them
+# differs from the library's: at 128 elements the two agree to 2.2e-12 at
+# worst. The library's own forward error there is 1.4-1.8e-12 against a
+# long-double refined solve, so no independent oracle can hold 1e-12; 1e-11
+# leaves room for another BLAS, and a wrong weight, factor or shape moves u by
+# far more.
+_INDEPENDENT_RTOL = 1e-11
+
+
 @functools.lru_cache(maxsize=None)
 def _mesh_problem(mesh_elements, query_point):
     return elliptic_problem(mesh_elements=mesh_elements, query_point=query_point)
@@ -226,8 +241,10 @@ def test_elliptic_batch_matches_banded_oracle(mesh_elements, query_point, n):
         return
     prob = _mesh_problem(mesh_elements, query_point)
     pts = np.random.default_rng(mesh_elements + n).uniform(-1, 1, (n, prob.dims))
-    want = banded_elliptic_solve(prob, pts)
-    np.testing.assert_allclose(elliptic_solve_batch(prob, pts), want, rtol=1e-12, atol=0.0)
+    got = elliptic_solve_batch(prob, pts)
+    np.testing.assert_allclose(got, banded_elliptic_solve(prob, pts), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got, independent_elliptic_solve(prob, pts),
+                               rtol=_INDEPENDENT_RTOL, atol=0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,7 +252,7 @@ def _cross_block_case(mesh_elements, query_point):
     prob = _mesh_problem(mesh_elements, query_point)
     n = 2 * problems._SOLVE_BLOCK + 3
     pts = np.random.default_rng(mesh_elements).uniform(-1, 1, (n, prob.dims))
-    return prob, pts, banded_elliptic_solve(prob, pts)
+    return prob, pts, banded_elliptic_solve(prob, pts), independent_elliptic_solve(prob, pts)
 
 
 @pytest.mark.parametrize("extra", [-1, 1, problems._SOLVE_BLOCK + 3])
@@ -244,10 +261,11 @@ def _cross_block_case(mesh_elements, query_point):
 def test_elliptic_blocks_match_banded_oracle(mesh_elements, query_point, extra):
     # batches that end one row short of a block, one row into the next, and
     # three rows into a third, with the query point in the first or last element
-    prob, pts, want = _cross_block_case(mesh_elements, query_point)
+    prob, pts, want, independent = _cross_block_case(mesh_elements, query_point)
     n = problems._SOLVE_BLOCK + extra
-    np.testing.assert_allclose(elliptic_solve_batch(prob, pts[:n]), want[:n],
-                               rtol=1e-12, atol=0.0)
+    got = elliptic_solve_batch(prob, pts[:n])
+    np.testing.assert_allclose(got, want[:n], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got, independent[:n], rtol=_INDEPENDENT_RTOL, atol=0.0)
 
 
 def test_elliptic_rows_do_not_depend_on_batching(problem):
@@ -309,6 +327,48 @@ def test_coefficient_map_matches_kl_sum(settings):
 def test_bad_counts_are_refused_by_name(build, settings, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         build(**settings)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_elliptic():
+    return elliptic_problem(dims=4, mesh_elements=7)
+
+
+def _small_pc_data():
+    rng = np.random.default_rng(15)
+    return SampleSet(rng.standard_normal((30, 2)), rng.standard_normal(30), Family.HERMITE)
+
+
+# each public count of this module: (call with the count, its name, its least value, a valid value)
+_COUNT_SITES = {
+    "manufactured_sample-n": (lambda v: manufactured_sample(v, 0), "n", 1, 3),
+    "manufactured_sample-seed": (lambda v: manufactured_sample(3, v), "seed", 0, 3),
+    "elliptic_sample-n": (lambda v: elliptic_sample(_small_elliptic(), v, 0), "n", 1, 3),
+    "elliptic_sample-seed": (lambda v: elliptic_sample(_small_elliptic(), 3, v), "seed", 0, 3),
+    # the terms read dimension 8
+    "ManufacturedSpec-dims": (lambda v: problems.ManufacturedSpec(dims=v), "dims", 9, 10),
+    "manufactured_model-max_degree": (manufactured_model, "max_degree", 3, 4),
+    "mc_baseline-n": (lambda v: mc_baseline(lambda n, s: np.arange(n, dtype=float), v, 0),
+                      "n", 2, 3),
+    "total_degree_indices-dims": (lambda v: total_degree_indices(v, 1), "dims", 1, 3),
+    "total_degree_indices-degree": (lambda v: total_degree_indices(3, v), "degree", 0, 2),
+    "pc_regression_baseline-total_degree": (
+        lambda v: pc_regression_baseline(_small_pc_data(), v), "total_degree", 0, 1),
+    "kl_decompose-d": (lambda v: kl_decompose(0.1, v, 64), "d", 1, 4),
+}
+
+
+@pytest.mark.parametrize("case", ["fraction", "integral-float", "bool", "below-least"])
+@pytest.mark.parametrize("site", sorted(_COUNT_SITES))
+def test_every_count_follows_the_one_rule(site, case):
+    # a float, even an integral one, a bool and a value below the least are
+    # refused with a ValueError naming the count; a NumPy integer is a count
+    call, name, least, valid = _COUNT_SITES[site]
+    bad = {"fraction": 2.5, "integral-float": float(least), "bool": True,
+           "below-least": least - 1}[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, got "):
+        call(bad)
+    call(np.int64(valid))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -191,8 +191,39 @@ def test_rank_below_one_is_refused_before_any_fit(monkeypatch, r_grid):
         raise AssertionError("select_model fitted with a rank below one")
 
     monkeypatch.setattr(seprep.selection, "fit_fixed", no_fit)
-    with pytest.raises(ValueError, match="ranks must be >= 1"):
+    with pytest.raises(ValueError, match="r_grid must be an integer >= 1"):
         select_model(_toy_data(), r_grid, [2], _fast_config())
+
+
+@pytest.mark.parametrize("r_grid, M_grid, named", [
+    ([1, 2.5], [2], "r_grid must be an integer >= 1, got 2.5"),
+    ([1, 2.7], [2], "r_grid must be an integer >= 1, got 2.7"),
+    ([1, 2.0], [2], "r_grid must be an integer >= 1, got 2.0"),
+    ([True, 2], [2], "r_grid must be an integer >= 1, got True"),
+    ([1], [1, 2.5], "M_grid must be an integer >= 0, got 2.5"),
+    ([1], [1.9], "M_grid must be an integer >= 0, got 1.9"),
+    ([1], [True], "M_grid must be an integer >= 0, got True"),
+    ([1], [2, -1], "M_grid must be an integer >= 0, got -1"),
+], ids=["r-fraction", "r-fraction-2.7", "r-integral-float", "r-bool",
+        "M-fraction", "M-fraction-1.9", "M-bool", "M-below-least"])
+def test_grid_entries_follow_the_one_count_rule(monkeypatch, r_grid, M_grid, named):
+    # every entry is checked before the grid is sorted and deduplicated, so
+    # [1, 2.7] is not fitted as ranks 1 and 2, nor [True, 2] as [1, 2]; ranks
+    # below one are test_rank_below_one_is_refused_before_any_fit's cases
+    def no_fit(*args, **kwargs):
+        raise AssertionError("select_model fitted a grid with a bad entry")
+
+    monkeypatch.setattr(seprep.selection, "fit_fixed", no_fit)
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        select_model(_toy_data(), r_grid, M_grid, _fast_config())
+
+
+def test_numpy_integer_grids_select_as_python_ints():
+    data = _toy_data()
+    plain = select_model(data, [1, 2], [1, 2], _fast_config())
+    numpy = select_model(data, np.array([2, 1]), [np.int64(1), np.int64(2)], _fast_config())
+    assert json.dumps(numpy.to_dict()) == json.dumps(plain.to_dict())
+    assert all(type(x) is int for pair in numpy.grid for x in pair)
 
 
 def test_names_the_benchmark_tracer_reads(monkeypatch):
