@@ -82,12 +82,10 @@ class FitConfig:
     candidate_burn_sweeps sweeps, and the lowest-residual one is kept and
     swept to convergence.
 
-    select_model overrides degree and rank_max at each grid point, and
-    fit_fixed reads degree and takes its rank from its r argument, so no fit
-    reads rank_max: it is only recorded in a selection report's config.
-    There it is the top of each degree's rank ladder, not a rank every
-    degree reached: select_model stops a ladder once EI_max stops falling,
-    a stop rule of this package's own (see seprep.selection).
+    fit_fixed reads degree and takes its rank from its r argument, and
+    select_model overrides degree at each grid point and grows each degree's
+    rank ladder towards max(r_grid), so no fit reads rank_max: a selection
+    report only records it with the rest of the caller's config.
     """
 
     rank_max: int
@@ -155,7 +153,8 @@ def _check_normal_equations(solves: list) -> None:
     """Fail at the first direction, in order, whose solve leaves a slice's normal equation unsatisfied.
 
     solves holds one (AtA, Atu, c, raw, rn2) per direction, in direction
-    order: a _direction_solve call's inputs and outputs, all of one branch. The
+    order: a _direction_solve call's inputs and outputs, all of one branch;
+    it is the sweep's own list, and only (c, raw, rn2) outlive the sweep. The
     regularized branch's equation carries the penalty R^T R (x) I the path
     solved: G itself, or G plus the jitter _gram_cholesky added when G is
     singular. All directions are checked at once.
@@ -251,8 +250,8 @@ def _direction_solve(AtA, Atu, uu, n, G, m, config):
 
 
 def _regularization_state(solve, p: int, n_samples: int, exp: int) -> RegularizationState:
-    """Slice p's state from one (AtA, Atu, c, raw, rn2) entry of a sweep, sigma-hat times 2^exp."""
-    _, _, c, raw, rn2 = solve
+    """Slice p's state from one (c, raw, rn2) entry of a sweep, sigma-hat times 2^exp."""
+    c, raw, rn2 = solve
     lam, hat_trace, index, G, _ = (x[p] for x in raw)
     c, rn2 = c[p], rn2[p]
     lam, hat_trace = float(lam), float(hat_trace)
@@ -354,7 +353,7 @@ class _Fitter:
 
     def kept_states(self, solves: list, p: int = 0) -> list:
         """Model p's direction-solve states in the data's units, from a sweep's direction solves."""
-        return [None if s[3] is None else _regularization_state(s, p, self.n, self.exp)
+        return [None if s[1] is None else _regularization_state(s, p, self.n, self.exp)
                 for s in solves]
 
     def model(self) -> SeparatedModel:
@@ -433,8 +432,8 @@ class _Fitter:
         solved, so an earlier direction's failed normal equation is the
         error raised, with the interrupting error as its context. Returns
         (residual per model, in the fitted units, and per direction the
-        (AtA, Atu, c, raw, rn2) of its solve, which kept_states turns into
-        states).
+        (c, raw, rn2) of its solve, which kept_states turns into states); the
+        normal matrices A^T A and A^T u do not outlive the sweep.
         """
         cfg = self.config
         coeffs, scales, factors = self.coeffs, self.scales, self.factors
@@ -493,18 +492,18 @@ class _Fitter:
                 left_f *= factors[:, k]
         finally:
             _check_normal_equations(solves)
-        return np.sqrt(rn2 / n), solves
+        return np.sqrt(rn2 / n), [s[2:] for s in solves]
 
     def _race(self, stack, traces: list, cap: int) -> list:
         """Sweep a stack of models until each converges or its trace holds cap residuals.
 
-        All traces have one length, below cap. A model that converges leaves:
-        the last live model moves into its slot, so the kernel always sweeps
-        the leading block of the arrays and no sweep copies them. Collapsed
-        terms are re-drawn inside the stack, and an error in any slice ends
-        the race. Returns per model (its last sweep's direction solves and its
-        slot in them, converged, its arrays as a stack of one), views into
-        `stack` for the models that reached the cap.
+        All traces have one length, below cap. A model leaves when it
+        converges or its trace reaches cap, as a copy of its arrays: the last
+        live model moves into its slot, so the kernel always sweeps the
+        leading block of the arrays and no sweep copies them. Collapsed terms
+        are re-drawn inside the stack, and an error in any slice ends the
+        race. Returns per model (its last sweep's direction solves and its
+        slot in them, converged, its own arrays as a stack of one).
         """
         tol = self.config.sweep_tol
         slot = list(range(len(traces)))
@@ -518,16 +517,12 @@ class _Fitter:
                 i = slot[p]
                 traces[i].append(float(resid[p]))
                 converged = _converged(traces[i], tol)
-                if at_cap:
-                    out[i] = ((solves, p), converged, tuple(a[p:p + 1] for a in stack))
-                elif converged:
-                    out[i] = ((solves, p), True, tuple(a[p:p + 1].copy() for a in stack))
+                if converged or at_cap:
+                    out[i] = ((solves, p), converged, tuple(a[p:p + 1].copy() for a in stack))
                     live -= 1
                     for a in stack:
                         a[p] = a[live]
                     slot[p] = slot[live]
-            if at_cap:
-                break
         return out
 
     def run_rank(self) -> RankRecord:
@@ -542,13 +537,9 @@ class _Fitter:
         traces = [[] for _ in range(width)]
         results = self._race(self._draw_candidates(self.coeffs[0], self.scales[0], width),
                              traces, burn)
-        best = 0
-        for i in range(1, width):
-            if traces[i][-1] < traces[best][-1]:
-                best = i
+        best = min(range(width), key=lambda i: traces[i][-1])
         trace = traces[best]
         last, converged, stack = results[best]
-        stack = tuple(a.copy() for a in stack)
         if not converged and len(trace) < cfg.max_sweeps_per_rank:
             [(last, converged, stack)] = self._race(stack, [trace], cfg.max_sweeps_per_rank)
         self._use(stack)

@@ -43,23 +43,30 @@ def _ei_max(rec) -> float:
     return max(s.error_indicator for s in rec.reg_states)
 
 
-def _ladder_stop(r_grid):
-    """fit_fixed's stop predicate for one degree's rank ladder, with patience one.
+def _ladder_stop(r_grid, m):
+    """fit_fixed's stop predicate for degree m's rank ladder, with patience one.
 
     It stops at the first rank of r_grid whose EI_max is not below the best
-    finite EI_max of the lower grid ranks. Ranks off the grid, and grid
-    ranks with no finite EI_max below them, never stop the ladder.
+    finite EI_max of the lower grid ranks. When that leaves grid ranks
+    unfitted, it logs the stop, naming the lowest grid rank that set that
+    best EI_max. Ranks off the grid, and grid ranks with no finite EI_max
+    below them, never stop the ladder.
     """
-    best = math.inf
+    best, best_r = math.inf, None
 
     def stop(rec) -> bool:
-        nonlocal best
+        nonlocal best, best_r
         if rec.rank not in r_grid:
             return False
         ei = _ei_max(rec)
-        if math.isfinite(best) and not ei < best:
+        if ei < best:
+            best, best_r = ei, rec.rank
+        elif math.isfinite(best):
+            if rec.rank < r_grid[-1]:
+                logger.info("M = %d: rank ladder stopped at r = %d with EI_max = %.4g, not "
+                            "below r = %d with EI_max = %.4g; ranks above %d not fitted",
+                            m, rec.rank, ei, best_r, best, rec.rank)
             return True
-        best = min(best, ei)
         return False
 
     return stop
@@ -145,17 +152,18 @@ def select_model(
 ) -> SelectionReport:
     """Search (rank, degree) pairs and pick the one with the smallest EI_max.
 
-    For each degree in M_grid one fit grows the rank towards max(r_grid)
-    from its own derived seed; every fitted rank in r_grid contributes one
-    EI_max value. The fit stops at the first grid rank whose EI_max is not
-    below the best finite EI_max of that degree's lower grid ranks, and the
-    pairs above it are left out of the report. This stop rule (patience
-    one, fixed here) is this package's own; the source paper does not say
-    how the grid is searched. Infinite indicators are kept (and lose); if
-    every fitted pair is infinite, selection fails loudly with the table
-    attached. All-zero outputs are refused before any fit, since every
-    indicator would be infinite. Every grid entry is a count (ranks >= 1,
-    degrees >= 0), checked before the grids are sorted and deduplicated.
+    For each degree in M_grid one fit, on config with only its degree
+    replaced, grows the rank towards max(r_grid) from its own derived seed;
+    every fitted rank in r_grid contributes one EI_max value. The fit stops
+    at the first grid rank whose EI_max is not below the best finite EI_max
+    of that degree's lower grid ranks, and the pairs above it are left out
+    of the report. This stop rule (patience one, fixed here) is this
+    package's own; the source paper does not say how the grid is searched.
+    Infinite indicators are kept (and lose); if every fitted pair is
+    infinite, selection fails loudly with the table attached. All-zero
+    outputs are refused before any fit, since every indicator would be
+    infinite. Every grid entry is a count (ranks >= 1, degrees >= 0),
+    checked before the grids are sorted and deduplicated.
     """
     r_grid = sorted({_check_count("r_grid", r, 1) for r in r_grid})
     M_grid = sorted({_check_count("M_grid", m, 0) for m in M_grid})
@@ -171,22 +179,15 @@ def select_model(
     models: dict = {}
     capped: dict = {}
     for m in M_grid:
-        cfg_m = dataclasses.replace(config, degree=m, rank_max=max(r_grid))
-        _, diag = fit_fixed(data, max(r_grid), cfg_m, seeds[m], stop=_ladder_stop(r_grid))
-        fitted = [r for r in r_grid if r <= len(diag.per_rank)]
-        for r in fitted:
-            rec = diag.per_rank[r - 1]
-            pair = (r, m)
-            ei_max[pair] = _ei_max(rec)
-            residuals[pair] = rec.residual
-            models[pair] = rec.model
-            capped[pair] = not rec.converged
-        if fitted[-1] < r_grid[-1]:
-            top = fitted[-1]
-            best_ei, best_r = min((ei_max[(r, m)], r) for r in fitted[:-1])
-            logger.info("M = %d: rank ladder stopped at r = %d with EI_max = %.4g, not below "
-                        "r = %d with EI_max = %.4g; ranks above %d not fitted",
-                        m, top, ei_max[(top, m)], best_r, best_ei, top)
+        _, diag = fit_fixed(data, r_grid[-1], dataclasses.replace(config, degree=m), seeds[m],
+                            stop=_ladder_stop(r_grid, m))
+        for rec in diag.per_rank:
+            if rec.rank in r_grid:
+                pair = (rec.rank, m)
+                ei_max[pair] = _ei_max(rec)
+                residuals[pair] = rec.residual
+                models[pair] = rec.model
+                capped[pair] = not rec.converged
     grid = [(r, m) for m in M_grid for r in r_grid]
     # ties resolve toward smaller rank, then smaller degree
     ranked = sorted((ei, p) for p, ei in ei_max.items() if math.isfinite(ei))

@@ -83,7 +83,7 @@ def _solve_one(A, u, G, m, cfg):
     rn2 = float(res @ res)
     solve = (AtA, Atu, c, raw, np.array([rn2]))
     als._check_normal_equations([solve])
-    state = None if raw is None else als._regularization_state(solve, 0, n, 0)
+    state = None if raw is None else als._regularization_state(solve[2:], 0, n, 0)
     return c[0], state, rn2
 
 
@@ -707,6 +707,28 @@ def test_an_error_that_ends_the_sweep_reports_an_earlier_failed_normal_equation(
         sweep(data, start, cfg)
 
 
+@pytest.mark.parametrize("penalty", ["none", "second_moment"])
+def test_a_sweep_hands_on_only_what_its_states_read(penalty):
+    # once its normal equations are checked, a sweep keeps per direction only
+    # the (c, raw, rn2) its states are built from: no (B, p, p) A^T A and no
+    # A^T u outlives it
+    rng = np.random.default_rng(71)
+    data = _sampled_from(random_model(rng, dims=3, rank=2, degree=2), 60, seed=72, noise=0.1)
+    fitter = als._Fitter(data, FitConfig(rank_max=3, degree=2, penalty=penalty), 0)
+    fitter.set_model(random_model(rng, dims=3, rank=2, degree=2))
+    fitter._use(fitter._draw_candidates(fitter.coeffs[0], fitter.scales[0], 4))
+    _, solves = fitter.sweep_once()
+    p = 3 * 3
+    assert len(solves) == data.dims
+    for c, raw, rn2 in solves:
+        assert c.shape == (4, p) and rn2.shape == (4,)
+        if penalty == "none":
+            assert raw is None
+        else:
+            assert [x.shape for x in raw] == [(4,), (4,), (4,), (4, 3, 3), (4, 3, 3)]
+    assert all((s is None) == (penalty == "none") for s in fitter.kept_states(solves, 2))
+
+
 def test_a_residual_increase_breaks_the_monotone_invariant():
     fitter = als._Fitter(manufactured_sample(40, seed=0), FitConfig(rank_max=1, degree=1), 0)
     fitter._monotone_prev[...] = 0.25
@@ -889,6 +911,27 @@ def test_race_with_early_convergence_equals_one_at_a_time():
                     max_sweeps_per_rank=80)
     probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)
     assert any(1 < w < cfg.init_candidates for w in probe["widths"])
+
+
+def test_models_that_leave_a_race_own_their_arrays():
+    # at rank 2 some candidates converge before the cap and some reach it:
+    # every model leaves as a copy, so writing over the raced stack changes
+    # none of them
+    data = manufactured_sample(200, seed=2)
+    cfg = FitConfig(rank_max=2, degree=2, sweep_tol=2e-3)
+    fitter = als._Fitter(data, cfg, 5)
+    fitter.run_rank()
+    stack = fitter._draw_candidates(fitter.coeffs[0], fitter.scales[0], cfg.init_candidates)
+    traces = [[] for _ in range(cfg.init_candidates)]
+    out = fitter._race(stack, traces, 20)
+    assert {len(t) == 20 for t in traces} == {True, False}
+    before = [tuple(a.copy() for a in model) for _, _, model in out]
+    for a in stack:
+        a[...] = None if a.dtype == object else np.nan
+    for (_, _, model), kept in zip(out, before, strict=True):
+        *arrays, rngs = model
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(arrays, kept))
+        assert rngs.shape == (1,) and rngs[0] is kept[-1][0]
 
 
 def test_a_failing_slice_ends_a_stacked_burn_in_with_its_typed_error(monkeypatch):

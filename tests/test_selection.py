@@ -105,6 +105,20 @@ def test_stopped_ladders_keep_the_bits_of_a_full_ladder(stopped_report):
             assert np.array_equal(report.models[(r, m)].scales, rec.model.scales)
 
 
+def test_rank_max_is_read_by_no_selection_fit(stopped_report):
+    # each degree's ladder tops out at max(r_grid) whatever rank_max says,
+    # and the report keeps the caller's config
+    data, _ = stopped_report
+    low, high = (select_model(data, [1, 2, 3], [1, 2],
+                              dataclasses.replace(_fast_config(), rank_max=k)) for k in (1, 5))
+    assert (low.config.rank_max, high.config.rank_max) == (1, 5)
+    assert low.ei_max == high.ei_max and low.residuals == high.residuals
+    assert low.models.keys() == high.models.keys()
+    for pair, model in low.models.items():
+        assert np.array_equal(model.coeffs, high.models[pair].coeffs)
+        assert np.array_equal(model.scales, high.models[pair].scales)
+
+
 @pytest.mark.parametrize("eis, r_grid, fitted", [
     # stops at the first rank not below the best lower one, equal included
     ([0.5, 0.3, 0.4, 0.2], None, [1, 2, 3]),
