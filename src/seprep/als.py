@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache
@@ -571,6 +572,15 @@ def sweep(data: SampleSet, model: SeparatedModel, config: FitConfig):
     return fitter.model(), fitter.unscaled(resid[0]), fitter.kept_states(solves)
 
 
+def _user_stacklevel() -> int:
+    """stacklevel for a warning from this function's caller: its first frame outside seprep."""
+    prefix = __name__.partition(".")[0] + "."
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith(prefix):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, stop=None):
     """Fit with ranks growing 1..r; returns (the last rank record's model, diagnostics).
 
@@ -582,7 +592,8 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, sto
     and the model and diagnostics are those of the ranks fitted so far.
     The first rank fitted whose direction solves have more unknowns,
     rank * (degree + 1), than the data has samples warns once, naming the
-    caller; ranks a stop leaves unfitted never warn.
+    first caller outside this package (a select_model call, say, not
+    selection.py); ranks a stop leaves unfitted never warn.
     """
     _check_count("r", r, 1)
     _check_count("init_seed", init_seed, 0)
@@ -594,7 +605,7 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, sto
             warnings.warn(
                 f"sample count {data.n} is below the direction-solve unknown count "
                 f"{rank * m1} of rank {rank}; expect an underdetermined fit",
-                stacklevel=2,
+                stacklevel=_user_stacklevel(),
             )
         records.append(fitter.run_rank())
         if stop is not None and stop(records[-1]):

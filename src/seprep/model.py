@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,18 +116,56 @@ class SeparatedModel:
 
 
 _EVAL_BLOCK = 16384  # rows per block; a block's work arrays stay near cache size
+# most evaluation workers: 2 is the count measured (two took 0.79-0.86x the
+# one-worker time on a 2-core host, BLAS at one thread or unpinned, and
+# 1.08-1.09x forced onto one CPU); more CPUs are untested
+_EVAL_WORKERS = 2
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _evaluate_blocks(model: SeparatedModel, pts: np.ndarray, blocks, out: np.ndarray,
+                     width: int) -> None:
+    """Write the surrogate at rows first:stop of `pts` into `out`, for each block in turn.
+
+    Each block is transposed `width` dimensions at a time, in dimension order.
+    """
+    for first, stop in blocks:
+        prod = np.ones((stop - first, model.rank))
+        for k in range(0, model.dims, width):
+            yt = np.ascontiguousarray(pts[first:stop, k:k + width].T)  # (width, rows)
+            for j, y in enumerate(yt, start=k):
+                prod *= eval_basis_batch(model.basis, y) @ model.coeffs[j].T
+        out[first:stop] = prod @ model.scales
 
 
 def evaluate_batch(model: SeparatedModel, points: np.ndarray) -> np.ndarray:
     """Evaluate the surrogate at each row of an (N, d) array, or at one d-vector.
 
     Rows are evaluated in fixed blocks of `_EVAL_BLOCK`, the last of which
-    also takes the ragged rest, so the working memory beyond the (N,) result
-    is bounded by one block of under 2 * `_EVAL_BLOCK` rows, whatever N is.
-    No block is a single row unless N is 1, because BLAS rounds a one-row
-    product differently; so every value equals that of one unblocked product.
-    Each block is transposed once, so every dimension's basis evaluation
-    reads one contiguous row.
+    also takes the ragged rest. No block is a single row unless N is 1,
+    because BLAS rounds a one-row product differently; so every value
+    equals that of one unblocked product. Blocks are transposed before
+    their basis evaluations, so every dimension's evaluation reads one
+    contiguous row.
+
+    The blocks are split into contiguous shares of whole blocks, one per
+    worker. Workers are the CPUs in the process's affinity mask
+    (`os.cpu_count()` where the platform has no mask), at most
+    `_EVAL_WORKERS` and at most one per block; BLAS thread settings are
+    not read. The first share runs on the calling thread and the others
+    on threads of a pool that is shut down before the call returns, so
+    one worker starts no thread. Each of W workers transposes ceil(d / W)
+    dimensions of its block at a time, so the transposes in flight hold
+    one block's points, and the working memory beyond the (N,) result is
+    that plus each worker's (rows, rank) and (rows, M+1) products,
+    whatever N is. A bad point raises the error of the lowest block that
+    holds one, as a serial loop over the blocks would.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim > 2:
@@ -136,12 +176,17 @@ def evaluate_batch(model: SeparatedModel, points: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
     out = np.empty(n)
     starts = list(range(0, max(n - _EVAL_BLOCK, 0) + 1, _EVAL_BLOCK))
-    for first, stop in zip(starts, starts[1:] + [n]):
-        yt = np.ascontiguousarray(pts[first:stop].T)  # (d, rows)
-        prod = np.ones((stop - first, model.rank))
-        for k in range(model.dims):
-            prod *= eval_basis_batch(model.basis, yt[k]) @ model.coeffs[k].T
-        out[first:stop] = prod @ model.scales
+    blocks = list(zip(starts, starts[1:] + [n]))
+    workers = min(_usable_cpus(), _EVAL_WORKERS, len(blocks))
+    width = -(-model.dims // workers)
+    shares = [blocks[i * len(blocks) // workers:(i + 1) * len(blocks) // workers]
+              for i in range(workers)]
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        futures = [pool.submit(_evaluate_blocks, model, pts, share, out, width)
+                   for share in shares[1:]]
+        _evaluate_blocks(model, pts, shares[0], out, width)
+        for future in futures:
+            future.result()
     return out
 
 

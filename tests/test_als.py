@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import logging
+import warnings
 
 import mpmath
 import numpy as np
@@ -479,6 +480,24 @@ def test_fit_fixed_warns_once_at_the_first_underdetermined_rank():
     underdetermined = [w for w in record if "unknown count" in str(w.message)]
     assert len(underdetermined) == 1
     assert "unknown count 6 of rank 2" in str(underdetermined[0].message)
+    assert underdetermined[0].filename == __file__
+
+
+def test_the_underdetermined_warning_under_select_model_names_the_callers_file():
+    # under "always", every warning is recorded with the frame it names; a
+    # select_model call must name this file, not seprep/selection.py, as a
+    # direct fit_fixed call does (the test above)
+    from seprep.selection import select_model
+
+    rng = np.random.default_rng(21)
+    data = SampleSet(rng.standard_normal((5, 2)), rng.standard_normal(5), Family.HERMITE)
+    cfg = FitConfig(rank_max=2, degree=2,
+                    init_candidates=1, candidate_burn_sweeps=2, max_sweeps_per_rank=3)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        select_model(data, [1, 2], [2], cfg)
+    underdetermined = [w for w in record if "unknown count 6 of rank 2" in str(w.message)]
+    assert len(underdetermined) == 1
     assert underdetermined[0].filename == __file__
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from helpers import mc_model_moments, naive_evaluate, random_model, unblocked_evaluate
 from seprep import model as model_module
-from seprep.basis import BasisSpec, Family
+from seprep.basis import BasisSpec, Family, eval_basis_batch
 from seprep.errors import DomainError, QuadraturePrecisionError
 from seprep.model import (
     SampleSet,
@@ -101,6 +103,80 @@ def test_evaluation_memory_is_bounded_by_one_block():
         tracemalloc.stop()
     assert out.shape == (400_000,) and np.all(np.isfinite(out))
     assert peak < 20e6
+
+
+@pytest.fixture(params=[1, 2, 8], ids=["1-cpu", "2-cpus", "8-cpus"])
+def workers(request, monkeypatch):
+    """Force the CPU count evaluate_batch reads; it caps workers at 2 and by blocks."""
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: request.param)
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre"])
+def test_every_worker_count_equals_one_product_bit_for_bit(family, workers):
+    # 9 dimensions: two workers transpose 5 and then 4 at a time
+    B = model_module._EVAL_BLOCK
+    rng = np.random.default_rng(45)
+    m = random_model(rng, dims=9, rank=3, degree=4, family=family)
+    pts = _points(family, rng, 5 * B + 7, 9)
+    for n in (2 * B + 3, 5 * B + 7):
+        assert np.array_equal(evaluate_batch(m, pts[:n]), unblocked_evaluate(m, pts[:n])), n
+
+
+def test_the_lowest_bad_block_sets_the_error_for_every_worker_count(workers, monkeypatch):
+    # bad points in blocks 1 and 3 of 5: one share at one worker, two shares
+    # at two; block 1's check is held back, so block 3's error comes first
+    # in time, yet the error is block 1's, as at one worker
+    B = model_module._EVAL_BLOCK
+    rng = np.random.default_rng(46)
+    m = random_model(rng, dims=3, rank=2, degree=2, family="legendre")
+    pts = _points("legendre", rng, 5 * B + 7, 3)
+    pts[B + 5, 2] = 1.5
+    pts[3 * B + 5, 0] = 2.5
+
+    def late_first_error(spec, y):
+        if np.any(y == 1.5):
+            time.sleep(0.1)
+        return eval_basis_batch(spec, y)
+
+    monkeypatch.setattr(model_module, "eval_basis_batch", late_first_error)
+    with pytest.raises(DomainError) as got:
+        evaluate_batch(m, pts)
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 1)
+    with pytest.raises(DomainError) as serial:
+        evaluate_batch(m, pts)
+    assert str(got.value) == str(serial.value) == (
+        "Legendre basis requires inputs in [-1, 1]; got value 1.5")
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_many_cpus_keep_evaluation_memory_within_one_block_bound(cpus, monkeypatch):
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: cpus)
+    test_evaluation_memory_is_bounded_by_one_block()
+
+
+def test_worker_threads_are_capped_and_end_with_the_call(monkeypatch):
+    # three blocks on eight forced CPUs: two workers, the calling thread and
+    # one pool thread, evaluating at once (each waits for the other at its
+    # first call), and no thread is left after the call
+    B = model_module._EVAL_BLOCK
+    idents = set()
+    both_started = threading.Barrier(2, timeout=30)
+
+    def recording_eval(spec, y):
+        if threading.get_ident() not in idents:
+            idents.add(threading.get_ident())
+            both_started.wait()
+        return eval_basis_batch(spec, y)
+
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(model_module, "eval_basis_batch", recording_eval)
+    rng = np.random.default_rng(47)
+    m = random_model(rng, dims=2, rank=2, degree=2)
+    pts = rng.standard_normal((3 * B, 2))
+    before = set(threading.enumerate())
+    evaluate_batch(m, pts)
+    assert set(threading.enumerate()) == before
+    assert len(idents) == 2 and threading.get_ident() in idents
 
 
 def test_points_with_more_than_two_axes_are_refused():
