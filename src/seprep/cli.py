@@ -35,7 +35,6 @@ from .problems import (
     MANUFACTURED_VAR,
     EllipticProblem,
     elliptic_sample,
-    elliptic_solve_batch,
     kl_decompose,
     manufactured_sample,
     mc_baseline,
@@ -282,13 +281,8 @@ def _problem_context(config: ExperimentConfig, sizes):
             if config.ref_file:
                 return _load_reference(config.ref_file)
             logger.info("computing elliptic Monte Carlo reference (n=%d)", config.ref_samples)
-            rng = np.random.default_rng(_REF_SEED)
-            mc = mc_baseline(
-                lambda n, _: elliptic_solve_batch(
-                    problem, rng.uniform(-1.0, 1.0, (n, problem.dims))
-                ),
-                config.ref_samples, _REF_SEED,
-            )
+            mc = mc_baseline(lambda n, s: elliptic_sample(problem, n, s).outputs,
+                             config.ref_samples, _REF_SEED)
             return _Reference(
                 mc.mean, mc.std, mc.stderr_mean, mc.stderr_std,
                 "monte-carlo", mc.n, _REF_SEED,
@@ -351,7 +345,6 @@ def cmd_fit(config: ExperimentConfig) -> int:
     _write_rows(out / "errors.csv", rows)
     _write_json(out / "run_info.json", {
         "config": dataclasses.asdict(config), "config_hash": config_hash(config),
-        "seeds": config.seeds,
     })
     return 2 if failures else 0
 

@@ -25,10 +25,6 @@ class InvariantError(SeprepError):
     """An internal numerical invariant (such as residual monotonicity) was violated."""
 
 
-class QuadraturePrecisionError(SeprepError):
-    """Requested quadrature rule is too coarse for exact moment integration."""
-
-
 class SelectionError(SeprepError):
     """Regularization-parameter or model selection found no finite candidate."""
 

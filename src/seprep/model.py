@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, Family, _check_count, eval_basis_batch, gauss_quadrature
-from .errors import QuadraturePrecisionError
+from .basis import BasisSpec, Family, _check_count, _check_domain, eval_basis_batch, gauss_quadrature
 
 __all__ = [
     "SampleSet",
@@ -38,7 +37,12 @@ __all__ = [
 
 @dataclass
 class SampleSet:
-    """Scattered input/output pairs: N points in d dimensions with scalar outputs."""
+    """Scattered input/output pairs: N points in d dimensions with scalar outputs.
+
+    The inputs pass the basis domain check of `eval_basis_batch`, so a point
+    that is not finite, or lies outside [-1, 1] for Legendre, raises the same
+    DomainError here; non-finite outputs raise a ValueError.
+    """
 
     inputs: np.ndarray
     outputs: np.ndarray
@@ -55,12 +59,9 @@ class SampleSet:
             )
         if self.inputs.shape[0] < 1:
             raise ValueError("sample set must contain at least one point")
-        if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.outputs))):
-            raise ValueError("sample set contains non-finite values")
-        if self.family is Family.LEGENDRE and (
-            self.inputs.min() < -1.0 or self.inputs.max() > 1.0
-        ):
-            raise ValueError("legendre-family inputs must lie in [-1, 1]^d")
+        _check_domain(self.family, self.inputs)
+        if not np.all(np.isfinite(self.outputs)):
+            raise ValueError("sample set outputs must be finite")
 
     @property
     def n(self) -> int:
@@ -221,34 +222,27 @@ def standard_deviation(model: SeparatedModel) -> float:
     return math.ldexp(math.sqrt(max(var, 0.0)), e)
 
 
-def moment(model: SeparatedModel, m: int, quad_points: int) -> float:
+def moment(model: SeparatedModel, m: int) -> float:
     """m-th raw moment, computed dimension by dimension with Gauss quadrature.
 
     Expanding u^m over m term indices turns the d-dimensional integral into a
     product of one-dimensional integrals of m-fold factor products, each a
-    polynomial of degree at most m*M. The rule must therefore have at least
-    ceil((m*M + 1) / 2) points to be exact.
+    polynomial of degree at most m*M, so the family's Gauss rule with
+    ceil((m*M + 1) / 2) points integrates each one exactly.
     """
     _check_count("m", m, 1)
-    _check_count("quad_points", quad_points, 1)
-    needed = -(-(m * model.basis.max_degree + 1) // 2)
-    if quad_points < needed:
-        raise QuadraturePrecisionError(
-            f"moment of order {m} at degree {model.basis.max_degree} needs at least "
-            f"{needed} quadrature points, got {quad_points}"
-        )
-    nodes, weights = gauss_quadrature(model.basis, quad_points)
+    nodes, weights = gauss_quadrature(model.basis, -(-(m * model.basis.max_degree + 1) // 2))
     psi = eval_basis_batch(model.basis, nodes)  # (q, M+1)
     r = model.rank
     total = np.ones((r,) * m)
     for k in range(model.dims):
         vals = model.coeffs[k] @ psi.T  # (r, q)
         tk = np.zeros((r,) * m)
-        for q in range(quad_points):
-            outer = vals[:, q]
+        for w, v in zip(weights, vals.T):
+            outer = v
             for _ in range(m - 1):
-                outer = np.multiply.outer(outer, vals[:, q])
-            tk += weights[q] * outer
+                outer = np.multiply.outer(outer, v)
+            tk += w * outer
         total *= tk
     for _ in range(m):
         total = total @ model.scales
@@ -291,7 +285,8 @@ def model_from_dict(doc: dict) -> SeparatedModel:
     _check_keys(doc, _MODEL_KEYS, "model document")
     basis = BasisSpec(Family(doc["family"]), doc["max_degree"])
     model = SeparatedModel(basis, np.array(doc["scales"]), np.array(doc["coeffs"]))
-    if model.dims != int(doc["dims"]) or model.rank != int(doc["rank"]):
+    header = (_check_count("dims", doc["dims"], 1), _check_count("rank", doc["rank"], 1))
+    if header != (model.dims, model.rank):
         raise ValueError("model document header disagrees with coefficient shapes")
     return model
 

@@ -160,8 +160,9 @@ def kl_decompose(corr_length: float, d: int, n_grid: int = 512) -> KLExpansion:
     have unit L2(0, 1) norm.
     """
     _check_count("d", d, 1)
-    if not corr_length > 0.0:
-        raise ValueError(f"correlation length must be positive, got {corr_length}")
+    if isinstance(corr_length, bool) or not 0.0 < corr_length < math.inf:
+        raise ValueError(
+            f"correlation length must be positive and finite, got corr_length={corr_length!r}")
     _check_count("n_grid", n_grid, 4 * d)  # at least four nodes per mode
     x, w = _gauss_legendre_01(n_grid)
     K = np.exp(-np.subtract.outer(x, x) ** 2 / corr_length**2)
@@ -395,12 +396,15 @@ class MCResult:
 def mc_baseline(sampler, n: int, seed: int) -> MCResult:
     """Plain Monte Carlo estimates with standard errors.
 
-    `sampler(n, seed)` must return the n output values. The standard error
-    of the std estimate uses the delta method with the sample fourth moment,
-    so it stays honest for non-Gaussian outputs.
+    `sampler(n, seed)` must return exactly n output values; any other count
+    is a ValueError. The standard error of the std estimate uses the delta
+    method with the sample fourth moment, so it stays honest for
+    non-Gaussian outputs.
     """
     _check_count("n", n, 2)
     values = np.asarray(sampler(n, seed), dtype=float).ravel()
+    if values.size != n:
+        raise ValueError(f"sampler returned {values.size} values for n = {n}")
     m = float(values.mean())
     s = float(values.std(ddof=1))
     centered = values - m

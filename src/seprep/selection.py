@@ -78,7 +78,9 @@ class SelectionReport:
 
     grid is the requested grid. ei_max, residuals and models hold the fitted
     pairs only: a pair above the rank where its degree's ladder stopped is
-    absent from all three.
+    absent from all three. config is the caller's, and each degree's fit
+    seed derives from config.rng_seed (see degree_seeds), so the report
+    stores no seed of its own.
     """
 
     grid: list
@@ -86,9 +88,12 @@ class SelectionReport:
     residuals: dict
     models: dict
     chosen: tuple
-    base_seed: int
-    degree_seeds: dict
     config: FitConfig
+
+    @property
+    def degree_seeds(self) -> dict:
+        """The seed each degree's fit started from, as select_model derives it."""
+        return per_degree_seeds(self.config.rng_seed, sorted({m for _, m in self.grid}))
 
     def chosen_model(self) -> SeparatedModel:
         return self.models[self.chosen]
@@ -104,8 +109,6 @@ class SelectionReport:
             "residuals": {key(p): self.residuals[p] for p in fitted},
             "models": {key(p): model_to_dict(self.models[p]) for p in fitted},
             "chosen": list(self.chosen),
-            "base_seed": self.base_seed,
-            "degree_seeds": {str(m): s for m, s in self.degree_seeds.items()},
             "config": dataclasses.asdict(self.config),
         }
 
@@ -115,10 +118,14 @@ class SelectionReport:
             r, m = s.split(",")
             return (int(r), int(m))
 
+        def read_pair(what, p):
+            r, m = p
+            return (_check_count(f"{what} rank", r, 1), _check_count(f"{what} degree", m, 0))
+
         _check_keys(doc, [f.name for f in dataclasses.fields(cls)], "selection report")
         _check_keys(doc["config"], [f.name for f in dataclasses.fields(FitConfig)],
                    "selection report config")
-        grid = [tuple(p) for p in doc["grid"]]
+        grid = [read_pair("grid", p) for p in doc["grid"]]
         tables = {name: {unkey(k): v for k, v in doc[name].items()}
                   for name in ("ei_max", "residuals", "models")}
         fitted = set(tables["ei_max"])
@@ -132,7 +139,7 @@ class SelectionReport:
                 pair = unmatched[0]
                 has, lacks = ("ei_max", name) if pair in fitted else (name, "ei_max")
                 raise ValueError(f"selection report {has} holds {pair} and {lacks} does not")
-        chosen = tuple(doc["chosen"])
+        chosen = read_pair("chosen", doc["chosen"])
         if chosen not in fitted:
             raise ValueError(f"selection report chose {chosen}, which is not a fitted pair")
         return cls(
@@ -141,8 +148,6 @@ class SelectionReport:
             residuals=tables["residuals"],
             models={p: model_from_dict(v) for p, v in tables["models"].items()},
             chosen=chosen,
-            base_seed=doc["base_seed"],
-            degree_seeds={int(k): v for k, v in doc["degree_seeds"].items()},
             config=FitConfig(**doc["config"]),
         )
 
@@ -206,7 +211,5 @@ def select_model(
         residuals=residuals,
         models=models,
         chosen=chosen,
-        base_seed=config.rng_seed,
-        degree_seeds=seeds,
         config=config,
     )

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seprep import cli
 from seprep.basis import Family
 from seprep.cli import (
     ERROR_COLUMNS,
@@ -19,7 +20,12 @@ from seprep.cli import (
 )
 from seprep.errors import DatasetFormatError, InvariantError
 from seprep.model import SampleSet
-from seprep.problems import EllipticProblem, manufactured_sample
+from seprep.problems import (
+    EllipticProblem,
+    elliptic_solve_batch,
+    manufactured_sample,
+    mc_baseline,
+)
 
 
 def _read_rows(path):
@@ -117,6 +123,20 @@ def test_cmd_fit_writes_all_artifacts(tmp_path):
     assert (out / "selection_N200_seed1.json").exists()
     ref = json.loads((out / "reference.json").read_text())
     assert ref["mean"] == 0.55
+    assert sorted(json.loads((out / "run_info.json").read_text())) == ["config", "config_hash"]
+
+
+def test_elliptic_reference_draws_through_elliptic_sample_bit_for_bit():
+    # the reference's inputs are elliptic_sample's uniform draw from the
+    # reference seed, the same bits as an explicit draw solved in one batch
+    config = ExperimentConfig(problem="elliptic", ref_samples=2000)
+    ref = cli._problem_context(config, [1])[1]()
+    problem = EllipticProblem()
+    points = np.random.default_rng(cli._REF_SEED).uniform(-1.0, 1.0, (2000, problem.dims))
+    mc = mc_baseline(lambda n, s: elliptic_solve_batch(problem, points), 2000, cli._REF_SEED)
+    assert (ref.mean, ref.std, ref.stderr_mean, ref.stderr_std, ref.n, ref.seed) == (
+        mc.mean, mc.std, mc.stderr_mean, mc.stderr_std, mc.n, cli._REF_SEED)
+    assert ref.source == "monte-carlo"
 
 
 def test_cmd_fit_invariant_failure_is_a_per_row_failure(tmp_path, monkeypatch):
@@ -300,6 +320,7 @@ def test_cli_os_error_is_fatal_without_a_traceback(tmp_path, caplog):
     (["kl-info", "--dims", "0"], None, "d must be an integer >= 1, got 0"),
     (["kl-info", "--dims", "-3"], None, "d must be an integer >= 1, got -3"),
     (["kl-info", "--corr-length", "0"], None, "correlation length must be positive"),
+    (["kl-info", "--corr-length", "inf"], None, "positive and finite, got corr_length=inf"),
     (["fit", "--config", "in.json"], {"seeds": [True]}, "seeds must be"),
     (["fit", "--config", "in.json"], {"noisy": "no"}, "noisy must be true or false"),
     (["fit", "--config", "in.json"], {"penalty": "none"}, "penalty must be one of"),
@@ -320,6 +341,7 @@ def test_cli_os_error_is_fatal_without_a_traceback(tmp_path, caplog):
 ], ids=["ref-missing-keys", "ref-not-object", "sizes-not-list", "seeds-string",
         "negative-degree", "select-no-dataset", "dataset-size-mismatch",
         "negative-pc-degree", "kl-zero-dims", "kl-negative-dims", "kl-zero-corr-length",
+        "kl-infinite-corr-length",
         "seed-bool", "noisy-string", "penalty-none", "force-int", "pc-degree-float",
         "ref-samples-float", "ref-samples-one", "ref-seed-negative", "ref-seed-bool",
         "dataset-number", "ref-bool", "ref-nan", "ref-inf"])

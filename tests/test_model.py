@@ -9,8 +9,8 @@ import pytest
 
 from helpers import mc_model_moments, naive_evaluate, random_model, unblocked_evaluate
 from seprep import model as model_module
-from seprep.basis import BasisSpec, Family, eval_basis_batch
-from seprep.errors import DomainError, QuadraturePrecisionError
+from seprep.basis import BasisSpec, Family, eval_basis_batch, gauss_quadrature
+from seprep.errors import DomainError
 from seprep.model import (
     SampleSet,
     SeparatedModel,
@@ -215,8 +215,34 @@ def test_mean_and_second_moment_match_monte_carlo(family):
 def test_moment_consistency_with_closed_forms():
     rng = np.random.default_rng(7)
     m = random_model(rng, dims=3, rank=2, degree=3)
-    assert moment(m, 1, 8) == pytest.approx(mean(m), rel=1e-12, abs=1e-12)
-    assert moment(m, 2, 8) == pytest.approx(second_moment(m), rel=1e-12)
+    assert moment(m, 1) == pytest.approx(mean(m), rel=1e-12, abs=1e-12)
+    assert moment(m, 2) == pytest.approx(second_moment(m), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre"])
+def test_moment_sizes_the_least_exact_rule(family, monkeypatch):
+    # u^m has degree m*M in each dimension: the ceil((m*M + 1) / 2)-point
+    # rule moment asks for must agree with a tensor rule 6 points larger,
+    # which integrates the evaluated surrogate by another route
+    sizes = []
+
+    def recording_rule(spec, n_points):
+        sizes.append(n_points)
+        return gauss_quadrature(spec, n_points)
+
+    monkeypatch.setattr(model_module, "gauss_quadrature", recording_rule)
+    rng = np.random.default_rng(48)
+    for M in range(5):
+        model = random_model(rng, dims=3, rank=2, degree=M, family=family)
+        for m in range(1, 5):
+            least = -(-(m * M + 1) // 2)
+            nodes, weights = gauss_quadrature(model.basis, least + 6)
+            grid = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1)
+            w = np.einsum("i,j,k->ijk", weights, weights, weights).ravel()
+            oracle = float(w @ evaluate_batch(model, grid.reshape(-1, 3)) ** m)
+            sizes.clear()
+            assert moment(model, m) == pytest.approx(oracle, rel=1e-12, abs=1e-14), (M, m)
+            assert sizes == [least], (M, m)
 
 
 def test_fourth_moment_of_benchmark_against_grid_oracle():
@@ -228,7 +254,7 @@ def test_fourth_moment_of_benchmark_against_grid_oracle():
     from seprep.basis import eval_basis_batch, gauss_quadrature
 
     m = manufactured_model()
-    m4 = moment(m, 4, 10)
+    m4 = moment(m, 4)
     nodes, weights = gauss_quadrature(m.basis, 7)
     psi = eval_basis_batch(m.basis, nodes)
     g1, g2, g3, g8, g9 = np.meshgrid(*([nodes] * 5), indexing="ij")
@@ -255,30 +281,23 @@ def test_fourth_moment_against_monte_carlo_light_tails():
     rng = np.random.default_rng(40)
     m = random_model(rng, dims=3, rank=2, degree=2)
     m.coeffs *= 0.5
-    m4 = moment(m, 4, 8)
+    m4 = moment(m, 4)
     mc_m4, se = mc_model_moments(m, 2_000_000, seed=17, power=4)
     assert abs(m4 - mc_m4) <= 3.0 * se
 
 
-def test_moment_rejects_coarse_rule():
-    m = manufactured_model()
-    with pytest.raises(QuadraturePrecisionError):
-        moment(m, 4, 5)  # needs ceil((4*3+1)/2) = 7 points
-
-
-@pytest.mark.parametrize("field, m, quad_points", [
+@pytest.mark.parametrize("field, m, max_degree", [
     ("m", 2.5, 10), ("m", 2.0, 10), ("m", True, 10), ("m", "2", 10), ("m", 0, 10),
-    ("quad_points", 2, 7.5), ("quad_points", 2, 7.0), ("quad_points", 2, True),
-    ("quad_points", 2, "7"),
 ])
-def test_moment_refuses_non_integer_counts(field, m, quad_points):
+def test_moment_refuses_non_integer_counts(field, m, max_degree):
+    # the order is refused before it sizes a rule for the model's degree
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-        moment(manufactured_model(), m, quad_points)
+        moment(manufactured_model(max_degree), m)
 
 
 def test_moment_takes_numpy_integer_counts():
     m = manufactured_model()
-    assert moment(m, np.int64(2), np.int32(10)) == moment(m, 2, 10)
+    assert moment(m, np.int64(2)) == moment(m, 2)
 
 
 def test_empirical_norm():
@@ -368,7 +387,10 @@ def test_non_finite_model_is_refused(scale, coeff):
     ("scales", [1.0, float("nan")], "finite"),  # JSON readers take NaN; the model must not
     ("max_degree", 1.7, "max_degree"),
     ("max_degree", True, "max_degree"),
-], ids=["nan-scale", "float-degree", "bool-degree"])
+    # the header counts follow the one count rule too: int() would read 2.7 as 2
+    ("dims", 2.7, "^dims must be an integer >= 1, got 2.7"),
+    ("rank", 2.0, "^rank must be an integer >= 1, got 2.0"),
+], ids=["nan-scale", "float-degree", "bool-degree", "float-dims", "integral-float-rank"])
 def test_model_document_with_bad_values_is_refused(tmp_path, key, value, named):
     doc = model_to_dict(random_model(np.random.default_rng(23), dims=2, rank=2, degree=1))
     path = tmp_path / "model.json"
@@ -384,6 +406,22 @@ def test_sample_set_validation():
         SampleSet(np.array([[0.0, 1.5]]), np.array([1.0]), Family.LEGENDRE)
     with pytest.raises(ValueError):
         SampleSet(np.ones((3, 2)), np.ones(2), Family.HERMITE)
+    with pytest.raises(ValueError, match="outputs must be finite"):
+        SampleSet(np.zeros((2, 2)), np.array([1.0, np.inf]), Family.HERMITE)
+
+
+@pytest.mark.parametrize("family, bad", [
+    ("legendre", 1.5), ("legendre", -np.inf), ("legendre", np.nan),
+    ("hermite", np.nan), ("hermite", np.inf),
+])
+def test_a_bad_input_is_one_domain_error_in_sample_set_and_basis(family, bad):
+    pts = np.zeros((3, 2))
+    pts[1, 1] = bad
+    with pytest.raises(DomainError) as in_set:
+        SampleSet(pts, np.ones(3), family)
+    with pytest.raises(DomainError) as in_basis:
+        eval_basis_batch(BasisSpec(family, 2), pts)
+    assert str(in_set.value) == str(in_basis.value)
 
 
 def test_json_round_trip_is_bit_exact(tmp_path):

@@ -151,6 +151,9 @@ def test_a_directly_built_problem_builds_itself():
     assert finer != prob and dataclasses.replace(finer, mesh_elements=16) == prob
     with pytest.raises(DomainError, match="query_point"):
         problems.EllipticProblem(query_point=1.0)
+    # a bool is not a length, and the expansion it builds refuses it by name
+    with pytest.raises(ValueError, match="got corr_length=True"):
+        problems.EllipticProblem(corr_length=True)
 
 
 def test_elliptic_mesh_refinement(problem):
@@ -428,6 +431,13 @@ def test_elliptic_large_batch_memory_is_bounded(problem):
 def test_mc_baseline_constant():
     res = mc_baseline(lambda n, s: np.full(n, 3.0), 100, seed=0)
     assert res.mean == 3.0 and res.std == 0.0 and res.stderr_std == 0.0
+
+
+@pytest.mark.parametrize("returned", [3, 9, 11])
+def test_mc_baseline_refuses_a_sampler_result_of_another_length(returned):
+    # three values for n = 10 used to report n = 10 and a stderr of 1/sqrt(10)
+    with pytest.raises(ValueError, match=f"^sampler returned {returned} values for n = 10$"):
+        mc_baseline(lambda n, s: np.arange(returned, dtype=float), 10, seed=0)
 
 
 def test_mc_baseline_manufactured():

@@ -298,7 +298,10 @@ def test_selection_deterministic_and_serializable():
      r"config has unknown keys \['l_identity', 'regularize'\] and missing keys \['penalty'\]"),
     (None, ["chosen"], {}, r"report has unknown keys \[\] and missing keys \['chosen'\]"),
     (None, [], {"notes": ""}, r"report has unknown keys \['notes'\]"),
-], ids=["old-config", "no-chosen", "unknown-key"])
+    # a report written when it stored the seeds that its config derives
+    (None, [], {"base_seed": 2.5, "degree_seeds": {"1": "x"}},
+     r"report has unknown keys \['base_seed', 'degree_seeds'\] and missing keys \[\]"),
+], ids=["old-config", "no-chosen", "unknown-key", "stored-seeds"])
 def test_report_document_with_wrong_keys_is_refused(part, remove, add, named):
     doc = select_model(_toy_data(), [1], [1], _fast_config(seed=11)).to_dict()
     target = doc if part is None else doc[part]
@@ -321,9 +324,12 @@ def test_stopped_report_round_trips(stopped_report):
         assert np.array_equal(back.models[pair].coeffs, model.coeffs)
         assert np.array_equal(back.models[pair].scales, model.scales)
     assert back.to_dict() == report.to_dict()
+    assert report.degree_seeds == back.degree_seeds == per_degree_seeds(
+        _fast_config().rng_seed, [1, 2])
 
 
-@pytest.mark.parametrize("case", ["outside-grid", "unmatched-tables", "chosen-not-fitted"])
+@pytest.mark.parametrize("case", ["outside-grid", "unmatched-tables", "chosen-not-fitted",
+                                  "float-grid-entry", "float-chosen"])
 def test_report_document_with_malformed_tables_is_refused(stopped_report, case):
     _, report = stopped_report
     doc = json.loads(json.dumps(report.to_dict()))
@@ -334,9 +340,15 @@ def test_report_document_with_malformed_tables_is_refused(stopped_report, case):
     elif case == "unmatched-tables":
         del doc["models"]["2,1"]
         named = r"ei_max holds \(2, 1\) and models does not"
-    else:
+    elif case == "chosen-not-fitted":
         doc["chosen"] = [4, 2]  # in the grid, above where degree 2's ladder stopped
         named = r"chose \(4, 2\), which is not a fitted pair"
+    elif case == "float-grid-entry":
+        doc["grid"][0] = [1.0, 1]
+        named = r"^grid rank must be an integer >= 1, got 1.0"
+    else:
+        doc["chosen"] = [doc["chosen"][0], float(doc["chosen"][1])]
+        named = r"^chosen degree must be an integer >= 0, got \d\.0"
     with pytest.raises(ValueError, match=named):
         SelectionReport.from_dict(doc)
 
