@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .als import FitConfig
-from .basis import Family, _check_count
-from .errors import DatasetFormatError, SeprepError
+from .basis import Family, _check_count, _check_domain
+from .errors import DatasetFormatError, DomainError, SeprepError
 from .model import (
     SampleSet,
     mean as model_mean,
@@ -165,7 +165,7 @@ def read_dataset(path, family: Family | str) -> SampleSet:
                         f"{path}: bad header column {got!r}, expected {want!r}"
                     )
             raise DatasetFormatError(f"{path}: malformed header {header!r}")
-        rows = []
+        rows, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -182,10 +182,20 @@ def read_dataset(path, family: Family | str) -> SampleSet:
                     f"{path}:{lineno}: non-finite value in data row {lineno - 2}"
                 )
             rows.append(vals)
+            linenos.append(lineno)
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
     arr = np.array(rows)
-    return SampleSet(arr[:, :-1], arr[:, -1], family)
+    try:
+        return SampleSet(arr[:, :-1], arr[:, -1], family)
+    except DomainError:
+        # the whole-array check failed: re-check row by row to name the first bad line
+        for lineno, inputs in zip(linenos, arr[:, :-1]):
+            try:
+                _check_domain(family, inputs)
+            except DomainError as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +261,18 @@ def _load_reference(path) -> _Reference:
            or not isinstance(doc.get(k), (int, float)) or not math.isfinite(doc[k])]
     if bad:
         raise ValueError(f"{path}: reference lacks finite numeric values for {bad}")
-    return _Reference(
-        *(doc[k] for k in stats), doc.get("source", "file"), doc.get("n"), doc.get("seed")
-    )
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(_Reference)})
+    if unknown:
+        raise ValueError(f"{path}: unknown reference keys {unknown}")
+    source = doc.get("source", "file")
+    if not isinstance(source, str):
+        raise ValueError(f"{path}: reference source must be a string, got {source!r}")
+    try:
+        n, seed = (None if doc.get(k) is None else _check_count(k, doc[k], least)
+                   for k, least in (("n", _INT_MINIMA["ref_samples"]), ("seed", 0)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: reference {exc}") from None
+    return _Reference(*(doc[k] for k in stats), source, n, seed)
 
 
 def _external_dataset(config: ExperimentConfig) -> SampleSet:
@@ -433,28 +452,45 @@ def _rank_grid(text):
     return list(range(1, int(text) + 1))
 
 
-def _add_common(parser):
-    """Options whose dest is an ExperimentConfig field; absent ones leave it alone."""
-    parser.add_argument("--config", help="JSON experiment config; flags override it")
-    parser.add_argument("--problem", choices=["manufactured", "elliptic", "external-dataset"])
-    parser.add_argument("--n", dest="sample_sizes", type=_int_list,
-                        help="comma-separated sample sizes")
-    parser.add_argument("--seeds", type=_int_list, help="comma-separated seeds")
-    parser.add_argument("--r-max", dest="r_grid", type=_rank_grid,
-                        help="rank grid becomes 1..r_max")
-    parser.add_argument("--m-grid", type=_int_list, help="comma-separated degrees")
-    parser.add_argument("--penalty", choices=_PENALTIES,
-                        help="Tikhonov penalty: the surrogate's second moment (default) "
-                             "or the diag-scale comparison penalty")
-    parser.add_argument("--out", dest="output_dir", help="output directory")
-    parser.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    parser.add_argument("--dataset", help="external dataset CSV path")
-    parser.add_argument("--family", choices=["hermite", "legendre"])
-    parser.add_argument("--ref-file", help="JSON reference statistics")
-    parser.add_argument("--ref-samples", type=int)
-    parser.add_argument("--pc-degree", type=int)
-    parser.add_argument("--no-noise", dest="noisy", action="store_false",
-                        help="disable observation noise for the manufactured problem")
+# add_argument keywords of each flag of fit, select, baselines and sample, by name
+_FLAGS = {
+    "--config": dict(help="JSON experiment config; flags override it"),
+    "--problem": dict(choices=["manufactured", "elliptic", "external-dataset"]),
+    "--n": dict(dest="sample_sizes", type=_int_list, help="comma-separated sample sizes"),
+    "--seeds": dict(type=_int_list, help="comma-separated seeds"),
+    "--r-max": dict(dest="r_grid", type=_rank_grid, help="rank grid becomes 1..r_max"),
+    "--m-grid": dict(type=_int_list, help="comma-separated degrees"),
+    "--penalty": dict(choices=_PENALTIES,
+                      help="Tikhonov penalty: the surrogate's second moment (default) "
+                           "or the diag-scale comparison penalty"),
+    "--out": dict(dest="output_dir", help="output directory"),
+    "--force": dict(action="store_true", help="overwrite existing outputs"),
+    "--dataset": dict(help="external dataset CSV path"),
+    "--family": dict(choices=["hermite", "legendre"]),
+    "--ref-file": dict(help="JSON reference statistics"),
+    "--ref-samples": dict(type=int),
+    "--pc-degree": dict(type=int),
+    "--no-noise": dict(dest="noisy", action="store_false",
+                       help="disable observation noise for the manufactured problem"),
+    "--sample-n": dict(type=int, required=True),
+    "--sample-seed": dict(type=int, default=0),
+    "--sample-out": dict(required=True),
+}
+
+# each subcommand's help and the flags its code reads; absent flags leave their field alone
+_COMMANDS = {
+    "fit": ("EI-selected fits per (N, seed) with error tables",
+            "--config --problem --n --seeds --r-max --m-grid --penalty --out --force --dataset "
+            "--family --ref-file --ref-samples --no-noise"),
+    "select": ("rank/degree selection on an external dataset",
+               "--config --seeds --r-max --m-grid --penalty --out --force --dataset --family"),
+    "baselines": ("Monte Carlo and regression baselines",
+                  "--config --problem --n --seeds --out --force --dataset --family --ref-file "
+                  "--ref-samples --pc-degree --no-noise"),
+    "sample": ("generate a dataset CSV",
+               "--config --problem --force --dataset --family --no-noise --sample-n "
+               "--sample-seed --sample-out"),
+}
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -480,17 +516,10 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("fit", "EI-selected fits per (N, seed) with error tables"),
-        ("select", "rank/degree selection on an external dataset"),
-        ("baselines", "Monte Carlo and regression baselines"),
-        ("sample", "generate a dataset CSV"),
-    ]:
-        _add_common(sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS))
-    p_samp = sub.choices["sample"]
-    p_samp.add_argument("--sample-n", type=int, required=True)
-    p_samp.add_argument("--sample-seed", type=int, default=0)
-    p_samp.add_argument("--sample-out", required=True)
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
     p_kl = sub.add_parser("kl-info", help="covariance eigen-decomposition summary")
     p_kl.add_argument("--corr-length", type=float, default=EllipticProblem.corr_length)
     p_kl.add_argument("--dims", type=int, default=EllipticProblem.dims)

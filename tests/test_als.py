@@ -587,6 +587,15 @@ def test_sweep_refuses_a_model_of_another_family():
         sweep(data, model, FitConfig(rank_max=1, degree=1))
 
 
+@pytest.mark.parametrize("case", ["degree", "dims"])
+def test_sweep_refuses_a_model_whose_degree_or_dims_disagree(case):
+    rng = np.random.default_rng(58)
+    model = random_model(rng, dims=3 if case == "dims" else 2, rank=1, degree=1)
+    data = SampleSet(rng.standard_normal((20, 2)), rng.standard_normal(20), Family.HERMITE)
+    with pytest.raises(ValueError, match=f"^model {case} disagree"):
+        sweep(data, model, FitConfig(rank_max=1, degree=2 if case == "degree" else 1))
+
+
 @pytest.mark.parametrize("floor_rel", [0.0, 1.5, float("nan"), "0.05", True])
 def test_lambda_floor_outside_the_unit_interval_is_refused(floor_rel):
     with pytest.raises(ValueError, match="lambda_floor_rel must lie in"):

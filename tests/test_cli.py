@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -251,7 +252,6 @@ def test_cli_select_external_dataset(tmp_path):
     write_dataset(data_path, manufactured_sample(200, seed=5))
     rc = main([
         "select", "--dataset", str(data_path), "--family", "hermite",
-        "--problem", "external-dataset",
         "--r-max", "2", "--m-grid", "2,3", "--seeds", "0",
         "--out", str(tmp_path / "sel"),
     ])
@@ -259,6 +259,72 @@ def test_cli_select_external_dataset(tmp_path):
     doc = json.loads((tmp_path / "sel" / "selection.json").read_text())
     assert tuple(doc["chosen"]) in {(1, 2), (1, 3), (2, 2), (2, 3)}
     assert (tmp_path / "sel" / "model.json").exists()
+
+
+def test_dataset_point_outside_the_basis_domain_names_its_line(tmp_path, caplog):
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("y1,y2,u\n0.5,-0.5,1.0\n0.5,1.5,2.0\n0.5,-1.5,3.0\n")
+    rc = main(["select", "--dataset", str(data_path), "--family", "legendre",
+               "--r-max", "1", "--m-grid", "1", "--out", str(tmp_path / "sel")])
+    assert rc == 1
+    assert (f"{data_path}:3: Legendre basis requires inputs in [-1, 1]; got value 1.5"
+            in caplog.text)
+    assert not (tmp_path / "sel").exists()
+
+
+# the flags each subcommand reads, and so takes
+_SUBCOMMAND_FLAGS = {
+    "fit": {"--config", "--problem", "--n", "--seeds", "--r-max", "--m-grid", "--penalty",
+            "--out", "--force", "--dataset", "--family", "--ref-file", "--ref-samples",
+            "--no-noise"},
+    "select": {"--config", "--seeds", "--r-max", "--m-grid", "--penalty", "--out", "--force",
+               "--dataset", "--family"},
+    "baselines": {"--config", "--problem", "--n", "--seeds", "--out", "--force", "--dataset",
+                  "--family", "--ref-file", "--ref-samples", "--pc-degree", "--no-noise"},
+    "sample": {"--config", "--problem", "--force", "--dataset", "--family", "--no-noise",
+               "--sample-n", "--sample-seed", "--sample-out"},
+    "kl-info": {"--corr-length", "--dims", "--n-grid", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_FLAGS))
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags - {"--help"} == _SUBCOMMAND_FLAGS[command]
+
+
+# a command that runs and writes, for each subcommand with flags it does not read
+_RUNNABLE = {
+    "fit": ["fit", "--n", "60", "--seeds", "0", "--r-max", "1", "--m-grid", "1", "--out", "o"],
+    "select": ["select", "--dataset", "d.csv", "--family", "hermite", "--r-max", "1",
+               "--m-grid", "1", "--out", "o"],
+    "baselines": ["baselines", "--n", "60", "--seeds", "0", "--pc-degree", "1", "--out", "o"],
+    "sample": ["sample", "--sample-n", "5", "--sample-out", "o"],
+}
+_UNREAD = {"--problem": ["elliptic"], "--n": ["500"], "--seeds": ["7"], "--r-max": ["9"],
+           "--m-grid": ["1,2"], "--penalty": ["diag_scale"], "--out": ["ignored"],
+           "--ref-file": ["ref.json"], "--ref-samples": ["100"], "--pc-degree": ["4"],
+           "--no-noise": []}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in _RUNNABLE for flag in _UNREAD
+    if flag not in _SUBCOMMAND_FLAGS[command]
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
+        tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    write_dataset("d.csv", manufactured_sample(60, seed=0))
+    with pytest.raises(SystemExit) as exc:
+        main(_RUNNABLE[command] + [flag] + _UNREAD[flag])
+    assert exc.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+    # without the flag the same command runs and writes its output
+    assert main(_RUNNABLE[command]) == 0
+    assert (tmp_path / "o").exists()
 
 
 def test_cli_kl_info(tmp_path, capsys):
@@ -306,6 +372,10 @@ def test_cli_os_error_is_fatal_without_a_traceback(tmp_path, caplog):
     assert not (tmp_path / "o").exists()
 
 
+# the four statistics of a valid --ref-file
+_REF = {"mean": 1.0, "std": 1.0, "stderr_mean": 0.0, "stderr_std": 0.0}
+
+
 @pytest.mark.parametrize("argv, inputs, named", [
     (["fit", "--problem", "elliptic", "--ref-file", "in.json"], {"mean": 1.0}, "'std'"),
     (["fit", "--problem", "elliptic", "--ref-file", "in.json"], [1, 2], "'mean'"),
@@ -338,13 +408,32 @@ def test_cli_os_error_is_fatal_without_a_traceback(tmp_path, caplog):
      {"mean": 1.0, "std": math.nan, "stderr_mean": 0.0, "stderr_std": 0.0}, "'std'"),
     (["fit", "--problem", "elliptic", "--ref-file", "in.json"],
      {"mean": 1.0, "std": 1.0, "stderr_mean": math.inf, "stderr_std": 0.0}, "'stderr_mean'"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"], dict(_REF, stdev=3, xs=[]),
+     "unknown reference keys ['stdev', 'xs']"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"], dict(_REF, n=2.5),
+     "reference n must be an integer >= 2, got 2.5"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"], dict(_REF, n=1),
+     "reference n must be an integer >= 2, got 1"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"], dict(_REF, n=True),
+     "reference n must be an integer >= 2, got True"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"], dict(_REF, seed="x"),
+     "reference seed must be an integer >= 0, got 'x'"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"], dict(_REF, seed=-1),
+     "reference seed must be an integer >= 0, got -1"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"], dict(_REF, source=7),
+     "reference source must be a string, got 7"),
+    (["fit", "--problem", "elliptic", "--ref-file", "in.json"], dict(_REF, source=None),
+     "reference source must be a string, got None"),
+    (["fit", "--config", "in.json"], {"problem": "heat"}, "unknown problem 'heat'"),
 ], ids=["ref-missing-keys", "ref-not-object", "sizes-not-list", "seeds-string",
         "negative-degree", "select-no-dataset", "dataset-size-mismatch",
         "negative-pc-degree", "kl-zero-dims", "kl-negative-dims", "kl-zero-corr-length",
         "kl-infinite-corr-length",
         "seed-bool", "noisy-string", "penalty-none", "force-int", "pc-degree-float",
         "ref-samples-float", "ref-samples-one", "ref-seed-negative", "ref-seed-bool",
-        "dataset-number", "ref-bool", "ref-nan", "ref-inf"])
+        "dataset-number", "ref-bool", "ref-nan", "ref-inf", "ref-unknown-keys",
+        "ref-n-fraction", "ref-n-one", "ref-n-bool", "ref-file-seed-string",
+        "ref-file-seed-negative", "ref-source-number", "ref-source-null", "problem-unknown"])
 def test_cli_bad_input_is_fatal_before_any_output(tmp_path, caplog, argv, inputs, named):
     if isinstance(inputs, str):
         (tmp_path / "in.csv").write_text(inputs)
@@ -378,6 +467,30 @@ def test_config_counts_follow_the_one_rule(name, case):
     assert value == ([least] if listed else least)
     assert type(value[0] if listed else value) is int
     assert config_hash(config) == config_hash(ExperimentConfig(**{name: value}))
+
+
+@pytest.mark.parametrize("problem", ["manufactured", "elliptic", "external-dataset"])
+def test_a_written_reference_loads_back_byte_identical(tmp_path, caplog, problem):
+    # the reference.json of a fit is a valid --ref-file that the next fit writes
+    # again unchanged; the external dataset's has no statistics, so it is refused
+    write_dataset(tmp_path / "d.csv", manufactured_sample(30, seed=0))
+    run = ["fit", "--n", "30", "--seeds", "0", "--r-max", "1", "--m-grid", "1",
+           "--ref-samples", "50", "--dataset", str(tmp_path / "d.csv"), "--family", "hermite"]
+    first = tmp_path / "first" / "reference.json"
+    assert main(run + ["--problem", problem, "--out", str(first.parent)]) == 0
+    again = tmp_path / "again" / "reference.json"
+    rc = main(run + ["--problem", "elliptic", "--ref-file", str(first),
+                     "--out", str(again.parent)])
+    if problem == "external-dataset":
+        assert rc == 1 and "lacks finite numeric values for ['mean', 'std']" in caplog.text
+        assert not again.parent.exists()
+    else:
+        assert rc == 0 and again.read_bytes() == first.read_bytes()
+
+
+def test_config_output_dir_must_be_a_string():
+    with pytest.raises(ValueError, match="^output_dir must be a string, got 3$"):
+        ExperimentConfig(output_dir=3)
 
 
 def test_zero_reference_statistic_leaves_its_error_cell_empty(tmp_path):

@@ -306,6 +306,8 @@ def test_empirical_norm():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(321)
     assert empirical_norm(v) == pytest.approx(float(np.sqrt((v @ v) / v.size)), abs=1e-15)
+    with pytest.raises(ValueError, match="at least one value"):
+        empirical_norm([])
 
 
 def test_cauchy_schwarz_over_random_models():
@@ -365,6 +367,14 @@ def test_model_validation():
         SeparatedModel(BasisSpec(Family.HERMITE, 1), np.array([0.0]), np.ones((2, 1, 2)))
     with pytest.raises(ValueError):
         SeparatedModel(BasisSpec(Family.HERMITE, 1), np.array([1.0]), np.ones((2, 1, 3)))
+    spec = BasisSpec(Family.HERMITE, 1)
+    with pytest.raises(ValueError, match="coeffs must have shape"):
+        SeparatedModel(spec, np.ones(1), np.ones((2, 2)))
+    for shape in ((0, 1, 2), (2, 0, 2)):
+        with pytest.raises(ValueError, match="dims >= 1 and rank >= 1"):
+            SeparatedModel(spec, np.ones(shape[1]), np.ones(shape))
+    with pytest.raises(ValueError, match="scales length must equal the rank"):
+        SeparatedModel(spec, np.ones(2), np.ones((2, 1, 2)))
 
 
 def test_evaluate_batch_refuses_points_of_the_wrong_dimension():
@@ -408,6 +418,8 @@ def test_sample_set_validation():
         SampleSet(np.ones((3, 2)), np.ones(2), Family.HERMITE)
     with pytest.raises(ValueError, match="outputs must be finite"):
         SampleSet(np.zeros((2, 2)), np.array([1.0, np.inf]), Family.HERMITE)
+    with pytest.raises(ValueError, match="at least one point"):
+        SampleSet(np.zeros((0, 2)), np.zeros(0), Family.HERMITE)
 
 
 @pytest.mark.parametrize("family, bad", [
@@ -452,3 +464,8 @@ def test_model_document_with_wrong_keys_is_refused(remove, add, named):
         del doc[key]
     with pytest.raises(ValueError, match=named):
         model_from_dict(dict(doc, **add))
+
+
+def test_a_model_document_that_is_not_an_object_is_refused():
+    with pytest.raises(ValueError, match="^model document must be a JSON object, got list$"):
+        model_from_dict([1, 2])

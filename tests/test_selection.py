@@ -218,8 +218,10 @@ def test_rank_below_one_is_refused_before_any_fit(monkeypatch, r_grid):
     ([1], [1.9], "M_grid must be an integer >= 0, got 1.9"),
     ([1], [True], "M_grid must be an integer >= 0, got True"),
     ([1], [2, -1], "M_grid must be an integer >= 0, got -1"),
+    ([], [2], "rank and degree grids must be non-empty"),
+    ([1], [], "rank and degree grids must be non-empty"),
 ], ids=["r-fraction", "r-fraction-2.7", "r-integral-float", "r-bool",
-        "M-fraction", "M-fraction-1.9", "M-bool", "M-below-least"])
+        "M-fraction", "M-fraction-1.9", "M-bool", "M-below-least", "r-empty", "M-empty"])
 def test_grid_entries_follow_the_one_count_rule(monkeypatch, r_grid, M_grid, named):
     # every entry is checked before the grid is sorted and deduplicated, so
     # [1, 2.7] is not fitted as ranks 1 and 2, nor [True, 2] as [1, 2]; ranks
@@ -230,6 +232,23 @@ def test_grid_entries_follow_the_one_count_rule(monkeypatch, r_grid, M_grid, nam
     monkeypatch.setattr(seprep.selection, "fit_fixed", no_fit)
     with pytest.raises(ValueError, match=f"^{named}$"):
         select_model(_toy_data(), r_grid, M_grid, _fast_config())
+
+
+def test_a_rank_off_the_grid_is_fitted_and_never_scored(monkeypatch):
+    # a grid of [1, 3] grows the fit through rank 2, which the ladder stop
+    # passes over and the report leaves out
+    fitted = []
+
+    def recording_fit(*args, **kwargs):
+        model, diag = fit_fixed(*args, **kwargs)
+        fitted.append([rec.rank for rec in diag.per_rank])
+        return model, diag
+
+    monkeypatch.setattr(seprep.selection, "fit_fixed", recording_fit)
+    report = select_model(_toy_data(), [1, 3], [2], _fast_config())
+    assert fitted == [[1, 2, 3]]
+    assert report.grid == [(1, 2), (3, 2)]
+    assert sorted(report.ei_max) == [(1, 2), (3, 2)]
 
 
 def test_numpy_integer_grids_select_as_python_ints():
