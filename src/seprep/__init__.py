@@ -15,7 +15,7 @@ from .model import (
     second_moment,
     standard_deviation,
 )
-from .als import FitConfig, FitDiagnostics, fit_fixed, sweep
+from .als import FitConfig, FitDiagnostics, fit_fixed
 from .regularize import RegularizationState
 from .selection import SelectionReport, select_model
 from . import errors, problems

@@ -8,7 +8,7 @@ sweeps reach the lowest residual is kept, which makes the otherwise
 fragile warm-started rank increase reproducible and robust.
 
 The fit state is a stack of models on a leading candidate axis, and one
-kernel sweeps the whole stack: the init_candidates candidates of a rank
+kernel sweeps the whole stack: the _CANDIDATES candidates of a rank
 burn in together, each slice getting the bits it would get alone, and the
 winner converges as a stack of one. A candidate that converges early leaves
 the stack. Initial draws come from the seeded stream in stack order, and
@@ -48,20 +48,21 @@ from .errors import (
     InvariantError,
 )
 from .model import SampleSet, SeparatedModel, empirical_norm
-from .regularize import (
-    DEFAULT_LAMBDA_FLOOR,
-    RegularizationState,
-    TikhonovPath,
-    gcv_select_lambda,
-)
+from .regularize import RegularizationState, TikhonovPath, gcv_select_lambda
 
-__all__ = ["FitConfig", "RankRecord", "FitDiagnostics", "sweep", "fit_fixed"]
+__all__ = ["FitConfig", "RankRecord", "FitDiagnostics", "fit_fixed"]
 
 logger = logging.getLogger(__name__)
 
 _MONOTONE_RTOL = 1e-10
 _NORMAL_EQ_RTOL = 1e-8
 _INIT_PERTURBATION = 0.3  # noise scale of a new term's initial coefficients
+# a rank has converged when a full sweep lowers the residual by less than
+# this fraction; a sweep that raises it has a negative decrease, so it also
+# ends the rank as converged
+_SWEEP_TOL = 1e-5
+_CANDIDATES = 8  # new-term draws raced per rank
+_BURN_SWEEPS = 15  # sweeps each candidate runs before the lowest residual wins
 
 _PENALTIES = ("second_moment", "diag_scale", "none")
 
@@ -70,18 +71,15 @@ _PENALTIES = ("second_moment", "diag_scale", "none")
 class FitConfig:
     """Knobs for the alternating fit.
 
-    sweep_tol is the relative residual decrease per full sweep below which a
-    rank is considered converged; a sweep that raises the residual has a
-    negative decrease, so it also ends the rank as converged.
-    max_sweeps_per_rank caps the loop. penalty picks the Tikhonov penalty of
-    every direction solve: "second_moment" (the surrogate's second moment),
-    "diag_scale" (the diag(s^2) comparison penalty) or "none" (plain least
-    squares, which leaves the error indicator undefined). The candidate
-    fields control the per-rank restart protocol: each new term is
-    initialized init_candidates times (unit constant coefficient plus scaled
-    normal noise, normalized per direction), every candidate runs
-    candidate_burn_sweeps sweeps, and the lowest-residual one is kept and
-    swept to convergence.
+    max_sweeps_per_rank caps each rank's sweeps, burn-in included. penalty
+    picks the Tikhonov penalty of every direction solve: "second_moment"
+    (the surrogate's second moment), "diag_scale" (the diag(s^2) comparison
+    penalty) or "none" (plain least squares, which leaves the error
+    indicator undefined). The convergence tolerance (_SWEEP_TOL), the
+    per-rank candidate race (_CANDIDATES draws of a new term, each a unit
+    constant coefficient plus scaled normal noise, normalized per direction,
+    burnt in for _BURN_SWEEPS sweeps, the lowest-residual one swept to
+    convergence) and the lambda floor (regularize._LAMBDA_FLOOR) are fixed.
 
     fit_fixed reads degree and takes its rank from its r argument, and
     select_model overrides degree at each grid point and grows each degree's
@@ -92,23 +90,13 @@ class FitConfig:
     rank_max: int
     degree: int
     max_sweeps_per_rank: int = 600
-    sweep_tol: float = 1e-5
     penalty: str = "second_moment"
     rng_seed: int = 0
-    lambda_floor_rel: float = DEFAULT_LAMBDA_FLOOR
-    init_candidates: int = 8
-    candidate_burn_sweeps: int = 15
 
     def __post_init__(self):
         for name, least in (("rank_max", 1), ("degree", 0), ("max_sweeps_per_rank", 1),
-                            ("init_candidates", 1), ("candidate_burn_sweeps", 1),
                             ("rng_seed", 0)):
             _check_count(name, getattr(self, name), least)
-        for name in ("sweep_tol", "lambda_floor_rel"):
-            value = getattr(self, name)
-            real = isinstance(value, (int, float, np.integer, np.floating))
-            if isinstance(value, bool) or not real or not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
         if self.penalty not in _PENALTIES:
             raise ValueError(f"penalty must be one of {_PENALTIES}, got {self.penalty!r}")
 
@@ -117,7 +105,7 @@ class FitConfig:
 class RankRecord:
     """Diagnostics for one rank of the growth ladder.
 
-    converged is True when the winner stopped on sweep_tol, which includes a
+    converged is True when the winner stopped on _SWEEP_TOL, which includes a
     final sweep that raised the residual, and False when it hit
     max_sweeps_per_rank.
     """
@@ -221,7 +209,7 @@ def _check_finite(AtA: np.ndarray, Atu: np.ndarray) -> None:
         raise ConditioningError("design matrix contains non-finite entries (factor overflow)")
 
 
-def _direction_solve(AtA, Atu, uu, n, G, m, config):
+def _direction_solve(AtA, Atu, uu, n, G, m):
     """Solve one direction for every slice of a stack; every direction solve of the package runs here.
 
     AtA (B, r*m, r*m) and Atu (B, r*m) are the normal-equation pieces of B
@@ -245,7 +233,7 @@ def _direction_solve(AtA, Atu, uu, n, G, m, config):
     for b, g in enumerate(G):
         R[b] = _gram_cholesky(g)
     path = TikhonovPath(AtA, Atu, uu, n, R, m)
-    sel = gcv_select_lambda(path, floor_rel=config.lambda_floor_rel)
+    sel = gcv_select_lambda(path)
     c = path.solve(sel.lambda_)
     return c, (sel.lambda_, sel.hat_trace, sel.index, G, R)
 
@@ -296,9 +284,9 @@ def _half_index(r: int, m: int) -> np.ndarray:
     return index
 
 
-def _converged(trace: list, tol: float) -> bool:
-    """Whether the last sweep's relative residual decrease fell below tol, or the residual rose."""
-    return len(trace) > 1 and trace[-2] > 0.0 and (trace[-2] - trace[-1]) / trace[-2] < tol
+def _converged(trace: list) -> bool:
+    """Whether the last sweep lowered the residual by less than _SWEEP_TOL relative, or raised it."""
+    return len(trace) > 1 and trace[-2] > 0.0 and (trace[-2] - trace[-1]) / trace[-2] < _SWEEP_TOL
 
 
 class _Fitter:
@@ -362,10 +350,6 @@ class _Fitter:
         return SeparatedModel(
             self.basis, np.ldexp(self.scales[0], self.exp), self.coeffs[0].copy()
         )
-
-    def set_model(self, model: SeparatedModel):
-        self._use(self._stack(model.coeffs.copy()[None], np.ldexp(model.scales, -self.exp)[None],
-                              np.array([self.rng])))
 
     def _draw_factor(self, rng, k: int) -> np.ndarray:
         """A new term's direction-k coefficients from rng: unit constant plus noise, unit norm."""
@@ -436,7 +420,7 @@ class _Fitter:
         (c, raw, rn2) of its solve, which kept_states turns into states); the
         normal matrices A^T A and A^T u do not outlive the sweep.
         """
-        cfg = self.config
+        penalty = self.config.penalty
         coeffs, scales, factors = self.coeffs, self.scales, self.factors
         nb, d, r, m1 = coeffs.shape
         n = self.n
@@ -460,14 +444,14 @@ class _Fitter:
                 EE *= E.take(cols, 1)
                 AtA = (EE @ self.psi_half[k]).reshape(nb, -1).take(index, 1)
                 Atu = (E @ self.psi_u[k]).reshape(nb, r * m1)
-                if cfg.penalty == "none":
+                if penalty == "none":
                     G = None
-                elif cfg.penalty == "diag_scale":
+                elif penalty == "diag_scale":
                     G = np.zeros((nb, r, r))
                     G[:, np.arange(r), np.arange(r)] = scales**2
                 else:
                     G = scales[:, :, None] * scales[:, None, :] * left_g * suf_g[k]
-                c, raw = _direction_solve(AtA, Atu, self.uu, n, G, m1, cfg)
+                c, raw = _direction_solve(AtA, Atu, self.uu, n, G, m1)
                 cmat = c.reshape(nb, r, m1)
                 vals = cmat @ self.psi_t[k]
                 rn2 = _rowdot(np.add.reduce(E * vals, axis=1) - self.u)
@@ -506,7 +490,6 @@ class _Fitter:
         race. Returns per model (its last sweep's direction solves and its
         slot in them, converged, its own arrays as a stack of one).
         """
-        tol = self.config.sweep_tol
         slot = list(range(len(traces)))
         out = [None] * len(traces)
         live = len(traces)
@@ -517,7 +500,7 @@ class _Fitter:
             for p in reversed(range(live)):
                 i = slot[p]
                 traces[i].append(float(resid[p]))
-                converged = _converged(traces[i], tol)
+                converged = _converged(traces[i])
                 if converged or at_cap:
                     out[i] = ((solves, p), converged, tuple(a[p:p + 1].copy() for a in stack))
                     live -= 1
@@ -529,12 +512,12 @@ class _Fitter:
     def run_rank(self) -> RankRecord:
         """Grow by one term, race seeded candidates, converge the winner.
 
-        All init_candidates candidates burn in as one stack. The winner has
-        the lowest burn-in residual; ties go to the earliest draw.
+        All _CANDIDATES candidates burn in as one stack. The winner has the
+        lowest burn-in residual; ties go to the earliest draw.
         """
         cfg = self.config
-        width = cfg.init_candidates
-        burn = min(cfg.candidate_burn_sweeps, cfg.max_sweeps_per_rank)
+        width = _CANDIDATES
+        burn = min(_BURN_SWEEPS, cfg.max_sweeps_per_rank)
         traces = [[] for _ in range(width)]
         results = self._race(self._draw_candidates(self.coeffs[0], self.scales[0], width),
                              traces, burn)
@@ -554,24 +537,6 @@ class _Fitter:
         )
 
 
-def sweep(data: SampleSet, model: SeparatedModel, config: FitConfig):
-    """One full alternation pass starting from `model`.
-
-    Returns (updated model, empirical residual norm, per-direction
-    regularization records; entries are None when unregularized).
-    """
-    if model.basis.max_degree != config.degree:
-        raise ValueError("model degree disagrees with config degree")
-    if model.dims != data.dims:
-        raise ValueError("model dims disagree with data dims")
-    if model.basis.family is not data.family:
-        raise ValueError("model basis family disagrees with data family")
-    fitter = _Fitter(data, config, config.rng_seed)
-    fitter.set_model(model)
-    resid, solves = fitter.sweep_once()
-    return fitter.model(), fitter.unscaled(resid[0]), fitter.kept_states(solves)
-
-
 def _user_stacklevel() -> int:
     """stacklevel for a warning from this function's caller: its first frame outside seprep."""
     prefix = __name__.partition(".")[0] + "."
@@ -585,7 +550,7 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, sto
     """Fit with ranks growing 1..r; returns (the last rank record's model, diagnostics).
 
     Each rank keeps sweeping until the relative residual decrease over a full
-    sweep falls below config.sweep_tol or the sweep cap is reached. The
+    sweep falls below _SWEEP_TOL or the sweep cap is reached. The
     per-rank diagnostics carry the final sweep's regularization records,
     which rank/degree selection consumes. stop, if given, is called with
     each rank's RankRecord; when it returns True the fit ends at that rank,

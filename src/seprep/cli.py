@@ -515,18 +515,22 @@ def main(argv=None) -> int:
         description="Fit low-rank separated surrogates and reproduce the benchmark studies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
+    parsers = {}
     for name, (help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p = parsers[name] = sub.add_parser(name, help=help_text,
+                                           argument_default=argparse.SUPPRESS)
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag])
-    p_kl = sub.add_parser("kl-info", help="covariance eigen-decomposition summary")
+    p_kl = parsers["kl-info"] = sub.add_parser("kl-info",
+                                               help="covariance eigen-decomposition summary")
     p_kl.add_argument("--corr-length", type=float, default=EllipticProblem.corr_length)
     p_kl.add_argument("--dims", type=int, default=EllipticProblem.dims)
     p_kl.add_argument("--n-grid", type=int, default=EllipticProblem.kl_grid)
     p_kl.add_argument("--out", default=None)
 
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:  # refused with the usage line of the subcommand that does not read them
+        parsers[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         if args.command == "kl-info":
             return cmd_kl_info(args.corr_length, args.dims, args.n_grid, args.out)

@@ -125,6 +125,11 @@ def _gauss_legendre_01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _sq_exp_kernel(x1: np.ndarray, x2: np.ndarray, corr_length: float) -> np.ndarray:
+    """The squared-exponential covariance exp(-(x1 - x2)^2 / corr_length^2) of every pair."""
+    return np.exp(-np.subtract.outer(x1, x2) ** 2 / corr_length**2)
+
+
 @dataclass
 class KLExpansion:
     """Truncated eigen-expansion of a covariance kernel on (0, 1)."""
@@ -141,8 +146,7 @@ class KLExpansion:
         return self.eigenvalues.shape[0]
 
     def kernel(self, x1, x2) -> np.ndarray:
-        diff = np.subtract.outer(np.asarray(x1, float), np.asarray(x2, float))
-        return np.exp(-(diff**2) / self.corr_length**2)
+        return _sq_exp_kernel(np.asarray(x1, float), np.asarray(x2, float), self.corr_length)
 
     def eigenfunctions(self, x) -> np.ndarray:
         """Eigenfunction values at arbitrary points via Nystrom interpolation."""
@@ -165,7 +169,7 @@ def kl_decompose(corr_length: float, d: int, n_grid: int = 512) -> KLExpansion:
             f"correlation length must be positive and finite, got corr_length={corr_length!r}")
     _check_count("n_grid", n_grid, 4 * d)  # at least four nodes per mode
     x, w = _gauss_legendre_01(n_grid)
-    K = np.exp(-np.subtract.outer(x, x) ** 2 / corr_length**2)
+    K = _sq_exp_kernel(x, x, corr_length)
     sw = np.sqrt(w)
     sym = sw[:, None] * K * sw[None, :]
     vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))

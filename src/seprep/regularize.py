@@ -19,27 +19,32 @@ bits that slice would get as a stack of one. A single solve is the case B = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.linalg import LinAlgError
 
 from .errors import ConditioningError, InvariantError, SelectionError
 
-__all__ = [
-    "RegularizationState",
-    "TikhonovPath",
-    "GcvResult",
-    "gcv_select_lambda",
-    "DEFAULT_LAMBDA_FLOOR",
-]
+__all__ = ["RegularizationState", "TikhonovPath", "GcvResult", "gcv_select_lambda"]
 
 # Lower end of the lambda grid, relative to the largest generalized singular
 # value. Calibrated so GCV cannot collapse into the effectively-unregularized
 # corner on near-noiseless data, which would leave the error indicator
 # floor-dominated and meaningless.
-DEFAULT_LAMBDA_FLOOR = 5e-2
+_LAMBDA_FLOOR = 5e-2
 _LAMBDA_GRID_SIZE = 50  # GCV grid points per direction solve
+
+
+def _unit_grid(floor: float) -> tuple:
+    """Read-only np.geomspace(floor, 1.0, _LAMBDA_GRID_SIZE) and its squares and fourth powers."""
+    grid = np.geomspace(floor, 1.0, _LAMBDA_GRID_SIZE)
+    powers = (grid, grid * grid, (grid * grid) ** 2)
+    for a in powers:
+        a.flags.writeable = False
+    return powers
+
+
+_UNIT_GRID = _unit_grid(_LAMBDA_FLOOR)  # every GCV grid is gamma_max times this one
 
 
 @dataclass
@@ -129,24 +134,11 @@ class GcvResult:
     index: np.ndarray
 
 
-@cache
-def _unit_grid(floor_rel: float) -> tuple:
-    """Read-only np.geomspace(floor_rel, 1.0, _LAMBDA_GRID_SIZE) and its squares and fourth powers.
-
-    Built once per floor.
-    """
-    grid = np.geomspace(floor_rel, 1.0, _LAMBDA_GRID_SIZE)
-    powers = (grid, grid * grid, (grid * grid) ** 2)
-    for a in powers:
-        a.flags.writeable = False
-    return powers
-
-
-def gcv_select_lambda(path: TikhonovPath, floor_rel: float = DEFAULT_LAMBDA_FLOOR) -> GcvResult:
+def gcv_select_lambda(path: TikhonovPath) -> GcvResult:
     """Minimize GCV(lambda) = N ||A c - u||^2 / (N - tr H)^2 over a log grid per slice.
 
     Slice b's grid holds _LAMBDA_GRID_SIZE points spanning
-    [floor_rel * gamma_max, gamma_max], where gamma_max is the largest
+    [_LAMBDA_FLOOR * gamma_max, gamma_max], where gamma_max is the largest
     generalized singular value of (A_b, L_b); zero is excluded so the error
     indicator stays finite whenever selection succeeds. Ties go to the first
     (smallest) grid point. In units of gamma_max^2, with s_i the squared
@@ -159,7 +151,7 @@ def gcv_select_lambda(path: TikhonovPath, floor_rel: float = DEFAULT_LAMBDA_FLOO
     sv2 = path.sv2
     if (sv2[:, 0] <= 0.0).any():
         raise SelectionError("design matrix is identically zero; nothing to select")
-    unit, unit2, unit4 = _unit_grid(floor_rel)
+    unit, unit2, unit4 = _UNIT_GRID
     grid = np.sqrt(sv2[:, :1]) * unit
     s = sv2 / sv2[:, :1]
     D = 1.0 / (s[:, None, :] + unit2[:, None])

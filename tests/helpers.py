@@ -1,16 +1,64 @@
-"""Independent oracles shared across test modules.
+"""Independent oracles shared across test modules, and two ways into the fit.
 
-Everything here is deliberately naive (loops, brute force, quadrature) so
+The oracles are deliberately naive (loops, brute force, quadrature) so
 the library paths are checked against genuinely different computations.
+fit_constants and one_sweep, at the top, reach the fit's internals instead.
 """
+import contextlib
+
 import numpy as np
+import pytest
 from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
 
+from seprep import als, regularize
 from seprep.basis import BasisSpec, Family, _folded_recurrence, eval_basis_batch, gauss_quadrature
 from seprep.errors import DegenerateModelError, PositivityError
 from seprep.model import SeparatedModel
 from seprep.problems import _MANUFACTURED_TERMS, _p2_shapes, coefficient_at_gauss_points
 from seprep.regularize import _LAMBDA_GRID_SIZE
+
+
+@contextlib.contextmanager
+def fit_constants(*, sweep_tol=None, candidates=None, burn_sweeps=None, lambda_floor=None):
+    """Run the block with the fit's fixed settings replaced, and restore them after.
+
+    sweep_tol, candidates and burn_sweeps stand for als._SWEEP_TOL,
+    _CANDIDATES and _BURN_SWEEPS; lambda_floor for regularize._LAMBDA_FLOOR
+    and the unit GCV grid built from it. A setting left None keeps its value.
+    A context manager rather than a fixture, so that criterion 6 can call the
+    tests that use it without arguments and a module-scoped fixture can hold it.
+    """
+    patches = [(als, "_SWEEP_TOL", sweep_tol), (als, "_CANDIDATES", candidates),
+               (als, "_BURN_SWEEPS", burn_sweeps), (regularize, "_LAMBDA_FLOOR", lambda_floor)]
+    if lambda_floor is not None:
+        patches.append((regularize, "_UNIT_GRID", regularize._unit_grid(lambda_floor)))
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name, value in patches:
+            if value is not None:
+                mp.setattr(module, name, value)
+        yield
+
+
+def fitter_at(data, model, config):
+    """The fit's workspace on `data` with `model` as its one live model.
+
+    `model` must match the data's family and dims and the config's degree.
+    """
+    fitter = als._Fitter(data, config, config.rng_seed)
+    fitter._use(fitter._stack(model.coeffs.copy()[None],
+                              np.ldexp(model.scales, -fitter.exp)[None], np.array([fitter.rng])))
+    return fitter
+
+
+def one_sweep(data, model, config):
+    """One alternation pass over every direction, starting from `model`.
+
+    Returns (updated model, empirical residual norm, per-direction
+    regularization states; an entry is None when unregularized).
+    """
+    fitter = fitter_at(data, model, config)
+    resid, solves = fitter.sweep_once()
+    return fitter.model(), fitter.unscaled(resid[0]), fitter.kept_states(solves)
 
 
 def naive_evaluate(model, y):
@@ -345,9 +393,8 @@ def naive_sweep(data, model, config):
                 B = np.kron(np.diag(model.scales**2), np.eye(m))
             else:
                 B = build_B(model, k)
-            c, lam, sig, ei = naive_gcv_solve(
-                A, u, B, _LAMBDA_GRID_SIZE, config.lambda_floor_rel
-            )
+            c, lam, sig, ei = naive_gcv_solve(A, u, B, _LAMBDA_GRID_SIZE,
+                                              regularize._LAMBDA_FLOOR)
             states.append((lam, sig, ei))
         res = A @ c - u
         for l in range(model.rank):

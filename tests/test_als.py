@@ -11,17 +11,20 @@ from scipy.linalg.lapack import dpotrf
 from helpers import (
     build_B,
     error_indicator,
+    fit_constants,
     fit_residual_on,
+    fitter_at,
     naive_design_matrix,
     naive_sweep,
     normal_equation_pieces,
+    one_sweep,
     quadrature_l2_distance,
     random_model,
     sigma_hat,
     tikhonov_factor,
 )
 from seprep import als, regularize
-from seprep.als import FitConfig, fit_fixed, sweep
+from seprep.als import FitConfig, fit_fixed
 from seprep.basis import BasisSpec, Family, eval_basis_batch
 from seprep.errors import (
     ConditioningError,
@@ -57,8 +60,8 @@ def _kernel_calls():
     calls = []
     real = als._direction_solve
 
-    def recording(AtA, Atu, uu, n, G, m, config):
-        result = real(AtA, Atu, uu, n, G, m, config)
+    def recording(AtA, Atu, uu, n, G, m):
+        result = real(AtA, Atu, uu, n, G, m)
         # a stacked call solves one direction per slice: record each slice
         c, raw = result
         for b in range(AtA.shape[0]):
@@ -73,13 +76,13 @@ def _kernel_calls():
         als._direction_solve = real
 
 
-def _solve_one(A, u, G, m, cfg):
+def _solve_one(A, u, G, m):
     """The kernel on a stack of one (N, r*m) design, then the normal-equation check a sweep runs.
 
     Returns (c, state or None, rn2).
     """
     AtA, Atu, uu, n = normal_equation_pieces(A[None], u)
-    c, raw = als._direction_solve(AtA, Atu, uu, n, None if G is None else G[None], m, cfg)
+    c, raw = als._direction_solve(AtA, Atu, uu, n, None if G is None else G[None], m)
     res = A @ c[0] - u
     rn2 = float(res @ res)
     solve = (AtA, Atu, c, raw, np.array([rn2]))
@@ -120,7 +123,7 @@ def test_design_matrix_constant_factors():
     rng = np.random.default_rng(0)
     data = SampleSet(_gauss_data(rng, 20, 3), rng.standard_normal(20), Family.HERMITE)
     with _kernel_calls() as calls:
-        sweep(data, m, FitConfig(rank_max=1, degree=2))
+        one_sweep(data, m, FitConfig(rank_max=1, degree=2))
     psi = eval_basis_batch(m.basis, data.inputs[:, 0])
     _assert_normal_equations_match(calls[0], psi, data.outputs,
                                    _output_scale(data, calls[0][2]), 1e-14)
@@ -136,7 +139,7 @@ def test_design_matrix_hand_computed():
     pts = np.vstack([[0.5, -0.5], rng.uniform(-1.0, 1.0, (9, 2))])
     data = SampleSet(pts, rng.standard_normal(10), Family.LEGENDRE)
     with _kernel_calls() as calls:
-        sweep(data, m, FitConfig(rank_max=1, degree=1))
+        one_sweep(data, m, FitConfig(rank_max=1, degree=1))
     # row n is 2 * sqrt(3) y_n2 * (1, sqrt(3) y_n1)
     y1, y2 = pts.T
     A = (2.0 * np.sqrt(3.0) * y2)[:, None] * np.stack([np.ones(10), np.sqrt(3.0) * y1], axis=1)
@@ -162,7 +165,7 @@ def test_exclusion_products_match_naive(rank, degree):
     penalty = "diag_scale" if degree == 0 and rank > 1 else "none"
     cfg = FitConfig(rank_max=rank, degree=degree, penalty=penalty)
     with _kernel_calls() as calls:
-        sweep(data, start, cfg)
+        one_sweep(data, start, cfg)
     designs = naive_sweep(data, start, cfg)[3]
     assert len(calls) == len(designs) == 6
     for call, ref in zip(calls, designs):
@@ -189,7 +192,7 @@ def test_half_product_normal_matrix_matches_the_full_product(rank, degree, width
     real = als._direction_solve
     seen = []
 
-    def recording(AtA, Atu, uu, n, G, m, config):
+    def recording(AtA, Atu, uu, n, G, m):
         k = len(seen)
         others = [j for j in range(fitter.d) if j != k]
         E = fitter.scales[..., None] * np.prod(fitter.factors[:, others], axis=1)
@@ -197,7 +200,7 @@ def test_half_product_normal_matrix_matches_the_full_product(rank, degree, width
         full = np.einsum("blLn,jJn->bljLJ", E[:, :, None] * E[:, None],
                          psi[:, None] * psi[None]).reshape(AtA.shape)
         seen.append((AtA.copy(), full))
-        return real(AtA, Atu, uu, n, G, m, config)
+        return real(AtA, Atu, uu, n, G, m)
 
     als._direction_solve = recording
     try:
@@ -216,8 +219,7 @@ def test_solve_direction_interpolation():
     A = rng.standard_normal((4, 4)) + 4 * np.eye(4)
     c_true = rng.standard_normal(4)
     u = A @ c_true
-    cfg = FitConfig(rank_max=1, degree=3, penalty="none")
-    c, state, _ = _solve_one(A, u, None, 4, cfg)
+    c, state, _ = _solve_one(A, u, None, 4)
     assert np.allclose(c, c_true, atol=1e-10)
     assert state is None
 
@@ -228,9 +230,8 @@ def test_factor_overflow_is_a_conditioning_error(regularize):
     A = rng.standard_normal((20, 6))
     A[3, 2] = np.inf
     G = np.eye(2) if regularize else None
-    cfg = FitConfig(rank_max=2, degree=2)
     with pytest.raises(ConditioningError, match="factor overflow"):
-        _solve_one(A, rng.standard_normal(20), G, 3, cfg)
+        _solve_one(A, rng.standard_normal(20), G, 3)
 
 
 def test_solve_direction_large_lambda_shrinks():
@@ -260,7 +261,7 @@ def test_normal_equation_residual_every_solve():
     for penalty in ("none", "second_moment"):
         cfg = FitConfig(rank_max=2, degree=2, penalty=penalty)
         with _kernel_calls() as calls:
-            sweep(data, m, cfg)
+            one_sweep(data, m, cfg)
         assert len(calls) == 3
         scale = _output_scale(data, calls[0][2])
         if penalty != "none":
@@ -278,11 +279,11 @@ def test_normal_equation_residual_every_solve():
             assert err <= 1e-8 * np.linalg.norm(Atu)
 
 
-def _oracle_direction(A, u, B, cfg):
+def _oracle_direction(A, u, B):
     """Dense reference: factor the full (rm)^2 penalty and solve with m = 1."""
     L = tikhonov_factor(B)
     path = TikhonovPath(*normal_equation_pieces(A[None], u), L[None], 1)
-    sel = gcv_select_lambda(path, floor_rel=cfg.lambda_floor_rel)
+    sel = gcv_select_lambda(path)
     c = path.solve(sel.lambda_)[0]
     lam = float(sel.lambda_[0])
     sig = sigma_hat(A, u, c, float(sel.hat_trace[0]))
@@ -299,7 +300,6 @@ def test_structured_kernel_matches_dense_oracle(l_identity):
             k = int(rng.integers(0, 3))
             A = rng.standard_normal((n, r * m))
             u = A @ rng.standard_normal(r * m) + 0.3 * rng.standard_normal(n)
-            cfg = FitConfig(rank_max=r, degree=m - 1)
             if l_identity:
                 G = np.diag(model.scales**2)
             elif m == 1 and r > 1:
@@ -310,7 +310,7 @@ def test_structured_kernel_matches_dense_oracle(l_identity):
                 data = _sampled_from(model, n, seed=r, noise=0.3)
                 A = naive_design_matrix(data, model, k)
                 B = build_B(model, k)
-                c, state, _ = _solve_one(A, data.outputs, B, 1, cfg)
+                c, state, _ = _solve_one(A, data.outputs, B, 1)
                 Atu = A.T @ data.outputs
                 err = A.T @ A @ c + state.lambda_**2 * B @ c - Atu
                 assert np.all(np.isfinite(c))
@@ -319,8 +319,8 @@ def test_structured_kernel_matches_dense_oracle(l_identity):
                 continue
             else:
                 G = build_B(model, k)[::m, ::m]
-            c, state, _ = _solve_one(A, u, G, m, cfg)
-            c_ref, lam, sig, ei = _oracle_direction(A, u, np.kron(G, np.eye(m)), cfg)
+            c, state, _ = _solve_one(A, u, G, m)
+            c_ref, lam, sig, ei = _oracle_direction(A, u, np.kron(G, np.eye(m)))
             assert np.allclose(c, c_ref, rtol=1e-10, atol=1e-10 * np.linalg.norm(c_ref))
             assert state.lambda_ == pytest.approx(lam, rel=1e-10)
             assert state.sigma_hat == pytest.approx(sig, rel=1e-10)
@@ -333,7 +333,7 @@ def test_normalize_direction_scaling():
     rng = np.random.default_rng(6)
     data = _sampled_from(random_model(rng, dims=3, rank=2, degree=2), 150, seed=7)
     start = random_model(rng, dims=3, rank=2, degree=2)
-    model, resid, _ = sweep(data, start, FitConfig(rank_max=2, degree=2))
+    model, resid, _ = one_sweep(data, start, FitConfig(rank_max=2, degree=2))
     for k in range(3):
         psi = eval_basis_batch(model.basis, data.inputs[:, k])
         for l in range(model.rank):
@@ -349,7 +349,7 @@ def test_normalize_direction_explicit_factor_norm():
     m = SeparatedModel(BasisSpec(Family.HERMITE, 1), np.array([1.0]), coeffs)
     rng = np.random.default_rng(5)
     data = SampleSet(_gauss_data(rng, 5, 2), np.full(5, 2.0), Family.HERMITE)
-    model, _, _ = sweep(data, m, FitConfig(rank_max=1, degree=1, penalty="none"))
+    model, _, _ = one_sweep(data, m, FitConfig(rank_max=1, degree=1, penalty="none"))
     assert model.scales[0] == pytest.approx(2.0)
     assert model.coeffs[0, 0, 0] == pytest.approx(1.0)
     assert model.coeffs[0, 0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -363,7 +363,7 @@ def test_sweep_matches_naive_gauss_seidel_oracle(penalty):
     data = _sampled_from(random_model(rng, dims=4, rank=2, degree=2), 80, seed=41, noise=0.1)
     start = random_model(rng, dims=4, rank=2, degree=2)
     cfg = FitConfig(rank_max=2, degree=2, penalty=penalty)
-    model, resid, states = sweep(data, start, cfg)
+    model, resid, states = one_sweep(data, start, cfg)
     ref, ref_resid, ref_states, _ = naive_sweep(data, start, cfg)
     assert np.allclose(model.coeffs, ref.coeffs, rtol=1e-9,
                        atol=1e-9 * np.max(np.abs(ref.coeffs)))
@@ -388,7 +388,7 @@ def test_sweep_recovers_separable_data_quickly():
     model = random_model(np.random.default_rng(11), dims=3, rank=1, degree=1)
     resid = None
     for _ in range(10):
-        model, resid, _ = sweep(data, model, cfg)
+        model, resid, _ = one_sweep(data, model, cfg)
     assert resid < 1e-8 * empirical_norm(data.outputs)
 
 
@@ -400,7 +400,7 @@ def test_sweep_monotone_unregularized():
     model = random_model(np.random.default_rng(14), dims=4, rank=2, degree=2)
     prev = fit_residual_on(data, model)
     for _ in range(8):
-        model, resid, _ = sweep(data, model, cfg)
+        model, resid, _ = one_sweep(data, model, cfg)
         assert resid <= prev * (1.0 + 1e-10)
         prev = resid
 
@@ -445,10 +445,10 @@ def test_fit_fixed_deterministic():
     rng = np.random.default_rng(19)
     truth = random_model(rng, dims=3, rank=2, degree=2)
     data = _sampled_from(truth, 200, seed=20, noise=0.1)
-    cfg = FitConfig(rank_max=2, degree=2, rng_seed=0,
-                    init_candidates=3, candidate_burn_sweeps=5, max_sweeps_per_rank=40)
-    m1, d1 = fit_fixed(data, 2, cfg, init_seed=77)
-    m2, d2 = fit_fixed(data, 2, cfg, init_seed=77)
+    cfg = FitConfig(rank_max=2, degree=2, rng_seed=0, max_sweeps_per_rank=40)
+    with fit_constants(candidates=3, burn_sweeps=5):
+        m1, d1 = fit_fixed(data, 2, cfg, init_seed=77)
+        m2, d2 = fit_fixed(data, 2, cfg, init_seed=77)
     assert np.array_equal(m1.coeffs, m2.coeffs)
     assert np.array_equal(m1.scales, m2.scales)
     for r1, r2 in zip(d1.per_rank, d2.per_rank):
@@ -462,9 +462,9 @@ def test_fit_fixed_deterministic():
 def test_fit_fixed_warns_when_underdetermined():
     rng = np.random.default_rng(21)
     data = SampleSet(rng.standard_normal((5, 2)), rng.standard_normal(5), Family.HERMITE)
-    cfg = FitConfig(rank_max=2, degree=2,
-                    init_candidates=1, candidate_burn_sweeps=2, max_sweeps_per_rank=3)
-    with pytest.warns(UserWarning, match="below the direction-solve unknown count"):
+    cfg = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=3)
+    with fit_constants(candidates=1, burn_sweeps=2), pytest.warns(
+            UserWarning, match="below the direction-solve unknown count"):
         fit_fixed(data, 2, cfg, init_seed=0)
 
 
@@ -473,9 +473,9 @@ def test_fit_fixed_warns_once_at_the_first_underdetermined_rank():
     # warning, for rank 2, pointing at the line that called fit_fixed
     rng = np.random.default_rng(21)
     data = SampleSet(rng.standard_normal((5, 2)), rng.standard_normal(5), Family.HERMITE)
-    cfg = FitConfig(rank_max=3, degree=2,
-                    init_candidates=1, candidate_burn_sweeps=2, max_sweeps_per_rank=3)
-    with pytest.warns(UserWarning, match="below the direction-solve unknown count") as record:
+    cfg = FitConfig(rank_max=3, degree=2, max_sweeps_per_rank=3)
+    with fit_constants(candidates=1, burn_sweeps=2), pytest.warns(
+            UserWarning, match="below the direction-solve unknown count") as record:
         fit_fixed(data, 3, cfg, init_seed=0)
     underdetermined = [w for w in record if "unknown count" in str(w.message)]
     assert len(underdetermined) == 1
@@ -491,9 +491,8 @@ def test_the_underdetermined_warning_under_select_model_names_the_callers_file()
 
     rng = np.random.default_rng(21)
     data = SampleSet(rng.standard_normal((5, 2)), rng.standard_normal(5), Family.HERMITE)
-    cfg = FitConfig(rank_max=2, degree=2,
-                    init_candidates=1, candidate_burn_sweeps=2, max_sweeps_per_rank=3)
-    with warnings.catch_warnings(record=True) as record:
+    cfg = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=3)
+    with fit_constants(candidates=1, burn_sweeps=2), warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         select_model(data, [1, 2], [2], cfg)
     underdetermined = [w for w in record if "unknown count 6 of rank 2" in str(w.message)]
@@ -517,13 +516,13 @@ def test_output_rescaling_scales_the_fit():
     rng = np.random.default_rng(22)
     truth = random_model(rng, dims=3, rank=2, degree=2)
     data = _sampled_from(truth, 250, seed=23, noise=0.05)
-    for penalty in ("second_moment", "diag_scale", "none"):
-        _check_rescaled_fits(data, penalty)
+    with fit_constants(candidates=2, burn_sweeps=5):
+        for penalty in ("second_moment", "diag_scale", "none"):
+            _check_rescaled_fits(data, penalty)
 
 
 def _check_rescaled_fits(data, penalty):
-    cfg = FitConfig(rank_max=2, degree=2, penalty=penalty, rng_seed=0,
-                    init_candidates=2, candidate_burn_sweeps=5, max_sweeps_per_rank=30)
+    cfg = FitConfig(rank_max=2, degree=2, penalty=penalty, rng_seed=0, max_sweeps_per_rank=30)
     m1, d1 = fit_fixed(data, 2, cfg, init_seed=9)
     for k in (1, 532, 664, 997, -1000):
         scaled = SampleSet(data.inputs.copy(), np.ldexp(data.outputs, k), Family.HERMITE)
@@ -543,16 +542,18 @@ def _check_rescaled_fits(data, penalty):
 def test_rank_record_tells_a_cap_hit_from_convergence():
     rng = np.random.default_rng(50)
     data = _sampled_from(random_model(rng, dims=3, rank=2, degree=2), 150, seed=51, noise=0.1)
-    capped = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=2, init_candidates=3)
-    _, diag = fit_fixed(data, 2, capped, init_seed=0)
+    capped = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=2)
+    with fit_constants(candidates=3):
+        _, diag = fit_fixed(data, 2, capped, init_seed=0)
     for rec in diag.per_rank:
         assert rec.sweeps == 2 and not rec.converged
-    loose = FitConfig(rank_max=2, degree=2, sweep_tol=1e-3, init_candidates=3)
-    _, diag = fit_fixed(data, 2, loose, init_seed=0)
+    loose = FitConfig(rank_max=2, degree=2)
+    with fit_constants(sweep_tol=1e-3, candidates=3):
+        _, diag = fit_fixed(data, 2, loose, init_seed=0)
     for rec in diag.per_rank:
         assert rec.converged and rec.sweeps < loose.max_sweeps_per_rank
         prev, last = rec.residual_trace[-2:]
-        assert (prev - last) / prev < loose.sweep_tol
+        assert (prev - last) / prev < 1e-3
 
 
 def test_rank_record_keeps_the_final_sweeps_states():
@@ -560,14 +561,16 @@ def test_rank_record_keeps_the_final_sweeps_states():
     # fit capped at K + 1 sweeps must be the ones a sweep from the K-capped
     # fit's model produces, not a stale earlier sweep's
     data = manufactured_sample(100, seed=3)  # rank 1 is still moving at 20 sweeps
-    cfg = FitConfig(rank_max=1, degree=1, sweep_tol=1e-14, init_candidates=3)
-    K = cfg.candidate_burn_sweeps + 5
-    _, diag_k = fit_fixed(data, 1, dataclasses.replace(cfg, max_sweeps_per_rank=K), init_seed=3)
-    _, diag_next = fit_fixed(data, 1, dataclasses.replace(cfg, max_sweeps_per_rank=K + 1),
-                             init_seed=3)
+    cfg = FitConfig(rank_max=1, degree=1)
+    K = als._BURN_SWEEPS + 5
+    with fit_constants(sweep_tol=1e-14, candidates=3):
+        _, diag_k = fit_fixed(data, 1, dataclasses.replace(cfg, max_sweeps_per_rank=K),
+                              init_seed=3)
+        _, diag_next = fit_fixed(data, 1, dataclasses.replace(cfg, max_sweeps_per_rank=K + 1),
+                                 init_seed=3)
     rec_k, rec_next = diag_k.per_rank[0], diag_next.per_rank[0]
     assert (rec_k.sweeps, rec_next.sweeps) == (K, K + 1)
-    _, resid, states = sweep(data, rec_k.model, cfg)
+    _, resid, states = one_sweep(data, rec_k.model, cfg)
     assert resid == pytest.approx(rec_next.residual, rel=1e-10)
     assert len(states) == len(rec_next.reg_states) == data.dims
     for state, kept, earlier in zip(states, rec_next.reg_states, rec_k.reg_states, strict=True):
@@ -579,35 +582,6 @@ def test_rank_record_keeps_the_final_sweeps_states():
         assert kept.sigma_hat != pytest.approx(earlier.sigma_hat, rel=1e-10)
 
 
-def test_sweep_refuses_a_model_of_another_family():
-    rng = np.random.default_rng(57)
-    model = random_model(rng, dims=2, rank=1, degree=1, family="legendre")
-    data = SampleSet(rng.standard_normal((20, 2)), rng.standard_normal(20), Family.HERMITE)
-    with pytest.raises(ValueError, match="family"):
-        sweep(data, model, FitConfig(rank_max=1, degree=1))
-
-
-@pytest.mark.parametrize("case", ["degree", "dims"])
-def test_sweep_refuses_a_model_whose_degree_or_dims_disagree(case):
-    rng = np.random.default_rng(58)
-    model = random_model(rng, dims=3 if case == "dims" else 2, rank=1, degree=1)
-    data = SampleSet(rng.standard_normal((20, 2)), rng.standard_normal(20), Family.HERMITE)
-    with pytest.raises(ValueError, match=f"^model {case} disagree"):
-        sweep(data, model, FitConfig(rank_max=1, degree=2 if case == "degree" else 1))
-
-
-@pytest.mark.parametrize("floor_rel", [0.0, 1.5, float("nan"), "0.05", True])
-def test_lambda_floor_outside_the_unit_interval_is_refused(floor_rel):
-    with pytest.raises(ValueError, match="lambda_floor_rel must lie in"):
-        FitConfig(rank_max=1, degree=1, lambda_floor_rel=floor_rel)
-
-
-@pytest.mark.parametrize("tol", [0.0, 1.0, float("nan"), "1e-5", True])
-def test_sweep_tol_outside_the_unit_interval_is_refused(tol):
-    with pytest.raises(ValueError, match="sweep_tol must lie in"):
-        FitConfig(rank_max=1, degree=1, sweep_tol=tol)
-
-
 @pytest.mark.parametrize("r", [0, -1, 2.0, True, "2"])
 def test_fit_fixed_refuses_a_rank_that_is_not_a_positive_integer(r):
     data = manufactured_sample(40, seed=0)
@@ -617,14 +591,24 @@ def test_fit_fixed_refuses_a_rank_that_is_not_a_positive_integer(r):
 
 @pytest.mark.parametrize("field, value", [
     ("rank_max", 2.0), ("rank_max", True), ("degree", 1.5), ("degree", False),
-    ("max_sweeps_per_rank", 3.5), ("init_candidates", 2.5), ("candidate_burn_sweeps", "3"),
-    ("rank_max", 0), ("degree", -1), ("init_candidates", 0),
+    ("max_sweeps_per_rank", 3.5), ("rank_max", 0), ("degree", -1),
     ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", "3"), ("rng_seed", True),
 ])
 def test_non_integer_counts_are_refused(field, value):
     fields = {"rank_max": 1, "degree": 1, field: value}
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         FitConfig(**fields)
+
+
+@pytest.mark.parametrize("name", ["sweep_tol", "lambda_floor_rel", "init_candidates",
+                                  "candidate_burn_sweeps"])
+def test_a_fixed_fit_setting_is_not_a_config_field(name):
+    # the tolerance, the lambda floor and the candidate race are constants
+    # of the fit, not fields a caller sets
+    assert [f.name for f in dataclasses.fields(FitConfig)] == [
+        "rank_max", "degree", "max_sweeps_per_rank", "penalty", "rng_seed"]
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        FitConfig(rank_max=1, degree=1, **{name: 3})
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
@@ -644,7 +628,7 @@ def test_normal_equation_failure_names_its_branch(monkeypatch, penalty):
     monkeypatch.setattr(als.TikhonovPath, "solve", lambda self, lam: np.zeros(self.z.shape))
     G = None if penalty == "none" else np.eye(2)
     with pytest.raises(ConditioningError) as err:
-        _solve_one(A, u, G, 3, FitConfig(rank_max=2, degree=2, penalty=penalty))
+        _solve_one(A, u, G, 3)
     message = str(err.value)
     if penalty == "none":
         assert "unregularized direction solve" in message
@@ -667,12 +651,12 @@ def _perturbed_directions(failing, error_at=None):
     real = als._direction_solve
     calls = []
 
-    def solve(AtA, Atu, uu, n, G, m, config):
+    def solve(AtA, Atu, uu, n, G, m):
         k = len(calls)
         calls.append(k)
         if k == error_at:
             raise DegenerateModelError(f"direction {k} interrupted the sweep")
-        c, raw = real(AtA, Atu, uu, n, G, m, config)
+        c, raw = real(AtA, Atu, uu, n, G, m)
         return (c * (1.0 + 1e-6), raw) if k in failing else (c, raw)
 
     als._direction_solve = solve
@@ -702,11 +686,11 @@ def test_each_penalty_checks_its_normal_equations_once_per_sweep(monkeypatch, pe
         return real(solves)
 
     monkeypatch.setattr(als, "_check_normal_equations", recording)
-    sweep(data, start, cfg)
+    one_sweep(data, start, cfg)
     assert checked == [[penalty == "none"] * data.dims]
     branch = "unregularized" if penalty == "none" else "regularized"
     with _perturbed_directions({0}), pytest.raises(ConditioningError) as err:
-        sweep(data, start, cfg)
+        one_sweep(data, start, cfg)
     assert f"of the {branch} direction solve in direction 0 exceeds" in str(err.value)
 
 
@@ -715,7 +699,7 @@ def test_the_earlier_of_two_failing_directions_is_reported(penalty):
     data, start, cfg = _sweep_case(penalty)
     branch = "unregularized" if penalty == "none" else "regularized"
     with _perturbed_directions({1, 2}) as calls, pytest.raises(ConditioningError) as err:
-        sweep(data, start, cfg)
+        one_sweep(data, start, cfg)
     assert calls == list(range(data.dims))  # the whole sweep ran before the check
     assert f"of the {branch} direction solve in direction 1 exceeds" in str(err.value)
 
@@ -725,14 +709,14 @@ def test_an_error_that_ends_the_sweep_reports_an_earlier_failed_normal_equation(
     # direction 1's normal equation fails, then direction 2 raises: the
     # pending checks run first, so direction 1's failure is the error
     with _perturbed_directions({1}, error_at=2) as calls, pytest.raises(ConditioningError) as err:
-        sweep(data, start, cfg)
+        one_sweep(data, start, cfg)
     assert calls == [0, 1, 2]
     assert "regularized direction solve in direction 1 exceeds" in str(err.value)
     assert isinstance(err.value.__context__, DegenerateModelError)
     # with every earlier normal equation satisfied, the interrupting error stands
     with _perturbed_directions(set(), error_at=2), pytest.raises(
             DegenerateModelError, match="direction 2 interrupted the sweep"):
-        sweep(data, start, cfg)
+        one_sweep(data, start, cfg)
 
 
 @pytest.mark.parametrize("penalty", ["none", "second_moment"])
@@ -742,8 +726,8 @@ def test_a_sweep_hands_on_only_what_its_states_read(penalty):
     # A^T u outlives it
     rng = np.random.default_rng(71)
     data = _sampled_from(random_model(rng, dims=3, rank=2, degree=2), 60, seed=72, noise=0.1)
-    fitter = als._Fitter(data, FitConfig(rank_max=3, degree=2, penalty=penalty), 0)
-    fitter.set_model(random_model(rng, dims=3, rank=2, degree=2))
+    fitter = fitter_at(data, random_model(rng, dims=3, rank=2, degree=2),
+                       FitConfig(rank_max=3, degree=2, penalty=penalty))
     fitter._use(fitter._draw_candidates(fitter.coeffs[0], fitter.scales[0], 4))
     _, solves = fitter.sweep_once()
     p = 3 * 3
@@ -794,14 +778,13 @@ def test_state_records_lambda_grid_position():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((80, 6))
     signal = A @ rng.standard_normal(6)
-    cfg = FitConfig(rank_max=2, degree=2)
     cases = [("floor", signal + 1e-3 * rng.standard_normal(80)),
              ("ceiling", rng.standard_normal(80)),
              ("interior", signal + 3.0 * rng.standard_normal(80))]
     for want, u in cases:
-        _, state, _ = _solve_one(A, u, np.eye(2), 3, cfg)
+        _, state, _ = _solve_one(A, u, np.eye(2), 3)
         path = TikhonovPath(*normal_equation_pieces(A[None], u), np.eye(2)[None], 3)
-        grid = gcv_select_lambda(path, floor_rel=cfg.lambda_floor_rel).grid[0]
+        grid = gcv_select_lambda(path).grid[0]
         assert state.lambda_ == grid[state.grid_index]
         assert state.grid_position == want
         if want == "interior":
@@ -813,7 +796,7 @@ def test_state_records_lambda_grid_position():
 @pytest.mark.parametrize("lo, hi", [(0.05, 1.0), (1e-120, 1e-110), (3.7e100, 2.0e102)])
 def test_lambda_grid_matches_geomspace(lo, hi):
     # GCV's grid is gamma_max times a fixed unit log grid: its ends are
-    # floor_rel * gamma_max and gamma_max exactly, and its interior is the
+    # floor * gamma_max and gamma_max exactly, and its interior is the
     # exact log grid to 1e-15 relative, on design matrices of any scale.
     # np.geomspace goes through the logs of its ends, so it carries an error
     # of its own of up to eps * |ln gamma| relative (2e-14 at 1e100)
@@ -823,18 +806,19 @@ def test_lambda_grid_matches_geomspace(lo, hi):
     path = TikhonovPath(*normal_equation_pieces(A, rng.standard_normal(30)),
                         np.broadcast_to(np.eye(4), (7, 4, 4)), 1)
     gmax = np.sqrt(path.sv2[:, 0])
-    for floor_rel in (regularize.DEFAULT_LAMBDA_FLOOR, 1e-3):
-        grid = gcv_select_lambda(path, floor_rel=floor_rel).grid
-        assert np.array_equal(grid[:, 0], floor_rel * gmax)
+    for floor in (regularize._LAMBDA_FLOOR, 1e-3):
+        with fit_constants(lambda_floor=floor):
+            grid = gcv_select_lambda(path).grid
+        assert np.array_equal(grid[:, 0], floor * gmax)
         assert np.array_equal(grid[:, -1], gmax)
         for row, g in zip(grid, gmax, strict=True):
             with mpmath.workprec(128):
-                lo_g = mpmath.mpf(float(floor_rel * g))
+                lo_g = mpmath.mpf(float(floor * g))
                 ratio = mpmath.mpf(float(g)) / lo_g
                 exact = np.array([float(lo_g * ratio ** (mpmath.mpf(i) / 49)) for i in range(50)])
             assert np.allclose(row, exact, rtol=1e-15, atol=0.0)
-            own = np.finfo(float).eps * max(abs(np.log(floor_rel * g)), abs(np.log(g)))
-            assert np.allclose(row, np.geomspace(floor_rel * g, g, 50), rtol=1e-15 + 2.0 * own,
+            own = np.finfo(float).eps * max(abs(np.log(floor * g)), abs(np.log(g)))
+            assert np.allclose(row, np.geomspace(floor * g, g, 50), rtol=1e-15 + 2.0 * own,
                                atol=0.0)
 
 
@@ -887,7 +871,7 @@ def _race_against_one_at_a_time(data, r, cfg, seed):
     finally:
         als._Fitter._race = real
     assert max(serial_probe["widths"]) == 1
-    assert max(raced_probe["widths"]) == cfg.init_candidates
+    assert max(raced_probe["widths"]) == als._CANDIDATES
     (m1, d1), (m2, d2) = raced, serial
     assert np.array_equal(m1.coeffs, m2.coeffs) and np.array_equal(m1.scales, m2.scales)
     for a, b in zip(d1.per_rank, d2.per_rank, strict=True):
@@ -907,7 +891,7 @@ def test_race_with_a_burn_in_redraw_equals_one_at_a_time(caplog):
     cfg = FitConfig(rank_max=4, degree=0)
     with caplog.at_level(logging.WARNING, logger="seprep.als"):
         probe = _race_against_one_at_a_time(data, 4, cfg, seed=5)
-    assert cfg.init_candidates in probe["redraw_widths"]
+    assert als._CANDIDATES in probe["redraw_widths"]
     assert "collapsed to zero" in caplog.text
 
 
@@ -917,8 +901,8 @@ def test_race_with_a_jittered_gram_equals_one_at_a_time(caplog):
     # collapses here turns on the data's last bits (an exact zero from
     # cancellation), so this data seed is one where none does
     data = manufactured_sample(60, seed=5)
-    cfg = FitConfig(rank_max=2, degree=0, candidate_burn_sweeps=2, max_sweeps_per_rank=6)
-    with caplog.at_level(logging.WARNING, logger="seprep.als"):
+    cfg = FitConfig(rank_max=2, degree=0, max_sweeps_per_rank=6)
+    with fit_constants(burn_sweeps=2), caplog.at_level(logging.WARNING, logger="seprep.als"):
         probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)
     assert probe["redraw_widths"] == []
     assert "required jitter" in caplog.text
@@ -935,10 +919,10 @@ def test_race_with_early_convergence_equals_one_at_a_time():
     # a loose tolerance and a long burn-in: candidates converge at different
     # sweeps and leave the stack one by one
     data = manufactured_sample(200, seed=2)
-    cfg = FitConfig(rank_max=2, degree=2, sweep_tol=2e-3, candidate_burn_sweeps=40,
-                    max_sweeps_per_rank=80)
-    probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)
-    assert any(1 < w < cfg.init_candidates for w in probe["widths"])
+    cfg = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=80)
+    with fit_constants(sweep_tol=2e-3, burn_sweeps=40):
+        probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)
+    assert any(1 < w < als._CANDIDATES for w in probe["widths"])
 
 
 def test_models_that_leave_a_race_own_their_arrays():
@@ -946,12 +930,12 @@ def test_models_that_leave_a_race_own_their_arrays():
     # every model leaves as a copy, so writing over the raced stack changes
     # none of them
     data = manufactured_sample(200, seed=2)
-    cfg = FitConfig(rank_max=2, degree=2, sweep_tol=2e-3)
-    fitter = als._Fitter(data, cfg, 5)
-    fitter.run_rank()
-    stack = fitter._draw_candidates(fitter.coeffs[0], fitter.scales[0], cfg.init_candidates)
-    traces = [[] for _ in range(cfg.init_candidates)]
-    out = fitter._race(stack, traces, 20)
+    fitter = als._Fitter(data, FitConfig(rank_max=2, degree=2), 5)
+    with fit_constants(sweep_tol=2e-3):
+        fitter.run_rank()
+        stack = fitter._draw_candidates(fitter.coeffs[0], fitter.scales[0], als._CANDIDATES)
+        traces = [[] for _ in range(als._CANDIDATES)]
+        out = fitter._race(stack, traces, 20)
     assert {len(t) == 20 for t in traces} == {True, False}
     before = [tuple(a.copy() for a in model) for _, _, model in out]
     for a in stack:
@@ -978,7 +962,7 @@ def test_a_failing_slice_ends_a_stacked_burn_in_with_its_typed_error(monkeypatch
     cfg = FitConfig(rank_max=1, degree=2)
     with _race_probe() as probe, pytest.raises(DegenerateModelError, match="slice 2 failed"):
         fit_fixed(manufactured_sample(60, seed=0), 1, cfg, init_seed=5)
-    assert probe["widths"] == [cfg.init_candidates]
+    assert probe["widths"] == [als._CANDIDATES]
     assert len(calls) == 3
 
 
@@ -1014,8 +998,7 @@ def test_exact_recovery_success_rate():
     # restart protocol: require 19 of 20 seeds below 1e-6 relative L2 error
     d, M = 4, 2
     n = 20 * d * (M + 1)
-    cfg = FitConfig(rank_max=1, degree=M, penalty="none", sweep_tol=1e-10,
-                    max_sweeps_per_rank=600)
+    cfg = FitConfig(rank_max=1, degree=M, penalty="none", max_sweeps_per_rank=600)
     hits = 0
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
@@ -1026,7 +1009,8 @@ def test_exact_recovery_success_rate():
         )
         pts = rng.standard_normal((n, d))
         data = SampleSet(pts, evaluate_batch(truth, pts), Family.HERMITE)
-        model, _ = fit_fixed(data, 1, cfg, init_seed=seed)
+        with fit_constants(sweep_tol=1e-10):
+            model, _ = fit_fixed(data, 1, cfg, init_seed=seed)
         if quadrature_l2_distance(model, truth) < 1e-6:
             hits += 1
     assert hits >= 19

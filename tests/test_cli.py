@@ -315,13 +315,17 @@ _UNREAD = {"--problem": ["elliptic"], "--n": ["500"], "--seeds": ["7"], "--r-max
     if flag not in _SUBCOMMAND_FLAGS[command]
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
-        tmp_path, monkeypatch, command, flag):
+        tmp_path, monkeypatch, capsys, command, flag):
     monkeypatch.chdir(tmp_path)
     write_dataset("d.csv", manufactured_sample(60, seed=0))
     with pytest.raises(SystemExit) as exc:
         main(_RUNNABLE[command] + [flag] + _UNREAD[flag])
     assert exc.value.code == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+    # the subcommand's own usage line and error prefix, not the top-level ones
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: seprep {command} [-h]")
+    assert f"\nseprep {command}: error: unrecognized arguments: " in err
     # without the flag the same command runs and writes its output
     assert main(_RUNNABLE[command]) == 0
     assert (tmp_path / "o").exists()

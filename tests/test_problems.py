@@ -214,6 +214,14 @@ def test_elliptic_positivity_guard(problem):
         elliptic_solve_batch(problem, scaled[None, :])
 
 
+def test_elliptic_solution_positivity_guard(problem, monkeypatch):
+    # a negated load leaves every coefficient positive and every solution
+    # negative, which the maximum principle rules out for unit forcing
+    monkeypatch.setattr(problem, "_load", -problem._load)
+    with pytest.raises(PositivityError, match=r"^solution non-positive at sample 0 \(u=-"):
+        elliptic_solve_batch(problem, np.zeros((3, 40)))
+
+
 # Two oracles check the FEM solve. banded_elliptic_solve reads the problem's
 # own element arrays, so it checks the condensed solve to rounding.
 # independent_elliptic_solve builds the arrays itself, and its rounding of them
@@ -488,6 +496,14 @@ def test_pc_regression_constant_data():
     assert mean_est == pytest.approx(2.5, abs=1e-10)
     assert std_est < 1e-9
     assert np.max(np.abs(coeffs[1:])) < 1e-10
+
+
+def test_pc_regression_refuses_a_rank_deficient_design():
+    # every input is zero, so the degree-1 columns vanish and only the constant is left
+    data = SampleSet(np.zeros((10, 2)), np.arange(10.0), "hermite")
+    with pytest.raises(ConditioningError,
+                       match=r"^rank-deficient design matrix \(rank 1 of 3 columns\)"):
+        pc_regression_baseline(data, 1)
 
 
 def test_pc_regression_refuses_underdetermined():

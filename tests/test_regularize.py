@@ -13,9 +13,15 @@ from helpers import (
     sigma_hat,
     tikhonov_factor,
 )
-from seprep.errors import ConditioningError, DegenerateModelError, InvariantError
+from seprep import regularize
+from seprep.errors import (
+    ConditioningError,
+    DegenerateModelError,
+    InvariantError,
+    SelectionError,
+)
 from seprep.model import second_moment, term_gram
-from seprep.regularize import DEFAULT_LAMBDA_FLOOR, TikhonovPath, gcv_select_lambda
+from seprep.regularize import TikhonovPath, gcv_select_lambda
 
 
 def test_build_B_rank_one_normalized():
@@ -152,7 +158,7 @@ def test_gcv_matches_fine_grid_scan():
     path = TikhonovPath(*normal_equation_pieces(A, u), L, 1)
     coarse = gcv_select_lambda(path)
     # the dense oracle's GCV scan over 500 points of the same range
-    fine = naive_gcv_solve(A[0], u, L[0].T @ L[0], 500, DEFAULT_LAMBDA_FLOOR)[1]
+    fine = naive_gcv_solve(A[0], u, L[0].T @ L[0], 500, regularize._LAMBDA_FLOOR)[1]
     # the coarse minimizer must land within one coarse cell of the fine one
     ratio = coarse.grid[0, 1] / coarse.grid[0, 0]
     assert coarse.lambda_[0] / ratio <= fine <= coarse.lambda_[0] * ratio
@@ -202,6 +208,30 @@ def test_gcv_decreasing_residual_is_an_invariant_error():
     path.perp2 = np.full(1, 1e3)
     with pytest.raises(InvariantError):
         gcv_select_lambda(path)
+
+
+def test_a_zero_normal_matrix_has_nothing_to_select():
+    rng = np.random.default_rng(21)
+    _, u, L = _random_system(rng)
+    path = TikhonovPath(np.zeros((1, 6, 6)), np.zeros((1, 6)), float(u @ u), len(u), L, 1)
+    with pytest.raises(SelectionError, match="^design matrix is identically zero; nothing"):
+        gcv_select_lambda(path)
+
+
+def test_gcv_non_finite_over_the_whole_grid_is_refused():
+    # a NaN u . u leaves every grid point's residual, and so its GCV, NaN
+    rng = np.random.default_rng(22)
+    A, u, L = _random_system(rng)
+    AtA, Atu, _, n = normal_equation_pieces(A, u)
+    path = TikhonovPath(AtA, Atu, np.nan, n, L, 1)
+    with pytest.raises(SelectionError, match="^GCV is non-finite over the whole lambda grid$"):
+        gcv_select_lambda(path)
+
+
+def test_a_normal_matrix_of_another_width_is_refused():
+    AtA = np.eye(3)[None]
+    with pytest.raises(ValueError, match=r"^normal matrix has 3 columns, expected 2 x 2$"):
+        TikhonovPath(AtA, np.ones((1, 3)), 1.0, 10, np.eye(2)[None], 2)
 
 
 def test_path_eigendecomposition_failure_is_a_conditioning_error(monkeypatch):
@@ -316,7 +346,7 @@ def test_package_public_names():
         "SampleSet", "SelectionReport", "SeparatedModel", "empirical_norm", "eval_basis_batch",
         "evaluate_batch", "fit_fixed", "gauss_quadrature", "load_model", "mean",
         "model_from_dict", "model_to_dict", "moment", "save_model", "second_moment",
-        "select_model", "standard_deviation", "sweep",
+        "select_model", "standard_deviation",
     }
     assert {"errors", "problems"} <= set(vars(seprep))
     for name in ("TikhonovPath", "gcv_select_lambda"):

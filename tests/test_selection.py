@@ -14,7 +14,7 @@ from seprep.model import SampleSet, evaluate_batch
 from seprep.problems import manufactured_sample
 from seprep.regularize import RegularizationState
 from seprep.selection import SelectionReport, per_degree_seeds, select_model
-from helpers import random_model, selection_summary
+from helpers import fit_constants, random_model, selection_summary
 
 
 def _state(ei):
@@ -31,11 +31,15 @@ def _toy_data(seed=0, n=150, dims=3, rank=1):
     return SampleSet(pts, out, "hermite")
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _fast_race():
+    # for speed, every fit here races 2 candidates for 5 burn-in sweeps
+    with fit_constants(candidates=2, burn_sweeps=5):
+        yield
+
+
 def _fast_config(seed=0):
-    return FitConfig(
-        rank_max=2, degree=2, rng_seed=seed,
-        init_candidates=2, candidate_burn_sweeps=5, max_sweeps_per_rank=40,
-    )
+    return FitConfig(rank_max=2, degree=2, rng_seed=seed, max_sweeps_per_rank=40)
 
 
 def test_single_pair_grid_is_chosen():
@@ -181,7 +185,7 @@ def test_every_indicator_infinite_is_a_selection_error(monkeypatch):
 
 def test_selection_log_names_the_runner_up_and_cap_stops(caplog, monkeypatch):
     # a two-sweep cap stops every rank fit before it converges
-    cfg = dataclasses.replace(_fast_config(), candidate_burn_sweeps=2, max_sweeps_per_rank=2)
+    cfg = dataclasses.replace(_fast_config(), max_sweeps_per_rank=2)
     with caplog.at_level(logging.INFO, logger="seprep.selection"):
         report = select_model(_toy_data(), [1, 2], [1, 2], cfg)
     summary = selection_summary(report)
@@ -191,7 +195,7 @@ def test_selection_log_names_the_runner_up_and_cap_stops(caplog, monkeypatch):
         f"(stopped at max_sweeps_per_rank); runner-up {runner_up} with EI_max = "
         f"{summary['runner_up_ei_max']:.4g} (stopped at max_sweeps_per_rank)"
     )
-    # fits that stopped on sweep_tol, and a grid with no finite runner-up
+    # fits that stopped on the sweep tolerance, and a grid with no finite runner-up
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="seprep.selection"):
         _select_on_indicators(monkeypatch, [[0.2, 0.5], [0.4, math.inf]])
@@ -277,10 +281,9 @@ def test_names_the_benchmark_tracer_reads(monkeypatch):
     record(seprep.selection, "fit_fixed")
     record(als, "TikhonovPath")
     record(als, "gcv_select_lambda")
-    cfg = FitConfig(rank_max=2, degree=2, rng_seed=0)
-    cfg = dataclasses.replace(cfg, init_candidates=2, candidate_burn_sweeps=3,
-                              max_sweeps_per_rank=10)
-    select_model(_toy_data(), [1, 2], [1, 2], cfg)
+    cfg = FitConfig(rank_max=2, degree=2, rng_seed=0, max_sweeps_per_rank=10)
+    with fit_constants(burn_sweeps=3):
+        select_model(_toy_data(), [1, 2], [1, 2], cfg)
     assert len(seen["fit_fixed"]) == 2  # one fit per degree
     assert len(seen["TikhonovPath"]) == len(seen["gcv_select_lambda"]) > 0
     for args, (_, diag) in seen["fit_fixed"]:
@@ -320,7 +323,12 @@ def test_selection_deterministic_and_serializable():
     # a report written when it stored the seeds that its config derives
     (None, [], {"base_seed": 2.5, "degree_seeds": {"1": "x"}},
      r"report has unknown keys \['base_seed', 'degree_seeds'\] and missing keys \[\]"),
-], ids=["old-config", "no-chosen", "unknown-key", "stored-seeds"])
+    # the config of a report written when the fit's fixed settings were fields
+    ("config", [], {"sweep_tol": 1e-5, "lambda_floor_rel": 0.05, "init_candidates": 8,
+                    "candidate_burn_sweeps": 15},
+     r"config has unknown keys \['candidate_burn_sweeps', 'init_candidates', "
+     r"'lambda_floor_rel', 'sweep_tol'\] and missing keys \[\]"),
+], ids=["old-config", "no-chosen", "unknown-key", "stored-seeds", "fixed-settings"])
 def test_report_document_with_wrong_keys_is_refused(part, remove, add, named):
     doc = select_model(_toy_data(), [1], [1], _fast_config(seed=11)).to_dict()
     target = doc if part is None else doc[part]
@@ -406,7 +414,8 @@ def test_degree_zero_in_the_grid_loses_without_aborting():
     # the search must still run through the other degree
     for seed in (0, 1, 2):
         data = manufactured_sample(60, seed=seed)
-        report = select_model(data, [1, 2, 3, 4], [0, 2], FitConfig(rank_max=4, degree=0))
+        with fit_constants(candidates=8, burn_sweeps=15):  # the fit's own race
+            report = select_model(data, [1, 2, 3, 4], [0, 2], FitConfig(rank_max=4, degree=0))
         assert math.isfinite(report.ei_max[(1, 0)])
         assert report.ei_max[(2, 0)] > 1e6
         for r in (3, 4):
@@ -431,15 +440,17 @@ def _fault_variant(case):
     return SampleSet(x, y, base.family)
 
 
-def _degenerate_config():
-    return FitConfig(rank_max=2, degree=2, rng_seed=0, init_candidates=2,
-                     candidate_burn_sweeps=3, max_sweeps_per_rank=20)
+def _degenerate_select(data):
+    # a three-sweep burn-in, 20 sweeps in all
+    with fit_constants(burn_sweeps=3):
+        return select_model(data, [1, 2], [1, 2],
+                            FitConfig(rank_max=2, degree=2, rng_seed=0, max_sweeps_per_rank=20))
 
 
 @pytest.mark.parametrize("case", ["duplicates", "constant", "zero", "huge", "n6", "n5"])
 def test_degenerate_data_ends_in_a_report_or_a_typed_error(case):
     try:
-        report = select_model(_fault_variant(case), [1, 2], [1, 2], _degenerate_config())
+        report = _degenerate_select(_fault_variant(case))
     except SeprepError:
         return
     assert report.chosen in report.grid
@@ -449,8 +460,8 @@ def test_degenerate_data_ends_in_a_report_or_a_typed_error(case):
 def test_huge_outputs_pick_the_unscaled_pair():
     # outputs of order 1e200 square past the double range; the fit works on
     # outputs scaled into [0.5, 1), so it selects as it does unscaled
-    huge = select_model(_fault_variant("huge"), [1, 2], [1, 2], _degenerate_config())
-    plain = select_model(manufactured_sample(60, seed=0), [1, 2], [1, 2], _degenerate_config())
+    huge = _degenerate_select(_fault_variant("huge"))
+    plain = _degenerate_select(manufactured_sample(60, seed=0))
     assert huge.chosen == plain.chosen
 
 
