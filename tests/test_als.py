@@ -930,8 +930,8 @@ def test_models_that_leave_a_race_own_their_arrays():
     # every model leaves as a copy, so writing over the raced stack changes
     # none of them
     data = manufactured_sample(200, seed=2)
-    fitter = als._Fitter(data, FitConfig(rank_max=2, degree=2), 5)
     with fit_constants(sweep_tol=2e-3):
+        fitter = als._Fitter(data, FitConfig(rank_max=2, degree=2), 5)
         fitter.run_rank()
         stack = fitter._draw_candidates(fitter.coeffs[0], fitter.scales[0], als._CANDIDATES)
         traces = [[] for _ in range(als._CANDIDATES)]

@@ -31,10 +31,14 @@ def _toy_data(seed=0, n=150, dims=3, rank=1):
     return SampleSet(pts, out, "hermite")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _fast_race():
-    # for speed, every fit here races 2 candidates for 5 burn-in sweeps
-    with fit_constants(candidates=2, burn_sweeps=5):
+# for speed, a test that fits with _fast_config races 2 candidates for 5
+# burn-in sweeps; the other fits here keep the fit's own race
+_FAST_RACE = {"candidates": 2, "burn_sweeps": 5}
+
+
+@pytest.fixture
+def fast_race():
+    with fit_constants(**_FAST_RACE):
         yield
 
 
@@ -42,6 +46,7 @@ def _fast_config(seed=0):
     return FitConfig(rank_max=2, degree=2, rng_seed=seed, max_sweeps_per_rank=40)
 
 
+@pytest.mark.usefixtures("fast_race")
 def test_single_pair_grid_is_chosen():
     data = _toy_data()
     report = select_model(data, [1], [2], _fast_config())
@@ -86,9 +91,11 @@ def stopped_report():
     # a rank-2 truth: degree 1's ladder stops at r = 2, degree 2's at r = 3,
     # so rank 4 is fitted for neither
     data = _toy_data(seed=1, rank=2)
-    return data, select_model(data, [1, 2, 3, 4], [1, 2], _fast_config())
+    with fit_constants(**_FAST_RACE):
+        return data, select_model(data, [1, 2, 3, 4], [1, 2], _fast_config())
 
 
+@pytest.mark.usefixtures("fast_race")
 def test_stopped_ladders_keep_the_bits_of_a_full_ladder(stopped_report):
     data, report = stopped_report
     assert report.grid == [(r, m) for m in (1, 2) for r in (1, 2, 3, 4)]
@@ -109,6 +116,7 @@ def test_stopped_ladders_keep_the_bits_of_a_full_ladder(stopped_report):
             assert np.array_equal(report.models[(r, m)].scales, rec.model.scales)
 
 
+@pytest.mark.usefixtures("fast_race")
 def test_rank_max_is_read_by_no_selection_fit(stopped_report):
     # each degree's ladder tops out at max(r_grid) whatever rank_max says,
     # and the report keeps the caller's config
@@ -183,6 +191,7 @@ def test_every_indicator_infinite_is_a_selection_error(monkeypatch):
         _select_on_indicators(monkeypatch, [[math.inf, 0.1], [0.2, math.inf]])
 
 
+@pytest.mark.usefixtures("fast_race")
 def test_selection_log_names_the_runner_up_and_cap_stops(caplog, monkeypatch):
     # a two-sweep cap stops every rank fit before it converges
     cfg = dataclasses.replace(_fast_config(), max_sweeps_per_rank=2)
@@ -238,6 +247,7 @@ def test_grid_entries_follow_the_one_count_rule(monkeypatch, r_grid, M_grid, nam
         select_model(_toy_data(), r_grid, M_grid, _fast_config())
 
 
+@pytest.mark.usefixtures("fast_race")
 def test_a_rank_off_the_grid_is_fitted_and_never_scored(monkeypatch):
     # a grid of [1, 3] grows the fit through rank 2, which the ladder stop
     # passes over and the report leaves out
@@ -255,6 +265,7 @@ def test_a_rank_off_the_grid_is_fitted_and_never_scored(monkeypatch):
     assert sorted(report.ei_max) == [(1, 2), (3, 2)]
 
 
+@pytest.mark.usefixtures("fast_race")
 def test_numpy_integer_grids_select_as_python_ints():
     data = _toy_data()
     plain = select_model(data, [1, 2], [1, 2], _fast_config())
@@ -282,7 +293,7 @@ def test_names_the_benchmark_tracer_reads(monkeypatch):
     record(als, "TikhonovPath")
     record(als, "gcv_select_lambda")
     cfg = FitConfig(rank_max=2, degree=2, rng_seed=0, max_sweeps_per_rank=10)
-    with fit_constants(burn_sweeps=3):
+    with fit_constants(candidates=2, burn_sweeps=3):
         select_model(_toy_data(), [1, 2], [1, 2], cfg)
     assert len(seen["fit_fixed"]) == 2  # one fit per degree
     assert len(seen["TikhonovPath"]) == len(seen["gcv_select_lambda"]) > 0
@@ -298,6 +309,7 @@ def test_names_the_benchmark_tracer_reads(monkeypatch):
             assert grid[0] <= lam <= grid[-1]
 
 
+@pytest.mark.usefixtures("fast_race")
 def test_selection_deterministic_and_serializable():
     data = _toy_data()
     cfg = _fast_config(seed=11)
@@ -329,6 +341,7 @@ def test_selection_deterministic_and_serializable():
      r"config has unknown keys \['candidate_burn_sweeps', 'init_candidates', "
      r"'lambda_floor_rel', 'sweep_tol'\] and missing keys \[\]"),
 ], ids=["old-config", "no-chosen", "unknown-key", "stored-seeds", "fixed-settings"])
+@pytest.mark.usefixtures("fast_race")
 def test_report_document_with_wrong_keys_is_refused(part, remove, add, named):
     doc = select_model(_toy_data(), [1], [1], _fast_config(seed=11)).to_dict()
     target = doc if part is None else doc[part]
@@ -380,6 +393,7 @@ def test_report_document_with_malformed_tables_is_refused(stopped_report, case):
         SelectionReport.from_dict(doc)
 
 
+@pytest.mark.usefixtures("fast_race")
 def test_chosen_pair_attains_minimum_with_parsimonious_ties():
     data = _toy_data(seed=3)
     report = select_model(data, [1, 2], [1, 2], _fast_config(seed=5))
@@ -392,6 +406,7 @@ def test_chosen_pair_attains_minimum_with_parsimonious_ties():
             break
 
 
+@pytest.mark.usefixtures("fast_race")
 def test_refit_from_stored_seed_reproduces_model():
     data = _toy_data(seed=7)
     cfg = _fast_config(seed=21)
@@ -414,8 +429,7 @@ def test_degree_zero_in_the_grid_loses_without_aborting():
     # the search must still run through the other degree
     for seed in (0, 1, 2):
         data = manufactured_sample(60, seed=seed)
-        with fit_constants(candidates=8, burn_sweeps=15):  # the fit's own race
-            report = select_model(data, [1, 2, 3, 4], [0, 2], FitConfig(rank_max=4, degree=0))
+        report = select_model(data, [1, 2, 3, 4], [0, 2], FitConfig(rank_max=4, degree=0))
         assert math.isfinite(report.ei_max[(1, 0)])
         assert report.ei_max[(2, 0)] > 1e6
         for r in (3, 4):
@@ -441,8 +455,8 @@ def _fault_variant(case):
 
 
 def _degenerate_select(data):
-    # a three-sweep burn-in, 20 sweeps in all
-    with fit_constants(burn_sweeps=3):
+    # two candidates with a three-sweep burn-in, 20 sweeps in all
+    with fit_constants(candidates=2, burn_sweeps=3):
         return select_model(data, [1, 2], [1, 2],
                             FitConfig(rank_max=2, degree=2, rng_seed=0, max_sweeps_per_rank=20))
 
