@@ -513,15 +513,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="seprep",
         description="Fit low-rank separated surrogates and reproduce the benchmark studies",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {}
     for name, (help_text, flags) in _COMMANDS.items():
-        p = parsers[name] = sub.add_parser(name, help=help_text,
+        p = parsers[name] = sub.add_parser(name, help=help_text, allow_abbrev=False,
                                            argument_default=argparse.SUPPRESS)
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag])
-    p_kl = parsers["kl-info"] = sub.add_parser("kl-info",
+    p_kl = parsers["kl-info"] = sub.add_parser("kl-info", allow_abbrev=False,
                                                help="covariance eigen-decomposition summary")
     p_kl.add_argument("--corr-length", type=float, default=EllipticProblem.corr_length)
     p_kl.add_argument("--dims", type=int, default=EllipticProblem.dims)

@@ -27,7 +27,6 @@ __all__ = [
     "standard_deviation",
     "moment",
     "empirical_norm",
-    "term_gram",
     "model_to_dict",
     "model_from_dict",
     "save_model",
@@ -191,7 +190,7 @@ def evaluate_batch(model: SeparatedModel, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def term_gram(model: SeparatedModel) -> np.ndarray:
+def _term_gram(model: SeparatedModel) -> np.ndarray:
     """Rank-by-rank Gram matrix of the terms in L2 of the input density.
 
     Entry (l, l') is s_l * s_l' * prod_k <u_k^l, u_k^l'>. By orthonormality
@@ -210,7 +209,7 @@ def mean(model: SeparatedModel) -> float:
 
 def second_moment(model: SeparatedModel) -> float:
     """Exact second moment via pairwise term inner products."""
-    return float(term_gram(model).sum())
+    return float(_term_gram(model).sum())
 
 
 def standard_deviation(model: SeparatedModel) -> float:

@@ -38,7 +38,6 @@ __all__ = [
     "elliptic_sample",
     "MCResult",
     "mc_baseline",
-    "total_degree_indices",
     "pc_regression_baseline",
 ]
 
@@ -422,7 +421,7 @@ def mc_baseline(sampler, n: int, seed: int) -> MCResult:
     return MCResult(m, s, stderr_mean, stderr_std, n)
 
 
-def total_degree_indices(dims: int, degree: int) -> list:
+def _total_degree_indices(dims: int, degree: int) -> list:
     """All multi-indices with |alpha|_1 <= degree, graded lexicographic order."""
     _check_count("dims", dims, 1)
     _check_count("degree", degree, 0)
@@ -444,8 +443,8 @@ def pc_regression_baseline(data: SampleSet, total_degree: int):
     orthonormality. Refuses underdetermined problems outright.
     """
     _check_count("total_degree", total_degree, 0)
-    indices = total_degree_indices(data.dims, total_degree)
-    n_basis = len(indices)
+    # counted before any index is built: the enumeration grows as C(d + p, p)
+    n_basis = math.comb(data.dims + total_degree, total_degree)
     if data.n < n_basis:
         raise ConditioningError(
             f"total-degree-{total_degree} basis in {data.dims} dims has {n_basis} "
@@ -460,7 +459,7 @@ def pc_regression_baseline(data: SampleSet, total_degree: int):
     basis = BasisSpec(data.family, total_degree)
     psi = eval_basis_batch(basis, data.inputs)  # (n, d, degree+1)
     design = np.ones((data.n, n_basis))
-    for j, alpha in enumerate(indices):
+    for j, alpha in enumerate(_total_degree_indices(data.dims, total_degree)):
         for k, a in enumerate(alpha):
             if a:
                 design[:, j] *= psi[:, k, a]

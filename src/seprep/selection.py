@@ -22,7 +22,7 @@ import numpy as np
 from .als import FitConfig, fit_fixed
 from .basis import _check_count
 from .errors import SelectionError
-from .model import SampleSet, SeparatedModel, _check_keys, model_from_dict, model_to_dict
+from .model import SampleSet, SeparatedModel, model_to_dict
 
 __all__ = ["SelectionReport", "select_model", "per_degree_seeds"]
 
@@ -78,17 +78,29 @@ class SelectionReport:
 
     grid is the requested grid. ei_max, residuals and models hold the fitted
     pairs only: a pair above the rank where its degree's ladder stopped is
-    absent from all three. config is the caller's, and each degree's fit
-    seed derives from config.rng_seed (see degree_seeds), so the report
-    stores no seed of its own.
+    absent from all three. chosen is not an argument: it is the pair with
+    the smallest finite EI_max, ties going to the smaller rank and then the
+    smaller degree, and a table with no finite EI_max raises SelectionError.
+    config is the caller's, and each degree's fit seed derives from
+    config.rng_seed (see degree_seeds), so the report stores no seed of its
+    own.
     """
 
     grid: list
     ei_max: dict
     residuals: dict
     models: dict
-    chosen: tuple
+    chosen: tuple = dataclasses.field(init=False)
     config: FitConfig
+
+    def __post_init__(self):
+        # (EI_max, (rank, degree)) in the tie rule's order, best first
+        self._ranked = sorted((ei, p) for p, ei in self.ei_max.items() if math.isfinite(ei))
+        if not self._ranked:
+            raise SelectionError(
+                f"every (rank, degree) pair produced an infinite error indicator: {self.ei_max}"
+            )
+        self.chosen = self._ranked[0][1]
 
     @property
     def degree_seeds(self) -> dict:
@@ -111,45 +123,6 @@ class SelectionReport:
             "chosen": list(self.chosen),
             "config": dataclasses.asdict(self.config),
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SelectionReport":
-        def unkey(s):
-            r, m = s.split(",")
-            return (int(r), int(m))
-
-        def read_pair(what, p):
-            r, m = p
-            return (_check_count(f"{what} rank", r, 1), _check_count(f"{what} degree", m, 0))
-
-        _check_keys(doc, [f.name for f in dataclasses.fields(cls)], "selection report")
-        _check_keys(doc["config"], [f.name for f in dataclasses.fields(FitConfig)],
-                   "selection report config")
-        grid = [read_pair("grid", p) for p in doc["grid"]]
-        tables = {name: {unkey(k): v for k, v in doc[name].items()}
-                  for name in ("ei_max", "residuals", "models")}
-        fitted = set(tables["ei_max"])
-        for name, table in tables.items():
-            outside = sorted(set(table) - set(grid))
-            if outside:
-                raise ValueError(f"selection report {name} holds {outside[0]}, "
-                                 f"which is outside its grid")
-            unmatched = sorted(set(table) ^ fitted)
-            if unmatched:
-                pair = unmatched[0]
-                has, lacks = ("ei_max", name) if pair in fitted else (name, "ei_max")
-                raise ValueError(f"selection report {has} holds {pair} and {lacks} does not")
-        chosen = read_pair("chosen", doc["chosen"])
-        if chosen not in fitted:
-            raise ValueError(f"selection report chose {chosen}, which is not a fitted pair")
-        return cls(
-            grid=grid,
-            ei_max=tables["ei_max"],
-            residuals=tables["residuals"],
-            models={p: model_from_dict(v) for p, v in tables["models"].items()},
-            chosen=chosen,
-            config=FitConfig(**doc["config"]),
-        )
 
 
 def select_model(
@@ -193,23 +166,15 @@ def select_model(
                 residuals[pair] = rec.residual
                 models[pair] = rec.model
                 capped[pair] = not rec.converged
-    grid = [(r, m) for m in M_grid for r in r_grid]
-    # ties resolve toward smaller rank, then smaller degree
-    ranked = sorted((ei, p) for p, ei in ei_max.items() if math.isfinite(ei))
-    if not ranked:
-        raise SelectionError(
-            f"every (rank, degree) pair produced an infinite error indicator: {ei_max}"
-        )
-    chosen = ranked[0][1]
-    pairs = [f"{p} with EI_max = {ei:.4g} "
-             f"({'stopped at max_sweeps_per_rank' if capped[p] else 'converged'})"
-             for ei, p in ranked[:2]]
-    logger.info("selected (r, M) = %s; runner-up %s", pairs[0], (pairs + ["none"])[1])
-    return SelectionReport(
-        grid=grid,
+    report = SelectionReport(
+        grid=[(r, m) for m in M_grid for r in r_grid],
         ei_max=ei_max,
         residuals=residuals,
         models=models,
-        chosen=chosen,
         config=config,
     )
+    pairs = [f"{p} with EI_max = {ei:.4g} "
+             f"({'stopped at max_sweeps_per_rank' if capped[p] else 'converged'})"
+             for ei, p in report._ranked[:2]]
+    logger.info("selected (r, M) = %s; runner-up %s", pairs[0], (pairs + ["none"])[1])
+    return report

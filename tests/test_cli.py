@@ -331,6 +331,17 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
     assert (tmp_path / "o").exists()
 
 
+def test_an_abbreviated_flag_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # argparse's prefix matching would read --n as sample's --no-noise
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--problem", "manufactured", "--sample-n", "3",
+              "--sample-out", "a.csv", "--n"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "\nseprep sample: error: unrecognized arguments: --n\n" in capsys.readouterr().err
+
+
 def test_cli_kl_info(tmp_path, capsys):
     rc = main(["kl-info", "--dims", "10", "--n-grid", "128",
                "--out", str(tmp_path / "kl.json")])

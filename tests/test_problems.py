@@ -25,8 +25,8 @@ from seprep.problems import (
     manufactured_model,
     manufactured_sample,
     mc_baseline,
+    _total_degree_indices,
     pc_regression_baseline,
-    total_degree_indices,
 )
 
 
@@ -361,8 +361,8 @@ _COUNT_SITES = {
     "manufactured_model-max_degree": (manufactured_model, "max_degree", 3, 4),
     "mc_baseline-n": (lambda v: mc_baseline(lambda n, s: np.arange(n, dtype=float), v, 0),
                       "n", 2, 3),
-    "total_degree_indices-dims": (lambda v: total_degree_indices(v, 1), "dims", 1, 3),
-    "total_degree_indices-degree": (lambda v: total_degree_indices(3, v), "degree", 0, 2),
+    "total_degree_indices-dims": (lambda v: _total_degree_indices(v, 1), "dims", 1, 3),
+    "total_degree_indices-degree": (lambda v: _total_degree_indices(3, v), "degree", 0, 2),
     "pc_regression_baseline-total_degree": (
         lambda v: pc_regression_baseline(_small_pc_data(), v), "total_degree", 0, 1),
     "kl_decompose-d": (lambda v: kl_decompose(0.1, v, 64), "d", 1, 4),
@@ -458,9 +458,9 @@ def test_mc_baseline_manufactured():
 
 
 def test_total_degree_index_count():
-    assert len(total_degree_indices(10, 3)) == math.comb(13, 3)
-    assert len(total_degree_indices(40, 3)) == math.comb(43, 3)
-    assert total_degree_indices(3, 1) == [
+    assert len(_total_degree_indices(10, 3)) == math.comb(13, 3)
+    assert len(_total_degree_indices(40, 3)) == math.comb(43, 3)
+    assert _total_degree_indices(3, 1) == [
         (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
     ]
 
@@ -511,3 +511,17 @@ def test_pc_regression_refuses_underdetermined():
     data = SampleSet(rng.uniform(-1, 1, (600, 40)), np.zeros(600), Family.LEGENDRE)
     with pytest.raises(ConditioningError, match="only 600 samples"):
         pc_regression_baseline(data, 3)
+
+
+def test_pc_regression_refuses_before_it_enumerates(monkeypatch):
+    # C(70, 30) = 5.5e19 indices: the count alone refuses, before any is built
+    def enumerate_indices(dims, degree):
+        raise AssertionError("the total-degree indices were enumerated")
+
+    monkeypatch.setattr(problems, "_total_degree_indices", enumerate_indices)
+    data = SampleSet(np.zeros((5, 40)), np.zeros(5), Family.LEGENDRE)
+    with pytest.raises(ConditioningError,
+                       match=f"^total-degree-30 basis in 40 dims has {math.comb(70, 30)} "
+                             "functions but only 5 samples are available; "
+                             "increase N or reduce the degree$"):
+        pc_regression_baseline(data, 30)

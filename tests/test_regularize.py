@@ -20,7 +20,7 @@ from seprep.errors import (
     InvariantError,
     SelectionError,
 )
-from seprep.model import second_moment, term_gram
+from seprep.model import _term_gram, second_moment
 from seprep.regularize import TikhonovPath, gcv_select_lambda
 
 
@@ -59,7 +59,7 @@ def test_build_B_matches_direct_expansion():
     mk.coeffs[k] = 0.0
     mk.coeffs[k, :, 0] = 1.0
     assert np.allclose(
-        np.kron(term_gram(mk), np.eye(m.basis.size)), B, rtol=1e-12, atol=1e-12
+        np.kron(_term_gram(mk), np.eye(m.basis.size)), B, rtol=1e-12, atol=1e-12
     )
 
 
