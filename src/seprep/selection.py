@@ -8,25 +8,36 @@ ranks (patience one), so the ranks above it are not fitted. This stop rule
 is this package's own: the source paper does not say how the (r, M) grid
 is searched, and the rule can miss a degree's own minimum further up. The
 chosen pair minimizes EI_max over the fitted pairs, with ties broken toward
-the smaller rank and then the smaller degree.
+the smaller rank and then the smaller degree. The degrees' ladders are
+independent fits, so on a host with a second CPU they run in forked worker
+processes; every bit of the report is the same either way.
 """
 from __future__ import annotations
 
 import dataclasses
 import logging
 import math
+import multiprocessing
+import threading
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .als import FitConfig, fit_fixed
+from .als import FitConfig, _user_stacklevel, fit_fixed
 from .basis import _check_count
-from .errors import SelectionError
-from .model import SampleSet, SeparatedModel, model_to_dict
+from .errors import SelectionError, SeprepError
+from .model import SampleSet, SeparatedModel, _usable_cpus, model_to_dict
 
 __all__ = ["SelectionReport", "select_model", "per_degree_seeds"]
 
 logger = logging.getLogger(__name__)
+
+# most fit workers: 2 is the count measured (two took 0.65-0.67x the serial
+# time of manufactured-select on a 2-core host, BLAS at one thread); more
+# CPUs are untested
+_FIT_WORKERS = 2
 
 
 def per_degree_seeds(base_seed: int, degrees) -> dict:
@@ -70,6 +81,75 @@ def _ladder_stop(r_grid, m):
         return False
 
     return stop
+
+
+def _fit_degree(data: SampleSet, r_grid, config: FitConfig, m: int, seed: int):
+    """Degree m's rank ladder, with what it logged and warned held back.
+
+    Returns (outcome, records, warned): outcome is the fit's diag.per_rank,
+    or the SeprepError it raised; records are the seprep log records this
+    thread made, which no handler has seen; warned are the warnings the fit
+    issued, which no warnings filter has judged. select_model hands both on
+    after the fit, so a worker process prints nothing through the handlers
+    it inherited, and the serial path runs this same function inline.
+    """
+    records, ident = [], threading.get_ident()
+
+    def hold(record) -> bool:
+        if threading.get_ident() != ident:
+            return True
+        records.append(record)
+        return False
+
+    prefix = __name__.partition(".")[0]
+    loggers = [lg for name, lg in list(logging.Logger.manager.loggerDict.items())
+               if isinstance(lg, logging.Logger) and name.partition(".")[0] == prefix]
+    for lg in loggers:
+        lg.addFilter(hold)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                _, diag = fit_fixed(data, r_grid[-1], dataclasses.replace(config, degree=m),
+                                    seed, stop=_ladder_stop(r_grid, m))
+                outcome = diag.per_rank
+            except SeprepError as exc:
+                outcome = exc
+    finally:
+        for lg in loggers:
+            lg.removeFilter(hold)
+    return outcome, records, [w.message for w in caught]
+
+
+def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
+    """_fit_degree's output for each degree of M_grid in order, fitted in a
+    fork pool where one may run, and inline otherwise; each starts from its
+    seed of per_degree_seeds.
+
+    The pool runs when the affinity mask has a second CPU, M_grid has a
+    second degree, the platform can fork and the caller runs one Python
+    thread. It has min(CPUs, degrees, _FIT_WORKERS) workers, takes the
+    highest degree first, and is shut down, its children joined, before
+    this returns or raises. Inline, the fits stop at the first degree whose
+    fit raised.
+    """
+    seeds = per_degree_seeds(config.rng_seed, M_grid)
+    workers = min(_usable_cpus(), _FIT_WORKERS, len(M_grid))
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        fits = []
+        for m in M_grid:
+            fits.append(_fit_degree(data, r_grid, config, m, seeds[m]))
+            if isinstance(fits[-1][0], SeprepError):
+                break
+        return fits
+    # fork, not spawn: a spawned worker would import numpy and scipy afresh on
+    # every call; forking with one thread copies no lock another thread holds.
+    # Higher degrees take longer, so they go first
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {m: pool.submit(_fit_degree, data, r_grid, config, m, seeds[m])
+                   for m in reversed(M_grid)}
+        return [futures[m].result() for m in M_grid]
 
 
 @dataclass
@@ -142,6 +222,17 @@ def select_model(
     outputs are refused before any fit, since every indicator would be
     infinite. Every grid entry is a count (ranks >= 1, degrees >= 0),
     checked before the grids are sorted and deduplicated.
+
+    The degrees' fits run in forked worker processes when the process's
+    affinity mask has a second CPU, the grid a second degree, the platform
+    the "fork" start method and the caller one Python thread; otherwise they
+    run here, one after the other (`taskset -c 0` forces that). There are
+    at most two workers and at most one per degree, and no worker outlives
+    the call.
+    Either way each fit's log records and warnings are handed on after the
+    fits, degree by degree in degree order, each warning naming the
+    caller's frame, and a fit's SeprepError is raised with its own type, the
+    lowest failing degree's first; the report is the same bit for bit.
     """
     r_grid = sorted({_check_count("r_grid", r, 1) for r in r_grid})
     M_grid = sorted({_check_count("M_grid", m, 0) for m in M_grid})
@@ -151,15 +242,18 @@ def select_model(
         raise SelectionError("EI-based selection requires regularization to be enabled")
     if not np.any(data.outputs):
         raise SelectionError("every output is zero: no rank or degree can be selected")
-    seeds = per_degree_seeds(config.rng_seed, M_grid)
     ei_max: dict = {}
     residuals: dict = {}
     models: dict = {}
     capped: dict = {}
-    for m in M_grid:
-        _, diag = fit_fixed(data, r_grid[-1], dataclasses.replace(config, degree=m), seeds[m],
-                            stop=_ladder_stop(r_grid, m))
-        for rec in diag.per_rank:
+    for m, (outcome, records, warned) in zip(M_grid, _fit_degrees(data, r_grid, M_grid, config)):
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        for message in warned:
+            warnings.warn(message, stacklevel=_user_stacklevel())
+        if isinstance(outcome, SeprepError):
+            raise outcome
+        for rec in outcome:
             if rec.rank in r_grid:
                 pair = (rec.rank, m)
                 ei_max[pair] = _ei_max(rec)

@@ -2,6 +2,10 @@ import dataclasses
 import json
 import logging
 import math
+import multiprocessing
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import pytest
 import seprep.selection
 from seprep import als
 from seprep.als import FitConfig, FitDiagnostics, RankRecord, fit_fixed
-from seprep.errors import SelectionError, SeprepError
+from seprep.errors import ConditioningError, SelectionError, SeprepError
 from seprep.model import SampleSet, evaluate_batch
 from seprep.problems import manufactured_sample
 from seprep.regularize import RegularizationState
@@ -276,7 +280,10 @@ def test_numpy_integer_grids_select_as_python_ints():
 
 def test_names_the_benchmark_tracer_reads(monkeypatch):
     # perfbench/tracing.py patches these module attributes and reads these
-    # fields; a renamed one would make its metrics read 0 without an error
+    # fields; a renamed one would make its metrics read 0 without an error.
+    # One worker keeps the fits in this process, where the wrappers record:
+    # a forked worker would record into its own copy of `seen`
+    monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 1)
     seen = {}
 
     def record(module, name):
@@ -307,6 +314,85 @@ def test_names_the_benchmark_tracer_reads(monkeypatch):
     for _, sel in seen["gcv_select_lambda"]:
         for lam, grid in zip(np.atleast_1d(sel.lambda_), np.atleast_2d(sel.grid), strict=True):
             assert grid[0] <= lam <= grid[-1]
+
+
+@pytest.mark.usefixtures("fast_race")
+def test_pooled_selection_equals_serial(monkeypatch, caplog, capfd):
+    # on 8 samples degree 1's ladder stops at r = 2 and degree 2's at r = 3,
+    # whose 9 unknowns per direction solve make it underdetermined
+    data = _toy_data(seed=0, rank=2, n=8)
+    printer = logging.StreamHandler()
+    logging.getLogger().addHandler(printer)
+    runs = []
+    try:
+        for cpus in (1, 2):
+            monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: cpus)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="seprep"), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = select_model(data, [1, 2, 3, 4], [1, 2], _fast_config())
+            assert multiprocessing.active_children() == []
+            runs.append((json.dumps(report.to_dict()), caplog.records[:], caught,
+                         capfd.readouterr().err))
+    finally:
+        logging.getLogger().removeHandler(printer)
+    (serial, serial_logs, serial_warned, _), (pooled, pooled_logs, pooled_warned, printed) = runs
+    assert pooled == serial
+    assert sorted(json.loads(pooled)["ei_max"]) == ["1,1", "1,2", "2,1", "2,2", "3,2"]
+    assert ([(r.name, r.levelno, r.getMessage()) for r in pooled_logs]
+            == [(r.name, r.levelno, r.getMessage()) for r in serial_logs])
+    stops = [r for r in pooled_logs if "rank ladder stopped" in r.getMessage()]
+    assert [r.getMessage()[:5] for r in stops] == ["M = 1", "M = 2"]
+    assert pooled_logs[-1].getMessage().startswith("selected")
+    # the fits ran in other processes; the serial ones in this one
+    assert all(r.process != os.getpid() for r in stops)
+    assert all(r.process == os.getpid() for r in serial_logs)
+    for warned in (serial_warned, pooled_warned):
+        assert [(w.category, w.filename) for w in warned
+                if "underdetermined" in str(w.message)] == [(UserWarning, __file__)]
+    for r in stops:
+        assert printed.count(r.getMessage()) == 1
+
+
+def test_a_worker_error_keeps_its_type_and_no_worker_outlives_it(monkeypatch):
+    # degrees 2 and 3 both fail; the lowest one's error is raised, as the
+    # serial loop would raise it
+    def failing_fit(data, r, config, init_seed, *, stop=None):
+        if config.degree > 1:
+            raise ConditioningError(f"degree {config.degree} fails")
+        return fit_fixed(data, r, config, init_seed, stop=stop)
+
+    monkeypatch.setattr(seprep.selection, "fit_fixed", failing_fit)
+    monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 2)
+    with fit_constants(**_FAST_RACE), pytest.raises(ConditioningError, match="^degree 2 fails$"):
+        select_model(_toy_data(), [1, 2], [1, 2, 3], _fast_config())
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.usefixtures("fast_race")
+def test_a_second_thread_keeps_the_fits_in_this_process(monkeypatch):
+    # forking a process that runs another thread can copy a lock that
+    # thread holds, so the fits run inline; a recording made in a worker
+    # would be lost with it
+    fitted = []
+
+    def recording_fit(*args, **kwargs):
+        fitted.append(args[2].degree)
+        return fit_fixed(*args, **kwargs)
+
+    monkeypatch.setattr(seprep.selection, "fit_fixed", recording_fit)
+    monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        select_model(_toy_data(), [1, 2], [1, 2], _fast_config())
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert fitted == [1, 2]
 
 
 @pytest.mark.usefixtures("fast_race")
