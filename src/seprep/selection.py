@@ -127,8 +127,9 @@ def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
     seed of per_degree_seeds.
 
     The pool runs when the affinity mask has a second CPU, M_grid has a
-    second degree, the platform can fork and the caller runs one Python
-    thread. It has min(CPUs, degrees, _FIT_WORKERS) workers, takes the
+    second degree, the platform can fork, the caller runs one Python
+    thread and is not a daemonic process (a multiprocessing.Pool worker,
+    which may start no child). It has min(CPUs, degrees, _FIT_WORKERS) workers, takes the
     highest degree first, and is shut down, its children joined, before
     this returns or raises. Inline, the fits stop at the first degree whose
     fit raised.
@@ -136,7 +137,7 @@ def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
     seeds = per_degree_seeds(config.rng_seed, M_grid)
     workers = min(_usable_cpus(), _FIT_WORKERS, len(M_grid))
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
+            or threading.active_count() > 1 or multiprocessing.current_process().daemon):
         fits = []
         for m in M_grid:
             fits.append(_fit_degree(data, r_grid, config, m, seeds[m]))
@@ -225,8 +226,10 @@ def select_model(
 
     The degrees' fits run in forked worker processes when the process's
     affinity mask has a second CPU, the grid a second degree, the platform
-    the "fork" start method and the caller one Python thread; otherwise they
-    run here, one after the other (`taskset -c 0` forces that). There are
+    the "fork" start method and the caller one Python thread, and the
+    caller is not a daemonic process such as a multiprocessing.Pool worker;
+    otherwise they run here, one after the other (`taskset -c 0` forces
+    that). There are
     at most two workers and at most one per degree, and no worker outlives
     the call.
     Either way each fit's log records and warnings are handed on after the

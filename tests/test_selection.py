@@ -395,6 +395,21 @@ def test_a_second_thread_keeps_the_fits_in_this_process(monkeypatch):
     assert fitted == [1, 2]
 
 
+def _chosen_pair(_):
+    with fit_constants(**_FAST_RACE):
+        return select_model(_toy_data(), [1, 2], [1, 2], _fast_config()).chosen
+
+
+@pytest.mark.usefixtures("fast_race")
+def test_a_pool_worker_selects_inline(monkeypatch):
+    # a multiprocessing.Pool worker is daemonic and may start no child, so
+    # a selection it runs fits its degrees inline and chooses the same pair
+    monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        chosen = pool.map(_chosen_pair, [0])
+    assert chosen == [select_model(_toy_data(), [1, 2], [1, 2], _fast_config()).chosen]
+
+
 @pytest.mark.usefixtures("fast_race")
 def test_selection_deterministic_and_serializable():
     data = _toy_data()
