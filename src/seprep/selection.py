@@ -9,8 +9,9 @@ is this package's own: the source paper does not say how the (r, M) grid
 is searched, and the rule can miss a degree's own minimum further up. The
 chosen pair minimizes EI_max over the fitted pairs, with ties broken toward
 the smaller rank and then the smaller degree. The degrees' ladders are
-independent fits, so on a host with a second CPU they run in forked worker
-processes; every bit of the report is the same either way.
+independent fits, so on a host with a second CPU they may run in forked
+worker processes (see _fit_degrees); every bit of the report is the same
+either way.
 """
 from __future__ import annotations
 
@@ -38,6 +39,9 @@ logger = logging.getLogger(__name__)
 # time of manufactured-select on a 2-core host, BLAS at one thread); more
 # CPUs are untested
 _FIT_WORKERS = 2
+
+# the fit as imported, told apart from a wrapper put in its place
+_FIT_FIXED = fit_fixed
 
 
 def per_degree_seeds(base_seed: int, degrees) -> dict:
@@ -84,20 +88,24 @@ def _ladder_stop(r_grid, m):
 
 
 def _fit_degree(data: SampleSet, r_grid, config: FitConfig, m: int, seed: int):
-    """Degree m's rank ladder, with what it logged and warned held back.
+    """Degree m's rank ladder, fitted from seed: the fit's diag.per_rank."""
+    _, diag = fit_fixed(data, r_grid[-1], dataclasses.replace(config, degree=m), seed,
+                        stop=_ladder_stop(r_grid, m))
+    return diag.per_rank
 
-    Returns (outcome, records, warned): outcome is the fit's diag.per_rank,
-    or the SeprepError it raised; records are the seprep log records this
-    thread made, which no handler has seen; warned are the warnings the fit
-    issued, which no warnings filter has judged. select_model hands both on
-    after the fit, so a worker process prints nothing through the handlers
-    it inherited, and the serial path runs this same function inline.
+
+def _fit_degree_held(*args):
+    """_fit_degree in a worker process, with what it logged and warned held back.
+
+    Returns (outcome, records, warned): outcome is _fit_degree's result or
+    the SeprepError it raised; records are the seprep log records the fit
+    made, which no handler the worker inherited has printed; warned are the
+    warnings it issued, which no warnings filter has judged. _fit_degrees
+    hands both on in the caller's process.
     """
-    records, ident = [], threading.get_ident()
+    records = []
 
     def hold(record) -> bool:
-        if threading.get_ident() != ident:
-            return True
         records.append(record)
         return False
 
@@ -110,9 +118,7 @@ def _fit_degree(data: SampleSet, r_grid, config: FitConfig, m: int, seed: int):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                _, diag = fit_fixed(data, r_grid[-1], dataclasses.replace(config, degree=m),
-                                    seed, stop=_ladder_stop(r_grid, m))
-                outcome = diag.per_rank
+                outcome = _fit_degree(*args)
             except SeprepError as exc:
                 outcome = exc
     finally:
@@ -122,35 +128,49 @@ def _fit_degree(data: SampleSet, r_grid, config: FitConfig, m: int, seed: int):
 
 
 def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
-    """_fit_degree's output for each degree of M_grid in order, fitted in a
-    fork pool where one may run, and inline otherwise; each starts from its
-    seed of per_degree_seeds.
+    """_fit_degree's result for each degree of M_grid in order, each from its
+    seed of per_degree_seeds; fitted in a fork pool where one may run, and
+    inline otherwise.
 
-    The pool runs when the affinity mask has a second CPU, M_grid has a
-    second degree, the platform can fork, the caller runs one Python
-    thread and is not a daemonic process (a multiprocessing.Pool worker,
-    which may start no child). It has min(CPUs, degrees, _FIT_WORKERS) workers, takes the
-    highest degree first, and is shut down, its children joined, before
-    this returns or raises. Inline, the fits stop at the first degree whose
-    fit raised.
+    The pool runs when all of these hold: the affinity mask has a second
+    CPU, M_grid a second degree, and the platform the "fork" start method;
+    the caller runs one Python thread and is not a daemonic process (a
+    multiprocessing.Pool worker, which may start no child); and fit_fixed
+    is the one this module imported, not a wrapper put in its place (a
+    tracer's, say), whose records a worker would keep in its own memory.
+    It has min(CPUs, degrees, _FIT_WORKERS) workers, takes the highest
+    degree first, and is shut down, its children joined, before this
+    returns or raises. `taskset -c 0` forces the inline path.
+
+    Inline, the fits log and warn as they run, and the first fit to raise
+    ends the search. Pooled, each degree's held log records and warnings
+    are handed on as its fit is collected, in degree order, each warning
+    naming the caller's frame, and the lowest failing degree's SeprepError
+    is raised with its own type: the same output and the same error.
     """
     seeds = per_degree_seeds(config.rng_seed, M_grid)
     workers = min(_usable_cpus(), _FIT_WORKERS, len(M_grid))
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+    if (workers < 2 or fit_fixed is not _FIT_FIXED
+            or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1 or multiprocessing.current_process().daemon):
-        fits = []
-        for m in M_grid:
-            fits.append(_fit_degree(data, r_grid, config, m, seeds[m]))
-            if isinstance(fits[-1][0], SeprepError):
-                break
-        return fits
+        return [_fit_degree(data, r_grid, config, m, seeds[m]) for m in M_grid]
     # fork, not spawn: a spawned worker would import numpy and scipy afresh on
     # every call; forking with one thread copies no lock another thread holds.
     # Higher degrees take longer, so they go first
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {m: pool.submit(_fit_degree, data, r_grid, config, m, seeds[m])
+        futures = {m: pool.submit(_fit_degree_held, data, r_grid, config, m, seeds[m])
                    for m in reversed(M_grid)}
-        return [futures[m].result() for m in M_grid]
+        fits = []
+        for m in M_grid:
+            outcome, records, warned = futures[m].result()
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            for message in warned:
+                warnings.warn(message, stacklevel=_user_stacklevel())
+            if isinstance(outcome, SeprepError):
+                raise outcome
+            fits.append(outcome)
+        return fits
 
 
 @dataclass
@@ -224,18 +244,11 @@ def select_model(
     infinite. Every grid entry is a count (ranks >= 1, degrees >= 0),
     checked before the grids are sorted and deduplicated.
 
-    The degrees' fits run in forked worker processes when the process's
-    affinity mask has a second CPU, the grid a second degree, the platform
-    the "fork" start method and the caller one Python thread, and the
-    caller is not a daemonic process such as a multiprocessing.Pool worker;
-    otherwise they run here, one after the other (`taskset -c 0` forces
-    that). There are
-    at most two workers and at most one per degree, and no worker outlives
-    the call.
-    Either way each fit's log records and warnings are handed on after the
-    fits, degree by degree in degree order, each warning naming the
-    caller's frame, and a fit's SeprepError is raised with its own type, the
-    lowest failing degree's first; the report is the same bit for bit.
+    The degrees' fits run in forked worker processes where _fit_degrees
+    says a pool may run (a second CPU, among other conditions), and here,
+    one after the other, otherwise (`taskset -c 0` forces that). The report,
+    the log records, the warnings and a fit's error are the same either
+    way, and no worker outlives the call.
     """
     r_grid = sorted({_check_count("r_grid", r, 1) for r in r_grid})
     M_grid = sorted({_check_count("M_grid", m, 0) for m in M_grid})
@@ -249,14 +262,8 @@ def select_model(
     residuals: dict = {}
     models: dict = {}
     capped: dict = {}
-    for m, (outcome, records, warned) in zip(M_grid, _fit_degrees(data, r_grid, M_grid, config)):
-        for record in records:
-            logging.getLogger(record.name).handle(record)
-        for message in warned:
-            warnings.warn(message, stacklevel=_user_stacklevel())
-        if isinstance(outcome, SeprepError):
-            raise outcome
-        for rec in outcome:
+    for m, per_rank in zip(M_grid, _fit_degrees(data, r_grid, M_grid, config)):
+        for rec in per_rank:
             if rec.rank in r_grid:
                 pair = (rec.rank, m)
                 ei_max[pair] = _ei_max(rec)

@@ -280,10 +280,7 @@ def test_numpy_integer_grids_select_as_python_ints():
 
 def test_names_the_benchmark_tracer_reads(monkeypatch):
     # perfbench/tracing.py patches these module attributes and reads these
-    # fields; a renamed one would make its metrics read 0 without an error.
-    # One worker keeps the fits in this process, where the wrappers record:
-    # a forked worker would record into its own copy of `seen`
-    monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 1)
+    # fields; a renamed one would make its metrics read 0 without an error
     seen = {}
 
     def record(module, name):
@@ -356,25 +353,54 @@ def test_pooled_selection_equals_serial(monkeypatch, caplog, capfd):
 
 
 def test_a_worker_error_keeps_its_type_and_no_worker_outlives_it(monkeypatch):
-    # degrees 2 and 3 both fail; the lowest one's error is raised, as the
-    # serial loop would raise it
-    def failing_fit(data, r, config, init_seed, *, stop=None):
-        if config.degree > 1:
-            raise ConditioningError(f"degree {config.degree} fails")
-        return fit_fixed(data, r, config, init_seed, stop=stop)
+    # degrees 2 and 3 both fail inside fit_fixed, in the workers; the lowest
+    # one's error is raised, as the serial loop would raise it
+    real_stop = seprep.selection._ladder_stop
 
-    monkeypatch.setattr(seprep.selection, "fit_fixed", failing_fit)
-    monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 2)
-    with fit_constants(**_FAST_RACE), pytest.raises(ConditioningError, match="^degree 2 fails$"):
-        select_model(_toy_data(), [1, 2], [1, 2, 3], _fast_config())
-    assert multiprocessing.active_children() == []
+    def failing_stop(r_grid, m):
+        stop = real_stop(r_grid, m)
+
+        def check(rec):
+            if m > 1:
+                raise ConditioningError(f"degree {m} fails")
+            return stop(rec)
+
+        return check
+
+    monkeypatch.setattr(seprep.selection, "_ladder_stop", failing_stop)
+    for cpus in (1, 2):
+        monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: cpus)
+        with fit_constants(**_FAST_RACE), \
+                pytest.raises(ConditioningError, match="^degree 2 fails$"):
+            select_model(_toy_data(), [1, 2], [1, 2, 3], _fast_config())
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.usefixtures("fast_race")
-def test_a_second_thread_keeps_the_fits_in_this_process(monkeypatch):
+def test_a_second_thread_keeps_the_fits_in_this_process(monkeypatch, caplog):
     # forking a process that runs another thread can copy a lock that
-    # thread holds, so the fits run inline; a recording made in a worker
-    # would be lost with it
+    # thread holds, so the fits run inline and log from this process
+    monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with caplog.at_level(logging.INFO, logger="seprep"), \
+                pytest.warns(UserWarning, match="underdetermined"):
+            select_model(_toy_data(seed=0, rank=2, n=8), [1, 2, 3, 4], [1, 2], _fast_config())
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    stops = [r for r in caplog.records if "rank ladder stopped" in r.getMessage()]
+    assert len(stops) == 2
+    assert all(r.process == os.getpid() for r in stops)
+
+
+@pytest.mark.usefixtures("fast_race")
+def test_a_replaced_fit_runs_in_this_process(monkeypatch):
+    # a wrapper put in fit_fixed's place, as the benchmark's tracer puts
+    # one, records into this process's memory only if the fits run here
     fitted = []
 
     def recording_fit(*args, **kwargs):
@@ -383,16 +409,22 @@ def test_a_second_thread_keeps_the_fits_in_this_process(monkeypatch):
 
     monkeypatch.setattr(seprep.selection, "fit_fixed", recording_fit)
     monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 2)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        select_model(_toy_data(), [1, 2], [1, 2], _fast_config())
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
+    select_model(_toy_data(), [1, 2], [1, 2], _fast_config())
     assert fitted == [1, 2]
+
+
+@pytest.mark.usefixtures("fast_race")
+def test_selections_from_one_line_warn_once_either_way(monkeypatch):
+    # the warnings registry of the caller's line is kept between calls: the
+    # fits' warnings are held in the workers only, never in this process
+    data = _toy_data(seed=0, rank=2, n=8)
+    for cpus in (1, 2):
+        monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(2):
+                select_model(data, [1, 2, 3, 4], [1, 2], _fast_config())
+        assert [w.filename for w in caught if "underdetermined" in str(w.message)] == [__file__]
 
 
 def _chosen_pair(_):
