@@ -35,7 +35,7 @@ __all__ = ["SelectionReport", "select_model", "per_degree_seeds"]
 
 logger = logging.getLogger(__name__)
 
-# most fit workers: 2 is the count measured (two took 0.65-0.67x the serial
+# most fit workers: 2 is the count measured (two took 0.58-0.67x the serial
 # time of manufactured-select on a 2-core host, BLAS at one thread); more
 # CPUs are untested
 _FIT_WORKERS = 2
