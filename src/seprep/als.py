@@ -29,7 +29,6 @@ trace, which a new term's unit scale enters in the fitted units.
 """
 from __future__ import annotations
 
-import logging
 import math
 import sys
 import warnings
@@ -51,8 +50,6 @@ from .model import SampleSet, SeparatedModel, empirical_norm
 from .regularize import RegularizationState, TikhonovPath, gcv_select_lambda
 
 __all__ = ["FitConfig", "RankRecord", "FitDiagnostics", "fit_fixed"]
-
-logger = logging.getLogger(__name__)
 
 _MONOTONE_RTOL = 1e-10
 _NORMAL_EQ_RTOL = 1e-8
@@ -107,7 +104,10 @@ class RankRecord:
 
     converged is True when the winner stopped on _SWEEP_TOL, which includes a
     final sweep that raised the residual, and False when it hit
-    max_sweeps_per_rank.
+    max_sweeps_per_rank. jittered_solves and redrawn_terms are the rank's
+    totals over every sweep and candidate: the slice direction solves whose
+    term Gram matrix needed jitter to factor, and the collapsed terms
+    re-drawn.
     """
 
     rank: int
@@ -115,6 +115,8 @@ class RankRecord:
     reg_states: list
     candidate: int
     converged: bool
+    jittered_solves: int
+    redrawn_terms: int
     model: SeparatedModel
 
     @property
@@ -183,11 +185,12 @@ def _solve_spd(Mm: np.ndarray, Atu: np.ndarray) -> np.ndarray:
     return V @ (winv * (V.T @ Atu))
 
 
-def _gram_cholesky(G: np.ndarray) -> np.ndarray:
-    """Cholesky of one term Gram matrix, with one jitter retry if its trace is positive."""
+def _gram_cholesky(G: np.ndarray):
+    """Cholesky of one term Gram matrix and whether it needed jitter: one retry,
+    made only if the Gram's trace is positive."""
     R, info = dpotrf(G, lower=0, clean=1)
     if info == 0:
-        return R
+        return R, False
     if not np.all(np.isfinite(G)):
         raise ConditioningError("term Gram matrix contains non-finite entries (factor overflow)")
     trace = np.trace(G)
@@ -195,8 +198,7 @@ def _gram_cholesky(G: np.ndarray) -> np.ndarray:
         jitter = 1e-14 * max(trace, 1e-300)
         R, info = dpotrf(G + jitter * np.eye(G.shape[0]), lower=0, clean=1)
         if info == 0:
-            logger.warning("term Gram matrix required jitter %.2e to factor", jitter)
-            return R
+            return R, True
     w = np.linalg.eigvalsh(G)
     raise DegenerateModelError(
         f"surrogate second moment is numerically zero (min Gram eigenvalue {w[0]:.3e})"
@@ -219,10 +221,11 @@ def _direction_solve(AtA, Atu, uu, n, G, m):
     picked by GCV along the path. Factor overflow raises ConditioningError.
     Returns (coefficients (B, r*m), raw diagnostics or None), each slice with
     the bits it would get alone. The raw diagnostics are the arrays (lambda,
-    hat trace, grid index, G, R), one row per slice, R the Cholesky factor
-    the penalty was built from; _regularization_state builds a slice's state
-    from them, the coefficients and the squared residual norms, only for the
-    sweep a rank keeps. The normal equations are not checked here: the
+    hat trace, grid index, G, R, jittered), one row per slice, R the Cholesky
+    factor the penalty was built from, jittered whether G needed jitter for
+    it; _regularization_state builds a slice's state from them, the
+    coefficients and the squared residual norms, only for the sweep a rank
+    keeps. The normal equations are not checked here: the
     caller hands every direction of a sweep to _check_normal_equations at
     once.
     """
@@ -230,18 +233,19 @@ def _direction_solve(AtA, Atu, uu, n, G, m):
     if G is None:
         return np.stack([_solve_spd(AtA[b], Atu[b]) for b in range(len(AtA))]), None
     R = np.empty(G.shape)
+    jittered = np.empty(len(G), dtype=bool)
     for b, g in enumerate(G):
-        R[b] = _gram_cholesky(g)
+        R[b], jittered[b] = _gram_cholesky(g)
     path = TikhonovPath(AtA, Atu, uu, n, R, m)
     sel = gcv_select_lambda(path)
     c = path.solve(sel.lambda_)
-    return c, (sel.lambda_, sel.hat_trace, sel.index, G, R)
+    return c, (sel.lambda_, sel.hat_trace, sel.index, G, R, jittered)
 
 
 def _regularization_state(solve, p: int, n_samples: int, exp: int) -> RegularizationState:
     """Slice p's state from one (c, raw, rn2) entry of a sweep, sigma-hat times 2^exp."""
     c, raw, rn2 = solve
-    lam, hat_trace, index, G, _ = (x[p] for x in raw)
+    lam, hat_trace, index, G = (x[p] for x in raw[:4])
     c, rn2 = c[p], rn2[p]
     lam, hat_trace = float(lam), float(hat_trace)
     wmin = float(np.linalg.eigvalsh(G)[0])
@@ -251,11 +255,7 @@ def _regularization_state(solve, p: int, n_samples: int, exp: int) -> Regulariza
         # |L^-1|_2 = 1/sqrt(min eig of G) for the Kronecker-structured factor
         ei = math.sqrt(n_samples) / lam / math.sqrt(wmin) * sig / norm_c
     else:
-        # routine on deliberately over-ranked fits, so keep the log quiet; the
-        # sentinel itself is preserved in the diagnostics record
-        logger.debug("error indicator undefined (lambda=%.3g, |c|=%.3g, sigma=%.3g, "
-                     "min gram eig=%.3g); using +inf", lam, norm_c, sig, wmin)
-        ei = math.inf
+        ei = math.inf  # undefined, as on deliberately over-ranked fits
     return RegularizationState(
         lambda_=lam, sigma_hat=math.ldexp(sig, exp), error_indicator=ei, hat_trace=hat_trace,
         grid_index=int(index),
@@ -305,6 +305,8 @@ class _Fitter:
     re-draw stream spawned from that SeedSequence; a lone model re-draws from
     rng. The outputs are fitted as u * 2^-exp with max |u| * 2^-exp in
     [0.5, 1); scales, residuals and sigma-hat are mapped back by 2^exp.
+    jittered_solves and redrawn_terms count the current rank's jittered
+    slice solves and re-drawn terms.
     """
 
     def __init__(self, data: SampleSet, config: FitConfig, seed: int):
@@ -324,6 +326,7 @@ class _Fitter:
         self.psi_u = psi * self.u[:, None]
         self.uu = float(self.u @ self.u)
         self.u_norm = empirical_norm(self.u) if np.any(self.u) else 1.0
+        self.jittered_solves = self.redrawn_terms = 0
         self._use(self._stack(np.zeros((1, self.d, 0, self.m1)), np.zeros((1, 0)),
                               np.array([self.rng])))
 
@@ -379,14 +382,12 @@ class _Fitter:
         return self._stack(coeffs, scales, rngs)
 
     def _revive(self, k: int, alive):
-        """Re-draw each model's dead direction-k terms from its own stream."""
+        """Re-draw each model's dead direction-k terms from its own stream, counting them."""
         for b in np.flatnonzero(~alive.all(axis=1)):
-            dead = np.flatnonzero(~alive[b])
-            logger.warning("terms %s collapsed to zero in direction %d; reinitializing them",
-                           dead.tolist(), k)
-            for l in dead:
+            for l in np.flatnonzero(~alive[b]):
                 self.coeffs[b, k, l] = self._draw_factor(self.rngs[b], k)
                 self.factors[b, k, l] = self.coeffs[b, k, l] @ self.psi_t[k]
+                self.redrawn_terms += 1
             self._monotone_prev[b] = np.nan
 
     def _check_monotone(self, resid: np.ndarray):
@@ -452,6 +453,7 @@ class _Fitter:
                 else:
                     G = scales[:, :, None] * scales[:, None, :] * left_g * suf_g[k]
                 c, raw = _direction_solve(AtA, Atu, self.uu, n, G, m1)
+                self.jittered_solves += 0 if raw is None else int(np.count_nonzero(raw[5]))
                 cmat = c.reshape(nb, r, m1)
                 vals = cmat @ self.psi_t[k]
                 rn2 = _rowdot(np.add.reduce(E * vals, axis=1) - self.u)
@@ -516,6 +518,7 @@ class _Fitter:
         lowest burn-in residual; ties go to the earliest draw.
         """
         cfg = self.config
+        self.jittered_solves = self.redrawn_terms = 0
         width = _CANDIDATES
         burn = min(_BURN_SWEEPS, cfg.max_sweeps_per_rank)
         traces = [[] for _ in range(width)]
@@ -533,6 +536,8 @@ class _Fitter:
             reg_states=self.kept_states(*last),
             candidate=best,
             converged=converged,
+            jittered_solves=self.jittered_solves,
+            redrawn_terms=self.redrawn_terms,
             model=self.model(),
         )
 
@@ -558,7 +563,8 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, sto
     The first rank fitted whose direction solves have more unknowns,
     rank * (degree + 1), than the data has samples warns once, naming the
     first caller outside this package (a select_model call, say, not
-    selection.py); ranks a stop leaves unfitted never warn.
+    selection.py); ranks a stop leaves unfitted never warn. The fit logs
+    nothing: its records count the Gram jitter and term re-draws it needed.
     """
     _check_count("r", r, 1)
     _check_count("init_seed", init_seed, 0)

@@ -2,8 +2,9 @@
 
 Every run writes machine-readable artifacts (model JSON, selection-report
 JSON, error-table CSV) plus the reference statistics the error columns were
-computed against, so results are auditable after the fact. Runs are serial
-and bit-reproducible for identical configs and seeds.
+computed against, so results are auditable after the fact. Runs are
+bit-reproducible for identical configs and seeds, whether a selection fits
+its degrees inline or in forked workers (see selection._fit_degrees).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .als import FitConfig
+from .als import _PENALTIES as _FIT_PENALTIES, FitConfig
 from .basis import Family, _check_count, _check_domain
 from .errors import DatasetFormatError, DomainError, SeprepError
 from .model import (
@@ -65,7 +66,7 @@ ERROR_COLUMNS = [
 # smallest allowed entry of each list field, and smallest value of each integer field
 _LIST_MINIMA = {"sample_sizes": 1, "r_grid": 1, "m_grid": 0, "seeds": 0}
 _INT_MINIMA = {"ref_samples": 2, "pc_degree": 0}
-_PENALTIES = ("second_moment", "diag_scale")
+_PENALTIES = tuple(p for p in _FIT_PENALTIES if p != "none")  # selection needs a penalty
 _REF_SEED = 987654321  # seed of the elliptic Monte Carlo reference
 
 

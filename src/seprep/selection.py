@@ -28,7 +28,7 @@ import numpy as np
 
 from .als import FitConfig, _user_stacklevel, fit_fixed
 from .basis import _check_count
-from .errors import SelectionError, SeprepError
+from .errors import SelectionError
 from .model import SampleSet, SeparatedModel, _usable_cpus, model_to_dict
 
 __all__ = ["SelectionReport", "select_model", "per_degree_seeds"]
@@ -58,73 +58,64 @@ def _ei_max(rec) -> float:
     return max(s.error_indicator for s in rec.reg_states)
 
 
-def _ladder_stop(r_grid, m):
-    """fit_fixed's stop predicate for degree m's rank ladder, with patience one.
+def _ladder_stop(r_grid, m, records):
+    """The stop line of degree m's rank ladder after records, its fitted ranks in order, or None.
 
-    It stops at the first rank of r_grid whose EI_max is not below the best
-    finite EI_max of the lower grid ranks. When that leaves grid ranks
-    unfitted, it logs the stop, naming the lowest grid rank that set that
-    best EI_max. Ranks off the grid, and grid ranks with no finite EI_max
-    below them, never stop the ladder.
+    With patience one, the ladder stops at the first rank of r_grid below
+    its top whose EI_max is not below the best finite EI_max of the lower
+    grid ranks; the line names that rank and the lowest grid rank that set
+    that best EI_max. Ranks off the grid, and grid ranks with no finite
+    EI_max below them, never stop the ladder.
     """
     best, best_r = math.inf, None
-
-    def stop(rec) -> bool:
-        nonlocal best, best_r
+    for rec in records:
         if rec.rank not in r_grid:
-            return False
+            continue
         ei = _ei_max(rec)
         if ei < best:
             best, best_r = ei, rec.rank
-        elif math.isfinite(best):
-            if rec.rank < r_grid[-1]:
-                logger.info("M = %d: rank ladder stopped at r = %d with EI_max = %.4g, not "
-                            "below r = %d with EI_max = %.4g; ranks above %d not fitted",
-                            m, rec.rank, ei, best_r, best, rec.rank)
-            return True
-        return False
-
-    return stop
+        elif math.isfinite(best) and rec.rank < r_grid[-1]:
+            return (f"M = {m}: rank ladder stopped at r = {rec.rank} with EI_max = {ei:.4g}, "
+                    f"not below r = {best_r} with EI_max = {best:.4g}; ranks above "
+                    f"{rec.rank} not fitted")
+    return None
 
 
 def _fit_degree(data: SampleSet, r_grid, config: FitConfig, m: int, seed: int):
-    """Degree m's rank ladder, fitted from seed: the fit's diag.per_rank."""
-    _, diag = fit_fixed(data, r_grid[-1], dataclasses.replace(config, degree=m), seed,
-                        stop=_ladder_stop(r_grid, m))
+    """Degree m's rank ladder, fitted from seed until _ladder_stop ends it: its diag.per_rank."""
+    fitted = []
+
+    def stop(rec) -> bool:
+        fitted.append(rec)
+        return _ladder_stop(r_grid, m, fitted) is not None
+
+    _, diag = fit_fixed(data, r_grid[-1], dataclasses.replace(config, degree=m), seed, stop=stop)
     return diag.per_rank
 
 
+def _logged(r_grid, m: int, per_rank) -> list:
+    """Degree m's per_rank, once its stop line and any Gram jitter or re-draw totals are logged."""
+    line = _ladder_stop(r_grid, m, per_rank)
+    if line is not None:
+        logger.info("%s", line)
+    jittered = sum(rec.jittered_solves for rec in per_rank)
+    redrawn = sum(rec.redrawn_terms for rec in per_rank)
+    if jittered or redrawn:
+        logger.warning("M = %d: summed over its fitted ranks, jittered_solves = %d and "
+                       "redrawn_terms = %d", m, jittered, redrawn)
+    return per_rank
+
+
 def _fit_degree_held(*args):
-    """_fit_degree in a worker process, with what it logged and warned held back.
-
-    Returns (outcome, records, warned): outcome is _fit_degree's result or
-    the SeprepError it raised; records are the seprep log records the fit
-    made, which no handler the worker inherited has printed; warned are the
-    warnings it issued, which no warnings filter has judged. _fit_degrees
-    hands both on in the caller's process.
-    """
-    records = []
-
-    def hold(record) -> bool:
-        records.append(record)
-        return False
-
-    prefix = __name__.partition(".")[0]
-    loggers = [lg for name, lg in list(logging.Logger.manager.loggerDict.items())
-               if isinstance(lg, logging.Logger) and name.partition(".")[0] == prefix]
-    for lg in loggers:
-        lg.addFilter(hold)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                outcome = _fit_degree(*args)
-            except SeprepError as exc:
-                outcome = exc
-    finally:
-        for lg in loggers:
-            lg.removeFilter(hold)
-    return outcome, records, [w.message for w in caught]
+    """_fit_degree in a worker process: (its result or the exception it
+    raised, the warnings it issued, which no warnings filter has judged)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = _fit_degree(*args)
+        except Exception as exc:
+            outcome = exc
+    return outcome, [w.message for w in caught]
 
 
 def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
@@ -142,18 +133,20 @@ def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
     degree first, and is shut down, its children joined, before this
     returns or raises. `taskset -c 0` forces the inline path.
 
-    Inline, the fits log and warn as they run, and the first fit to raise
-    ends the search. Pooled, each degree's held log records and warnings
-    are handed on as its fit is collected, in degree order, each warning
-    naming the caller's frame, and the lowest failing degree's SeprepError
-    is raised with its own type: the same output and the same error.
+    A fit logs nothing, so this process logs each degree's lines (_logged)
+    as soon as it has its records: after each inline fit, and pooled, as
+    each degree is collected in degree order, after the warnings its worker
+    held are issued again, naming the caller's frame; a failed degree raises
+    its exception, with its own type, in place of its lines. So the log, the
+    warnings and the error are the same either way.
     """
     seeds = per_degree_seeds(config.rng_seed, M_grid)
     workers = min(_usable_cpus(), _FIT_WORKERS, len(M_grid))
     if (workers < 2 or fit_fixed is not _FIT_FIXED
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1 or multiprocessing.current_process().daemon):
-        return [_fit_degree(data, r_grid, config, m, seeds[m]) for m in M_grid]
+        return [_logged(r_grid, m, _fit_degree(data, r_grid, config, m, seeds[m]))
+                for m in M_grid]
     # fork, not spawn: a spawned worker would import numpy and scipy afresh on
     # every call; forking with one thread copies no lock another thread holds.
     # Higher degrees take longer, so they go first
@@ -162,14 +155,12 @@ def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
                    for m in reversed(M_grid)}
         fits = []
         for m in M_grid:
-            outcome, records, warned = futures[m].result()
-            for record in records:
-                logging.getLogger(record.name).handle(record)
+            outcome, warned = futures[m].result()
             for message in warned:
                 warnings.warn(message, stacklevel=_user_stacklevel())
-            if isinstance(outcome, SeprepError):
+            if isinstance(outcome, Exception):
                 raise outcome
-            fits.append(outcome)
+            fits.append(_logged(r_grid, m, outcome))
         return fits
 
 
@@ -246,9 +237,10 @@ def select_model(
 
     The degrees' fits run in forked worker processes where _fit_degrees
     says a pool may run (a second CPU, among other conditions), and here,
-    one after the other, otherwise (`taskset -c 0` forces that). The report,
-    the log records, the warnings and a fit's error are the same either
-    way, and no worker outlives the call.
+    one after the other, otherwise (`taskset -c 0` forces that). This
+    process logs each degree's lines from its fit's records, so the report,
+    the log, the warnings and a fit's error are the same either way, and no
+    worker outlives the call.
     """
     r_grid = sorted({_check_count("r_grid", r, 1) for r in r_grid})
     M_grid = sorted({_check_count("M_grid", m, 0) for m in M_grid})

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import logging
+import math
 import warnings
 
 import mpmath
@@ -737,7 +738,7 @@ def test_a_sweep_hands_on_only_what_its_states_read(penalty):
         if penalty == "none":
             assert raw is None
         else:
-            assert [x.shape for x in raw] == [(4,), (4,), (4,), (4, 3, 3), (4, 3, 3)]
+            assert [x.shape for x in raw] == [(4,), (4,), (4,), (4, 3, 3), (4, 3, 3), (4,)]
     assert all((s is None) == (penalty == "none") for s in fitter.kept_states(solves, 2))
 
 
@@ -758,19 +759,24 @@ def test_singular_normal_matrix_takes_the_pseudo_solve():
     assert np.allclose(als._solve_spd(M, b), np.linalg.pinv(M) @ b, rtol=1e-12, atol=1e-14)
 
 
-def test_term_gram_failures_are_typed(caplog):
+def test_term_gram_failures_are_typed(monkeypatch):
     # an overflowed factor product leaves non-finite Gram entries
     with pytest.raises(ConditioningError, match="non-finite entries"):
         als._gram_cholesky(np.array([[1.0, np.inf], [np.inf, 1.0]]))
     # an indefinite Gram stays unfactorable after the jitter retry
     with pytest.raises(DegenerateModelError, match=r"min Gram eigenvalue -1\.000e\+00"):
         als._gram_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    # a zero Gram has no trace to scale a jitter by, so it is refused without a retry
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="seprep.als"):
-        with pytest.raises(DegenerateModelError, match=r"numerically zero \(min Gram eigenvalue 0"):
-            als._gram_cholesky(np.zeros((2, 2)))
-    assert "jitter" not in caplog.text
+    # a zero Gram has no trace to scale a jitter by, so it is refused after
+    # one factorization attempt, without a retry
+    attempts = []
+    monkeypatch.setattr(als, "dpotrf", lambda *a, **k: attempts.append(a) or dpotrf(*a, **k))
+    with pytest.raises(DegenerateModelError, match=r"numerically zero \(min Gram eigenvalue 0"):
+        als._gram_cholesky(np.zeros((2, 2)))
+    assert len(attempts) == 1
+    # a singular Gram with a positive trace factors on the retry, which it reports
+    attempts.clear()
+    assert als._gram_cholesky(np.ones((2, 2)))[1] is True and len(attempts) == 2
+    assert als._gram_cholesky(np.eye(2))[1] is False and len(attempts) == 3
 
 
 def test_state_records_lambda_grid_position():
@@ -850,9 +856,10 @@ def _race_against_one_at_a_time(data, r, cfg, seed):
     """fit_fixed with stacked races, then with every race run one candidate at a time.
 
     The oracle races each slice of a stack alone, as a stack of one, on the
-    candidate's own re-draw stream. Returns the raced run's probe, after
-    requiring the two fits to agree bit for bit: models, residual traces,
-    states, winners and convergence flags.
+    candidate's own re-draw stream. Returns the raced run's probe and its
+    per-rank records, after requiring the two fits to agree bit for bit:
+    models, residual traces, states, winners, convergence flags, and the
+    jitter and re-draw counts.
     """
     with _race_probe() as raced_probe:
         raced = fit_fixed(data, r, cfg, seed)
@@ -878,34 +885,34 @@ def _race_against_one_at_a_time(data, r, cfg, seed):
         assert a.residual_trace == b.residual_trace
         assert repr(a.reg_states) == repr(b.reg_states)
         assert (a.candidate, a.converged) == (b.candidate, b.converged)
+        assert (a.jittered_solves, a.redrawn_terms) == (b.jittered_solves, b.redrawn_terms)
         assert np.array_equal(a.model.coeffs, b.model.coeffs)
         assert np.array_equal(a.model.scales, b.model.scales)
-    return raced_probe
+    return raced_probe, d1.per_rank
 
 
-def test_race_with_a_burn_in_redraw_equals_one_at_a_time(caplog):
+def test_race_with_a_burn_in_redraw_equals_one_at_a_time():
     # degree-0 data of the selection test: surplus terms collapse during
     # burn-in and are re-drawn inside the full stack, each from its
     # candidate's own stream
     data = manufactured_sample(60, seed=0)
     cfg = FitConfig(rank_max=4, degree=0)
-    with caplog.at_level(logging.WARNING, logger="seprep.als"):
-        probe = _race_against_one_at_a_time(data, 4, cfg, seed=5)
+    probe, records = _race_against_one_at_a_time(data, 4, cfg, seed=5)
     assert als._CANDIDATES in probe["redraw_widths"]
-    assert "collapsed to zero" in caplog.text
+    assert sum(rec.redrawn_terms for rec in records) > 0
 
 
-def test_race_with_a_jittered_gram_equals_one_at_a_time(caplog):
+def test_race_with_a_jittered_gram_equals_one_at_a_time():
     # rank two at degree 0: every term Gram is rank one and needs jitter,
     # and the short burn-in ends before any term collapses. Whether a term
     # collapses here turns on the data's last bits (an exact zero from
     # cancellation), so this data seed is one where none does
     data = manufactured_sample(60, seed=5)
     cfg = FitConfig(rank_max=2, degree=0, max_sweeps_per_rank=6)
-    with fit_constants(burn_sweeps=2), caplog.at_level(logging.WARNING, logger="seprep.als"):
-        probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)
+    with fit_constants(burn_sweeps=2):
+        probe, records = _race_against_one_at_a_time(data, 2, cfg, seed=5)
     assert probe["redraw_widths"] == []
-    assert "required jitter" in caplog.text
+    assert sum(rec.jittered_solves for rec in records) > 0
 
 
 def test_unregularized_race_equals_one_at_a_time():
@@ -921,7 +928,7 @@ def test_race_with_early_convergence_equals_one_at_a_time():
     data = manufactured_sample(200, seed=2)
     cfg = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=80)
     with fit_constants(sweep_tol=2e-3, burn_sweeps=40):
-        probe = _race_against_one_at_a_time(data, 2, cfg, seed=5)
+        probe, _ = _race_against_one_at_a_time(data, 2, cfg, seed=5)
     assert any(1 < w < als._CANDIDATES for w in probe["widths"])
 
 
@@ -964,6 +971,18 @@ def test_a_failing_slice_ends_a_stacked_burn_in_with_its_typed_error(monkeypatch
         fit_fixed(manufactured_sample(60, seed=0), 1, cfg, init_seed=5)
     assert probe["widths"] == [als._CANDIDATES]
     assert len(calls) == 3
+
+
+def test_a_fit_makes_no_log_record(caplog):
+    # a degree-0 fit needs Gram jitter from rank 2 on, re-draws collapsed
+    # terms, and meets undefined error indicators: all of it is in the
+    # records, none in the log
+    with caplog.at_level(logging.DEBUG, logger="seprep"):
+        _, diag = fit_fixed(manufactured_sample(60, 0), 3, FitConfig(rank_max=3, degree=0), 5)
+    assert caplog.records == []
+    assert sum(rec.jittered_solves for rec in diag.per_rank) > 0
+    assert sum(rec.redrawn_terms for rec in diag.per_rank) > 0
+    assert any(s.error_indicator == math.inf for rec in diag.per_rank for s in rec.reg_states)
 
 
 def test_a_zero_norm_candidate_draw_is_a_degenerate_factor(monkeypatch):

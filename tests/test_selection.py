@@ -4,6 +4,7 @@ import logging
 import math
 import multiprocessing
 import os
+import re
 import threading
 import warnings
 
@@ -78,8 +79,9 @@ def _select_on_indicators(monkeypatch, eis_per_rank, r_grid=None):
         records = []
         for i, eis in enumerate(eis_per_rank[:r]):
             records.append(RankRecord(rank=i + 1, residual_trace=[1.0],
-                                      reg_states=[_state(e) for e in eis],
-                                      candidate=0, converged=True, model=None))
+                                      reg_states=[_state(e) for e in eis], candidate=0,
+                                      converged=True, jittered_solves=0, redrawn_terms=0,
+                                      model=None))
             if stop is not None and stop(records[-1]):
                 break
         return None, FitDiagnostics(per_rank=records)
@@ -313,11 +315,29 @@ def test_names_the_benchmark_tracer_reads(monkeypatch):
             assert grid[0] <= lam <= grid[-1]
 
 
+def _fits_warn_their_process(monkeypatch):
+    """Make each degree's fit warn "fitted in process <pid>" before it runs."""
+    real = seprep.selection._fit_degree
+
+    def fit(*args):
+        warnings.warn(f"fitted in process {os.getpid()}")
+        return real(*args)
+
+    monkeypatch.setattr(seprep.selection, "_fit_degree", fit)
+
+
+def _fit_processes(warned) -> list:
+    """The process ids that _fits_warn_their_process's warnings name, in order."""
+    return [int(str(w.message).split()[-1]) for w in warned
+            if str(w.message).startswith("fitted in process")]
+
+
 @pytest.mark.usefixtures("fast_race")
 def test_pooled_selection_equals_serial(monkeypatch, caplog, capfd):
     # on 8 samples degree 1's ladder stops at r = 2 and degree 2's at r = 3,
     # whose 9 unknowns per direction solve make it underdetermined
     data = _toy_data(seed=0, rank=2, n=8)
+    _fits_warn_their_process(monkeypatch)
     printer = logging.StreamHandler()
     logging.getLogger().addHandler(printer)
     runs = []
@@ -342,9 +362,11 @@ def test_pooled_selection_equals_serial(monkeypatch, caplog, capfd):
     stops = [r for r in pooled_logs if "rank ladder stopped" in r.getMessage()]
     assert [r.getMessage()[:5] for r in stops] == ["M = 1", "M = 2"]
     assert pooled_logs[-1].getMessage().startswith("selected")
-    # the fits ran in other processes; the serial ones in this one
-    assert all(r.process != os.getpid() for r in stops)
-    assert all(r.process == os.getpid() for r in serial_logs)
+    # the pooled fits ran in other processes, the serial ones in this one,
+    # and this process made every log record either way
+    assert [p != os.getpid() for p in _fit_processes(pooled_warned)] == [True, True]
+    assert _fit_processes(serial_warned) == [os.getpid()] * 2
+    assert all(r.process == os.getpid() for r in pooled_logs + serial_logs)
     for warned in (serial_warned, pooled_warned):
         assert [(w.category, w.filename) for w in warned
                 if "underdetermined" in str(w.message)] == [(UserWarning, __file__)]
@@ -357,15 +379,10 @@ def test_a_worker_error_keeps_its_type_and_no_worker_outlives_it(monkeypatch):
     # one's error is raised, as the serial loop would raise it
     real_stop = seprep.selection._ladder_stop
 
-    def failing_stop(r_grid, m):
-        stop = real_stop(r_grid, m)
-
-        def check(rec):
-            if m > 1:
-                raise ConditioningError(f"degree {m} fails")
-            return stop(rec)
-
-        return check
+    def failing_stop(r_grid, m, records):
+        if m > 1:
+            raise ConditioningError(f"degree {m} fails")
+        return real_stop(r_grid, m, records)
 
     monkeypatch.setattr(seprep.selection, "_ladder_stop", failing_stop)
     for cpus in (1, 2):
@@ -374,27 +391,75 @@ def test_a_worker_error_keeps_its_type_and_no_worker_outlives_it(monkeypatch):
                 pytest.raises(ConditioningError, match="^degree 2 fails$"):
             select_model(_toy_data(), [1, 2], [1, 2, 3], _fast_config())
         assert multiprocessing.active_children() == []
+    # an error of any type keeps the warnings its degree issued before it:
+    # degree 2 warns and then fails with a ValueError, and degree 3's
+    # warning, which a worker may have issued, is never handed on
+    monkeypatch.setattr(seprep.selection, "_ladder_stop", real_stop)
+    real_fit = seprep.selection._fit_degree
+
+    def warning_fit(data, r_grid, config, m, seed):
+        warnings.warn(f"degree {m} starts")
+        if m == 2:
+            raise ValueError("degree 2 is no count")
+        return real_fit(data, r_grid, config, m, seed)
+
+    monkeypatch.setattr(seprep.selection, "_fit_degree", warning_fit)
+    for cpus in (1, 2):
+        monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: cpus)
+        with fit_constants(**_FAST_RACE), warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(ValueError, match="^degree 2 is no count$"):
+            warnings.simplefilter("always")
+            select_model(_toy_data(), [1, 2], [1, 2, 3], _fast_config())
+        assert multiprocessing.active_children() == []
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (UserWarning, "degree 1 starts", __file__), (UserWarning, "degree 2 starts", __file__)]
 
 
 @pytest.mark.usefixtures("fast_race")
 def test_a_second_thread_keeps_the_fits_in_this_process(monkeypatch, caplog):
     # forking a process that runs another thread can copy a lock that
-    # thread holds, so the fits run inline and log from this process
+    # thread holds, so the fits run inline, in this process
     monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 2)
+    _fits_warn_their_process(monkeypatch)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
         with caplog.at_level(logging.INFO, logger="seprep"), \
-                pytest.warns(UserWarning, match="underdetermined"):
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             select_model(_toy_data(seed=0, rank=2, n=8), [1, 2, 3, 4], [1, 2], _fast_config())
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
+    assert any("underdetermined" in str(w.message) for w in caught)
     stops = [r for r in caplog.records if "rank ladder stopped" in r.getMessage()]
     assert len(stops) == 2
-    assert all(r.process == os.getpid() for r in stops)
+    assert _fit_processes(caught) == [os.getpid()] * 2
+
+
+@pytest.mark.usefixtures("fast_race")
+def test_a_degree_logs_the_same_lines_at_one_and_two_cpus(monkeypatch, caplog):
+    # from rank 2 on, degree 0's term Grams are rank one and need jitter, so
+    # its ladder logs a stop line and a WARNING with its totals; each degree's
+    # lines are logged by this process from the fit's records, pooled or not
+    logs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: cpus)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="seprep"):
+            select_model(_toy_data(), [1, 2, 3], [0, 2], _fast_config())
+        logs.append([(r.name, r.levelno, r.process, r.getMessage()) for r in caplog.records])
+    assert logs[0] == logs[1]
+    patterns = [(logging.INFO, r"M = 0: rank ladder stopped at r = 2 "),
+                (logging.WARNING, r"M = 0: summed over its fitted ranks, jittered_solves = "
+                                  r"[1-9]\d* and redrawn_terms = \d+$"),
+                (logging.INFO, r"M = 2: rank ladder stopped at r = 2 "),
+                (logging.INFO, r"selected \(r, M\) = ")]
+    assert len(logs[0]) == len(patterns)
+    for (_, level, process, message), (want, pattern) in zip(logs[0], patterns):
+        assert (level, process) == (want, os.getpid()) and re.match(pattern, message), message
 
 
 @pytest.mark.usefixtures("fast_race")
