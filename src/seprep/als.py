@@ -68,15 +68,16 @@ _PENALTIES = ("second_moment", "diag_scale", "none")
 class FitConfig:
     """Knobs for the alternating fit.
 
-    max_sweeps_per_rank caps each rank's sweeps, burn-in included. penalty
-    picks the Tikhonov penalty of every direction solve: "second_moment"
-    (the surrogate's second moment), "diag_scale" (the diag(s^2) comparison
-    penalty) or "none" (plain least squares, which leaves the error
-    indicator undefined). The convergence tolerance (_SWEEP_TOL), the
-    per-rank candidate race (_CANDIDATES draws of a new term, each a unit
-    constant coefficient plus scaled normal noise, normalized per direction,
-    burnt in for _BURN_SWEEPS sweeps, the lowest-residual one swept to
-    convergence) and the lambda floor (regularize._LAMBDA_FLOOR) are fixed.
+    penalty picks the Tikhonov penalty of every direction solve:
+    "second_moment" (the surrogate's second moment), "diag_scale" (the
+    diag(s^2) comparison penalty) or "none" (plain least squares, which
+    leaves the error indicator undefined). The cap on each rank's sweeps,
+    burn-in included (max_sweeps_per_rank, a class attribute, not a field),
+    the convergence tolerance (_SWEEP_TOL), the per-rank candidate race
+    (_CANDIDATES draws of a new term, each a unit constant coefficient plus
+    scaled normal noise, normalized per direction, burnt in for _BURN_SWEEPS
+    sweeps, the lowest-residual one swept to convergence) and the lambda
+    floor (regularize._LAMBDA_FLOOR) are fixed.
 
     fit_fixed reads degree and takes its rank from its r argument, and
     select_model overrides degree at each grid point and grows each degree's
@@ -84,15 +85,14 @@ class FitConfig:
     report only records it with the rest of the caller's config.
     """
 
+    max_sweeps_per_rank = 600  # unannotated, so a constant of the class and not a field
     rank_max: int
     degree: int
-    max_sweeps_per_rank: int = 600
     penalty: str = "second_moment"
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("rank_max", 1), ("degree", 0), ("max_sweeps_per_rank", 1),
-                            ("rng_seed", 0)):
+        for name, least in (("rank_max", 1), ("degree", 0), ("rng_seed", 0)):
             _check_count(name, getattr(self, name), least)
         if self.penalty not in _PENALTIES:
             raise ValueError(f"penalty must be one of {_PENALTIES}, got {self.penalty!r}")
@@ -103,11 +103,11 @@ class RankRecord:
     """Diagnostics for one rank of the growth ladder.
 
     converged is True when the winner stopped on _SWEEP_TOL, which includes a
-    final sweep that raised the residual, and False when it hit
-    max_sweeps_per_rank. jittered_solves and redrawn_terms are the rank's
-    totals over every sweep and candidate: the slice direction solves whose
-    term Gram matrix needed jitter to factor, and the collapsed terms
-    re-drawn.
+    final sweep that raised the residual, and False when it hit the sweep
+    cap, FitConfig.max_sweeps_per_rank. jittered_solves and redrawn_terms
+    are the rank's totals over every sweep and candidate: the slice
+    direction solves whose term Gram matrix needed jitter to factor, and
+    the collapsed terms re-drawn.
     """
 
     rank: int
@@ -557,9 +557,10 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, sto
     Each rank keeps sweeping until the relative residual decrease over a full
     sweep falls below _SWEEP_TOL or the sweep cap is reached. The
     per-rank diagnostics carry the final sweep's regularization records,
-    which rank/degree selection consumes. stop, if given, is called with
-    each rank's RankRecord; when it returns True the fit ends at that rank,
-    and the model and diagnostics are those of the ranks fitted so far.
+    which rank/degree selection consumes. stop, if given, is called after
+    each rank with the list of RankRecords fitted so far, in rank order;
+    when it returns True the fit ends at that rank, and the model and
+    diagnostics are those of the ranks fitted so far.
     The first rank fitted whose direction solves have more unknowns,
     rank * (degree + 1), than the data has samples warns once, naming the
     first caller outside this package (a select_model call, say, not
@@ -579,6 +580,6 @@ def fit_fixed(data: SampleSet, r: int, config: FitConfig, init_seed: int, *, sto
                 stacklevel=_user_stacklevel(),
             )
         records.append(fitter.run_rank())
-        if stop is not None and stop(records[-1]):
+        if stop is not None and stop(records):
             break
     return records[-1].model, FitDiagnostics(per_rank=records)

@@ -25,7 +25,6 @@ from .errors import ConditioningError, DomainError, PositivityError, ResolutionE
 from .model import SampleSet, SeparatedModel
 
 __all__ = [
-    "ManufacturedSpec",
     "MANUFACTURED_MEAN",
     "MANUFACTURED_VAR",
     "manufactured_sample",
@@ -41,36 +40,27 @@ __all__ = [
     "pc_regression_baseline",
 ]
 
-MANUFACTURED_MEAN = 0.55
+# the manufactured function: each term's coefficient and the (dimension,
+# degree) factors of its orthonormal-Hermite product, the constant term first
+_MANUFACTURED_TERMS = (
+    (0.55, ()),
+    (math.sqrt(2) / 2, ((0, 3), (1, 3))),
+    (-math.sqrt(2) / 4, ((2, 2),)),
+    (-math.sqrt(2) / 4, ((7, 2),)),
+    (-0.1, ((8, 3),)),
+)
+_MANUFACTURED_DIMS = 10  # the terms read dimensions 0-8; dimension 9 is inert
+_MANUFACTURED_NOISE = 5e-4  # standard deviation of the noise noisy samples add
+MANUFACTURED_MEAN = _MANUFACTURED_TERMS[0][0]
+# the sum of the squared non-constant coefficients, written as the exact 0.76:
+# summed in floating point it is 0.7600000000000001
 MANUFACTURED_VAR = 0.76
 
 
-@dataclass(frozen=True)
-class ManufacturedSpec:
-    """Ten-dimensional Gaussian-input benchmark with known statistics.
-
-    The function is a constant plus four orthonormal-Hermite terms; its mean
-    is coeffs[0] and its noise-free variance the sum of the squared
-    remaining coefficients (0.76 with the defaults).
-    """
-
-    coefficients: tuple = (0.55, math.sqrt(2) / 2, -math.sqrt(2) / 4, -math.sqrt(2) / 4, -0.1)
-    noise_std: float = 0.0005
-    dims: int = 10
-
-    def __post_init__(self):
-        _check_count("dims", self.dims, 9)  # the terms read dimension 8
-
-
-# the (dimension, degree) factors of each term after the constant, in coefficient order
-_MANUFACTURED_TERMS = (((0, 3), (1, 3)), ((2, 2),), ((7, 2),), ((8, 3),))
-
-
-def _manufactured_values(spec: ManufacturedSpec, points: np.ndarray) -> np.ndarray:
+def _manufactured_values(points: np.ndarray) -> np.ndarray:
     basis = BasisSpec(Family.HERMITE, 3)
-    s = spec.coefficients
-    values = s[0]
-    for coeff, factors in zip(s[1:], _MANUFACTURED_TERMS):
+    (values, _), *terms = _MANUFACTURED_TERMS
+    for coeff, factors in terms:
         term = coeff
         for dim, deg in factors:
             # the basis of one contiguous column: the other dimensions are never read
@@ -79,17 +69,21 @@ def _manufactured_values(spec: ManufacturedSpec, points: np.ndarray) -> np.ndarr
     return values
 
 
-def manufactured_sample(
-    n: int, seed: int, noisy: bool = True, spec: ManufacturedSpec = ManufacturedSpec()
-) -> SampleSet:
-    """Draw n standard-Gaussian points and evaluate the benchmark function."""
+def manufactured_sample(n: int, seed: int, noisy: bool = True) -> SampleSet:
+    """Draw n standard-Gaussian 10-vectors and evaluate the benchmark function.
+
+    The function is a constant plus four orthonormal-Hermite terms
+    (_MANUFACTURED_TERMS), with mean MANUFACTURED_MEAN and noise-free
+    variance MANUFACTURED_VAR; noisy adds Gaussian noise of standard
+    deviation 5e-4.
+    """
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    points = rng.standard_normal((n, spec.dims))
-    values = _manufactured_values(spec, points)
+    points = rng.standard_normal((n, _MANUFACTURED_DIMS))
+    values = _manufactured_values(points)
     if noisy:
-        values = values + spec.noise_std * rng.standard_normal(n)
+        values = values + _MANUFACTURED_NOISE * rng.standard_normal(n)
     return SampleSet(points, values, Family.HERMITE)
 
 
@@ -100,17 +94,15 @@ def manufactured_model(max_degree: int = 3) -> SeparatedModel:
     positive.
     """
     _check_count("max_degree", max_degree, 3)  # the exact encoding reads degree 3
-    spec = ManufacturedSpec()
-    terms = ((),) + _MANUFACTURED_TERMS
-    coeffs = np.zeros((spec.dims, len(terms), max_degree + 1))
+    coeffs = np.zeros((_MANUFACTURED_DIMS, len(_MANUFACTURED_TERMS), max_degree + 1))
     coeffs[:, :, 0] = 1.0  # every factor defaults to the constant
-    for l, (coeff, spots) in enumerate(zip(spec.coefficients, terms)):
+    for l, (coeff, spots) in enumerate(_MANUFACTURED_TERMS):
         for dim, deg in spots:
             coeffs[dim, l, :] = 0.0
             coeffs[dim, l, deg] = 1.0
         dim, deg = spots[0] if spots else (0, 0)
         coeffs[dim, l, deg] = 1.0 if coeff >= 0 else -1.0
-    scales = np.abs(spec.coefficients)
+    scales = np.abs([coeff for coeff, _ in _MANUFACTURED_TERMS])
     return SeparatedModel(BasisSpec(Family.HERMITE, max_degree), scales, coeffs)
 
 
@@ -144,18 +136,15 @@ class KLExpansion:
     def dims(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def kernel(self, x1, x2) -> np.ndarray:
-        return _sq_exp_kernel(np.asarray(x1, float), np.asarray(x2, float), self.corr_length)
-
     def eigenfunctions(self, x) -> np.ndarray:
         """Eigenfunction values at arbitrary points via Nystrom interpolation."""
         x = np.asarray(x, dtype=float)
-        K = self.kernel(x.ravel(), self.nodes)
+        K = _sq_exp_kernel(x.ravel(), self.nodes, self.corr_length)
         vals = (K * self.weights[None, :]) @ self.node_values / self.eigenvalues[None, :]
         return vals.reshape(x.shape + (self.dims,))
 
 
-def kl_decompose(corr_length: float, d: int, n_grid: int = 512) -> KLExpansion:
+def kl_decompose(corr_length: float, d: int, n_grid: int) -> KLExpansion:
     """Nystrom discretization of the covariance eigenproblem on (0, 1).
 
     The kernel matrix at a Gauss-Legendre grid is symmetrized with sqrt
@@ -212,19 +201,22 @@ class EllipticProblem:
 
     The coefficient is mean_coeff plus sigma_a times the KL expansion of
     kl_decompose(corr_length, dims, kl_grid) contracted with the input
-    vector; inputs are uniform on [-1, 1]^dims. The quantity of interest is
-    u at query_point, which must lie in the open interval (0, 1): u is fixed
-    to 0 on the Dirichlet boundary, and outside [0, 1] the P2 shapes would
-    extrapolate. Construction builds the KL expansion and what the batched
-    solve reuses: the KL map to the Gauss-point coefficients, the
-    per-Gauss-point P2 stiffness weights and the assembled load, from which
-    the solve condenses the bubbles.
+    vector; inputs are uniform on [-1, 1]^dims. mean_coeff, sigma_a and
+    corr_length are fixed, as class attributes; the four fields are the
+    KL truncation, the mesh, the Nystrom grid and query_point. The quantity
+    of interest is u at query_point, which must lie in the open interval
+    (0, 1): u is fixed to 0 on the Dirichlet boundary, and outside [0, 1]
+    the P2 shapes would extrapolate. Construction builds the KL expansion
+    and what the batched solve reuses: the KL map to the Gauss-point
+    coefficients, the per-Gauss-point P2 stiffness weights and the
+    assembled load, from which the solve condenses the bubbles.
     """
 
-    corr_length: float = 1.0 / 14.0
+    # unannotated, so constants of the class and not fields
+    corr_length = 1.0 / 14.0
+    mean_coeff = 0.1
+    sigma_a = 0.021
     dims: int = 40
-    mean_coeff: float = 0.1
-    sigma_a: float = 0.021
     mesh_elements: int = 128
     kl_grid: int = 512
     query_point: float = 0.5

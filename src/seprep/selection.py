@@ -22,13 +22,14 @@ import multiprocessing
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
 from .als import FitConfig, _user_stacklevel, fit_fixed
 from .basis import _check_count
-from .errors import SelectionError
+from .errors import SelectionError, SeprepError
 from .model import SampleSet, SeparatedModel, _usable_cpus, model_to_dict
 
 __all__ = ["SelectionReport", "select_model", "per_degree_seeds"]
@@ -83,13 +84,8 @@ def _ladder_stop(r_grid, m, records):
 
 def _fit_degree(data: SampleSet, r_grid, config: FitConfig, m: int, seed: int):
     """Degree m's rank ladder, fitted from seed until _ladder_stop ends it: its diag.per_rank."""
-    fitted = []
-
-    def stop(rec) -> bool:
-        fitted.append(rec)
-        return _ladder_stop(r_grid, m, fitted) is not None
-
-    _, diag = fit_fixed(data, r_grid[-1], dataclasses.replace(config, degree=m), seed, stop=stop)
+    _, diag = fit_fixed(data, r_grid[-1], dataclasses.replace(config, degree=m), seed,
+                        stop=lambda records: _ladder_stop(r_grid, m, records) is not None)
     return diag.per_rank
 
 
@@ -138,7 +134,10 @@ def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
     each degree is collected in degree order, after the warnings its worker
     held are issued again, naming the caller's frame; a failed degree raises
     its exception, with its own type, in place of its lines. So the log, the
-    warnings and the error are the same either way.
+    warnings and the error are the same either way. A worker that dies
+    (killed by the OOM killer, say) breaks the pool: the first degree left
+    without a result raises SeprepError naming that degree, chained from
+    the BrokenProcessPool.
     """
     seeds = per_degree_seeds(config.rng_seed, M_grid)
     workers = min(_usable_cpus(), _FIT_WORKERS, len(M_grid))
@@ -155,7 +154,11 @@ def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
                    for m in reversed(M_grid)}
         fits = []
         for m in M_grid:
-            outcome, warned = futures[m].result()
+            try:
+                outcome, warned = futures[m].result()
+            except BrokenProcessPool as exc:
+                raise SeprepError(f"M = {m}: a fit worker process ended abruptly "
+                                  "before this degree's fit returned") from exc
             for message in warned:
                 warnings.warn(message, stacklevel=_user_stacklevel())
             if isinstance(outcome, Exception):

@@ -19,23 +19,27 @@ from seprep.regularize import _LAMBDA_GRID_SIZE
 
 
 @contextlib.contextmanager
-def fit_constants(*, sweep_tol=None, candidates=None, burn_sweeps=None, lambda_floor=None):
+def fit_constants(*, sweep_tol=None, candidates=None, burn_sweeps=None, max_sweeps=None,
+                  lambda_floor=None):
     """Run the block with the fit's fixed settings replaced, and restore them after.
 
     sweep_tol, candidates and burn_sweeps stand for als._SWEEP_TOL,
-    _CANDIDATES and _BURN_SWEEPS; lambda_floor for regularize._LAMBDA_FLOOR
+    _CANDIDATES and _BURN_SWEEPS; max_sweeps for the sweep cap
+    FitConfig.max_sweeps_per_rank; lambda_floor for regularize._LAMBDA_FLOOR
     and the unit GCV grid built from it. A setting left None keeps its value.
     A context manager rather than a fixture, so that criterion 6 can call the
     tests that use it without arguments and a module-scoped fixture can hold it.
     """
     patches = [(als, "_SWEEP_TOL", sweep_tol), (als, "_CANDIDATES", candidates),
-               (als, "_BURN_SWEEPS", burn_sweeps), (regularize, "_LAMBDA_FLOOR", lambda_floor)]
+               (als, "_BURN_SWEEPS", burn_sweeps),
+               (als.FitConfig, "max_sweeps_per_rank", max_sweeps),
+               (regularize, "_LAMBDA_FLOOR", lambda_floor)]
     if lambda_floor is not None:
         patches.append((regularize, "_UNIT_GRID", regularize._unit_grid(lambda_floor)))
     with pytest.MonkeyPatch.context() as mp:
-        for module, name, value in patches:
+        for owner, name, value in patches:
             if value is not None:
-                mp.setattr(module, name, value)
+                mp.setattr(owner, name, value)
         yield
 
 
@@ -95,16 +99,15 @@ def degree_last_basis(spec, y):
     return out
 
 
-def full_basis_manufactured_values(spec, points):
+def full_basis_manufactured_values(points):
     """The manufactured function from the Hermite basis of every input dimension, (n, d, 4).
 
     The library evaluates only the columns its terms read; each value must
     equal this one bit for bit.
     """
     psi = eval_basis_batch(BasisSpec(Family.HERMITE, 3), points)
-    s = spec.coefficients
-    values = s[0]
-    for coeff, factors in zip(s[1:], _MANUFACTURED_TERMS):
+    (values, _), *terms = _MANUFACTURED_TERMS
+    for coeff, factors in terms:
         term = coeff
         for dim, deg in factors:
             term = term * psi[:, dim, deg]

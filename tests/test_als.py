@@ -446,8 +446,8 @@ def test_fit_fixed_deterministic():
     rng = np.random.default_rng(19)
     truth = random_model(rng, dims=3, rank=2, degree=2)
     data = _sampled_from(truth, 200, seed=20, noise=0.1)
-    cfg = FitConfig(rank_max=2, degree=2, rng_seed=0, max_sweeps_per_rank=40)
-    with fit_constants(candidates=3, burn_sweeps=5):
+    cfg = FitConfig(rank_max=2, degree=2, rng_seed=0)
+    with fit_constants(candidates=3, burn_sweeps=5, max_sweeps=40):
         m1, d1 = fit_fixed(data, 2, cfg, init_seed=77)
         m2, d2 = fit_fixed(data, 2, cfg, init_seed=77)
     assert np.array_equal(m1.coeffs, m2.coeffs)
@@ -463,8 +463,8 @@ def test_fit_fixed_deterministic():
 def test_fit_fixed_warns_when_underdetermined():
     rng = np.random.default_rng(21)
     data = SampleSet(rng.standard_normal((5, 2)), rng.standard_normal(5), Family.HERMITE)
-    cfg = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=3)
-    with fit_constants(candidates=1, burn_sweeps=2), pytest.warns(
+    cfg = FitConfig(rank_max=2, degree=2)
+    with fit_constants(candidates=1, burn_sweeps=2, max_sweeps=3), pytest.warns(
             UserWarning, match="below the direction-solve unknown count"):
         fit_fixed(data, 2, cfg, init_seed=0)
 
@@ -474,8 +474,8 @@ def test_fit_fixed_warns_once_at_the_first_underdetermined_rank():
     # warning, for rank 2, pointing at the line that called fit_fixed
     rng = np.random.default_rng(21)
     data = SampleSet(rng.standard_normal((5, 2)), rng.standard_normal(5), Family.HERMITE)
-    cfg = FitConfig(rank_max=3, degree=2, max_sweeps_per_rank=3)
-    with fit_constants(candidates=1, burn_sweeps=2), pytest.warns(
+    cfg = FitConfig(rank_max=3, degree=2)
+    with fit_constants(candidates=1, burn_sweeps=2, max_sweeps=3), pytest.warns(
             UserWarning, match="below the direction-solve unknown count") as record:
         fit_fixed(data, 3, cfg, init_seed=0)
     underdetermined = [w for w in record if "unknown count" in str(w.message)]
@@ -492,8 +492,9 @@ def test_the_underdetermined_warning_under_select_model_names_the_callers_file()
 
     rng = np.random.default_rng(21)
     data = SampleSet(rng.standard_normal((5, 2)), rng.standard_normal(5), Family.HERMITE)
-    cfg = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=3)
-    with fit_constants(candidates=1, burn_sweeps=2), warnings.catch_warnings(record=True) as record:
+    cfg = FitConfig(rank_max=2, degree=2)
+    with fit_constants(candidates=1, burn_sweeps=2, max_sweeps=3), \
+            warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         select_model(data, [1, 2], [2], cfg)
     underdetermined = [w for w in record if "unknown count 6 of rank 2" in str(w.message)]
@@ -517,13 +518,13 @@ def test_output_rescaling_scales_the_fit():
     rng = np.random.default_rng(22)
     truth = random_model(rng, dims=3, rank=2, degree=2)
     data = _sampled_from(truth, 250, seed=23, noise=0.05)
-    with fit_constants(candidates=2, burn_sweeps=5):
+    with fit_constants(candidates=2, burn_sweeps=5, max_sweeps=30):
         for penalty in ("second_moment", "diag_scale", "none"):
             _check_rescaled_fits(data, penalty)
 
 
 def _check_rescaled_fits(data, penalty):
-    cfg = FitConfig(rank_max=2, degree=2, penalty=penalty, rng_seed=0, max_sweeps_per_rank=30)
+    cfg = FitConfig(rank_max=2, degree=2, penalty=penalty, rng_seed=0)
     m1, d1 = fit_fixed(data, 2, cfg, init_seed=9)
     for k in (1, 532, 664, 997, -1000):
         scaled = SampleSet(data.inputs.copy(), np.ldexp(data.outputs, k), Family.HERMITE)
@@ -543,8 +544,8 @@ def _check_rescaled_fits(data, penalty):
 def test_rank_record_tells_a_cap_hit_from_convergence():
     rng = np.random.default_rng(50)
     data = _sampled_from(random_model(rng, dims=3, rank=2, degree=2), 150, seed=51, noise=0.1)
-    capped = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=2)
-    with fit_constants(candidates=3):
+    capped = FitConfig(rank_max=2, degree=2)
+    with fit_constants(candidates=3, max_sweeps=2):
         _, diag = fit_fixed(data, 2, capped, init_seed=0)
     for rec in diag.per_rank:
         assert rec.sweeps == 2 and not rec.converged
@@ -564,11 +565,10 @@ def test_rank_record_keeps_the_final_sweeps_states():
     data = manufactured_sample(100, seed=3)  # rank 1 is still moving at 20 sweeps
     cfg = FitConfig(rank_max=1, degree=1)
     K = als._BURN_SWEEPS + 5
-    with fit_constants(sweep_tol=1e-14, candidates=3):
-        _, diag_k = fit_fixed(data, 1, dataclasses.replace(cfg, max_sweeps_per_rank=K),
-                              init_seed=3)
-        _, diag_next = fit_fixed(data, 1, dataclasses.replace(cfg, max_sweeps_per_rank=K + 1),
-                                 init_seed=3)
+    with fit_constants(sweep_tol=1e-14, candidates=3, max_sweeps=K):
+        _, diag_k = fit_fixed(data, 1, cfg, init_seed=3)
+    with fit_constants(sweep_tol=1e-14, candidates=3, max_sweeps=K + 1):
+        _, diag_next = fit_fixed(data, 1, cfg, init_seed=3)
     rec_k, rec_next = diag_k.per_rank[0], diag_next.per_rank[0]
     assert (rec_k.sweeps, rec_next.sweeps) == (K, K + 1)
     _, resid, states = one_sweep(data, rec_k.model, cfg)
@@ -592,7 +592,7 @@ def test_fit_fixed_refuses_a_rank_that_is_not_a_positive_integer(r):
 
 @pytest.mark.parametrize("field, value", [
     ("rank_max", 2.0), ("rank_max", True), ("degree", 1.5), ("degree", False),
-    ("max_sweeps_per_rank", 3.5), ("rank_max", 0), ("degree", -1),
+    ("rank_max", 0), ("degree", -1),
     ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", "3"), ("rng_seed", True),
 ])
 def test_non_integer_counts_are_refused(field, value):
@@ -602,12 +602,12 @@ def test_non_integer_counts_are_refused(field, value):
 
 
 @pytest.mark.parametrize("name", ["sweep_tol", "lambda_floor_rel", "init_candidates",
-                                  "candidate_burn_sweeps"])
+                                  "candidate_burn_sweeps", "max_sweeps_per_rank"])
 def test_a_fixed_fit_setting_is_not_a_config_field(name):
-    # the tolerance, the lambda floor and the candidate race are constants
-    # of the fit, not fields a caller sets
+    # the tolerance, the lambda floor, the candidate race and the sweep cap
+    # are constants of the fit, not fields a caller sets
     assert [f.name for f in dataclasses.fields(FitConfig)] == [
-        "rank_max", "degree", "max_sweeps_per_rank", "penalty", "rng_seed"]
+        "rank_max", "degree", "penalty", "rng_seed"]
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
         FitConfig(rank_max=1, degree=1, **{name: 3})
 
@@ -908,8 +908,8 @@ def test_race_with_a_jittered_gram_equals_one_at_a_time():
     # collapses here turns on the data's last bits (an exact zero from
     # cancellation), so this data seed is one where none does
     data = manufactured_sample(60, seed=5)
-    cfg = FitConfig(rank_max=2, degree=0, max_sweeps_per_rank=6)
-    with fit_constants(burn_sweeps=2):
+    cfg = FitConfig(rank_max=2, degree=0)
+    with fit_constants(burn_sweeps=2, max_sweeps=6):
         probe, records = _race_against_one_at_a_time(data, 2, cfg, seed=5)
     assert probe["redraw_widths"] == []
     assert sum(rec.jittered_solves for rec in records) > 0
@@ -918,16 +918,17 @@ def test_race_with_a_jittered_gram_equals_one_at_a_time():
 def test_unregularized_race_equals_one_at_a_time():
     # each slice keeps its own monotone-residual invariant
     data = manufactured_sample(100, seed=1)
-    cfg = FitConfig(rank_max=3, degree=2, penalty="none", max_sweeps_per_rank=60)
-    _race_against_one_at_a_time(data, 3, cfg, seed=5)
+    cfg = FitConfig(rank_max=3, degree=2, penalty="none")
+    with fit_constants(max_sweeps=60):
+        _race_against_one_at_a_time(data, 3, cfg, seed=5)
 
 
 def test_race_with_early_convergence_equals_one_at_a_time():
     # a loose tolerance and a long burn-in: candidates converge at different
     # sweeps and leave the stack one by one
     data = manufactured_sample(200, seed=2)
-    cfg = FitConfig(rank_max=2, degree=2, max_sweeps_per_rank=80)
-    with fit_constants(sweep_tol=2e-3, burn_sweeps=40):
+    cfg = FitConfig(rank_max=2, degree=2)
+    with fit_constants(sweep_tol=2e-3, burn_sweeps=40, max_sweeps=80):
         probe, _ = _race_against_one_at_a_time(data, 2, cfg, seed=5)
     assert any(1 < w < als._CANDIDATES for w in probe["widths"])
 
@@ -1017,7 +1018,7 @@ def test_exact_recovery_success_rate():
     # restart protocol: require 19 of 20 seeds below 1e-6 relative L2 error
     d, M = 4, 2
     n = 20 * d * (M + 1)
-    cfg = FitConfig(rank_max=1, degree=M, penalty="none", max_sweeps_per_rank=600)
+    cfg = FitConfig(rank_max=1, degree=M, penalty="none")
     hits = 0
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)

@@ -1,6 +1,9 @@
 import csv
 import json
+import logging
 import math
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
@@ -153,6 +156,38 @@ def test_cmd_fit_invariant_failure_is_a_per_row_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(seprep.cli, "select_model", failing_for_seed_2)
     config = _small_fit_config(tmp_path, seeds=[1, 2])
     assert cmd_fit(config) == 2
+    out = Path(config.output_dir)
+    rows = {row["seed"]: row for row in _read_rows(out / "errors.csv")}
+    assert set(rows) == {"1", "2"}
+    assert rows["1"]["r"] and math.isfinite(float(rows["1"]["ei_max"]))
+    assert rows["2"]["r"] == "" and rows["2"]["ei_max"] == ""
+    assert (out / "model_N200_seed1.json").exists()
+    assert not (out / "model_N200_seed2.json").exists()
+
+
+def test_cmd_fit_a_dead_fit_worker_is_a_per_row_failure(tmp_path, monkeypatch, caplog):
+    # a selection worker that dies (killed by the OOM killer, say) on seed 2
+    # fails that row only, with its degree named: seed 1 is written in full
+    import seprep.selection
+
+    monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 2)
+    real, caller = seprep.selection._fit_degree, os.getpid()
+
+    def dying_for_seed_2(data, r_grid, config, m, seed):
+        if os.getpid() == caller:
+            raise AssertionError("a fit ran in the calling process")
+        if config.rng_seed == 2:
+            os._exit(1)
+        return real(data, r_grid, config, m, seed)
+
+    monkeypatch.setattr(seprep.selection, "_fit_degree", dying_for_seed_2)
+    config = _small_fit_config(tmp_path, seeds=[1, 2])
+    with caplog.at_level(logging.ERROR, logger="seprep.cli"):
+        assert cmd_fit(config) == 2
+    assert multiprocessing.active_children() == []
+    assert [r.getMessage() for r in caplog.records] == [
+        "selection failed for N=200 seed=2: M = 2: a fit worker process ended abruptly "
+        "before this degree's fit returned"]
     out = Path(config.output_dir)
     rows = {row["seed"]: row for row in _read_rows(out / "errors.csv")}
     assert set(rows) == {"1", "2"}

@@ -41,16 +41,37 @@ def test_manufactured_value_at_origin():
     pred = evaluate_batch(truth, data.inputs)
     assert data.outputs[0] == pytest.approx(pred[0], abs=1e-13)
     origin = SampleSet(np.zeros((1, 10)), [0.0], Family.HERMITE)
-    from seprep.problems import _manufactured_values, ManufacturedSpec
-
-    assert _manufactured_values(ManufacturedSpec(), origin.inputs)[0] == pytest.approx(1.05)
+    assert problems._manufactured_values(origin.inputs)[0] == pytest.approx(1.05)
 
 
 def test_manufactured_values_equal_the_full_basis_formula():
-    spec = problems.ManufacturedSpec()
     points = np.random.default_rng(3).standard_normal((20_000, 10))
-    want = full_basis_manufactured_values(spec, points)
-    assert np.array_equal(problems._manufactured_values(spec, points), want)
+    want = full_basis_manufactured_values(points)
+    assert np.array_equal(problems._manufactured_values(points), want)
+
+
+def test_manufactured_statistics_are_the_terms_table():
+    # the mean is the constant term's coefficient, and by orthonormality the
+    # variance is the sum of the other squared coefficients; the literal 0.76
+    # is that sum to rounding
+    (constant, factors), *terms = problems._MANUFACTURED_TERMS
+    assert factors == () and MANUFACTURED_MEAN == constant
+    assert MANUFACTURED_VAR == pytest.approx(sum(c * c for c, _ in terms), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: problems.EllipticProblem(mean_coeff=0.2), "mean_coeff"),
+    (lambda: problems.EllipticProblem(sigma_a=0.01), "sigma_a"),
+    (lambda: problems.EllipticProblem(corr_length=0.1), "corr_length"),
+    (lambda: manufactured_sample(3, 0, spec=None), "spec"),
+])
+def test_a_fixed_problem_setting_is_not_an_argument(call, name):
+    # the diffusion problem's physics and the manufactured function are
+    # constants; the problem's fields set only its discretization
+    assert [f.name for f in dataclasses.fields(problems.EllipticProblem) if f.init] == [
+        "dims", "mesh_elements", "kl_grid", "query_point"]
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        call()
 
 
 def test_manufactured_statistics_noise_free():
@@ -122,6 +143,12 @@ def test_kl_resolution_error():
         kl_decompose(0.5, d=40, n_grid=160)
 
 
+def test_kl_refuses_a_bool_correlation_length():
+    # a bool is not a length, and the expansion refuses it by name
+    with pytest.raises(ValueError, match="got corr_length=True"):
+        kl_decompose(True, 4, 64)
+
+
 # ---------------------------------------------------------------------------
 # elliptic solver
 # ---------------------------------------------------------------------------
@@ -151,9 +178,6 @@ def test_a_directly_built_problem_builds_itself():
     assert finer != prob and dataclasses.replace(finer, mesh_elements=16) == prob
     with pytest.raises(DomainError, match="query_point"):
         problems.EllipticProblem(query_point=1.0)
-    # a bool is not a length, and the expansion it builds refuses it by name
-    with pytest.raises(ValueError, match="got corr_length=True"):
-        problems.EllipticProblem(corr_length=True)
 
 
 def test_elliptic_mesh_refinement(problem):
@@ -332,7 +356,7 @@ def test_coefficient_map_matches_kl_sum(settings):
     (problems.EllipticProblem, {"mesh_elements": -3}, "mesh_elements"),
     (problems.EllipticProblem, {"kl_grid": 600.5}, "kl_grid"),
     (problems.EllipticProblem, {"dims": 2.0}, "dims"),
-    (functools.partial(kl_decompose, 0.1), {"d": 2.0}, "d"),
+    (functools.partial(kl_decompose, 0.1), {"d": 2.0, "n_grid": 64}, "d"),
     (functools.partial(kl_decompose, 0.1), {"d": 4, "n_grid": 600.5}, "n_grid"),
 ])
 def test_bad_counts_are_refused_by_name(build, settings, name):
@@ -356,8 +380,6 @@ _COUNT_SITES = {
     "manufactured_sample-seed": (lambda v: manufactured_sample(3, v), "seed", 0, 3),
     "elliptic_sample-n": (lambda v: elliptic_sample(_small_elliptic(), v, 0), "n", 1, 3),
     "elliptic_sample-seed": (lambda v: elliptic_sample(_small_elliptic(), 3, v), "seed", 0, 3),
-    # the terms read dimension 8
-    "ManufacturedSpec-dims": (lambda v: problems.ManufacturedSpec(dims=v), "dims", 9, 10),
     "manufactured_model-max_degree": (manufactured_model, "max_degree", 3, 4),
     "mc_baseline-n": (lambda v: mc_baseline(lambda n, s: np.arange(n, dtype=float), v, 0),
                       "n", 2, 3),

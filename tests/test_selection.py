@@ -7,6 +7,7 @@ import os
 import re
 import threading
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -37,8 +38,9 @@ def _toy_data(seed=0, n=150, dims=3, rank=1):
 
 
 # for speed, a test that fits with _fast_config races 2 candidates for 5
-# burn-in sweeps; the other fits here keep the fit's own race
-_FAST_RACE = {"candidates": 2, "burn_sweeps": 5}
+# burn-in sweeps and caps each rank at 40 sweeps; the other fits here keep
+# the fit's own race and cap
+_FAST_RACE = {"candidates": 2, "burn_sweeps": 5, "max_sweeps": 40}
 
 
 @pytest.fixture
@@ -48,7 +50,7 @@ def fast_race():
 
 
 def _fast_config(seed=0):
-    return FitConfig(rank_max=2, degree=2, rng_seed=seed, max_sweeps_per_rank=40)
+    return FitConfig(rank_max=2, degree=2, rng_seed=seed)
 
 
 @pytest.mark.usefixtures("fast_race")
@@ -82,7 +84,7 @@ def _select_on_indicators(monkeypatch, eis_per_rank, r_grid=None):
                                       reg_states=[_state(e) for e in eis], candidate=0,
                                       converged=True, jittered_solves=0, redrawn_terms=0,
                                       model=None))
-            if stop is not None and stop(records[-1]):
+            if stop is not None and stop(records):
                 break
         return None, FitDiagnostics(per_rank=records)
 
@@ -200,9 +202,8 @@ def test_every_indicator_infinite_is_a_selection_error(monkeypatch):
 @pytest.mark.usefixtures("fast_race")
 def test_selection_log_names_the_runner_up_and_cap_stops(caplog, monkeypatch):
     # a two-sweep cap stops every rank fit before it converges
-    cfg = dataclasses.replace(_fast_config(), max_sweeps_per_rank=2)
-    with caplog.at_level(logging.INFO, logger="seprep.selection"):
-        report = select_model(_toy_data(), [1, 2], [1, 2], cfg)
+    with fit_constants(max_sweeps=2), caplog.at_level(logging.INFO, logger="seprep.selection"):
+        report = select_model(_toy_data(), [1, 2], [1, 2], _fast_config())
     summary = selection_summary(report)
     chosen, runner_up = tuple(summary["chosen"]), tuple(summary["runner_up"])
     assert caplog.messages[-1] == (
@@ -298,13 +299,15 @@ def test_names_the_benchmark_tracer_reads(monkeypatch):
     record(seprep.selection, "fit_fixed")
     record(als, "TikhonovPath")
     record(als, "gcv_select_lambda")
-    cfg = FitConfig(rank_max=2, degree=2, rng_seed=0, max_sweeps_per_rank=10)
-    with fit_constants(candidates=2, burn_sweeps=3):
+    cfg = FitConfig(rank_max=2, degree=2, rng_seed=0)
+    with fit_constants(candidates=2, burn_sweeps=3, max_sweeps=10):
         select_model(_toy_data(), [1, 2], [1, 2], cfg)
+        # the tracer counts cap hits against the cap it reads through the
+        # config, while the cap is in force
+        assert [args[2].max_sweeps_per_rank for args, _ in seen["fit_fixed"]] == [10, 10]
     assert len(seen["fit_fixed"]) == 2  # one fit per degree
     assert len(seen["TikhonovPath"]) == len(seen["gcv_select_lambda"]) > 0
-    for args, (_, diag) in seen["fit_fixed"]:
-        assert args[2].max_sweeps_per_rank == 10
+    for _, (_, diag) in seen["fit_fixed"]:
         for r in (1, 2):
             rec = diag.per_rank[r - 1]
             assert rec.rank == r
@@ -413,6 +416,29 @@ def test_a_worker_error_keeps_its_type_and_no_worker_outlives_it(monkeypatch):
         assert multiprocessing.active_children() == []
         assert [(w.category, str(w.message), w.filename) for w in caught] == [
             (UserWarning, "degree 1 starts", __file__), (UserWarning, "degree 2 starts", __file__)]
+
+
+@pytest.mark.usefixtures("fast_race")
+def test_a_dead_worker_is_a_typed_error_and_no_worker_outlives_it(monkeypatch):
+    # a worker that dies mid-fit (killed by the OOM killer, say) breaks the
+    # pool; the first degree left without a result raises SeprepError naming
+    # that degree, which may be either one, as its fits run side by side
+    monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 2)
+    real, caller = seprep.selection._fit_degree, os.getpid()
+
+    def dying_fit(data, r_grid, config, m, seed):
+        if os.getpid() == caller:
+            raise AssertionError("a fit ran in the calling process")
+        if m == 2:
+            os._exit(1)
+        return real(data, r_grid, config, m, seed)
+
+    monkeypatch.setattr(seprep.selection, "_fit_degree", dying_fit)
+    with pytest.raises(SeprepError, match=r"^M = [12]: a fit worker process ended abruptly "
+                                          r"before this degree's fit returned$") as info:
+        select_model(_toy_data(), [1, 2], [1, 2], _fast_config())
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.usefixtures("fast_race")
@@ -605,9 +631,8 @@ def _fault_variant(case):
 
 def _degenerate_select(data):
     # two candidates with a three-sweep burn-in, 20 sweeps in all
-    with fit_constants(candidates=2, burn_sweeps=3):
-        return select_model(data, [1, 2], [1, 2],
-                            FitConfig(rank_max=2, degree=2, rng_seed=0, max_sweeps_per_rank=20))
+    with fit_constants(candidates=2, burn_sweeps=3, max_sweeps=20):
+        return select_model(data, [1, 2], [1, 2], FitConfig(rank_max=2, degree=2, rng_seed=0))
 
 
 @pytest.mark.parametrize("case", ["duplicates", "constant", "zero", "huge", "n6", "n5"])
