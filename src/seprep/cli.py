@@ -4,7 +4,9 @@ Every run writes machine-readable artifacts (model JSON, selection-report
 JSON, error-table CSV) plus the reference statistics the error columns were
 computed against, so results are auditable after the fact. Runs are
 bit-reproducible for identical configs and seeds, whether a selection fits
-its degrees inline or in forked workers (see selection._fit_degrees).
+its degrees inline or in forked workers (see selection._fit_degrees), and
+elliptic runs only at the same BLAS thread count: the 512 x 512 eigh in
+kl_decompose rounds by thread count (manufactured runs did not move).
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ from .problems import (
     MANUFACTURED_VAR,
     EllipticProblem,
     elliptic_sample,
-    kl_decompose,
     manufactured_sample,
     mc_baseline,
     pc_regression_baseline,
@@ -423,18 +424,18 @@ def cmd_select(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_kl_info(corr_length: float, dims: int, n_grid: int, out_path=None) -> int:
-    """Summarize the covariance eigen-decomposition used by the elliptic problem."""
-    kl = kl_decompose(corr_length, dims, n_grid)
+def cmd_kl_info(dims: int, out_path=None) -> int:
+    """Summarize the KL expansion of EllipticProblem(dims=dims), whose grid and length are fixed."""
+    kl = EllipticProblem(dims=dims).kl
     captured = float(kl.eigenvalues.sum() / kl.total_trace)
-    print(f"correlation length: {corr_length}")
-    print(f"modes kept: {dims} of {n_grid}")
+    print(f"correlation length: {kl.corr_length}")
+    print(f"modes kept: {dims} of {kl.nodes.size}")
     print(f"eigenvalue 1: {kl.eigenvalues[0]:.6e}")
     print(f"eigenvalue {dims}: {kl.eigenvalues[-1]:.6e}")
     print(f"captured energy: {captured:.9f}")
     if out_path:
         _write_json(out_path, {
-            "corr_length": corr_length, "dims": dims, "n_grid": n_grid,
+            "corr_length": kl.corr_length, "dims": dims, "n_grid": kl.nodes.size,
             "eigenvalues": kl.eigenvalues.tolist(), "captured_energy": captured,
         })
     return 0
@@ -525,9 +526,7 @@ def main(argv=None) -> int:
             p.add_argument(flag, **_FLAGS[flag])
     p_kl = parsers["kl-info"] = sub.add_parser("kl-info", allow_abbrev=False,
                                                help="covariance eigen-decomposition summary")
-    p_kl.add_argument("--corr-length", type=float, default=EllipticProblem.corr_length)
     p_kl.add_argument("--dims", type=int, default=EllipticProblem.dims)
-    p_kl.add_argument("--n-grid", type=int, default=EllipticProblem.kl_grid)
     p_kl.add_argument("--out", default=None)
 
     args, unread = parser.parse_known_args(argv)
@@ -535,7 +534,7 @@ def main(argv=None) -> int:
         parsers[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         if args.command == "kl-info":
-            return cmd_kl_info(args.corr_length, args.dims, args.n_grid, args.out)
+            return cmd_kl_info(args.dims, args.out)
         config = _build_config(args)
         if args.command == "fit":
             return cmd_fit(config)

@@ -201,36 +201,35 @@ class EllipticProblem:
 
     The coefficient is mean_coeff plus sigma_a times the KL expansion of
     kl_decompose(corr_length, dims, kl_grid) contracted with the input
-    vector; inputs are uniform on [-1, 1]^dims. mean_coeff, sigma_a and
-    corr_length are fixed, as class attributes; the four fields are the
-    KL truncation, the mesh, the Nystrom grid and query_point. The quantity
-    of interest is u at query_point, which must lie in the open interval
-    (0, 1): u is fixed to 0 on the Dirichlet boundary, and outside [0, 1]
-    the P2 shapes would extrapolate. Construction builds the KL expansion
-    and what the batched solve reuses: the KL map to the Gauss-point
-    coefficients, the per-Gauss-point P2 stiffness weights and the
-    assembled load, from which the solve condenses the bubbles.
+    vector; inputs are uniform on [-1, 1]^dims. The one field is dims, the
+    KL truncation, at most kl_grid // 4 (128): four Nystrom nodes per mode.
+    The physics (mean_coeff, sigma_a, corr_length) and the discretization
+    (mesh_elements quadratic elements, the kl_grid-node Nystrom grid, and
+    query_point, where u is read) are fixed, as class attributes; a subclass
+    that sets others must keep query_point in (0, 1), where the solve finds
+    its element. Construction builds the KL expansion and what the batched
+    solve reuses: the KL map to the Gauss-point coefficients, the
+    per-Gauss-point P2 stiffness weights and the assembled load, from which
+    the solve condenses the bubbles.
     """
 
     # unannotated, so constants of the class and not fields
     corr_length = 1.0 / 14.0
     mean_coeff = 0.1
     sigma_a = 0.021
+    mesh_elements = 128
+    kl_grid = 512
+    query_point = 0.5
     dims: int = 40
-    mesh_elements: int = 128
-    kl_grid: int = 512
-    query_point: float = 0.5
     kl: KLExpansion = field(init=False, repr=False, compare=False)
     _coeff_map: np.ndarray = field(init=False, repr=False, compare=False)
     _stiff_weights: np.ndarray = field(init=False, repr=False, compare=False)
     _load: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_count("dims", self.dims, 1)
-        _check_count("mesh_elements", self.mesh_elements, 1)
-        _check_count("kl_grid", self.kl_grid, 4 * self.dims)
-        if not 0.0 < self.query_point < 1.0:
-            raise DomainError(f"query_point must lie in (0, 1), got {self.query_point}")
+        if _check_count("dims", self.dims, 1) > self.kl_grid // 4:
+            raise ValueError(f"dims must be an integer <= {self.kl_grid // 4} (four Nystrom "
+                             f"nodes per mode), got {self.dims!r}")
         self.kl = kl_decompose(self.corr_length, self.dims, self.kl_grid)
         n_el = self.mesh_elements
         h = 1.0 / n_el
@@ -265,8 +264,8 @@ def coefficient_at_gauss_points(problem: EllipticProblem, points: np.ndarray) ->
     row goes through the same BLAS kernel and, at the default problem size, no
     coefficient depends on how the rows are batched; unpadded, a one-row call
     or a ragged tail is rounded by another kernel. A BLAS may still round a
-    small batch on a coarse mesh by another kernel; the values then agree to
-    the documented 1e-12.
+    small batch on a subclass's coarser mesh by another kernel; the values
+    then agree to the documented 1e-12.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]

@@ -19,6 +19,7 @@ import dataclasses
 import logging
 import math
 import multiprocessing
+import sys
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -119,15 +120,15 @@ def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
     seed of per_degree_seeds; fitted in a fork pool where one may run, and
     inline otherwise.
 
-    The pool runs when all of these hold: the affinity mask has a second
-    CPU, M_grid a second degree, and the platform the "fork" start method;
-    the caller runs one Python thread and is not a daemonic process (a
-    multiprocessing.Pool worker, which may start no child); and fit_fixed
-    is the one this module imported, not a wrapper put in its place (a
-    tracer's, say), whose records a worker would keep in its own memory.
-    It has min(CPUs, degrees, _FIT_WORKERS) workers, takes the highest
-    degree first, and is shut down, its children joined, before this
-    returns or raises. `taskset -c 0` forces the inline path.
+    The pool runs when all of these hold: the platform is Linux, where it
+    was measured (CPython calls fork unsafe on macOS); the affinity mask has
+    a second CPU and M_grid a second degree; the caller runs one Python thread
+    and is not a daemonic process (a multiprocessing.Pool worker, which may
+    start no child); and fit_fixed is the one this module imported, not a
+    wrapper put in its place (a tracer's, say), whose records a worker would
+    keep in its own memory. It has min(CPUs, degrees, _FIT_WORKERS) workers,
+    takes the highest degree first, and is shut down, its children joined,
+    before this returns or raises. `taskset -c 0` forces the inline path.
 
     A fit logs nothing, so this process logs each degree's lines (_logged)
     as soon as it has its records: after each inline fit, and pooled, as
@@ -141,8 +142,7 @@ def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
     """
     seeds = per_degree_seeds(config.rng_seed, M_grid)
     workers = min(_usable_cpus(), _FIT_WORKERS, len(M_grid))
-    if (workers < 2 or fit_fixed is not _FIT_FIXED
-            or "fork" not in multiprocessing.get_all_start_methods()
+    if (workers < 2 or fit_fixed is not _FIT_FIXED or sys.platform != "linux"
             or threading.active_count() > 1 or multiprocessing.current_process().daemon):
         return [_logged(r_grid, m, _fit_degree(data, r_grid, config, m, seeds[m]))
                 for m in M_grid]

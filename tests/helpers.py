@@ -1,10 +1,13 @@
-"""Independent oracles shared across test modules, and two ways into the fit.
+"""Independent oracles shared across test modules, two ways into the fit,
+and one to another discretization of the diffusion problem.
 
 The oracles are deliberately naive (loops, brute force, quadrature) so
 the library paths are checked against genuinely different computations.
-fit_constants and one_sweep, at the top, reach the fit's internals instead.
+fit_constants and one_sweep, at the top, reach the fit's internals instead,
+and elliptic_with, beside the FEM oracles, the problem's fixed settings.
 """
 import contextlib
+import functools
 
 import numpy as np
 import pytest
@@ -12,9 +15,14 @@ from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
 
 from seprep import als, regularize
 from seprep.basis import BasisSpec, Family, _folded_recurrence, eval_basis_batch, gauss_quadrature
-from seprep.errors import DegenerateModelError, PositivityError
+from seprep.errors import DegenerateModelError, DomainError, PositivityError
 from seprep.model import SeparatedModel
-from seprep.problems import _MANUFACTURED_TERMS, _p2_shapes, coefficient_at_gauss_points
+from seprep.problems import (
+    _MANUFACTURED_TERMS,
+    EllipticProblem,
+    _p2_shapes,
+    coefficient_at_gauss_points,
+)
 from seprep.regularize import _LAMBDA_GRID_SIZE
 
 
@@ -407,6 +415,33 @@ def naive_sweep(data, model, config):
             model.scales[l] *= norm
             model.coeffs[k, l] = cl / norm
     return model, float(np.sqrt(res @ res / data.n)), states, designs
+
+
+# -- the diffusion problem at another discretization ---------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _elliptic_class(constants):
+    return type(f"EllipticProblem{dict(constants)}", (EllipticProblem,), dict(constants))
+
+
+def elliptic_with(dims=EllipticProblem.dims, **constants):
+    """EllipticProblem(dims=dims) with some of its class constants replaced.
+
+    `constants` names class attributes, such as mesh_elements=7 or
+    query_point=0.3. Each distinct set of them gets one subclass, built once,
+    so equal settings give equal problems. A name that is not such a constant
+    is a TypeError. A query point outside (0, 1) is a DomainError: there the
+    solve reads u where it is fixed to 0 or extrapolates the P2 shapes, and
+    below 0 its element index wraps round to the far end of the mesh.
+    """
+    unknown = sorted(n for n in constants if not hasattr(EllipticProblem, n))
+    if unknown:
+        raise TypeError(f"not class constants of EllipticProblem: {unknown}")
+    query_point = constants.get("query_point", EllipticProblem.query_point)
+    if not 0.0 < query_point < 1.0:
+        raise DomainError(f"query_point must lie in (0, 1), got {query_point}")
+    return _elliptic_class(tuple(sorted(constants.items())))(dims=dims)
 
 
 # -- per-sample banded references for the elliptic FEM solve -------------------

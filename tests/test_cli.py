@@ -318,7 +318,7 @@ _SUBCOMMAND_FLAGS = {
                   "--family", "--ref-file", "--ref-samples", "--pc-degree", "--no-noise"},
     "sample": {"--config", "--problem", "--force", "--dataset", "--family", "--no-noise",
                "--sample-n", "--sample-seed", "--sample-out"},
-    "kl-info": {"--corr-length", "--dims", "--n-grid", "--out"},
+    "kl-info": {"--dims", "--out"},
 }
 
 
@@ -338,11 +338,13 @@ _RUNNABLE = {
                "--m-grid", "1", "--out", "o"],
     "baselines": ["baselines", "--n", "60", "--seeds", "0", "--pc-degree", "1", "--out", "o"],
     "sample": ["sample", "--sample-n", "5", "--sample-out", "o"],
+    "kl-info": ["kl-info", "--dims", "4", "--out", "o"],
 }
+# no subcommand reads --corr-length or --n-grid: the problem's length and grid are fixed
 _UNREAD = {"--problem": ["elliptic"], "--n": ["500"], "--seeds": ["7"], "--r-max": ["9"],
            "--m-grid": ["1,2"], "--penalty": ["diag_scale"], "--out": ["ignored"],
            "--ref-file": ["ref.json"], "--ref-samples": ["100"], "--pc-degree": ["4"],
-           "--no-noise": []}
+           "--no-noise": [], "--corr-length": ["0.1"], "--n-grid": ["64"]}
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -378,13 +380,15 @@ def test_an_abbreviated_flag_is_a_usage_error(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_kl_info(tmp_path, capsys):
-    rc = main(["kl-info", "--dims", "10", "--n-grid", "128",
-               "--out", str(tmp_path / "kl.json")])
+    rc = main(["kl-info", "--dims", "10", "--out", str(tmp_path / "kl.json")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "captured energy" in out
     doc = json.loads((tmp_path / "kl.json").read_text())
     assert len(doc["eigenvalues"]) == 10
+    # the summary is of the problem's own expansion, at its fixed length and grid
+    assert doc["eigenvalues"] == EllipticProblem(dims=10).kl.eigenvalues.tolist()
+    assert (doc["corr_length"], doc["n_grid"]) == (1.0 / 14.0, 512)
 
 
 def test_cli_kl_info_defaults_are_the_elliptic_problems(capsys):
@@ -437,10 +441,10 @@ _REF = {"mean": 1.0, "std": 1.0, "stderr_mean": 0.0, "stderr_std": 0.0}
       "--n", "3,4", "--r-max", "1", "--m-grid", "1"],
      "y1,u\n0.1,1.0\n0.2,2.0\n0.3,3.0\n", "has N=3, requested [3, 4]"),
     (["baselines", "--pc-degree", "-1"], None, "pc_degree must be"),
-    (["kl-info", "--dims", "0"], None, "d must be an integer >= 1, got 0"),
-    (["kl-info", "--dims", "-3"], None, "d must be an integer >= 1, got -3"),
-    (["kl-info", "--corr-length", "0"], None, "correlation length must be positive"),
-    (["kl-info", "--corr-length", "inf"], None, "positive and finite, got corr_length=inf"),
+    (["kl-info", "--dims", "0"], None, "dims must be an integer >= 1, got 0"),
+    (["kl-info", "--dims", "-3"], None, "dims must be an integer >= 1, got -3"),
+    (["kl-info", "--dims", "129"], None, "dims must be an integer <= 128 (four Nystrom "
+                                         "nodes per mode), got 129"),
     (["fit", "--config", "in.json"], {"seeds": [True]}, "seeds must be"),
     (["fit", "--config", "in.json"], {"noisy": "no"}, "noisy must be true or false"),
     (["fit", "--config", "in.json"], {"penalty": "none"}, "penalty must be one of"),
@@ -477,8 +481,7 @@ _REF = {"mean": 1.0, "std": 1.0, "stderr_mean": 0.0, "stderr_std": 0.0}
     (["fit", "--config", "in.json"], {"problem": "heat"}, "unknown problem 'heat'"),
 ], ids=["ref-missing-keys", "ref-not-object", "sizes-not-list", "seeds-string",
         "negative-degree", "select-no-dataset", "dataset-size-mismatch",
-        "negative-pc-degree", "kl-zero-dims", "kl-negative-dims", "kl-zero-corr-length",
-        "kl-infinite-corr-length",
+        "negative-pc-degree", "kl-zero-dims", "kl-negative-dims", "kl-too-many-dims",
         "seed-bool", "noisy-string", "penalty-none", "force-int", "pc-degree-float",
         "ref-samples-float", "ref-samples-one", "ref-seed-negative", "ref-seed-bool",
         "dataset-number", "ref-bool", "ref-nan", "ref-inf", "ref-unknown-keys",

@@ -105,6 +105,14 @@ def test_evaluation_memory_is_bounded_by_one_block():
     assert peak < 20e6
 
 
+@pytest.mark.parametrize("count, usable", [(None, 1), (3, 3)])
+def test_without_an_affinity_mask_the_cpu_count_is_read(monkeypatch, count, usable):
+    # macOS and Windows have no sched_getaffinity; an unknown count is one CPU
+    monkeypatch.delattr(model_module.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(model_module.os, "cpu_count", lambda: count)
+    assert model_module._usable_cpus() == usable
+
+
 @pytest.fixture(params=[1, 2, 8], ids=["1-cpu", "2-cpus", "8-cpus"])
 def workers(request, monkeypatch):
     """Force the CPU count evaluate_batch reads; it caps workers at 2 and by blocks."""

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     banded_elliptic_solve,
+    elliptic_with,
     full_basis_manufactured_values,
     independent_elliptic_solve,
 )
@@ -63,13 +64,15 @@ def test_manufactured_statistics_are_the_terms_table():
     (lambda: problems.EllipticProblem(mean_coeff=0.2), "mean_coeff"),
     (lambda: problems.EllipticProblem(sigma_a=0.01), "sigma_a"),
     (lambda: problems.EllipticProblem(corr_length=0.1), "corr_length"),
+    (lambda: problems.EllipticProblem(mesh_elements=64), "mesh_elements"),
+    (lambda: problems.EllipticProblem(kl_grid=1024), "kl_grid"),
+    (lambda: problems.EllipticProblem(query_point=0.3), "query_point"),
     (lambda: manufactured_sample(3, 0, spec=None), "spec"),
 ])
 def test_a_fixed_problem_setting_is_not_an_argument(call, name):
-    # the diffusion problem's physics and the manufactured function are
-    # constants; the problem's fields set only its discretization
-    assert [f.name for f in dataclasses.fields(problems.EllipticProblem) if f.init] == [
-        "dims", "mesh_elements", "kl_grid", "query_point"]
+    # the diffusion problem's physics and discretization and the manufactured
+    # function are constants; the problem's one field is its KL truncation
+    assert [f.name for f in dataclasses.fields(problems.EllipticProblem) if f.init] == ["dims"]
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
         call()
 
@@ -166,22 +169,26 @@ def test_elliptic_constant_coefficient(problem):
 
 
 def test_a_directly_built_problem_builds_itself():
-    # the constructor builds the KL expansion and the FEM arrays, so a problem
-    # built or replaced field by field solves: a == 0.1 gives u(0.25) = 0.9375
-    prob = problems.EllipticProblem(dims=4, mesh_elements=16, kl_grid=64, query_point=0.25)
+    # the constructor builds the KL expansion and the FEM arrays from the
+    # class's constants, so a problem of a subclass, or one replaced field by
+    # field, solves: a == 0.1 gives u(0.25) = 0.9375
+    prob = elliptic_with(dims=4, mesh_elements=16, kl_grid=64, query_point=0.25)
     assert prob.kl.dims == 4 and prob.kl.nodes.shape == (64,)
     assert elliptic_solve_batch(prob, np.zeros(4)) == pytest.approx(0.9375, abs=1e-12)
-    finer = dataclasses.replace(prob, mesh_elements=32)
+    finer = elliptic_with(dims=4, mesh_elements=32, kl_grid=64, query_point=0.25)
     assert finer._load.shape == (65,)
     assert elliptic_solve_batch(finer, np.zeros(4)) == pytest.approx(0.9375, abs=1e-12)
-    # equality compares the settings; the built arrays follow from them
-    assert finer != prob and dataclasses.replace(finer, mesh_elements=16) == prob
-    with pytest.raises(DomainError, match="query_point"):
-        problems.EllipticProblem(query_point=1.0)
+    fewer = dataclasses.replace(prob, dims=3)
+    assert fewer.kl.dims == 3 and type(fewer) is type(prob)
+    assert elliptic_solve_batch(fewer, np.zeros(3)) == pytest.approx(0.9375, abs=1e-12)
+    # equality compares the class and dims; the built arrays follow from them
+    assert finer != prob and fewer != prob
+    assert elliptic_with(query_point=0.25, kl_grid=64, mesh_elements=16, dims=4) == prob
+    assert dataclasses.replace(fewer, dims=4) == prob
 
 
 def test_elliptic_mesh_refinement(problem):
-    coarse = elliptic_problem(mesh_elements=64)
+    coarse = elliptic_with(mesh_elements=64)
     v1 = elliptic_solve_batch(coarse, np.zeros(40))
     v2 = elliptic_solve_batch(problem, np.zeros(40))
     assert abs(v1 - v2) < 1e-8
@@ -259,7 +266,7 @@ _INDEPENDENT_RTOL = 1e-11
 
 @functools.lru_cache(maxsize=None)
 def _mesh_problem(mesh_elements, query_point):
-    return elliptic_problem(mesh_elements=mesh_elements, query_point=query_point)
+    return elliptic_with(mesh_elements=mesh_elements, query_point=query_point)
 
 
 @pytest.mark.parametrize("n", [1, 5, 257])
@@ -269,8 +276,9 @@ def test_elliptic_batch_matches_banded_oracle(mesh_elements, query_point, n):
     # one element has no interior vertex (an empty vertex system); only 0.3
     # falls inside an element, where the bubble value is recovered
     if not 0.0 < query_point < 1.0:
-        # u is fixed to zero on the Dirichlet boundary and the P2 shapes
-        # extrapolate outside [0, 1], so building the problem is refused
+        # u is fixed to zero on the Dirichlet boundary, the P2 shapes
+        # extrapolate outside [0, 1], and below 0 the solve's element index
+        # wraps round, so a subclass with such a point is refused
         with pytest.raises(DomainError, match="query_point"):
             _mesh_problem(mesh_elements, query_point)
         return
@@ -337,7 +345,7 @@ def test_elliptic_errors_name_the_global_sample(problem, monkeypatch):
 def test_coefficient_map_matches_kl_sum(settings):
     # mean_coeff + sigma_a * sum_i sqrt(lambda_i) phi_i(x_eg) y_i, with phi
     # from the expansion's own eigenfunctions at each element's Gauss points
-    prob = elliptic_problem(**settings)
+    prob = elliptic_with(**settings)
     n_el = prob.mesh_elements
     xi = np.polynomial.legendre.leggauss(3)[0]
     x = (np.arange(n_el)[:, None] + (xi[None, :] + 1.0) / 2.0) / n_el
@@ -351,10 +359,10 @@ def test_coefficient_map_matches_kl_sum(settings):
 
 
 @pytest.mark.parametrize("build, settings, name", [
-    (problems.EllipticProblem, {"mesh_elements": 0}, "mesh_elements"),
-    (problems.EllipticProblem, {"mesh_elements": 2.5}, "mesh_elements"),
-    (problems.EllipticProblem, {"mesh_elements": -3}, "mesh_elements"),
-    (problems.EllipticProblem, {"kl_grid": 600.5}, "kl_grid"),
+    (problems.EllipticProblem, {"dims": 0}, "dims"),
+    (problems.EllipticProblem, {"dims": 2.5}, "dims"),
+    (problems.EllipticProblem, {"dims": -3}, "dims"),
+    (problems.EllipticProblem, {"dims": 129}, "dims"),
     (problems.EllipticProblem, {"dims": 2.0}, "dims"),
     (functools.partial(kl_decompose, 0.1), {"d": 2.0, "n_grid": 64}, "d"),
     (functools.partial(kl_decompose, 0.1), {"d": 4, "n_grid": 600.5}, "n_grid"),
@@ -366,7 +374,7 @@ def test_bad_counts_are_refused_by_name(build, settings, name):
 
 @functools.lru_cache(maxsize=None)
 def _small_elliptic():
-    return elliptic_problem(dims=4, mesh_elements=7)
+    return elliptic_with(dims=4, mesh_elements=7)
 
 
 def _small_pc_data():

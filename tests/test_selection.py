@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import sys
 import threading
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -463,6 +464,23 @@ def test_a_second_thread_keeps_the_fits_in_this_process(monkeypatch, caplog):
     stops = [r for r in caplog.records if "rank ladder stopped" in r.getMessage()]
     assert len(stops) == 2
     assert _fit_processes(caught) == [os.getpid()] * 2
+
+
+@pytest.mark.usefixtures("fast_race")
+def test_a_platform_other_than_linux_fits_in_this_process(monkeypatch):
+    # the pool was measured on Linux only, and macOS may fork a process whose
+    # system libraries run threads; elsewhere the fits run inline
+    monkeypatch.setattr(seprep.selection, "_usable_cpus", lambda: 2)
+    _fits_warn_their_process(monkeypatch)
+    reports, processes = [], []
+    for platform in ("darwin", "linux"):
+        monkeypatch.setattr(sys, "platform", platform)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports.append(select_model(_toy_data(), [1, 2], [1, 2], _fast_config()).to_dict())
+        processes.append([p == os.getpid() for p in _fit_processes(caught)])
+    assert processes == [[True, True], [False, False]]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.usefixtures("fast_race")
