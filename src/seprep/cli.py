@@ -6,7 +6,9 @@ computed against, so results are auditable after the fact. Runs are
 bit-reproducible for identical configs and seeds, whether a selection fits
 its degrees inline or in forked workers (see selection._fit_degrees), and
 elliptic runs only at the same BLAS thread count: the 512 x 512 eigh in
-kl_decompose rounds by thread count (manufactured runs did not move).
+kl_decompose rounds by thread count (manufactured runs did not move). So
+fit's run_info.json records the BLAS and the thread count its environment
+variables ask for (null when none is set), beside the config.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from .basis import Family, _check_count, _check_domain
 from .errors import DatasetFormatError, DomainError, SeprepError
 from .model import (
     SampleSet,
+    _blas,
     mean as model_mean,
     model_to_dict,
     standard_deviation,
@@ -365,7 +368,7 @@ def cmd_fit(config: ExperimentConfig) -> int:
         _write_json(out / f"selection_N{n}_seed{seed}.json", report.to_dict())
     _write_rows(out / "errors.csv", rows)
     _write_json(out / "run_info.json", {
-        "config": dataclasses.asdict(config), "config_hash": config_hash(config),
+        "config": dataclasses.asdict(config), "config_hash": config_hash(config), **_blas(),
     })
     return 2 if failures else 0
 

@@ -120,6 +120,8 @@ _EVAL_BLOCK = 16384  # rows per block; a block's work arrays stay near cache siz
 # one-worker time on a 2-core host, BLAS at one thread or unpinned, and
 # 1.08-1.09x forced onto one CPU); more CPUs are untested
 _EVAL_WORKERS = 2
+# read in this order; OpenBLAS also skips a variable that is not a positive integer
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _usable_cpus() -> int:
@@ -127,6 +129,48 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _blas() -> dict:
+    """The BLAS NumPy was built with, and the thread count the process asks of it.
+
+    "blas" is the name and version `np.show_config` reports ("unknown" on a
+    NumPy without its "dicts" mode). "blas_threads" is the first of
+    `_BLAS_THREAD_VARIABLES` that holds a positive integer, or None when
+    none does; a BLAS reads its variable once, when it loads, so this is
+    the count asked for, not a count measured.
+    """
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # NumPy before 1.26 only prints its configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    threads = None
+    for var in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            threads = int(value)
+            break
+    return {"blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+            "blas_threads": threads}
+
+
+def _run_shares(run, blocks: list, workers: int) -> None:
+    """Call `run(share)` on `workers` contiguous shares of whole blocks, in parallel.
+
+    The first share runs on the calling thread and the others on threads of
+    a pool that is shut down before the call returns, so one worker starts
+    no thread. Every share runs to its end or its error, and the error of
+    the lowest failing share is raised: when `run` stops at its first bad
+    block, that is the error of the lowest bad block, as in a serial loop.
+    """
+    shares = [blocks[i * len(blocks) // workers:(i + 1) * len(blocks) // workers]
+              for i in range(workers)]
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        futures = [pool.submit(run, share) for share in shares[1:]]
+        run(shares[0])
+        for future in futures:
+            future.result()
 
 
 def _evaluate_blocks(model: SeparatedModel, pts: np.ndarray, blocks, out: np.ndarray,
@@ -154,18 +198,18 @@ def evaluate_batch(model: SeparatedModel, points: np.ndarray) -> np.ndarray:
     their basis evaluations, so every dimension's evaluation reads one
     contiguous row.
 
-    The blocks are split into contiguous shares of whole blocks, one per
-    worker. Workers are the CPUs in the process's affinity mask
+    The blocks run through `_run_shares`, one contiguous share of whole
+    blocks per worker. Workers are the CPUs in the process's affinity mask
     (`os.cpu_count()` where the platform has no mask), at most
     `_EVAL_WORKERS` and at most one per block; BLAS thread settings are
-    not read. The first share runs on the calling thread and the others
-    on threads of a pool that is shut down before the call returns, so
-    one worker starts no thread. Each of W workers transposes ceil(d / W)
-    dimensions of its block at a time, so the transposes in flight hold
-    one block's points, and the working memory beyond the (N,) result is
-    that plus each worker's (rows, rank) and (rows, M+1) products,
-    whatever N is. A bad point raises the error of the lowest block that
-    holds one, as a serial loop over the blocks would.
+    not read, because BLAS does not thread these small products, unlike the
+    FEM solve's (see `problems.elliptic_solve_batch`). One worker starts no
+    thread. Each of W workers transposes ceil(d / W) dimensions of its
+    block at a time, so the transposes in flight hold one block's points,
+    and the working memory beyond the (N,) result is that plus each
+    worker's (rows, rank) and (rows, M+1) products, whatever N is. A bad
+    point raises the error of the lowest block that holds one, as a serial
+    loop over the blocks would.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim > 2:
@@ -179,14 +223,7 @@ def evaluate_batch(model: SeparatedModel, points: np.ndarray) -> np.ndarray:
     blocks = list(zip(starts, starts[1:] + [n]))
     workers = min(_usable_cpus(), _EVAL_WORKERS, len(blocks))
     width = -(-model.dims // workers)
-    shares = [blocks[i * len(blocks) // workers:(i + 1) * len(blocks) // workers]
-              for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        futures = [pool.submit(_evaluate_blocks, model, pts, share, out, width)
-                   for share in shares[1:]]
-        _evaluate_blocks(model, pts, shares[0], out, width)
-        for future in futures:
-            future.result()
+    _run_shares(lambda share: _evaluate_blocks(model, pts, share, out, width), blocks, workers)
     return out
 
 

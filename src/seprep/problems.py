@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import BasisSpec, Family, _check_count, eval_basis_batch
 from .errors import ConditioningError, DomainError, PositivityError, ResolutionError
-from .model import SampleSet, SeparatedModel
+from .model import SampleSet, SeparatedModel, _blas, _run_shares, _usable_cpus
 
 __all__ = [
     "MANUFACTURED_MEAN",
@@ -144,18 +144,13 @@ class KLExpansion:
         return vals.reshape(x.shape + (self.dims,))
 
 
-def kl_decompose(corr_length: float, d: int, n_grid: int) -> KLExpansion:
-    """Nystrom discretization of the covariance eigenproblem on (0, 1).
+def _kl_spectrum(corr_length: float, n_grid: int):
+    """The Nystrom nodes and weights, their square roots, and the kernel's eigenpairs.
 
-    The kernel matrix at a Gauss-Legendre grid is symmetrized with sqrt
-    weights, diagonalized, and the eigenvectors rescaled so eigenfunctions
-    have unit L2(0, 1) norm.
+    The eigenpairs are those of the kernel matrix symmetrized with sqrt
+    weights, in descending order, and the last value returned counts the
+    eigenvalues that are positive and clear of eigensolver roundoff.
     """
-    _check_count("d", d, 1)
-    if isinstance(corr_length, bool) or not 0.0 < corr_length < math.inf:
-        raise ValueError(
-            f"correlation length must be positive and finite, got corr_length={corr_length!r}")
-    _check_count("n_grid", n_grid, 4 * d)  # at least four nodes per mode
     x, w = _gauss_legendre_01(n_grid)
     K = _sq_exp_kernel(x, x, corr_length)
     sw = np.sqrt(w)
@@ -163,11 +158,30 @@ def kl_decompose(corr_length: float, d: int, n_grid: int) -> KLExpansion:
     vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
-    resolved = vals > 1e-14 * vals[0]  # positive and clear of eigensolver roundoff
-    if not np.all(resolved[:d]):
+    return x, w, sw, vals, vecs, int(np.count_nonzero(vals > 1e-14 * vals[0]))
+
+
+def kl_decompose(corr_length: float, d: int, n_grid: int) -> KLExpansion:
+    """Nystrom discretization of the covariance eigenproblem on (0, 1).
+
+    The kernel matrix at a Gauss-Legendre grid is symmetrized with sqrt
+    weights, diagonalized, and the eigenvectors rescaled so eigenfunctions
+    have unit L2(0, 1) norm. Fewer than d eigenvalues clear of roundoff is
+    a ResolutionError: a shorter correlation length decays more slowly and
+    resolves more, and a finer grid helps only while it, and not roundoff,
+    sets the count (at corr_length 1/14, 57 modes at 240 to 2,048 nodes).
+    """
+    _check_count("d", d, 1)
+    if isinstance(corr_length, bool) or not 0.0 < corr_length < math.inf:
+        raise ValueError(
+            f"correlation length must be positive and finite, got corr_length={corr_length!r}")
+    _check_count("n_grid", n_grid, 4 * d)  # at least four nodes per mode
+    x, w, sw, vals, vecs, resolved = _kl_spectrum(corr_length, n_grid)
+    if resolved < d:
         raise ResolutionError(
-            f"only {int(resolved.sum())} eigenvalues resolved above roundoff, need {d}; "
-            "increase n_grid or reduce the truncation"
+            f"only {resolved} eigenvalues resolved above roundoff at corr_length "
+            f"{corr_length:.6g} and n_grid {n_grid}, need {d}; reduce the truncation or "
+            "corr_length (a finer n_grid adds modes only where the grid, not roundoff, limits them)"
         )
     return KLExpansion(
         corr_length=corr_length,
@@ -186,6 +200,10 @@ def kl_decompose(corr_length: float, d: int, n_grid: int) -> KLExpansion:
 _GAUSS3_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 _SOLVE_BLOCK = 1024  # bounds the solver's memory; its work arrays stay near cache size
+# most solve workers, with BLAS at one thread: 2 is the count measured (the
+# 200k-sample reference took 0.52 s against 0.86 s on one worker, 2-core
+# host); more CPUs are untested
+_SOLVE_WORKERS = 2
 _ROW_PAD = 16  # the coefficient product pads its rows to a multiple of this
 
 
@@ -202,12 +220,13 @@ class EllipticProblem:
     The coefficient is mean_coeff plus sigma_a times the KL expansion of
     kl_decompose(corr_length, dims, kl_grid) contracted with the input
     vector; inputs are uniform on [-1, 1]^dims. The one field is dims, the
-    KL truncation, at most kl_grid // 4 (128): four Nystrom nodes per mode.
-    The physics (mean_coeff, sigma_a, corr_length) and the discretization
-    (mesh_elements quadratic elements, the kl_grid-node Nystrom grid, and
-    query_point, where u is read) are fixed, as class attributes; a subclass
-    that sets others must keep query_point in (0, 1), where the solve finds
-    its element. Construction builds the KL expansion and what the batched
+    KL truncation: at most kl_grid // 4 (128), four Nystrom nodes per mode,
+    and at most the 57 modes that clear eigensolver roundoff at this
+    correlation length, whatever the grid. The physics (mean_coeff,
+    sigma_a, corr_length) and the discretization (mesh_elements quadratic
+    elements, the kl_grid-node Nystrom grid, and query_point, where u is
+    read) are fixed, as class attributes; a subclass that sets others must
+    keep query_point in (0, 1), where the solve finds its element. Construction builds the KL expansion and what the batched
     solve reuses: the KL map to the Gauss-point coefficients, the
     per-Gauss-point P2 stiffness weights and the assembled load, from which
     the solve condenses the bubbles.
@@ -230,7 +249,13 @@ class EllipticProblem:
         if _check_count("dims", self.dims, 1) > self.kl_grid // 4:
             raise ValueError(f"dims must be an integer <= {self.kl_grid // 4} (four Nystrom "
                              f"nodes per mode), got {self.dims!r}")
-        self.kl = kl_decompose(self.corr_length, self.dims, self.kl_grid)
+        try:
+            self.kl = kl_decompose(self.corr_length, self.dims, self.kl_grid)
+        except ResolutionError as exc:
+            # no caller sets the grid, and a finer one resolves no more modes here
+            resolved = _kl_spectrum(self.corr_length, self.kl_grid)[-1]
+            raise ValueError(f"dims must be an integer <= {resolved} (the KL modes resolved "
+                             f"above roundoff), got {self.dims!r}") from exc
         n_el = self.mesh_elements
         h = 1.0 / n_el
         gauss_x = (np.arange(n_el)[:, None] + 0.5 * (_GAUSS3_NODES[None, :] + 1.0)) * h
@@ -282,6 +307,73 @@ def _positive_finite(x: np.ndarray) -> bool:
     return x.size == 0 or bool(x.min() > 0.0 and x.max() < np.inf)
 
 
+def _solve_block(problem: EllipticProblem, rows: np.ndarray, work: np.ndarray,
+                 first: int) -> np.ndarray:
+    """u(query_point) at each of a block's rows, the first being sample `first` of the batch.
+
+    `work` holds the block's six stiffness entries per element and its
+    vertex values; the elimination's r0, r2 and scratch rows reuse the
+    block's coefficient planes, which the stiffness product has read. Both
+    are released when the block returns, before the next one is formed.
+    """
+    n_el, load = problem.mesh_elements, problem._load
+    h = 1.0 / n_el
+    e = min(int(problem.query_point / h), n_el - 1)
+    shape = _p2_shapes(np.array(2.0 * (problem.query_point - e * h) / h - 1.0))[0]
+    w = problem._stiff_weights[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].T  # (6, gauss)
+    a = coefficient_at_gauss_points(problem, rows)
+    n_s = a.shape[0]
+    planes = a.transpose(2, 1, 0).reshape(3, n_el * n_s)  # a copy only for a ragged block
+    if planes.min() <= 0.0:
+        bad = int(np.argwhere(np.any(a <= 0.0, axis=(1, 2)))[0, 0])
+        raise PositivityError(
+            f"diffusion coefficient non-positive at sample {first + bad} "
+            f"(min {a[bad].min():.4e})"
+        )
+    block = work[:(7 * n_el + 1) * n_s].reshape(7 * n_el + 1, n_s)
+    np.matmul(w, planes, out=block[:6 * n_el].reshape(6, n_el * n_s))
+    # each (element, sample)
+    k00, k01, k02, k11, k12, k22 = block[:6 * n_el].reshape(6, n_el, n_s)
+    r0, r2, tmp = planes.reshape(3, n_el, n_s)
+    np.divide(k01, k11, out=r0)
+    np.divide(k12, k11, out=r2)
+    # off couples vertex j to j + 1; the last meets u(1) = 0
+    off = np.subtract(k02, np.multiply(k12, r0, out=tmp), out=k02)
+    c22 = np.subtract(k22, np.multiply(k12, r2, out=tmp), out=k22)
+    c00 = np.subtract(k00, np.multiply(k01, r0, out=tmp), out=k00)
+    piv = np.add(c22[:-1], c00[1:], out=c22[:-1])  # interior vertices 1 .. n_el-1
+    u = block[6 * n_el:]  # vertex values, zero at both ends
+    u[0] = u[-1] = 0.0
+    y = u[1:-1]  # the right-hand side, overwritten by the solution
+    np.subtract(load[2:-1:2, None], np.multiply(r2[:-1], load[1:-2:2, None], out=y), out=y)
+    y -= np.multiply(r0[1:], load[3::2, None], out=tmp[1:])
+    ratio, prod = np.empty((2, n_s))
+    for v in range(1, n_el - 1):
+        np.divide(off[v], piv[v - 1], out=ratio)
+        piv[v] -= np.multiply(ratio, off[v], out=prod)
+        y[v] -= np.multiply(ratio, y[v - 1], out=prod)
+    if not (_positive_finite(k11) and _positive_finite(piv)):
+        ok = np.all((k11 > 0.0) & (k11 < np.inf), axis=0)
+        ok &= np.all((piv > 0.0) & (piv < np.inf), axis=0)
+        bad = first + int(np.flatnonzero(~ok)[0])
+        raise ConditioningError(f"non-positive or non-finite FEM pivot at sample {bad}")
+    for v in range(n_el - 1, max(e, 1) - 1, -1):  # u[e] and u[e + 1] are all that is read
+        u[v] -= np.multiply(off[v], u[v + 1], out=prod)
+        u[v] /= piv[v - 1]
+    val = shape[0] * u[e] + shape[2] * u[e + 1]
+    if shape[1] != 0.0:
+        val += shape[1] * (load[2 * e + 1] - k01[e] * u[e] - k12[e] * u[e + 1]) / k11[e]
+    return val
+
+
+def _solve_share(problem: EllipticProblem, pts: np.ndarray, blocks, out: np.ndarray) -> None:
+    """Write u(query_point) at rows first:stop of `pts` into `out`, for each block in turn."""
+    rows = max((stop - first for first, stop in blocks), default=0)
+    work = np.empty((7 * problem.mesh_elements + 1) * rows)
+    for first, stop in blocks:
+        out[first:stop] = _solve_block(problem, pts[first:stop], work, first)
+
+
 def elliptic_solve_batch(problem: EllipticProblem, points: np.ndarray) -> np.ndarray:
     """Solve the diffusion problem for each input row, or one `dims`-vector; returns u(query_point).
 
@@ -295,66 +387,32 @@ def elliptic_solve_batch(problem: EllipticProblem, points: np.ndarray) -> np.nda
     recovered where its shape function is non-zero. Every step works on
     vectors of samples and the coefficient product is padded, so at the
     default problem size a row's value does not depend on how the rows are
-    batched (see `coefficient_at_gauss_points`). A non-positive coefficient
-    or solution raises PositivityError, a pivot that is not positive and
-    finite ConditioningError; each names the first such sample.
+    batched (see `coefficient_at_gauss_points`).
+
+    The blocks run through `model._run_shares`, one contiguous share of
+    whole blocks per worker, each worker with its own buffer of
+    (7 n_el + 1) rows per sample. Two workers overlap one's BLAS products
+    with the other's elimination, which holds the interpreter lock; so
+    they run only when the process asked its BLAS for one thread (see
+    `model._blas`), and then on at most `_SOLVE_WORKERS` of the CPUs in its
+    affinity mask and at most one per block. A BLAS left to thread its own
+    products already fills the CPUs, and the solve then runs on the calling
+    thread alone. The worker count changes no value. A non-positive
+    coefficient or solution raises PositivityError, a pivot that is not
+    positive and finite ConditioningError; each names the first such sample.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != problem.dims:
         raise DomainError(f"expected points of shape (n, {problem.dims}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise DomainError("elliptic inputs must be finite")
-    n_el, load = problem.mesh_elements, problem._load
-    h = 1.0 / n_el
-    e = min(int(problem.query_point / h), n_el - 1)
-    shape = _p2_shapes(np.array(2.0 * (problem.query_point - e * h) / h - 1.0))[0]
-    w = problem._stiff_weights[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].T  # (6, gauss)
-    out = np.empty(pts.shape[0])
-    # per block row: six stiffness entries, r0, r2 and scratch per element, then the vertices
-    work = np.empty((10 * n_el + 1) * min(_SOLVE_BLOCK, pts.shape[0]))
-    for first in range(0, pts.shape[0], _SOLVE_BLOCK):
-        a = coefficient_at_gauss_points(problem, pts[first:first + _SOLVE_BLOCK])
-        n_s = a.shape[0]
-        planes = a.transpose(2, 1, 0).reshape(3, n_el * n_s)  # a copy only for a ragged block
-        if planes.min() <= 0.0:
-            bad = int(np.argwhere(np.any(a <= 0.0, axis=(1, 2)))[0, 0])
-            raise PositivityError(
-                f"diffusion coefficient non-positive at sample {first + bad} "
-                f"(min {a[bad].min():.4e})"
-            )
-        block = work[:(10 * n_el + 1) * n_s].reshape(10 * n_el + 1, n_s)
-        np.matmul(w, planes, out=block[:6 * n_el].reshape(6, n_el * n_s))
-        # each (element, sample)
-        k00, k01, k02, k11, k12, k22, r0, r2, tmp = block[:9 * n_el].reshape(9, n_el, n_s)
-        np.divide(k01, k11, out=r0)
-        np.divide(k12, k11, out=r2)
-        # off couples vertex j to j + 1; the last meets u(1) = 0
-        off = np.subtract(k02, np.multiply(k12, r0, out=tmp), out=k02)
-        c22 = np.subtract(k22, np.multiply(k12, r2, out=tmp), out=k22)
-        c00 = np.subtract(k00, np.multiply(k01, r0, out=tmp), out=k00)
-        piv = np.add(c22[:-1], c00[1:], out=c22[:-1])  # interior vertices 1 .. n_el-1
-        u = block[9 * n_el:]  # vertex values, zero at both ends
-        u[0] = u[-1] = 0.0
-        y = u[1:-1]  # the right-hand side, overwritten by the solution
-        np.subtract(load[2:-1:2, None], np.multiply(r2[:-1], load[1:-2:2, None], out=y), out=y)
-        y -= np.multiply(r0[1:], load[3::2, None], out=tmp[1:])
-        ratio, prod = np.empty((2, n_s))
-        for v in range(1, n_el - 1):
-            np.divide(off[v], piv[v - 1], out=ratio)
-            piv[v] -= np.multiply(ratio, off[v], out=prod)
-            y[v] -= np.multiply(ratio, y[v - 1], out=prod)
-        if not (_positive_finite(k11) and _positive_finite(piv)):
-            ok = np.all((k11 > 0.0) & (k11 < np.inf), axis=0)
-            ok &= np.all((piv > 0.0) & (piv < np.inf), axis=0)
-            bad = first + int(np.flatnonzero(~ok)[0])
-            raise ConditioningError(f"non-positive or non-finite FEM pivot at sample {bad}")
-        for v in range(n_el - 1, max(e, 1) - 1, -1):  # u[e] and u[e + 1] are all that is read
-            u[v] -= np.multiply(off[v], u[v + 1], out=prod)
-            u[v] /= piv[v - 1]
-        val = shape[0] * u[e] + shape[2] * u[e + 1]
-        if shape[1] != 0.0:
-            val += shape[1] * (load[2 * e + 1] - k01[e] * u[e] - k12[e] * u[e + 1]) / k11[e]
-        out[first:first + n_s] = val
+    n = pts.shape[0]
+    out = np.empty(n)
+    blocks = [(first, min(first + _SOLVE_BLOCK, n)) for first in range(0, n, _SOLVE_BLOCK)]
+    workers = 1
+    if _blas()["blas_threads"] == 1:
+        workers = max(min(_usable_cpus(), _SOLVE_WORKERS, len(blocks)), 1)
+    _run_shares(lambda share: _solve_share(problem, pts, share, out), blocks, workers)
     if out.size and out.min() <= 0.0:
         bad = int(np.argwhere(out <= 0.0)[0, 0])
         raise PositivityError(

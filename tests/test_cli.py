@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from seprep import cli
+from seprep import model as model_module
 from seprep.basis import Family
 from seprep.cli import (
     ERROR_COLUMNS,
@@ -127,7 +128,9 @@ def test_cmd_fit_writes_all_artifacts(tmp_path):
     assert (out / "selection_N200_seed1.json").exists()
     ref = json.loads((out / "reference.json").read_text())
     assert ref["mean"] == 0.55
-    assert sorted(json.loads((out / "run_info.json").read_text())) == ["config", "config_hash"]
+    info = json.loads((out / "run_info.json").read_text())
+    assert sorted(info) == ["blas", "blas_threads", "config", "config_hash"]
+    assert {"blas": info["blas"], "blas_threads": info["blas_threads"]} == model_module._blas()
 
 
 def test_elliptic_reference_draws_through_elliptic_sample_bit_for_bit():

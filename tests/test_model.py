@@ -113,6 +113,39 @@ def test_without_an_affinity_mask_the_cpu_count_is_read(monkeypatch, count, usab
     assert model_module._usable_cpus() == usable
 
 
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "3"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 2),
+    ({"MKL_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+    # a value that is not a positive integer is skipped, as OpenBLAS skips it
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "two", "OMP_NUM_THREADS": " 2 "}, 2),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, None),
+])
+def test_the_blas_thread_count_asked_for_is_read(monkeypatch, env, threads):
+    for var in _BLAS_VARIABLES:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert model_module._blas()["blas_threads"] == threads
+
+
+def test_the_blas_is_named_as_numpy_reports_it(monkeypatch):
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:
+        pytest.skip("this NumPy has no configuration dict")
+    assert model_module._blas()["blas"] == f"{blas['name']} {blas['version']}"
+    # a NumPy before 1.26 takes no mode
+    monkeypatch.setattr(model_module.np, "show_config", lambda: None)
+    assert model_module._blas()["blas"] == "unknown"
+
+
 @pytest.fixture(params=[1, 2, 8], ids=["1-cpu", "2-cpus", "8-cpus"])
 def workers(request, monkeypatch):
     """Force the CPU count evaluate_batch reads; it caps workers at 2 and by blocks."""

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -142,8 +144,20 @@ def test_kl_interpolation_consistent(kl):
 def test_kl_resolution_error():
     with pytest.raises(ValueError):
         kl_decompose(1.0 / 14.0, d=40, n_grid=100)
-    with pytest.raises(ResolutionError):
+    # the advice names both settings that move the count
+    with pytest.raises(ResolutionError, match=r"^only \d+ eigenvalues .* corr_length 0\.5 and "
+                                              r"n_grid 160, need 40; .*corr_length.*n_grid"):
         kl_decompose(0.5, d=40, n_grid=160)
+
+
+def test_the_problem_refuses_dims_beyond_the_resolved_modes_by_their_count():
+    # 57 modes clear roundoff at the problem's correlation length, whatever
+    # the grid, so the grid advice of kl_decompose's error does not apply
+    assert problems.EllipticProblem(dims=57).kl.dims == 57
+    with pytest.raises(ValueError, match=r"^dims must be an integer <= 57 \(the KL modes "
+                                         r"resolved above roundoff\), got 58$") as got:
+        problems.EllipticProblem(dims=58)
+    assert isinstance(got.value.__cause__, ResolutionError)
 
 
 def test_kl_refuses_a_bool_correlation_length():
@@ -363,6 +377,7 @@ def test_coefficient_map_matches_kl_sum(settings):
     (problems.EllipticProblem, {"dims": 2.5}, "dims"),
     (problems.EllipticProblem, {"dims": -3}, "dims"),
     (problems.EllipticProblem, {"dims": 129}, "dims"),
+    (problems.EllipticProblem, {"dims": 58}, "dims"),
     (problems.EllipticProblem, {"dims": 2.0}, "dims"),
     (functools.partial(kl_decompose, 0.1), {"d": 2.0, "n_grid": 64}, "d"),
     (functools.partial(kl_decompose, 0.1), {"d": 4, "n_grid": 600.5}, "n_grid"),
@@ -449,16 +464,127 @@ def test_elliptic_bad_pivot_is_a_conditioning_error(problem, monkeypatch, bad):
 
 
 def test_elliptic_large_batch_memory_is_bounded(problem):
-    # the solve works in fixed-size blocks, so its peak must not grow with the batch
-    pts = np.random.default_rng(9).uniform(-1, 1, (50_000, 40))
+    # the solve works in fixed-size blocks, so its peak must not grow with the
+    # batch: beyond the (n,) result, each of at most two workers holds its
+    # buffer of 7 n_el + 1 rows per block sample, one block's three
+    # coefficient planes and at most one copy of them, and its padded
+    # inputs, 2 x (897 + 768 + 40) x 1,024 x 8 B = 27.9 MB at 128 elements
+    n, block = 50_000, problems._SOLVE_BLOCK
+    rows = 7 * problem.mesh_elements + 1 + 2 * 3 * problem.mesh_elements + problem.dims
+    bound = 2 * rows * block * 8 + 8 * n
+    pts = np.random.default_rng(9).uniform(-1, 1, (n, 40))
     tracemalloc.start()
     try:
         out = elliptic_solve_batch(problem, pts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.shape == (50_000,) and np.all(out > 0.0)
-    assert peak < 100e6
+    assert out.shape == (n,) and np.all(out > 0.0)
+    assert peak < bound
+
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.fixture(params=[1, 2, 8], ids=["1-cpu", "2-cpus", "8-cpus"])
+def solve_workers(request, monkeypatch):
+    """Pin BLAS at one thread and force the CPU count the solve reads; it caps
+    workers at 2 and by blocks."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(problems, "_usable_cpus", lambda: request.param)
+
+
+def test_every_solve_worker_count_equals_one_worker_bit_for_bit(problem, solve_workers,
+                                                                monkeypatch):
+    block = problems._SOLVE_BLOCK
+    pts = np.random.default_rng(16).uniform(-1, 1, (5 * block + 7, 40))
+    sizes = (1, block + 3, 5 * block + 7)
+    got = [elliptic_solve_batch(problem, pts[:n]) for n in sizes]
+    assert elliptic_solve_batch(problem, np.zeros((0, 40))).shape == (0,)
+    monkeypatch.setattr(problems, "_usable_cpus", lambda: 1)
+    for n, values in zip(sizes, got):
+        assert np.array_equal(values, elliptic_solve_batch(problem, pts[:n])), n
+
+
+@pytest.mark.parametrize("error, bad", [(PositivityError, 60.0), (ConditioningError, 0.0)])
+def test_the_lowest_bad_solve_block_sets_the_error_for_every_worker_count(
+        problem, solve_workers, monkeypatch, error, bad):
+    # bad rows in blocks 1 and 3 of 6: one share at one worker, two shares at
+    # two; block 1 is held back, so block 3's error comes first in time, yet
+    # the error is block 1's, as at one worker. An all-zero row gets a NaN
+    # coefficient, which passes the positivity check and fails a pivot
+    block = problems._SOLVE_BLOCK
+    pts = np.random.default_rng(17).uniform(-1, 1, (5 * block + 7, 40))
+    pts[[block + 5, 3 * block + 5]] = bad
+    real = problems.coefficient_at_gauss_points
+
+    def late_first_error(prob, rows):
+        if np.shares_memory(rows, pts[block + 5]):
+            time.sleep(0.1)
+        a = real(prob, rows).copy()
+        a[np.all(rows == 0.0, axis=1), 40, 1] = np.nan
+        return a
+
+    monkeypatch.setattr(problems, "coefficient_at_gauss_points", late_first_error)
+    with pytest.raises(error, match=f"sample {block + 5}\\b") as got:
+        elliptic_solve_batch(problem, pts)
+    monkeypatch.setattr(problems, "_usable_cpus", lambda: 1)
+    with pytest.raises(error) as serial:
+        elliptic_solve_batch(problem, pts)
+    assert str(got.value) == str(serial.value)
+
+
+def test_solve_worker_threads_are_capped_and_end_with_the_call(problem, monkeypatch):
+    # three blocks on eight forced CPUs: two workers, the calling thread and
+    # one pool thread, solving at once (each waits for the other at its first
+    # block), and no thread is left after the call
+    idents = set()
+    both_started = threading.Barrier(2, timeout=30)
+    real = problems.coefficient_at_gauss_points
+
+    def recording_coefficients(prob, rows):
+        if threading.get_ident() not in idents:
+            idents.add(threading.get_ident())
+            both_started.wait()
+        return real(prob, rows)
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(problems, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(problems, "coefficient_at_gauss_points", recording_coefficients)
+    pts = np.random.default_rng(18).uniform(-1, 1, (3 * problems._SOLVE_BLOCK, 40))
+    before = set(threading.enumerate())
+    elliptic_solve_batch(problem, pts)
+    assert set(threading.enumerate()) == before
+    assert len(idents) == 2 and threading.get_ident() in idents
+
+
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"},
+                                 {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}],
+                         ids=["unset", "two-threads", "first-set-wins"])
+def test_a_blas_not_pinned_to_one_thread_solves_on_the_calling_thread(problem, monkeypatch,
+                                                                      env):
+    # a BLAS that threads its own products leaves no CPU for a second worker
+    for var in _BLAS_VARIABLES:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    idents = set()
+    real = problems.coefficient_at_gauss_points
+    monkeypatch.setattr(problems, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(problems, "coefficient_at_gauss_points",
+                        lambda prob, rows: idents.add(threading.get_ident()) or real(prob, rows))
+    pts = np.random.default_rng(19).uniform(-1, 1, (3 * problems._SOLVE_BLOCK, 40))
+    before = set(threading.enumerate())
+    elliptic_solve_batch(problem, pts)
+    assert set(threading.enumerate()) == before
+    assert idents == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_many_cpus_keep_the_solve_memory_within_its_block_bound(problem, monkeypatch, cpus):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(problems, "_usable_cpus", lambda: cpus)
+    test_elliptic_large_batch_memory_is_bounded(problem)
 
 
 # ---------------------------------------------------------------------------
