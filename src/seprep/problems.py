@@ -201,8 +201,8 @@ _GAUSS3_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 _SOLVE_BLOCK = 1024  # bounds the solver's memory; its work arrays stay near cache size
 # most solve workers, with BLAS at one thread: 2 is the count measured (the
-# 200k-sample reference took 0.52 s against 0.86 s on one worker, 2-core
-# host); more CPUs are untested
+# 200k-sample reference took 0.67-0.84 s against 1.00-1.19 s on one worker,
+# 2-core host); more CPUs are untested
 _SOLVE_WORKERS = 2
 _ROW_PAD = 16  # the coefficient product pads its rows to a multiple of this
 
@@ -313,8 +313,9 @@ def _solve_block(problem: EllipticProblem, rows: np.ndarray, work: np.ndarray,
 
     `work` holds the block's six stiffness entries per element and its
     vertex values; the elimination's r0, r2 and scratch rows reuse the
-    block's coefficient planes, which the stiffness product has read. Both
-    are released when the block returns, before the next one is formed.
+    block's coefficient planes, which the stiffness product has read. The
+    planes are released when the block returns, before the next block's
+    are formed.
     """
     n_el, load = problem.mesh_elements, problem._load
     h = 1.0 / n_el

@@ -448,6 +448,8 @@ _REF = {"mean": 1.0, "std": 1.0, "stderr_mean": 0.0, "stderr_std": 0.0}
     (["kl-info", "--dims", "-3"], None, "dims must be an integer >= 1, got -3"),
     (["kl-info", "--dims", "129"], None, "dims must be an integer <= 128 (four Nystrom "
                                          "nodes per mode), got 129"),
+    (["kl-info", "--dims", "58"], None, "dims must be an integer <= 57 (the KL modes "
+                                        "resolved above roundoff), got 58"),
     (["fit", "--config", "in.json"], {"seeds": [True]}, "seeds must be"),
     (["fit", "--config", "in.json"], {"noisy": "no"}, "noisy must be true or false"),
     (["fit", "--config", "in.json"], {"penalty": "none"}, "penalty must be one of"),
@@ -485,6 +487,7 @@ _REF = {"mean": 1.0, "std": 1.0, "stderr_mean": 0.0, "stderr_std": 0.0}
 ], ids=["ref-missing-keys", "ref-not-object", "sizes-not-list", "seeds-string",
         "negative-degree", "select-no-dataset", "dataset-size-mismatch",
         "negative-pc-degree", "kl-zero-dims", "kl-negative-dims", "kl-too-many-dims",
+        "kl-unresolved-dims",
         "seed-bool", "noisy-string", "penalty-none", "force-int", "pc-degree-float",
         "ref-samples-float", "ref-samples-one", "ref-seed-negative", "ref-seed-bool",
         "dataset-number", "ref-bool", "ref-nan", "ref-inf", "ref-unknown-keys",

@@ -113,9 +113,6 @@ def test_without_an_affinity_mask_the_cpu_count_is_read(monkeypatch, count, usab
     assert model_module._usable_cpus() == usable
 
 
-_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 @pytest.mark.parametrize("env, threads", [
     ({}, None),
     ({"OPENBLAS_NUM_THREADS": "1"}, 1),
@@ -128,7 +125,7 @@ _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
     ({"OPENBLAS_NUM_THREADS": "-1"}, None),
 ])
 def test_the_blas_thread_count_asked_for_is_read(monkeypatch, env, threads):
-    for var in _BLAS_VARIABLES:
+    for var in model_module._BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)

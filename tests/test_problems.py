@@ -17,7 +17,7 @@ from helpers import (
 from seprep import problems
 from seprep.basis import BasisSpec, Family, eval_basis_batch
 from seprep.errors import ConditioningError, DomainError, PositivityError, ResolutionError
-from seprep.model import SampleSet, evaluate_batch
+from seprep.model import _BLAS_THREAD_VARIABLES, SampleSet, evaluate_batch
 from seprep.problems import (
     MANUFACTURED_MEAN,
     MANUFACTURED_VAR,
@@ -377,10 +377,10 @@ def test_coefficient_map_matches_kl_sum(settings):
     (problems.EllipticProblem, {"dims": 2.5}, "dims"),
     (problems.EllipticProblem, {"dims": -3}, "dims"),
     (problems.EllipticProblem, {"dims": 129}, "dims"),
-    (problems.EllipticProblem, {"dims": 58}, "dims"),
     (problems.EllipticProblem, {"dims": 2.0}, "dims"),
     (functools.partial(kl_decompose, 0.1), {"d": 2.0, "n_grid": 64}, "d"),
     (functools.partial(kl_decompose, 0.1), {"d": 4, "n_grid": 600.5}, "n_grid"),
+    (problems.EllipticProblem, {"dims": 58}, "dims"),
 ])
 def test_bad_counts_are_refused_by_name(build, settings, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
@@ -483,9 +483,6 @@ def test_elliptic_large_batch_memory_is_bounded(problem):
     assert peak < bound
 
 
-_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 @pytest.fixture(params=[1, 2, 8], ids=["1-cpu", "2-cpus", "8-cpus"])
 def solve_workers(request, monkeypatch):
     """Pin BLAS at one thread and force the CPU count the solve reads; it caps
@@ -564,7 +561,7 @@ def test_solve_worker_threads_are_capped_and_end_with_the_call(problem, monkeypa
 def test_a_blas_not_pinned_to_one_thread_solves_on_the_calling_thread(problem, monkeypatch,
                                                                       env):
     # a BLAS that threads its own products leaves no CPU for a second worker
-    for var in _BLAS_VARIABLES:
+    for var in _BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
