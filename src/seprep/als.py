@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
 
 from .basis import BasisSpec, _check_count, eval_basis_batch
 from .errors import (
@@ -175,7 +173,14 @@ def _check_normal_equations(solves: list) -> None:
 
 
 def _solve_spd(Mm: np.ndarray, Atu: np.ndarray) -> np.ndarray:
-    """Cholesky solve with an eigendecomposition pseudo-solve fallback."""
+    """Cholesky solve with an eigendecomposition pseudo-solve fallback.
+
+    Only penalty="none" solves here, so SciPy is imported here and not with
+    the module: no regularized fit loads scipy.linalg.
+    """
+    from scipy.linalg import cho_solve
+    from scipy.linalg.lapack import dpotrf
+
     C, info = dpotrf(Mm, lower=0, clean=1)
     if info == 0:
         return cho_solve((C, False), Atu, check_finite=False)
@@ -185,19 +190,32 @@ def _solve_spd(Mm: np.ndarray, Atu: np.ndarray) -> np.ndarray:
     return V @ (winv * (V.T @ Atu))
 
 
+def _upper_cholesky(G: np.ndarray):
+    """Upper Cholesky factor of a matrix or of each slice of a stack, or None
+    when a slice is not positive definite.
+
+    NumPy's factor has the bits of LAPACK's dpotrf(G, lower=0, clean=1),
+    the zeroed lower triangle included, slice by slice.
+    """
+    try:
+        return np.linalg.cholesky(G, upper=True)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _gram_cholesky(G: np.ndarray):
     """Cholesky of one term Gram matrix and whether it needed jitter: one retry,
     made only if the Gram's trace is positive."""
-    R, info = dpotrf(G, lower=0, clean=1)
-    if info == 0:
+    R = _upper_cholesky(G)
+    if R is not None:
         return R, False
     if not np.all(np.isfinite(G)):
         raise ConditioningError("term Gram matrix contains non-finite entries (factor overflow)")
     trace = np.trace(G)
     if trace > 0.0:  # a jitter relative to a zero trace would factor G = 0 as a tiny I
         jitter = 1e-14 * max(trace, 1e-300)
-        R, info = dpotrf(G + jitter * np.eye(G.shape[0]), lower=0, clean=1)
-        if info == 0:
+        R = _upper_cholesky(G + jitter * np.eye(G.shape[0]))
+        if R is not None:
             return R, True
     w = np.linalg.eigvalsh(G)
     raise DegenerateModelError(
@@ -232,10 +250,14 @@ def _direction_solve(AtA, Atu, uu, n, G, m):
     _check_finite(AtA, Atu)
     if G is None:
         return np.stack([_solve_spd(AtA[b], Atu[b]) for b in range(len(AtA))]), None
-    R = np.empty(G.shape)
-    jittered = np.empty(len(G), dtype=bool)
-    for b, g in enumerate(G):
-        R[b], jittered[b] = _gram_cholesky(g)
+    # one factor for the stack; only a stack with a slice that is not
+    # positive definite is factored again slice by slice, with jitter
+    R = _upper_cholesky(G)
+    jittered = np.zeros(len(G), dtype=bool)
+    if R is None:
+        R = np.empty(G.shape)
+        for b, g in enumerate(G):
+            R[b], jittered[b] = _gram_cholesky(g)
     path = TikhonovPath(AtA, Atu, uu, n, R, m)
     sel = gcv_select_lambda(path)
     c = path.solve(sel.lambda_)

@@ -120,8 +120,14 @@ _EVAL_BLOCK = 16384  # rows per block; a block's work arrays stay near cache siz
 # one-worker time on a 2-core host, BLAS at one thread or unpinned, and
 # 1.08-1.09x forced onto one CPU); more CPUs are untested
 _EVAL_WORKERS = 2
-# read in this order; OpenBLAS also skips a variable that is not a positive integer
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# the thread variables each BLAS reads, first to last, keyed by a word of the
+# name NumPy reports for it; the last key, "", matches any other BLAS. A
+# variable that is not a positive integer is skipped, as OpenBLAS skips it
+_BLAS_THREAD_VARIABLES = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+    "": ("OMP_NUM_THREADS",),
+}
 
 
 def _usable_cpus() -> int:
@@ -135,23 +141,25 @@ def _blas() -> dict:
     """The BLAS NumPy was built with, and the thread count the process asks of it.
 
     "blas" is the name and version `np.show_config` reports ("unknown" on a
-    NumPy without its "dicts" mode). "blas_threads" is the first of
-    `_BLAS_THREAD_VARIABLES` that holds a positive integer, or None when
-    none does; a BLAS reads its variable once, when it loads, so this is
-    the count asked for, not a count measured.
+    NumPy without its "dicts" mode). "blas_threads" is the first of that
+    BLAS's `_BLAS_THREAD_VARIABLES` that holds a positive integer, or None
+    when none does; a BLAS reads its variables once, when it loads, so this
+    is the count asked for, not a count measured.
     """
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # NumPy before 1.26 only prints its configuration
         config = {}
     blas = config.get("Build Dependencies", {}).get("blas", {})
+    name = blas.get("name", "unknown")
+    variables = next(v for k, v in _BLAS_THREAD_VARIABLES.items() if k in name.lower())
     threads = None
-    for var in _BLAS_THREAD_VARIABLES:
+    for var in variables:
         value = os.environ.get(var, "").strip()
         if value.isdecimal() and int(value) > 0:
             threads = int(value)
             break
-    return {"blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+    return {"blas": f"{name} {blas.get('version', '')}".strip(),
             "blas_threads": threads}
 
 

@@ -225,11 +225,13 @@ class EllipticProblem:
     correlation length, whatever the grid. The physics (mean_coeff,
     sigma_a, corr_length) and the discretization (mesh_elements quadratic
     elements, the kl_grid-node Nystrom grid, and query_point, where u is
-    read) are fixed, as class attributes; a subclass that sets others must
-    keep query_point in (0, 1), where the solve finds its element. Construction builds the KL expansion and what the batched
-    solve reuses: the KL map to the Gauss-point coefficients, the
-    per-Gauss-point P2 stiffness weights and the assembled load, from which
-    the solve condenses the bubbles.
+    read) are fixed, as class attributes. A subclass may set others, but a
+    query_point outside (0, 1) is a DomainError: there u is fixed to 0 or
+    the P2 shapes extrapolate, and below 0 the solve's element index would
+    wrap round to the far end of the mesh. Construction builds the KL
+    expansion and what the batched solve reuses: the KL map to the
+    Gauss-point coefficients, the per-Gauss-point P2 stiffness weights and
+    the assembled load, from which the solve condenses the bubbles.
     """
 
     # unannotated, so constants of the class and not fields
@@ -246,6 +248,8 @@ class EllipticProblem:
     _load: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0.0 < self.query_point < 1.0:
+            raise DomainError(f"query_point must lie in (0, 1), got {self.query_point}")
         if _check_count("dims", self.dims, 1) > self.kl_grid // 4:
             raise ValueError(f"dims must be an integer <= {self.kl_grid // 4} (four Nystrom "
                              f"nodes per mode), got {self.dims!r}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from .errors import ConditioningError, InvariantError, SelectionError
 
@@ -100,7 +99,7 @@ class TikhonovPath:
         XtX = (RinvT @ XtX.swapaxes(-1, -2).reshape(nb, r, m * p)).reshape(nb, p, p)
         try:
             w, V = np.linalg.eigh(XtX)
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             raise ConditioningError(
                 "eigendecomposition of the transformed normal matrix did not converge"
             ) from None

@@ -15,7 +15,7 @@ from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
 
 from seprep import als, regularize
 from seprep.basis import BasisSpec, Family, _folded_recurrence, eval_basis_batch, gauss_quadrature
-from seprep.errors import DegenerateModelError, DomainError, PositivityError
+from seprep.errors import DegenerateModelError, PositivityError
 from seprep.model import SeparatedModel
 from seprep.problems import (
     _MANUFACTURED_TERMS,
@@ -431,16 +431,11 @@ def elliptic_with(dims=EllipticProblem.dims, **constants):
     `constants` names class attributes, such as mesh_elements=7 or
     query_point=0.3. Each distinct set of them gets one subclass, built once,
     so equal settings give equal problems. A name that is not such a constant
-    is a TypeError. A query point outside (0, 1) is a DomainError: there the
-    solve reads u where it is fixed to 0 or extrapolates the P2 shapes, and
-    below 0 its element index wraps round to the far end of the mesh.
+    is a TypeError; EllipticProblem itself refuses a query point outside (0, 1).
     """
     unknown = sorted(n for n in constants if not hasattr(EllipticProblem, n))
     if unknown:
         raise TypeError(f"not class constants of EllipticProblem: {unknown}")
-    query_point = constants.get("query_point", EllipticProblem.query_point)
-    if not 0.0 < query_point < 1.0:
-        raise DomainError(f"query_point must lie in (0, 1), got {query_point}")
     return _elliptic_class(tuple(sorted(constants.items())))(dims=dims)
 
 

@@ -113,23 +113,53 @@ def test_without_an_affinity_mask_the_cpu_count_is_read(monkeypatch, count, usab
     assert model_module._usable_cpus() == usable
 
 
+# every variable some BLAS reads for its thread count
+_ALL_BLAS_THREAD_VARIABLES = sorted(
+    {var for names in model_module._BLAS_THREAD_VARIABLES.values() for var in names})
+
+
+# "blas" in env is the BLAS name np.show_config reports (OpenBLAS when absent);
+# the rest are thread variables
 @pytest.mark.parametrize("env, threads", [
     ({}, None),
     ({"OPENBLAS_NUM_THREADS": "1"}, 1),
     ({"OMP_NUM_THREADS": "3"}, 3),
     ({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 2),
-    ({"MKL_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+    ({"blas": "mkl-sdl", "MKL_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
     # a value that is not a positive integer is skipped, as OpenBLAS skips it
     ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 1),
     ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "two", "OMP_NUM_THREADS": " 2 "}, 2),
     ({"OPENBLAS_NUM_THREADS": "-1"}, None),
+    # each BLAS reads its own variables: OpenBLAS never reads MKL's, so the
+    # FEM solve stays on one worker here
+    ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+    ({"GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 2),
+    ({"blas": "openblas", "GOTO_NUM_THREADS": "1"}, 1),
+    ({"blas": "mkl", "OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "1",
+      "OMP_NUM_THREADS": "2"}, 2),
+    ({"blas": "mkl-dynamic-lp64-seq", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"}, 1),
+    ({"blas": "accelerate", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, None),
+    ({"blas": "blis", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
 ])
 def test_the_blas_thread_count_asked_for_is_read(monkeypatch, env, threads):
-    for var in model_module._BLAS_THREAD_VARIABLES:
+    env = dict(env)
+    name = env.pop("blas", "scipy-openblas")
+    monkeypatch.setattr(model_module.np, "show_config", lambda mode: {
+        "Build Dependencies": {"blas": {"name": name, "version": "0.1"}}})
+    for var in _ALL_BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert model_module._blas()["blas_threads"] == threads
+    assert model_module._blas() == {"blas": f"{name} 0.1", "blas_threads": threads}
+
+
+def test_a_blas_numpy_does_not_name_reads_omp_num_threads(monkeypatch):
+    monkeypatch.setattr(model_module.np, "show_config", lambda mode: {})
+    for var in _ALL_BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert model_module._blas() == {"blas": "unknown", "blas_threads": 2}
 
 
 def test_the_blas_is_named_as_numpy_reports_it(monkeypatch):

@@ -561,8 +561,9 @@ def test_solve_worker_threads_are_capped_and_end_with_the_call(problem, monkeypa
 def test_a_blas_not_pinned_to_one_thread_solves_on_the_calling_thread(problem, monkeypatch,
                                                                       env):
     # a BLAS that threads its own products leaves no CPU for a second worker
-    for var in _BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(var, raising=False)
+    for names in _BLAS_THREAD_VARIABLES.values():
+        for var in names:
+            monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     idents = set()

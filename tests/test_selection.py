@@ -5,10 +5,13 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
 import sys
+import textwrap
 import threading
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -669,6 +672,66 @@ def test_huge_outputs_pick_the_unscaled_pair():
     huge = _degenerate_select(_fault_variant("huge"))
     plain = _degenerate_select(manufactured_sample(60, seed=0))
     assert huge.chosen == plain.chosen
+
+
+# Run in a fresh interpreter: import seprep, evaluate, sample the elliptic
+# problem and select pooled (each worker checks its own modules) and inline,
+# then make the one call named by argv[1] that needs SciPy. Prints whether
+# scipy.linalg was loaded after each step.
+_SCIPY_FREE_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    import seprep
+    from seprep import selection
+    from seprep.als import FitConfig, fit_fixed
+    from seprep.model import evaluate_batch, moment
+    from seprep.problems import (EllipticProblem, elliptic_sample, manufactured_model,
+                                 manufactured_sample)
+
+    loaded = lambda: "scipy.linalg" in sys.modules
+    steps = {"import": loaded()}
+    evaluate_batch(manufactured_model(), np.zeros((3, 10)))
+    steps["evaluate_batch"] = loaded()
+    elliptic_sample(EllipticProblem(dims=4), 5, seed=0)
+    steps["elliptic_sample"] = loaded()
+    fit_degree = selection._fit_degree
+
+    def checked_fit_degree(*args):
+        per_rank = fit_degree(*args)
+        if loaded():
+            raise RuntimeError("a degree's fit loaded scipy.linalg")
+        return per_rank
+
+    selection._fit_degree = checked_fit_degree
+    data = manufactured_sample(60, seed=0)
+    for cpus, how in ((2, "pooled"), (1, "inline")):
+        selection._usable_cpus = lambda: cpus
+        report = selection.select_model(data, [1], [1, 2], FitConfig(rank_max=1, degree=1))
+        steps[how + " select_model"] = loaded()
+    if sys.argv[1] == "moment":
+        moment(report.models[report.chosen], 3)
+    else:
+        fit_fixed(data, 1, FitConfig(rank_max=1, degree=1, penalty="none"), 0)
+    steps[sys.argv[1]] = loaded()
+    print(json.dumps(steps))
+""")
+
+
+@pytest.mark.parametrize("on_demand", ["moment", "unregularized fit_fixed"])
+def test_only_moments_and_unregularized_fits_load_scipy_linalg(on_demand):
+    # scipy.linalg costs a process about 27 MB and a quarter second to load;
+    # import, evaluation, the elliptic problem and every regularized fit and
+    # selection, in this process or a worker, do without it
+    src = Path(seprep.selection.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, on_demand], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout)
+    assert steps == {"import": False, "evaluate_batch": False, "elliptic_sample": False,
+                     "pooled select_model": False, "inline select_model": False,
+                     on_demand: True}
 
 
 def test_all_zero_outputs_are_refused_before_any_fit(monkeypatch):
