@@ -140,17 +140,13 @@ def _usable_cpus() -> int:
 def _blas() -> dict:
     """The BLAS NumPy was built with, and the thread count the process asks of it.
 
-    "blas" is the name and version `np.show_config` reports ("unknown" on a
-    NumPy without its "dicts" mode). "blas_threads" is the first of that
-    BLAS's `_BLAS_THREAD_VARIABLES` that holds a positive integer, or None
-    when none does; a BLAS reads its variables once, when it loads, so this
-    is the count asked for, not a count measured.
+    "blas" is the name and version `np.show_config` reports ("unknown" when
+    it names none). "blas_threads" is the first of that BLAS's
+    `_BLAS_THREAD_VARIABLES` that holds a positive integer, or None when
+    none does; a BLAS reads its variables once, when it loads, so this is
+    the count asked for, not a count measured.
     """
-    try:
-        config = np.show_config(mode="dicts")
-    except TypeError:  # NumPy before 1.26 only prints its configuration
-        config = {}
-    blas = config.get("Build Dependencies", {}).get("blas", {})
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     name = blas.get("name", "unknown")
     variables = next(v for k, v in _BLAS_THREAD_VARIABLES.items() if k in name.lower())
     threads = None

@@ -162,15 +162,9 @@ def test_a_blas_numpy_does_not_name_reads_omp_num_threads(monkeypatch):
     assert model_module._blas() == {"blas": "unknown", "blas_threads": 2}
 
 
-def test_the_blas_is_named_as_numpy_reports_it(monkeypatch):
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:
-        pytest.skip("this NumPy has no configuration dict")
+def test_the_blas_is_named_as_numpy_reports_it():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert model_module._blas()["blas"] == f"{blas['name']} {blas['version']}"
-    # a NumPy before 1.26 takes no mode
-    monkeypatch.setattr(model_module.np, "show_config", lambda: None)
-    assert model_module._blas()["blas"] == "unknown"
 
 
 @pytest.fixture(params=[1, 2, 8], ids=["1-cpu", "2-cpus", "8-cpus"])
