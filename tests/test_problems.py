@@ -483,8 +483,15 @@ def test_elliptic_large_batch_memory_is_bounded(problem):
     assert peak < bound
 
 
+@pytest.fixture
+def openblas(monkeypatch):
+    """NumPy reports OpenBLAS, so the solve reads OPENBLAS_NUM_THREADS first on any host."""
+    monkeypatch.setattr(np, "show_config", lambda mode: {
+        "Build Dependencies": {"blas": {"name": "scipy-openblas", "version": "0.1"}}})
+
+
 @pytest.fixture(params=[1, 2, 8], ids=["1-cpu", "2-cpus", "8-cpus"])
-def solve_workers(request, monkeypatch):
+def solve_workers(request, monkeypatch, openblas):
     """Pin BLAS at one thread and force the CPU count the solve reads; it caps
     workers at 2 and by blocks."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -531,6 +538,7 @@ def test_the_lowest_bad_solve_block_sets_the_error_for_every_worker_count(
     assert str(got.value) == str(serial.value)
 
 
+@pytest.mark.usefixtures("openblas")
 def test_solve_worker_threads_are_capped_and_end_with_the_call(problem, monkeypatch):
     # three blocks on eight forced CPUs: two workers, the calling thread and
     # one pool thread, solving at once (each waits for the other at its first
@@ -555,6 +563,7 @@ def test_solve_worker_threads_are_capped_and_end_with_the_call(problem, monkeypa
     assert len(idents) == 2 and threading.get_ident() in idents
 
 
+@pytest.mark.usefixtures("openblas")
 @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"},
                                  {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}],
                          ids=["unset", "two-threads", "first-set-wins"])
@@ -578,6 +587,7 @@ def test_a_blas_not_pinned_to_one_thread_solves_on_the_calling_thread(problem, m
     assert idents == {threading.get_ident()}
 
 
+@pytest.mark.usefixtures("openblas")
 @pytest.mark.parametrize("cpus", [2, 8])
 def test_many_cpus_keep_the_solve_memory_within_its_block_bound(problem, monkeypatch, cpus):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
