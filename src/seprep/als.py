@@ -191,11 +191,10 @@ def _solve_spd(Mm: np.ndarray, Atu: np.ndarray) -> np.ndarray:
 
 
 def _upper_cholesky(G: np.ndarray):
-    """Upper Cholesky factor of a matrix or of each slice of a stack, or None
-    when a slice is not positive definite.
+    """Upper Cholesky factor of G, or None when G is not positive definite.
 
-    NumPy's factor has the bits of LAPACK's dpotrf(G, lower=0, clean=1),
-    the zeroed lower triangle included, slice by slice.
+    NumPy's factor has the bits of LAPACK's dpotrf(G, lower=0, clean=1), the
+    zeroed lower triangle included, when both call the same LAPACK build.
     """
     try:
         return np.linalg.cholesky(G, upper=True)
@@ -250,14 +249,10 @@ def _direction_solve(AtA, Atu, uu, n, G, m):
     _check_finite(AtA, Atu)
     if G is None:
         return np.stack([_solve_spd(AtA[b], Atu[b]) for b in range(len(AtA))]), None
-    # one factor for the stack; only a stack with a slice that is not
-    # positive definite is factored again slice by slice, with jitter
-    R = _upper_cholesky(G)
-    jittered = np.zeros(len(G), dtype=bool)
-    if R is None:
-        R = np.empty(G.shape)
-        for b, g in enumerate(G):
-            R[b], jittered[b] = _gram_cholesky(g)
+    R = np.empty(G.shape)
+    jittered = np.empty(len(G), dtype=bool)
+    for b, g in enumerate(G):
+        R[b], jittered[b] = _gram_cholesky(g)
     path = TikhonovPath(AtA, Atu, uu, n, R, m)
     sel = gcv_select_lambda(path)
     c = path.solve(sel.lambda_)
