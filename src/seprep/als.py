@@ -173,17 +173,10 @@ def _check_normal_equations(solves: list) -> None:
 
 
 def _solve_spd(Mm: np.ndarray, Atu: np.ndarray) -> np.ndarray:
-    """Cholesky solve with an eigendecomposition pseudo-solve fallback.
-
-    Only penalty="none" solves here, so SciPy is imported here and not with
-    the module: no regularized fit loads scipy.linalg.
-    """
-    from scipy.linalg import cho_solve
-    from scipy.linalg.lapack import dpotrf
-
-    C, info = dpotrf(Mm, lower=0, clean=1)
-    if info == 0:
-        return cho_solve((C, False), Atu, check_finite=False)
+    """Cholesky solve with an eigendecomposition pseudo-solve fallback."""
+    R = _upper_cholesky(Mm)
+    if R is not None:
+        return np.linalg.solve(R, np.linalg.solve(R.T, Atu))
     w, V = np.linalg.eigh(Mm)
     cut = 1e-12 * np.trace(Mm)
     winv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)

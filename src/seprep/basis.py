@@ -137,20 +137,14 @@ def gauss_quadrature(spec: BasisSpec, n_points: int) -> tuple[np.ndarray, np.nda
     recurrence coefficients and diagonalized; nodes are its eigenvalues and
     weights the squared first eigenvector components. Weights sum to one
     because both weights are probability densities, and the rule is exact
-    for polynomials up to degree 2*n_points - 1. SciPy's tridiagonal
-    eigensolver is imported here, not with the module, so only a rule of
-    two or more points loads scipy.linalg.
+    for polynomials up to degree 2*n_points - 1.
     """
     _check_count("n_points", n_points, 1)
-    if n_points == 1:
-        return np.zeros(1), np.ones(1)
     k = np.arange(1, n_points, dtype=float)
     if spec.family is Family.HERMITE:
         beta = np.sqrt(k)
     else:
         beta = k / np.sqrt(4.0 * k * k - 1.0)
-    from scipy.linalg import eigh_tridiagonal
-
-    nodes, vecs = eigh_tridiagonal(np.zeros(n_points), beta)
+    nodes, vecs = np.linalg.eigh(np.diag(beta, -1))
     weights = vecs[0] ** 2
     return nodes, weights

@@ -147,8 +147,7 @@ def _fit_degrees(data: SampleSet, r_grid, M_grid, config: FitConfig) -> list:
         return [_logged(r_grid, m, _fit_degree(data, r_grid, config, m, seeds[m]))
                 for m in M_grid]
     # fork, not spawn: a spawned worker would import numpy and seprep afresh
-    # on every call (no regularized fit loads scipy.linalg, here or in a
-    # worker); forking with one thread copies no lock another thread holds.
+    # on every call; forking with one thread copies no lock another thread holds.
     # Higher degrees take longer, so they go first
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = {m: pool.submit(_fit_degree_held, data, r_grid, config, m, seeds[m])

@@ -4,6 +4,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from helpers import degree_last_basis
 from seprep.basis import BasisSpec, Family, eval_basis_batch, gauss_quadrature
@@ -45,6 +46,23 @@ def test_quadrature_trivial_rules():
     nodes, weights = gauss_quadrature(BasisSpec(Family.HERMITE, 1), 2)
     assert sorted(nodes) == pytest.approx([-1.0, 1.0])
     assert weights == pytest.approx([0.5, 0.5])
+
+
+def _golub_welsch_oracle(family, n):
+    # Golub-Welsch on SciPy's tridiagonal eigensolver, an independent reference
+    k = np.arange(1, n, dtype=float)
+    beta = np.sqrt(k) if family is Family.HERMITE else k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = eigh_tridiagonal(np.zeros(n), beta)
+    return nodes, vecs[0] ** 2
+
+
+@pytest.mark.parametrize("family", [Family.HERMITE, Family.LEGENDRE])
+def test_quadrature_matches_the_tridiagonal_eigensolver(family):
+    for n in range(1, 41):
+        nodes, weights = gauss_quadrature(BasisSpec(family, 1), n)
+        want_nodes, want_weights = _golub_welsch_oracle(family, n)
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(weights, want_weights, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("family", [Family.HERMITE, Family.LEGENDRE])

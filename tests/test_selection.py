@@ -674,64 +674,66 @@ def test_huge_outputs_pick_the_unscaled_pair():
     assert huge.chosen == plain.chosen
 
 
-# Run in a fresh interpreter: import seprep, evaluate, sample the elliptic
-# problem and select pooled (each worker checks its own modules) and inline,
-# then make the one call named by argv[1] that needs SciPy. Prints whether
-# scipy.linalg was loaded after each step.
-_SCIPY_FREE_SCRIPT = textwrap.dedent("""
-    import json, sys
+# Run in a fresh interpreter with SciPy blocked: a None entry in sys.modules
+# makes every `import scipy...` raise ImportError, in forked workers too. Each
+# degree fit appends its process id to argv[1]/pids; prints, for the pooled
+# and the inline selection, whether its fits ran outside the calling process.
+_SCIPY_BLOCKED_SCRIPT = textwrap.dedent("""
+    import json, os, sys
+    sys.modules["scipy"] = None
     import numpy as np
-    import seprep
-    from seprep import selection
+    from seprep import cli, selection
     from seprep.als import FitConfig, fit_fixed
+    from seprep.basis import BasisSpec, Family, gauss_quadrature
     from seprep.model import evaluate_batch, moment
     from seprep.problems import (EllipticProblem, elliptic_sample, manufactured_model,
                                  manufactured_sample)
 
-    loaded = lambda: "scipy.linalg" in sys.modules
-    steps = {"import": loaded()}
+    out = sys.argv[1]
+    pid_file = os.path.join(out, "pids")
     evaluate_batch(manufactured_model(), np.zeros((3, 10)))
-    steps["evaluate_batch"] = loaded()
     elliptic_sample(EllipticProblem(dims=4), 5, seed=0)
-    steps["elliptic_sample"] = loaded()
     fit_degree = selection._fit_degree
 
-    def checked_fit_degree(*args):
-        per_rank = fit_degree(*args)
-        if loaded():
-            raise RuntimeError("a degree's fit loaded scipy.linalg")
-        return per_rank
+    def logged_fit_degree(*args):
+        with open(pid_file, "a") as f:
+            f.write(f"{os.getpid()}\\n")
+        return fit_degree(*args)
 
-    selection._fit_degree = checked_fit_degree
+    selection._fit_degree = logged_fit_degree
     data = manufactured_sample(60, seed=0)
+    pids = {}
     for cpus, how in ((2, "pooled"), (1, "inline")):
         selection._usable_cpus = lambda: cpus
         report = selection.select_model(data, [1], [1, 2], FitConfig(rank_max=1, degree=1))
-        steps[how + " select_model"] = loaded()
-    if sys.argv[1] == "moment":
-        moment(report.models[report.chosen], 3)
-    else:
-        fit_fixed(data, 1, FitConfig(rank_max=1, degree=1, penalty="none"), 0)
-    steps[sys.argv[1]] = loaded()
-    print(json.dumps(steps))
+        with open(pid_file) as f:
+            pids[how] = sorted({int(line) != os.getpid() for line in f})
+        os.remove(pid_file)
+    moment(report.models[report.chosen], 3)
+    fit_fixed(data, 1, FitConfig(rank_max=1, degree=1, penalty="none"), 0)
+    for family in Family:
+        for n_points in (1, 40):
+            gauss_quadrature(BasisSpec(family, 1), n_points)
+    smoke = ["--n", "60", "--seeds", "0"]
+    assert cli.main(["fit", "--problem", "elliptic", *smoke, "--r-max", "2", "--m-grid", "1,2",
+                     "--ref-samples", "2000", "--out", os.path.join(out, "fit")]) == 0
+    assert cli.main(["baselines", "--problem", "manufactured", *smoke, "--pc-degree", "1",
+                     "--out", os.path.join(out, "baselines")]) == 0
+    print(json.dumps(pids))
 """)
 
 
-@pytest.mark.parametrize("on_demand", ["moment", "unregularized fit_fixed"])
-def test_only_moments_and_unregularized_fits_load_scipy_linalg(on_demand):
-    # scipy.linalg costs a process about 27 MB and a quarter second to load;
-    # import, evaluation, the elliptic problem and every regularized fit and
-    # selection, in this process or a worker, do without it
+def test_seprep_runs_with_scipy_blocked(tmp_path):
+    # NumPy is the one runtime dependency: import, evaluation, the elliptic
+    # problem, pooled and inline selection, moments, an unregularized fit,
+    # Gauss rules and the fit and baselines commands all run without SciPy
     src = Path(seprep.selection.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, on_demand], env=env,
+    done = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    steps = json.loads(done.stdout)
-    assert steps == {"import": False, "evaluate_batch": False, "elliptic_sample": False,
-                     "pooled select_model": False, "inline select_model": False,
-                     on_demand: True}
+    assert json.loads(done.stdout) == {"pooled": [True], "inline": [False]}
 
 
 def test_all_zero_outputs_are_refused_before_any_fit(monkeypatch):
