@@ -678,6 +678,7 @@ def test_huge_outputs_pick_the_unscaled_pair():
 # makes every `import scipy...` raise ImportError, in forked workers too. Each
 # degree fit appends its process id to argv[1]/pids; prints, for the pooled
 # and the inline selection, whether its fits ran outside the calling process.
+# argv[2] names the call that loaded SciPy on demand before NumPy did it all.
 _SCIPY_BLOCKED_SCRIPT = textwrap.dedent("""
     import json, os, sys
     sys.modules["scipy"] = None
@@ -709,8 +710,10 @@ _SCIPY_BLOCKED_SCRIPT = textwrap.dedent("""
         with open(pid_file) as f:
             pids[how] = sorted({int(line) != os.getpid() for line in f})
         os.remove(pid_file)
-    moment(report.models[report.chosen], 3)
-    fit_fixed(data, 1, FitConfig(rank_max=1, degree=1, penalty="none"), 0)
+    if sys.argv[2] == "moment":
+        moment(report.models[report.chosen], 3)
+    else:
+        fit_fixed(data, 1, FitConfig(rank_max=1, degree=1, penalty="none"), 0)
     for family in Family:
         for n_points in (1, 40):
             gauss_quadrature(BasisSpec(family, 1), n_points)
@@ -723,15 +726,16 @@ _SCIPY_BLOCKED_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_seprep_runs_with_scipy_blocked(tmp_path):
+@pytest.mark.parametrize("on_demand", ["moment", "unregularized fit_fixed"])
+def test_seprep_runs_with_scipy_blocked(tmp_path, on_demand):
     # NumPy is the one runtime dependency: import, evaluation, the elliptic
-    # problem, pooled and inline selection, moments, an unregularized fit,
-    # Gauss rules and the fit and baselines commands all run without SciPy
+    # problem, pooled and inline selection, Gauss rules, the fit and baselines
+    # commands and either a moment or an unregularized fit run without SciPy
     src = Path(seprep.selection.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED_SCRIPT, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED_SCRIPT, str(tmp_path), on_demand],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"pooled": [True], "inline": [False]}
 
