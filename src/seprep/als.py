@@ -75,7 +75,8 @@ class FitConfig:
     (_CANDIDATES draws of a new term, each a unit constant coefficient plus
     scaled normal noise, normalized per direction, burnt in for _BURN_SWEEPS
     sweeps, the lowest-residual one swept to convergence) and the lambda
-    floor (regularize._LAMBDA_FLOOR) are fixed.
+    floor (regularize._LAMBDA_FLOOR) are fixed: none is a field, so each is
+    refused as a keyword (TypeError).
 
     fit_fixed reads degree and takes its rank from its r argument, and
     select_model overrides degree at each grid point and grows each degree's

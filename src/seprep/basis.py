@@ -21,7 +21,12 @@ __all__ = ["Family", "BasisSpec", "eval_basis_batch", "gauss_quadrature"]
 
 
 def _check_count(name: str, value, least: int) -> int:
-    """The one count rule: an integer >= least, returned as a Python int; a bool is not a count."""
+    """The one count rule: an integer >= least, returned as a Python int.
+
+    Every count of the public API goes through it, each with its own least
+    value. A float (even 2.0), a bool or a smaller value is a ValueError
+    that names the argument; a NumPy integer is a count.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)

@@ -40,7 +40,8 @@ class SampleSet:
 
     The inputs pass the basis domain check of `eval_basis_batch`, so a point
     that is not finite, or lies outside [-1, 1] for Legendre, raises the same
-    DomainError here; non-finite outputs raise a ValueError.
+    DomainError here; non-finite outputs, no point or no input column raise
+    a ValueError.
     """
 
     inputs: np.ndarray
@@ -58,6 +59,8 @@ class SampleSet:
             )
         if self.inputs.shape[0] < 1:
             raise ValueError("sample set must contain at least one point")
+        if self.inputs.shape[1] < 1:
+            raise ValueError("sample set must have at least one input column")
         _check_domain(self.family, self.inputs)
         if not np.all(np.isfinite(self.outputs)):
             raise ValueError("sample set outputs must be finite")
@@ -77,7 +80,8 @@ class SeparatedModel:
 
     coeffs has shape (dims, rank, max_degree + 1), dimension-major so one
     direction's coefficient slab is contiguous. scales are strictly positive;
-    signs live in the coefficients.
+    signs live in the coefficients. Non-finite scales or coefficients are a
+    ValueError.
     """
 
     basis: BasisSpec
@@ -131,7 +135,10 @@ _BLAS_THREAD_VARIABLES = {
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
+    """CPUs this process may run on: its affinity mask where the platform has one.
+
+    A CPU quota narrower than the mask (a cgroup limit, say) is not seen.
+    """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -213,7 +220,8 @@ def evaluate_batch(model: SeparatedModel, points: np.ndarray) -> np.ndarray:
     and the working memory beyond the (N,) result is that plus each
     worker's (rows, rank) and (rows, M+1) products, whatever N is. A bad
     point raises the error of the lowest block that holds one, as a serial
-    loop over the blocks would.
+    loop over the blocks would; points with more than two axes, or of
+    another dimension than the model's, are a ValueError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim > 2:

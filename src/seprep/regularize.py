@@ -52,6 +52,9 @@ class RegularizationState:
 
     grid_index is lambda's position on its GCV grid and grid_position names
     it: "floor" (the first point), "ceiling" (the last) or "interior".
+    error_indicator is +inf where it is undefined: a zero lambda or
+    coefficient vector, no degrees of freedom left for sigma-hat, or a
+    term Gram matrix whose least eigenvalue is not positive.
     """
 
     lambda_: float

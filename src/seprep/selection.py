@@ -178,7 +178,7 @@ class SelectionReport:
     smaller degree, and a table with no finite EI_max raises SelectionError.
     config is the caller's, and each degree's fit seed derives from
     config.rng_seed (see degree_seeds), so the report stores no seed of its
-    own.
+    own. to_dict writes a report; nothing reads one back.
     """
 
     grid: list
@@ -235,15 +235,18 @@ def select_model(
     Infinite indicators are kept (and lose); if every fitted pair is
     infinite, selection fails loudly with the table attached. All-zero
     outputs are refused before any fit, since every indicator would be
-    infinite. Every grid entry is a count (ranks >= 1, degrees >= 0),
-    checked before the grids are sorted and deduplicated.
+    infinite, and so is penalty "none" (SelectionError), which leaves the
+    indicator undefined. Every grid entry is a count (ranks >= 1, degrees
+    >= 0), checked before the grids are sorted and deduplicated.
 
     The degrees' fits run in forked worker processes where _fit_degrees
     says a pool may run (a second CPU, among other conditions), and here,
     one after the other, otherwise (`taskset -c 0` forces that). This
     process logs each degree's lines from its fit's records, so the report,
     the log, the warnings and a fit's error are the same either way, and no
-    worker outlives the call.
+    worker outlives the call. The last INFO line names the chosen pair and
+    the runner-up with their EI_max, and says for each whether its rank
+    converged or stopped at max_sweeps_per_rank.
     """
     r_grid = sorted({_check_count("r_grid", r, 1) for r in r_grid})
     M_grid = sorted({_check_count("M_grid", m, 0) for m in M_grid})

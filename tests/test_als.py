@@ -1,3 +1,9 @@
+"""ALS checks: the normal equations of hand-computed and naive design matrices,
+the half-product A^T A against the full product over every (l, l', j, j')
+(1e-14 relative, exactly symmetric), a naive Gauss-Seidel sweep, recovery on
+exactly separable data, the per-sweep normal-equation check of every penalty,
+and the monotonicity contract of unregularized sweeps.
+"""
 import contextlib
 import dataclasses
 import logging

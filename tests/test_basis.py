@@ -1,3 +1,7 @@
+"""Basis checks: recurrences against mpmath under the stated tolerance
+16 (a+1) eps max(1, |psi_a|) up to degree 12, quadrature orthonormality and
+exactness, and the degree-major recurrence against a degree-last one, bit for bit.
+"""
 import math
 import re
 

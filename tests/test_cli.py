@@ -484,6 +484,8 @@ _REF = {"mean": 1.0, "std": 1.0, "stderr_mean": 0.0, "stderr_std": 0.0}
     (["fit", "--problem", "elliptic", "--ref-file", "in.json"], dict(_REF, source=None),
      "reference source must be a string, got None"),
     (["fit", "--config", "in.json"], {"problem": "heat"}, "unknown problem 'heat'"),
+    # Monte Carlo needs two samples: refused before reference.json is written
+    (["baselines", "--n", "1"], None, "sample_sizes must be an integer >= 2, got 1"),
 ], ids=["ref-missing-keys", "ref-not-object", "sizes-not-list", "seeds-string",
         "negative-degree", "select-no-dataset", "dataset-size-mismatch",
         "negative-pc-degree", "kl-zero-dims", "kl-negative-dims", "kl-too-many-dims",
@@ -492,7 +494,8 @@ _REF = {"mean": 1.0, "std": 1.0, "stderr_mean": 0.0, "stderr_std": 0.0}
         "ref-samples-float", "ref-samples-one", "ref-seed-negative", "ref-seed-bool",
         "dataset-number", "ref-bool", "ref-nan", "ref-inf", "ref-unknown-keys",
         "ref-n-fraction", "ref-n-one", "ref-n-bool", "ref-file-seed-string",
-        "ref-file-seed-negative", "ref-source-number", "ref-source-null", "problem-unknown"])
+        "ref-file-seed-negative", "ref-source-number", "ref-source-null", "problem-unknown",
+        "baselines-n-one"])
 def test_cli_bad_input_is_fatal_before_any_output(tmp_path, caplog, argv, inputs, named):
     if isinstance(inputs, str):
         (tmp_path / "in.csv").write_text(inputs)

@@ -1,3 +1,8 @@
+"""Model checks: evaluation against a naive tensor loop and one unblocked product
+(bit for bit), moments against Monte Carlo and exact tensor grids (the
+benchmark's fourth, and orders 1-4 at degrees 0-4 against a rule six points
+larger than moment's), and the JSON round trip.
+"""
 import json
 import math
 import threading
@@ -482,6 +487,8 @@ def test_sample_set_validation():
         SampleSet(np.zeros((2, 2)), np.array([1.0, np.inf]), Family.HERMITE)
     with pytest.raises(ValueError, match="at least one point"):
         SampleSet(np.zeros((0, 2)), np.zeros(0), Family.HERMITE)
+    with pytest.raises(ValueError, match="at least one input column"):
+        SampleSet(np.zeros((5, 0)), np.zeros(5), Family.HERMITE)
 
 
 @pytest.mark.parametrize("family, bad", [

@@ -1,3 +1,7 @@
+"""Problem checks: analytic and mesh-refinement checks of the FEM solve, two
+banded per-sample oracles across solve blocks, an independent KL sum for the
+Gauss-point coefficients, and the KL eigenpairs.
+"""
 import dataclasses
 import functools
 import math

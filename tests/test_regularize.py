@@ -1,3 +1,7 @@
+"""Regularization checks: the penalty's quadratic form against the second
+moment, explicit hat-matrix traces, a fine-grid GCV scan, and the
+perturbation bound the error indicator rests on.
+"""
 import numpy as np
 import pytest
 
@@ -331,6 +335,16 @@ def test_penalty_norm_equals_second_moment():
         assert val == pytest.approx(second_moment(m), rel=1e-10)
 
 
+# the names `import seprep` exports besides its modules; the README lists the same
+PUBLIC_NAMES = {
+    "BasisSpec", "Family", "FitConfig", "FitDiagnostics", "RegularizationState",
+    "SampleSet", "SelectionReport", "SeparatedModel", "empirical_norm", "eval_basis_batch",
+    "evaluate_batch", "fit_fixed", "gauss_quadrature", "load_model", "mean",
+    "model_from_dict", "model_to_dict", "moment", "save_model", "second_moment",
+    "select_model", "standard_deviation",
+}
+
+
 def test_package_public_names():
     # the Tikhonov path and GCV pick are the kernel's internals: they stay in
     # seprep.regularize and are called as module globals of seprep.als
@@ -341,13 +355,7 @@ def test_package_public_names():
 
     names = {name for name, value in vars(seprep).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert names == {
-        "BasisSpec", "Family", "FitConfig", "FitDiagnostics", "RegularizationState",
-        "SampleSet", "SelectionReport", "SeparatedModel", "empirical_norm", "eval_basis_batch",
-        "evaluate_batch", "fit_fixed", "gauss_quadrature", "load_model", "mean",
-        "model_from_dict", "model_to_dict", "moment", "save_model", "second_moment",
-        "select_model", "standard_deviation",
-    }
+    assert names == PUBLIC_NAMES
     assert {"errors", "problems"} <= set(vars(seprep))
     for name in ("TikhonovPath", "gcv_select_lambda"):
         assert getattr(als, name) is getattr(regularize, name)
