@@ -185,10 +185,11 @@ def _solve_spd(Mm: np.ndarray, Atu: np.ndarray) -> np.ndarray:
 
 
 def _upper_cholesky(G: np.ndarray):
-    """Upper Cholesky factor of G, or None when G is not positive definite.
+    """Upper Cholesky factor of G, or of each matrix of a stack; None if one is not SPD.
 
     NumPy's factor has the bits of LAPACK's dpotrf(G, lower=0, clean=1), the
-    zeroed lower triangle included, when both call the same LAPACK build.
+    zeroed lower triangle included, when both call the same LAPACK build; a
+    stack's factors have the bits of its matrices factored one at a time.
     """
     try:
         return np.linalg.cholesky(G, upper=True)
@@ -243,10 +244,12 @@ def _direction_solve(AtA, Atu, uu, n, G, m):
     _check_finite(AtA, Atu)
     if G is None:
         return np.stack([_solve_spd(AtA[b], Atu[b]) for b in range(len(AtA))]), None
-    R = np.empty(G.shape)
-    jittered = np.empty(len(G), dtype=bool)
-    for b, g in enumerate(G):
-        R[b], jittered[b] = _gram_cholesky(g)
+    R = _upper_cholesky(G)  # one call for the stack, each slice with its own bits
+    jittered = np.zeros(len(G), dtype=bool)
+    if R is None:  # some slice is not positive definite: each takes the jitter path
+        R = np.empty(G.shape)
+        for b, g in enumerate(G):
+            R[b], jittered[b] = _gram_cholesky(g)
     path = TikhonovPath(AtA, Atu, uu, n, R, m)
     sel = gcv_select_lambda(path)
     c = path.solve(sel.lambda_)

@@ -7,9 +7,10 @@ squared-exponential covariance, plus Monte Carlo and total-degree
 polynomial regression baselines to compare surrogates against. The
 diffusion problem uses quadratic finite elements and is solved for a whole
 batch of inputs at once: the coefficients are formed Gauss-point-major by
-one product with the KL map, the stiffness entries by one product with the
-Gauss weights, each element's bubble is condensed out, and one tridiagonal
-LDL^T sweep over the mesh vertices runs in place on vectors of samples.
+one product with the KL map, four stiffness entries by one product with the
+Gauss weights, and with its bubble condensed out each element is a spring
+between its vertices, so the vertex values follow in closed form from the
+element fluxes, in a few whole-array passes on vectors of samples.
 """
 from __future__ import annotations
 
@@ -199,9 +200,11 @@ def kl_decompose(corr_length: float, d: int, n_grid: int) -> KLExpansion:
 
 _GAUSS3_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-_SOLVE_BLOCK = 1024  # bounds the solver's memory; its work arrays stay near cache size
+# rows per solve block, which bound the solve's memory: a 10k-row batch took
+# 12.0 ms at 512, 13.2 ms at 1,024 and 15.6 ms at 2,048 rows (two workers)
+_SOLVE_BLOCK = 512
 # most solve workers, with BLAS at one thread: 2 is the count measured (the
-# 200k-sample reference took 0.67-0.84 s against 1.00-1.19 s on one worker,
+# 200k-sample reference took 0.24-0.29 s against 0.43 s on one worker,
 # 2-core host); more CPUs are untested
 _SOLVE_WORKERS = 2
 _ROW_PAD = 16  # the coefficient product pads its rows to a multiple of this
@@ -306,26 +309,20 @@ def coefficient_at_gauss_points(problem: EllipticProblem, points: np.ndarray) ->
     return planes[:, :, :n].transpose(2, 1, 0)
 
 
-def _positive_finite(x: np.ndarray) -> bool:
-    # one min and one max pass; NaN fails both comparisons
-    return x.size == 0 or bool(x.min() > 0.0 and x.max() < np.inf)
-
-
 def _solve_block(problem: EllipticProblem, rows: np.ndarray, work: np.ndarray,
                  first: int) -> np.ndarray:
     """u(query_point) at each of a block's rows, the first being sample `first` of the batch.
 
-    `work` holds the block's six stiffness entries per element and its
-    vertex values; the elimination's r0, r2 and scratch rows reuse the
-    block's coefficient planes, which the stiffness product has read. The
-    planes are released when the block returns, before the next block's
-    are formed.
+    `work` holds the block's stiffness rows k01, k02, k11 and k12, the
+    springs c overwriting k02; S and the (1/c, S/c) pairs reuse the block's
+    coefficient planes, which the stiffness product has read. The planes are
+    released when the block returns, before the next block's are formed.
     """
     n_el, load = problem.mesh_elements, problem._load
     h = 1.0 / n_el
     e = min(int(problem.query_point / h), n_el - 1)
     shape = _p2_shapes(np.array(2.0 * (problem.query_point - e * h) / h - 1.0))[0]
-    w = problem._stiff_weights[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].T  # (6, gauss)
+    w = problem._stiff_weights[:, [0, 0, 1, 1], [1, 2, 1, 2]].T  # (4, gauss)
     a = coefficient_at_gauss_points(problem, rows)
     n_s = a.shape[0]
     planes = a.transpose(2, 1, 0).reshape(3, n_el * n_s)  # a copy only for a ragged block
@@ -335,46 +332,42 @@ def _solve_block(problem: EllipticProblem, rows: np.ndarray, work: np.ndarray,
             f"diffusion coefficient non-positive at sample {first + bad} "
             f"(min {a[bad].min():.4e})"
         )
-    block = work[:(7 * n_el + 1) * n_s].reshape(7 * n_el + 1, n_s)
-    np.matmul(w, planes, out=block[:6 * n_el].reshape(6, n_el * n_s))
-    # each (element, sample)
-    k00, k01, k02, k11, k12, k22 = block[:6 * n_el].reshape(6, n_el, n_s)
-    r0, r2, tmp = planes.reshape(3, n_el, n_s)
+    block = work[:4 * n_el * n_s].reshape(4, n_el * n_s)
+    np.matmul(w, planes, out=block)
+    k01, k02, k11, k12 = block.reshape(4, n_el, n_s)  # each (element, sample)
+    r0, tmp, s = planes.reshape(3, n_el, n_s)
     np.divide(k01, k11, out=r0)
-    np.divide(k12, k11, out=r2)
-    # off couples vertex j to j + 1; the last meets u(1) = 0
-    off = np.subtract(k02, np.multiply(k12, r0, out=tmp), out=k02)
-    c22 = np.subtract(k22, np.multiply(k12, r2, out=tmp), out=k22)
-    c00 = np.subtract(k00, np.multiply(k01, r0, out=tmp), out=k00)
-    piv = np.add(c22[:-1], c00[1:], out=c22[:-1])  # interior vertices 1 .. n_el-1
-    u = block[6 * n_el:]  # vertex values, zero at both ends
-    u[0] = u[-1] = 0.0
-    y = u[1:-1]  # the right-hand side, overwritten by the solution
-    np.subtract(load[2:-1:2, None], np.multiply(r2[:-1], load[1:-2:2, None], out=y), out=y)
-    y -= np.multiply(r0[1:], load[3::2, None], out=tmp[1:])
-    ratio, prod = np.empty((2, n_s))
-    for v in range(1, n_el - 1):
-        np.divide(off[v], piv[v - 1], out=ratio)
-        piv[v] -= np.multiply(ratio, off[v], out=prod)
-        y[v] -= np.multiply(ratio, y[v - 1], out=prod)
-    if not (_positive_finite(k11) and _positive_finite(piv)):
-        ok = np.all((k11 > 0.0) & (k11 < np.inf), axis=0)
-        ok &= np.all((piv > 0.0) & (piv < np.inf), axis=0)
-        bad = first + int(np.flatnonzero(~ok)[0])
-        raise ConditioningError(f"non-positive or non-finite FEM pivot at sample {bad}")
-    for v in range(n_el - 1, max(e, 1) - 1, -1):  # u[e] and u[e + 1] are all that is read
-        u[v] -= np.multiply(off[v], u[v + 1], out=prod)
-        u[v] /= piv[v - 1]
-    val = shape[0] * u[e] + shape[2] * u[e + 1]
+    c = np.subtract(np.multiply(k12, r0, out=tmp), k02, out=k02)  # beside k11: one guard
+    kc = block[1:3]
+    if not (kc.min() > 0.0 and kc.max() < np.inf):  # NaN fails both
+        ok = np.all((kc > 0.0) & (kc < np.inf), axis=0).reshape(n_el, n_s).all(axis=0)
+        raise ConditioningError("non-positive or non-finite FEM pivot or spring at sample "
+                                f"{first + int(np.argmin(ok))}")
+    # S_e, up to a constant that q0 absorbs
+    np.subtract(np.cumsum(load)[:-1:2, None], np.multiply(r0, load[1::2, None], out=s), out=s)
+    # (1/c, S/c) side by side per element: a sum over elements adds whole rows
+    # in element order, even in a one-row block
+    pair = planes[:2].reshape(n_el, 2, n_s)
+    np.multiply(s, np.divide(1.0, c, out=pair[:, 0]), out=pair[:, 1])
+    total = np.add.reduce(pair, axis=0)
+    q0 = -total[1] / total[0]
+    # u at a vertex from the q_j / c_j on its shorter side, whose fluxes
+    # mostly share a sign and so cancel least
+    right = 2 * e >= n_el
+    side = np.add.reduce(pair[e + 1:] if right else pair[:e], axis=0)
+    u_side = q0 * side[0] + side[1]
+    drop = q0 * pair[e, 0] + pair[e, 1]  # u(x_e) - u(x_{e+1}) = q_e / c_e
+    u_left, u_right = (u_side + drop, u_side) if right else (-u_side, -u_side - drop)
+    val = shape[0] * u_left + shape[2] * u_right
     if shape[1] != 0.0:
-        val += shape[1] * (load[2 * e + 1] - k01[e] * u[e] - k12[e] * u[e + 1]) / k11[e]
+        val += shape[1] * (load[2 * e + 1] - k01[e] * u_left - k12[e] * u_right) / k11[e]
     return val
 
 
 def _solve_share(problem: EllipticProblem, pts: np.ndarray, blocks, out: np.ndarray) -> None:
     """Write u(query_point) at rows first:stop of `pts` into `out`, for each block in turn."""
     rows = max((stop - first for first, stop in blocks), default=0)
-    work = np.empty((7 * problem.mesh_elements + 1) * rows)
+    work = np.empty(4 * problem.mesh_elements * rows)
     for first, stop in blocks:
         out[first:stop] = _solve_block(problem, pts[first:stop], work, first)
 
@@ -383,30 +376,36 @@ def elliptic_solve_batch(problem: EllipticProblem, points: np.ndarray) -> np.nda
     """Solve the diffusion problem for each input row, or one `dims`-vector; returns u(query_point).
 
     Rows must be finite `dims`-vectors, else DomainError. Each block of
-    `_SOLVE_BLOCK` samples is solved at once: one (6 x 3)(3, n_el * rows)
-    product of the Gauss weights with the Gauss-point-major coefficients
-    gives the six distinct P2 stiffness entries, condensing each element's
-    bubble leaves an SPD tridiagonal system on the interior vertices, and one
-    LDL^T (Thomas) sweep, updated in place, solves it. Back-substitution stops
-    at the query element's left vertex, and that element's bubble is
-    recovered where its shape function is non-zero. Every step works on
-    vectors of samples and the coefficient product is padded, so at the
-    default problem size a row's value does not depend on how the rows are
-    batched (see `coefficient_at_gauss_points`).
+    `_SOLVE_BLOCK` samples is solved at once, in flux form. One
+    (4 x 3)(3, n_el * rows) product of the Gauss weights with the
+    Gauss-point-major coefficients gives each element's k01, k02, k11 and
+    k12 (node 1 is the bubble). Stiffness rows sum to zero, so with its
+    bubble condensed an element is a spring c_e = k12 k01 / k11 - k02
+    between its vertices, and with u(0) = u(1) = 0: the flux in element e is
+    q_e = q0 + S_e, S_e the load of the nodes up to e's left vertex less
+    the share k01 f_e / k11 of e's bubble load f_e moved onto it; u at
+    vertex v is -sum_{e<v} q_e / c_e; and u(1) = 0 gives
+    q0 = -(sum S_e / c_e) / (sum 1 / c_e). So a block is a few whole-array
+    passes over vectors of samples, with no loop over the mesh, and the
+    query element's bubble is recovered where its shape function is
+    non-zero. Sums over elements add whole rows in element order and the
+    coefficient product is padded, so at the default problem size a row's
+    value does not depend on how the rows are batched (see
+    `coefficient_at_gauss_points`), and is within 5e-15 relative of a
+    long-double refined solve of the full P2 system.
 
     The blocks run through `model._run_shares`, one contiguous share of
-    whole blocks per worker, each worker with its own buffer of
-    (7 n_el + 1) rows per sample. Two workers overlap one's BLAS products
-    with the other's elimination, which holds the interpreter lock; so
-    they run only when the process asked its BLAS for one thread (see
-    `model._blas`), and then on at most `_SOLVE_WORKERS` of the CPUs in its
-    affinity mask and at most one per block. A BLAS left to thread its own
-    products already fills the CPUs, and the solve then runs on the calling
-    thread alone. The worker count changes no value. 50,000 rows peaked at
-    22 MB under tracemalloc with two workers and 11 MB with one (BLAS at one
-    thread). A non-positive coefficient or solution raises PositivityError,
-    a pivot that is not positive and finite ConditioningError; each names
-    the first such sample.
+    whole blocks per worker, each worker with its own buffer of 4 n_el rows
+    per sample. BLAS products and NumPy passes release the interpreter lock,
+    so two workers run nearly side by side, but only when the process asked
+    its BLAS for one thread (see `model._blas`): a BLAS that threads its own
+    products already fills the CPUs, and two workers then ran slower than
+    one. They run on at most `_SOLVE_WORKERS` of the CPUs in the affinity
+    mask and at most one per block, and change no value. 50,000 rows peaked
+    at 8.1 MB under tracemalloc with two workers and 4.3 MB with one (BLAS
+    at one thread). A non-positive coefficient or solution raises
+    PositivityError, a bubble pivot or spring that is not positive and
+    finite ConditioningError; each names the first such sample.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != problem.dims:

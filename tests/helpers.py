@@ -11,7 +11,13 @@ import functools
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cholesky, solve_triangular, solveh_banded
+from scipy.linalg import (
+    LinAlgError,
+    cho_solve_banded,
+    cholesky,
+    cholesky_banded,
+    solve_triangular,
+)
 
 from seprep import als, regularize
 from seprep.basis import BasisSpec, Family, _folded_recurrence, eval_basis_batch, gauss_quadrature
@@ -440,18 +446,25 @@ def elliptic_with(dims=EllipticProblem.dims, **constants):
 
 
 # -- per-sample banded references for the elliptic FEM solve -------------------
-# The library condenses the P2 bubbles and sweeps the vertex system for a whole
-# block of samples; these assemble each sample's full P2 band and factor it.
-# Both take the Gauss-point coefficients from the library.
+# The library condenses the P2 bubbles and solves the vertex system in flux form
+# for a whole block of samples; these assemble each sample's full P2 band,
+# factor it and refine the solution with long-double residuals. Both take the
+# Gauss-point coefficients from the library.
+
+_REFINE_STEPS = 3  # a fourth step moves no value by more than 2e-16 relative
 
 
 def _banded_p2_solve(problem, a, ke, load, shape_at_x):
     """u(query_point) per sample from element stiffness blocks ke (s, n_el, 3, 3) and the load.
 
-    Each sample's element blocks are scattered into the upper band of the full
-    P2 stiffness matrix with np.add.at and solved with solveh_banded; both
-    positivity guards of the library are kept. shape_at_x holds the query
-    element's three shape values at the query point.
+    Each sample's element blocks are scattered, in ke's precision, into the
+    upper band of the full P2 stiffness matrix with np.add.at. The band is
+    factored in double by cholesky_banded, and _REFINE_STEPS steps of
+    iterative refinement, each a residual formed in long double and a solve
+    with that factor, carry the solution to the long-double system's, so the
+    result holds only the double rounding of the assembled entries, not the
+    factor's forward error. Both positivity guards of the library are kept.
+    shape_at_x holds the query element's three shape values at the query point.
     """
     if np.any(a <= 0.0):
         raise PositivityError("diffusion coefficient non-positive")
@@ -461,16 +474,25 @@ def _banded_p2_solve(problem, a, ke, load, shape_at_x):
     jj = np.tile(dofs, (1, 3)).reshape(n_el, 3, 3)
     tri = ii <= jj
     band_rows, band_cols = (2 + ii - jj)[tri], jj[tri]
-    kv = ke[:, tri]
+    kv = ke[:, tri].astype(np.longdouble)
+    f = load[1:-1].astype(np.longdouble)
     e = _query_element(problem)[0]
     out = np.empty(len(a))
-    interior = slice(1, nn - 1)
     for s in range(len(a)):
-        band = np.zeros((3, nn))
+        band = np.zeros((3, nn), dtype=np.longdouble)
         np.add.at(band, (band_rows, band_cols), kv[s])
-        u_full = np.zeros(nn)
-        u_full[interior] = solveh_banded(band[:, interior], load[interior])
-        out[s] = shape_at_x @ u_full[dofs[e]]
+        d, up1, up2 = band[2, 1:-1], band[1, 2:-1], band[0, 3:-1]  # interior rows
+        factor = (cholesky_banded(band[:, 1:-1].astype(float)), False)
+        u = np.zeros(nn, dtype=np.longdouble)  # zero at both Dirichlet ends
+        for _ in range(_REFINE_STEPS):
+            y = u[1:-1]
+            r = f - d * y
+            r[:-1] -= up1 * y[1:]
+            r[1:] -= up1 * y[:-1]
+            r[:-2] -= up2 * y[2:]
+            r[2:] -= up2 * y[:-2]
+            y += cho_solve_banded(factor, r.astype(float))
+        out[s] = float(shape_at_x @ u[dofs[e]])
     if np.any(out <= 0.0):
         raise PositivityError("solution non-positive")
     return out
@@ -484,14 +506,23 @@ def _query_element(problem):
 
 
 def banded_elliptic_solve(problem, points):
-    """u(query_point) per input row from the library's own element arrays, by another solver.
+    """u(query_point) per input row: the discrete solution to a few ulps, by another solver.
 
-    The stiffness weights, load and query shapes are the problem's, so this
-    checks the condensed solve to rounding (1e-12), not the arrays;
-    independent_elliptic_solve checks those.
+    The coefficients, load and query shapes are the problem's. The element
+    stiffness is sum_g w_g a(x_g) N_i'(xi_g) N_j'(xi_g) 2 / h, formed in long
+    double from the exact three-point rule, so each element's rows sum to
+    zero to long-double rounding; rounded to double, as the library's
+    weights are, they do not, and at 128 elements that alone moves u by up
+    to 1.4e-12 relative. This checks the condensed solve and the library's
+    stiffness weights to rounding; independent_elliptic_solve checks the
+    weights, load and shapes by another route.
     """
     a = coefficient_at_gauss_points(problem, np.atleast_2d(np.asarray(points, dtype=float)))
-    ke = np.einsum("seg,gij->seij", a, problem._stiff_weights)
+    xi = np.sqrt(np.longdouble(3) / 5) * np.array([-1, 0, 1], dtype=np.longdouble)
+    w = np.array([5, 8, 5], dtype=np.longdouble) / 9
+    dN = np.stack([xi - 0.5, -2 * xi, xi + 0.5], axis=-1)  # (gauss, shape)
+    weights = (2 * problem.mesh_elements) * np.einsum("g,gi,gj->gij", w, dN, dN)
+    ke = np.einsum("seg,gij->seij", a.astype(np.longdouble), weights)
     shape_at_x = _p2_shapes(np.array([_query_element(problem)[1]]))[0][0]
     return _banded_p2_solve(problem, a, ke, problem._load, shape_at_x)
 

@@ -787,6 +787,28 @@ def test_term_gram_failures_are_typed(monkeypatch):
     assert als._gram_cholesky(np.eye(2))[1] is False and len(attempts) == 3
 
 
+def test_a_singular_gram_slice_leaves_each_slice_its_one_at_a_time_bits():
+    # one factor call serves a positive definite stack; a singular slice sends
+    # every slice down the per-slice jitter path, and each keeps the bits and
+    # the jitter flag it gets alone
+    rng = np.random.default_rng(31)
+    r, m, n = 2, 3, 40
+    A = rng.standard_normal((4, n, r * m))
+    u = rng.standard_normal(n)
+    F = rng.standard_normal((4, r, 5))
+    G = F @ F.swapaxes(-1, -2)
+    G[1] = np.ones((r, r))  # rank one: its Cholesky meets a zero pivot
+    AtA, Atu = A.swapaxes(-1, -2) @ A, A.swapaxes(-1, -2) @ u
+    for stack in (np.array([0, 2, 3]), np.arange(4)):
+        c, raw = als._direction_solve(AtA[stack], Atu[stack], u @ u, n, G[stack], m)
+        assert raw[5].tolist() == [b == 1 for b in stack]
+        for i, b in enumerate(stack):
+            c1, raw1 = als._direction_solve(AtA[b:b + 1], Atu[b:b + 1], u @ u, n, G[b:b + 1], m)
+            assert np.array_equal(c[i], c1[0])
+            assert np.array_equal(raw[4][i], raw1[4][0]) and raw[5][i] == raw1[5][0]
+            assert np.array_equal(raw[4][i], als._gram_cholesky(G[b])[0])
+
+
 def _lapack(config):
     deps = config(mode="dicts")["Build Dependencies"]["lapack"]
     return deps.get("name"), deps.get("version")
@@ -997,9 +1019,12 @@ def test_models_that_leave_a_race_own_their_arrays():
 
 def test_a_failing_slice_ends_a_stacked_burn_in_with_its_typed_error(monkeypatch):
     # the third slice of the first stacked solve fails: the fit ends there,
-    # with that error, instead of rerunning the race
+    # with that error, instead of rerunning the race. A stack's one factor
+    # call is refused, so every slice takes the per-slice path
     real = als._gram_cholesky
+    real_upper = als._upper_cholesky
     calls = []
+    monkeypatch.setattr(als, "_upper_cholesky", lambda G: None if G.ndim == 3 else real_upper(G))
 
     def failing(G):
         calls.append(G)

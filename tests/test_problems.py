@@ -271,14 +271,13 @@ def test_elliptic_solution_positivity_guard(problem, monkeypatch):
         elliptic_solve_batch(problem, np.zeros((3, 40)))
 
 
-# Two oracles check the FEM solve. banded_elliptic_solve reads the problem's
-# own element arrays, so it checks the condensed solve to rounding.
-# independent_elliptic_solve builds the arrays itself, and its rounding of them
-# differs from the library's: at 128 elements the two agree to 2.2e-12 at
-# worst. The library's own forward error there is 1.4-1.8e-12 against a
-# long-double refined solve, so no independent oracle can hold 1e-12; 1e-11
-# leaves room for another BLAS, and a wrong weight, factor or shape moves u by
-# far more.
+# Two oracles check the FEM solve. banded_elliptic_solve forms the stiffness
+# in long double and refines its solution, so it gives the discrete solution
+# to the last bit or two and checks the condensed solve to rounding.
+# independent_elliptic_solve builds the arrays itself in double, and rows of
+# its element stiffness that do not quite sum to zero move u: at 128 elements
+# it agrees with the library to 4.3e-13 at worst. 1e-11 leaves room for
+# another BLAS, and a wrong weight, factor or shape moves u by far more.
 _INDEPENDENT_RTOL = 1e-11
 
 
@@ -327,6 +326,15 @@ def test_elliptic_blocks_match_banded_oracle(mesh_elements, query_point, extra):
     got = elliptic_solve_batch(prob, pts[:n])
     np.testing.assert_allclose(got, want[:n], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got, independent[:n], rtol=_INDEPENDENT_RTOL, atol=0.0)
+
+
+def test_elliptic_values_are_the_discrete_solution_to_rounding(problem):
+    # the flux form adds no elimination error: each value is within a few
+    # ulps of the long-double refined banded solve (4e-15 at worst in 3,000
+    # rows), where an LDL^T sweep over the 127 interior vertices was 1.2e-12 off
+    pts = np.random.default_rng(7).uniform(-1, 1, (256, 40))
+    np.testing.assert_allclose(elliptic_solve_batch(problem, pts),
+                               banded_elliptic_solve(problem, pts), rtol=1e-14, atol=0.0)
 
 
 def test_elliptic_rows_do_not_depend_on_batching(problem):
@@ -470,11 +478,11 @@ def test_elliptic_bad_pivot_is_a_conditioning_error(problem, monkeypatch, bad):
 def test_elliptic_large_batch_memory_is_bounded(problem):
     # the solve works in fixed-size blocks, so its peak must not grow with the
     # batch: beyond the (n,) result, each of at most two workers holds its
-    # buffer of 7 n_el + 1 rows per block sample, one block's three
-    # coefficient planes and at most one copy of them, and its padded
-    # inputs, 2 x (897 + 768 + 40) x 1,024 x 8 B = 27.9 MB at 128 elements
+    # buffer of 4 n_el rows per block sample, one block's three coefficient
+    # planes and at most one copy of them, and its padded inputs,
+    # 2 x (512 + 768 + 40) x 512 x 8 B = 10.8 MB at 128 elements
     n, block = 50_000, problems._SOLVE_BLOCK
-    rows = 7 * problem.mesh_elements + 1 + 2 * 3 * problem.mesh_elements + problem.dims
+    rows = 4 * problem.mesh_elements + 2 * 3 * problem.mesh_elements + problem.dims
     bound = 2 * rows * block * 8 + 8 * n
     pts = np.random.default_rng(9).uniform(-1, 1, (n, 40))
     tracemalloc.start()
