@@ -337,7 +337,7 @@ def _solve_block(problem: EllipticProblem, rows: np.ndarray, work: np.ndarray,
     k01, k02, k11, k12 = block.reshape(4, n_el, n_s)  # each (element, sample)
     r0, tmp, s = planes.reshape(3, n_el, n_s)
     np.divide(k01, k11, out=r0)
-    c = np.subtract(np.multiply(k12, r0, out=tmp), k02, out=k02)  # beside k11: one guard
+    c = np.subtract(np.multiply(k12, r0, out=tmp), k02, out=k02)  # c and k11: one guard pass
     kc = block[1:3]
     if not (kc.min() > 0.0 and kc.max() < np.inf):  # NaN fails both
         ok = np.all((kc > 0.0) & (kc < np.inf), axis=0).reshape(n_el, n_s).all(axis=0)

@@ -331,7 +331,7 @@ def test_elliptic_blocks_match_banded_oracle(mesh_elements, query_point, extra):
 def test_elliptic_values_are_the_discrete_solution_to_rounding(problem):
     # the flux form adds no elimination error: each value is within a few
     # ulps of the long-double refined banded solve (4e-15 at worst in 3,000
-    # rows), where an LDL^T sweep over the 127 interior vertices was 1.2e-12 off
+    # rows), while an LDL^T sweep over the vertices carries about 1.2e-12
     pts = np.random.default_rng(7).uniform(-1, 1, (256, 40))
     np.testing.assert_allclose(elliptic_solve_batch(problem, pts),
                                banded_elliptic_solve(problem, pts), rtol=1e-14, atol=0.0)
