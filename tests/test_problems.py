@@ -1,6 +1,7 @@
 """Problem checks: analytic and mesh-refinement checks of the FEM solve, two
 banded per-sample oracles across solve blocks, an independent KL sum for the
-Gauss-point coefficients, and the KL eigenpairs.
+Gauss-point coefficients, the KL eigenpairs, and their Gauss-Legendre grid
+against 40-digit mpmath.
 """
 import dataclasses
 import functools
@@ -9,6 +10,7 @@ import threading
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +22,8 @@ from helpers import (
 )
 from seprep import problems
 from seprep.basis import BasisSpec, Family, eval_basis_batch
-from seprep.errors import ConditioningError, DomainError, PositivityError, ResolutionError
+from seprep.errors import (ConditioningError, DomainError, InvariantError, PositivityError,
+                           ResolutionError)
 from seprep.model import _BLAS_THREAD_VARIABLES, SampleSet, evaluate_batch
 from seprep.problems import (
     MANUFACTURED_MEAN,
@@ -106,6 +109,55 @@ def test_manufactured_noise_magnitude():
 # ---------------------------------------------------------------------------
 
 
+def _mpmath_gauss_legendre_01(n, start):
+    """The node of the n-point rule on (0, 1) nearest `start` in (-1, 1), and its weight.
+
+    Newton's method at 40 digits on the three-term recurrence in x, from a
+    node of numpy's eigenvalue-based leggauss, which the library no longer uses.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(start))
+        for _ in range(50):
+            prev, p = mpmath.mpf(1), x
+            for k in range(1, n):
+                prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+            dp = n * ((prev if n > 1 else 1) - x * p) / (1 - x * x)
+            x -= p / dp
+            if abs(p / dp) < mpmath.mpf(10) ** -38:
+                break
+        return (x + 1) / 2, 1 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 64, 512, 1024])
+def test_gauss_legendre_rule_matches_40_digit_mpmath(n):
+    nodes, weights = problems._gauss_legendre_01(n)
+    assert nodes.shape == weights.shape == (n,)
+    assert nodes[0] > 0.0 and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)
+    assert np.abs(nodes + nodes[::-1] - 1.0).max() <= 2.3e-16  # symmetric about 1/2
+    assert np.array_equal(weights, weights[::-1]) and np.all(weights > 0.0)
+    assert abs(weights.sum() - 1.0) <= 4e-16
+    # about 16 nodes, both ends and the middle among them
+    picks = set(np.linspace(0, n - 1, 16).round().astype(int)) | {(n - 1) // 2, n // 2}
+    start = np.polynomial.legendre.leggauss(n)[0]
+    for i in sorted(picks):
+        node, weight = _mpmath_gauss_legendre_01(n, start[i])
+        assert abs(nodes[i] - float(node)) <= 2e-16, (n, i)
+        assert abs(weights[i] / float(weight) - 1.0) <= 1e-13, (n, i)
+    if n <= 5:  # exact for every degree up to 2n - 1
+        for k in range(2 * n):
+            assert weights @ nodes**k == pytest.approx(1.0 / (k + 1), rel=1e-15, abs=0.0), k
+
+
+def test_gauss_legendre_rule_refuses_an_unconverged_newton_iteration(monkeypatch):
+    # Tricomi's start needs 3 passes at 512 nodes: 2 leaves a step above 1e-10
+    rule = problems._gauss_legendre_01(512)
+    monkeypatch.setattr(problems, "_GL_PASSES", 3)
+    assert all(np.array_equal(a, b) for a, b in zip(problems._gauss_legendre_01(512), rule))
+    monkeypatch.setattr(problems, "_GL_PASSES", 2)
+    with pytest.raises(InvariantError, match="no Gauss-Legendre rule in 2 Newton passes at n=512"):
+        problems._gauss_legendre_01(512)
+
+
 @pytest.fixture(scope="module")
 def kl():
     return kl_decompose(1.0 / 14.0, d=40, n_grid=512)
@@ -162,6 +214,17 @@ def test_the_problem_refuses_dims_beyond_the_resolved_modes_by_their_count():
                                          r"resolved above roundoff\), got 58$") as got:
         problems.EllipticProblem(dims=58)
     assert isinstance(got.value.__cause__, ResolutionError)
+
+
+def test_the_problem_refusal_diagonalizes_the_kernel_once(monkeypatch):
+    # the count in the refusal comes from the one spectrum kl_decompose computed
+    calls = []
+    spectrum = problems._kl_spectrum
+    monkeypatch.setattr(problems, "_kl_spectrum", lambda *a: calls.append(a) or spectrum(*a))
+    with pytest.raises(ValueError, match=r"<= 57 .* got 58$") as got:
+        problems.EllipticProblem(dims=58)
+    assert got.value.__cause__.resolved == 57
+    assert len(calls) == 1
 
 
 def test_kl_refuses_a_bool_correlation_length():
