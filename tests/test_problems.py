@@ -121,7 +121,7 @@ def _mpmath_gauss_legendre_01(n, start):
             prev, p = mpmath.mpf(1), x
             for k in range(1, n):
                 prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
-            dp = n * ((prev if n > 1 else 1) - x * p) / (1 - x * x)
+            dp = n * (prev - x * p) / (1 - x * x)
             x -= p / dp
             if abs(p / dp) < mpmath.mpf(10) ** -38:
                 break

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Time one benchmark workload at a parent commit against HEAD, in alternating pairs.
 
-    python3 tools/bench_pair.py elliptic-reference cb343dd --pairs 10 --seeds 0,7
+    python3 tools/bench_pair.py elliptic-reference HEAD~1 --pairs 10 --seeds 0,7
     python3 tools/bench_pair.py manufactured-select HEAD --smoke --pairs 1
 
 Each side runs from its own `git worktree`: the parent commit, HEAD, and a
 second worktree of HEAD for the A/A control. The worktrees are sibling
 directories whose paths have one length, each gets a copy of this working
 tree's `perfbench/` (so every side runs the same benchmark code), and each
-tree's bytecode is compiled before the first timed run. So a timing differs
-between sides by the library code alone, not by the checkout.
+tree's bytecode is compiled before the first timed run. So the sides differ
+only in the library code they run, and the control measures what difference
+two checkouts of one commit still show.
 
 Per seed, the control runs first: HEAD against its second worktree, over as
 many pairs as the comparison. Then the parent runs against HEAD. Each run is
@@ -23,10 +24,11 @@ otherwise, holds the machine line, both commits, the control, every pair,
 and per metric the medians, quartiles, ratio and the pairs HEAD won. Only
 committed code is measured on the HEAD side. The worktrees are removed at the
 end. The exit code is 0 when every run passed its checks, 1 when one did
-not, and 2 when the worktrees could not be made.
+not, and 2 when a revision or a worktree could not be made.
 """
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -112,7 +114,7 @@ def run_pairs(a: str, b: str, trees: dict, args, seed: int) -> list:
     return pairs
 
 
-def spread(values: list) -> dict:
+def quartiles(values: list) -> dict:
     q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
 
@@ -131,7 +133,7 @@ def summarize(pairs: list, base: str, new: str, noise=None) -> dict:
         b, n = [p[base][name] for p in pairs], [p[new][name] for p in pairs]
         per_pair = [y / x for x, y in zip(b, n)]
         sign = 1.0 if metric["better"] == "lower" else -1.0
-        row = {base: spread(b), new: spread(n),
+        row = {base: quartiles(b), new: quartiles(n),
                "ratio": statistics.median(n) / statistics.median(b),
                "wins": sum(sign * (y - x) < 0.0 for x, y in zip(b, n)), "pairs": len(pairs),
                "bound": metric["bound"]}
@@ -153,9 +155,9 @@ def main(argv=None) -> int:
     except subprocess.CalledProcessError as exc:
         print(f"bench_pair: {exc.stderr.strip()}", file=sys.stderr)
         return 2
-    if git("status", "--porcelain", "--untracked-files=no", "--", ".", ":!perfbench"):
-        print("bench_pair: uncommitted edits outside perfbench/ are not measured; "
-              "the change side is HEAD", file=sys.stderr)
+    if git("status", "--porcelain", "--", "src"):
+        print("bench_pair: uncommitted edits under src/ are not measured; the change side "
+              "is HEAD", file=sys.stderr)
     if args.workdir is not None:
         args.workdir.mkdir(parents=True, exist_ok=True)
     base = Path(tempfile.mkdtemp(prefix="bench-pair-", dir=args.workdir))
@@ -199,7 +201,7 @@ def main(argv=None) -> int:
     for seed, s in doc["seeds"].items():
         for name, row in s["summary"].items():
             if "ratio" in row:
-                lo, hi = s["control"]["summary"][name]["spread"]
+                lo, hi = s["control"]["summary"][name].get("spread", (math.nan, math.nan))
                 print(f"seed {seed} {name}: {row['ratio']:.3f}x the parent's median, better in "
                       f"{row['wins']} of {row['pairs']} pairs, "
                       f"{'' if row['resolved'] else 'un'}resolved (control {lo:.3f}-{hi:.3f})")
