@@ -21,9 +21,12 @@ largest of the control's per-pair ratios and their reciprocals.
 
 The result, `BENCH_<workload>.json` at the repository root unless --out says
 otherwise, holds the machine line, both commits, the control, every pair,
-and per metric the medians, quartiles, ratio and the pairs HEAD won. Only
-committed code is measured on the HEAD side. The worktrees are removed at the
-end. The exit code is 0 when every run passed its checks, 1 when one did
+and per metric the medians, quartiles, ratio and the pairs HEAD won. When a
+run fails its checks the record goes to BENCH_<workload>.failed.json
+instead, so a committed record is never overwritten by a broken one. Each run
+lasts BENCHMARK.json's run_seconds, or 0 seconds with --smoke. Only committed
+code is measured on the HEAD side. The tool's own worktrees are removed at
+the end. The exit code is 0 when every run passed its checks, 1 when one did
 not, and 2 when a revision or a worktree could not be made.
 """
 import argparse
@@ -49,8 +52,6 @@ def parse_args(argv=None):
     p.add_argument("parent", help="the revision to compare HEAD against")
     p.add_argument("--pairs", type=int, default=10, help="pairs per seed, control and comparison each")
     p.add_argument("--seeds", default="0", help="comma-separated run seeds")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run.py's --seconds (default 10, or 0 with --smoke)")
     p.add_argument("--smoke", action="store_true", help="run.py's tiny inputs, for a quick check")
     p.add_argument("--out", type=Path, default=None, help="default: BENCH_<workload>.json at the root")
     p.add_argument("--workdir", type=Path, default=None,
@@ -59,11 +60,16 @@ def parse_args(argv=None):
     if args.pairs < 1:
         p.error(f"--pairs must be at least 1, got {args.pairs}")
     args.seeds = [int(s) for s in args.seeds.split(",")]
-    if args.seconds is None:
-        args.seconds = 0.0 if args.smoke else float(BENCHMARK["run_seconds"])
+    args.seconds = 0.0 if args.smoke else float(BENCHMARK["run_seconds"])
     if args.out is None:
         args.out = ROOT / f"BENCH_{args.workload}.json"
     return args
+
+
+def tool_args(args) -> str:
+    """The options that shape the record; --out and --workdir only place files."""
+    return " ".join([args.workload, args.parent, "--pairs", str(args.pairs), "--seeds",
+                     ",".join(map(str, args.seeds))] + (["--smoke"] if args.smoke else []))
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -165,7 +171,7 @@ def main(argv=None) -> int:
     doc = {"workload": args.workload,
            "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
                       f"--seconds {args.seconds:g}" + (" --smoke" if args.smoke else ""),
-           "tool": "python3 tools/bench_pair.py " + " ".join(sys.argv[1:] if argv is None else argv),
+           "tool": "python3 tools/bench_pair.py " + tool_args(args),
            "note": ("'change' is HEAD and 'parent' the given revision; 'second' is a second "
                     "worktree of HEAD, run against it first as the A/A control; each run is a "
                     "fresh process in its own worktree, and 'first' is the side run first in "
@@ -188,16 +194,16 @@ def main(argv=None) -> int:
                 "pairs": pairs, "summary": summarize(pairs, "parent", "change", noise)}
     finally:
         for path in trees.values():
-            if path.exists():
-                subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT,
-                               check=False, capture_output=True)
+            subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=ROOT,
+                           check=False, capture_output=True)
         shutil.rmtree(base, ignore_errors=True)
-        git("worktree", "prune")
     runs = [p[side] for s in doc["seeds"].values() for p in s["control"]["pairs"] + s["pairs"]
             for side in SIDES if side in p]
     machines = [run.pop("machine", None) for run in runs]
     doc["machine"] = next((m for m in machines if m), None)
-    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    correct = all(run.get("correct") for run in runs)
+    out = args.out if correct else args.out.with_suffix(".failed.json")
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for seed, s in doc["seeds"].items():
         for name, row in s["summary"].items():
             if "ratio" in row:
@@ -205,8 +211,8 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {name}: {row['ratio']:.3f}x the parent's median, better in "
                       f"{row['wins']} of {row['pairs']} pairs, "
                       f"{'' if row['resolved'] else 'un'}resolved (control {lo:.3f}-{hi:.3f})")
-    print(f"wrote {args.out}")
-    return 0 if all(run.get("correct") for run in runs) else 1
+    print(f"wrote {out}" + ("" if correct else ": a run failed its checks"))
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":
